@@ -8,8 +8,6 @@ raise the outlet concentration from a trace level to the first percent).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,20 +117,10 @@ def _solve_record(params: DimensionlessParameters, pe: float, leading: WaveProfi
                            e_bt=float("nan"), error=f"{type(exc).__name__}: {exc}")
 
 
-def default_workers() -> int:
-    """Sweep parallelism, capped by the ADSORB_THREADS environment variable."""
-    raw = os.environ.get("ADSORB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
               settings: WaveSolverSettings | None = None,
               eta_star: float = DEFAULT_ETA_STAR,
-              hi: float = THRESHOLD_HI, lo: float = THRESHOLD_LO,
-              max_workers: int = 1) -> list[SweepRecord]:
+              hi: float = THRESHOLD_HI, lo: float = THRESHOLD_LO) -> list[SweepRecord]:
     """Solve the front for every grid Pe and compare against the Pe = 0 front.
 
     The leading-order profile is computed once; each positive Pe contributes
@@ -147,11 +135,5 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
         solve_leading_order(params, settings)
     leading = solve_leading_order(replace(params, pe=0.0), settings)
     t_0 = breakthrough_window_time(leading, hi, lo)
-
-    def solve_one(pe: float) -> SweepRecord:
-        return _solve_record(params, pe, leading, t_0, eta_star, hi, lo, settings)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(solve_one, grid.pe_values))
-    return [solve_one(pe) for pe in grid.pe_values]
+    return [_solve_record(params, pe, leading, t_0, eta_star, hi, lo, settings)
+            for pe in grid.pe_values]

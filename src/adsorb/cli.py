@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import SweepGrid, default_workers, run_sweep
+from .analysis import SweepGrid, run_sweep
 from .errors import (
     AdsorptionError,
     ConfigError,
@@ -366,7 +366,7 @@ def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
     grid = SweepGrid(tuple(float(v) for v in s["pe_values"]))
     records = run_sweep(config.params, grid, settings=_wave_settings(config),
                         eta_star=float(s["eta_star"]), hi=float(s["threshold_hi"]),
-                        lo=float(s["threshold_lo"]), max_workers=default_workers())
+                        lo=float(s["threshold_lo"]))
     rows = [[r.pe, r.l2_error, r.t_window, r.e_bt] for r in records]
     path = out / "sweep.csv"
     _write_table(path, config, ["pe", "l2_error", "t_window", "e_bt"], rows)

@@ -41,6 +41,18 @@ F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
 F_RANGE_TOL = 1e-9         # roundoff slack on F in [0, 1]
 NORMALIZATION_TOL = 1e-8   # |F(0) - 1/2| for normalized profiles
 
+F_STOP_LOW = 1e-6          # downstream stop for the leading-order front
+F_STOP_HIGH = 1e-6         # upstream stop (distance of F from 1)
+TAIL_STOP = 1e-8           # downstream stop of the appended tail
+ANCHOR_SPLIT = 1e-2        # F value where the backward clock restarts
+CORE_STEP = 0.02           # uniform sample spacing near the transition
+CORE_PAD = 25.0            # half-width of the uniformly sampled zone
+REFINE_RATIO = 1.04        # geometric sample growth outside the core
+LEAD_METHOD = "DOP853"     # reduced (Pe = 0) legs
+# the backward leg stays stiff at any Pe once the clean state is degenerate
+# (layer rate O(1) against an unbounded slow crawl), so it is always implicit
+STIFF_METHOD = "Radau"
+
 
 @dataclass(frozen=True)
 class FarFieldStates:
@@ -64,22 +76,8 @@ class WaveSolverSettings:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     seed_delta: float = 1e-6       # F value of the backward-integration seed
-    f_stop_low: float = 1e-6       # downstream stop for the leading-order front
-    f_stop_high: float = 1e-6      # upstream stop (distance of F from 1)
-    tail_stop: float = 1e-8        # downstream stop of the appended tail
     eta_span: float = 22.0         # half-window guaranteed around F(0) = 1/2
-    anchor_split: float = 1e-2     # F value where the backward clock restarts
-    core_step: float = 0.02        # uniform sample spacing near the transition
-    core_pad: float = 25.0         # half-width of the uniformly sampled zone
-    refine_ratio: float = 1.04     # geometric sample growth outside the core
     span_cap: float = 1e18         # hard eta budget before giving up
-    lead_method: str = "DOP853"
-    stiff_method: str = "Radau"
-    explicit_method: str = "RK45"
-    # the backward leg stays stiff at any Pe once the clean state is degenerate
-    # (layer rate O(1) against an unbounded slow crawl), so the implicit method
-    # is the default for all Pe; set a finite threshold to switch explicitly.
-    explicit_pe_threshold: float = float("inf")
 
 
 @dataclass(frozen=True)
@@ -210,15 +208,39 @@ def closed_form_wave_11(params: DimensionlessParameters, eta):
 # profile assembly
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Segment:
-    """One integrated piece of the front in shifted (normalized) coordinates."""
+    """One integrated leg of the front on the normalized eta axis.
 
-    lo: float
-    hi: float
-    natural: np.ndarray
-    f_of: object   # callable eta -> F
-    y_of: object   # callable (eta, F) -> F'
+    Normalized eta + ``shift`` is the integration variable of ``sol``.  Full
+    legs carry (F, F') as their state; reduced legs carry F, or a log
+    coordinate that ``f_map`` turns into F, and take F' from the reduced
+    equation.
+    """
+
+    sol: object             # solve_ivp result with dense output
+    shift: float = 0.0
+    f_map: object = None    # callable u -> F for log-coordinate legs
+
+    @property
+    def lo(self) -> float:
+        return min(self.sol.t[0], self.sol.t[-1]) - self.shift
+
+    @property
+    def hi(self) -> float:
+        return max(self.sol.t[0], self.sol.t[-1]) - self.shift
+
+    @property
+    def natural(self) -> np.ndarray:
+        return np.sort(self.sol.t) - self.shift
+
+    def evaluate(self, eta: np.ndarray, params: DimensionlessParameters):
+        """F and F' at normalized positions inside the leg."""
+        z = self.sol.sol(eta + self.shift)
+        if z.shape[0] == 2:
+            return z[0], z[1]
+        f = z[0] if self.f_map is None else self.f_map(z[0])
+        return f, leading_order_rhs(f, params)
 
 
 def _event(fn, direction: float):
@@ -245,18 +267,16 @@ def _dedupe_sorted(pts: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
-def _sample_points(lo: float, hi: float, segments: list[_Segment],
-                   settings: WaveSolverSettings) -> np.ndarray:
-    step, pad, ratio = settings.core_step, settings.core_pad, settings.refine_ratio
+def _sample_points(lo: float, hi: float, segments: list[_Segment]) -> np.ndarray:
     parts = [np.array([lo, hi])]
-    k_lo = math.ceil(max(lo, -pad) / step)
-    k_hi = math.floor(min(hi, pad) / step)
+    k_lo = math.ceil(max(lo, -CORE_PAD) / CORE_STEP)
+    k_hi = math.floor(min(hi, CORE_PAD) / CORE_STEP)
     if k_hi >= k_lo:
-        parts.append(np.arange(k_lo, k_hi + 1) * step)
+        parts.append(np.arange(k_lo, k_hi + 1) * CORE_STEP)
     for sign, limit in ((1.0, hi), (-1.0, lo)):
-        if sign * limit > pad:
-            count = int(math.log(sign * limit / pad) / math.log(ratio)) + 1
-            parts.append(sign * pad * ratio ** np.arange(1, count + 1))
+        if sign * limit > CORE_PAD:
+            count = int(math.log(sign * limit / CORE_PAD) / math.log(REFINE_RATIO)) + 1
+            parts.append(sign * CORE_PAD * REFINE_RATIO ** np.arange(1, count + 1))
     parts.extend(seg.natural for seg in segments)
     pts = np.concatenate(parts)
     pts = np.sort(pts[(pts >= lo) & (pts <= hi)])
@@ -264,20 +284,18 @@ def _sample_points(lo: float, hi: float, segments: list[_Segment],
 
 
 def _assemble_profile(segments: list[_Segment], params: DimensionlessParameters,
-                      pe: float, settings: WaveSolverSettings) -> WaveProfile:
+                      pe: float) -> WaveProfile:
     segments = sorted(segments, key=lambda s: s.lo)
     lo, hi = segments[0].lo, segments[-1].hi
-    pts = _sample_points(lo, hi, segments, settings)
+    pts = _sample_points(lo, hi, segments)
     uppers = np.array([seg.hi for seg in segments])
     which = np.minimum(np.searchsorted(uppers, pts, side="left"), len(segments) - 1)
     f = np.empty_like(pts)
     y = np.empty_like(pts)
     for i, seg in enumerate(segments):
         mask = which == i
-        if not np.any(mask):
-            continue
-        f[mask] = seg.f_of(pts[mask])
-        y[mask] = seg.y_of(pts[mask], f[mask])
+        if np.any(mask):
+            f[mask], y[mask] = seg.evaluate(pts[mask], params)
     keep = _strict_decrease_mask(f)
     eta, f, y = pts[keep], f[keep], y[keep]
     g = params.q_e * f - pe * (params.q_e + params.da) * y
@@ -287,104 +305,47 @@ def _assemble_profile(segments: list[_Segment], params: DimensionlessParameters,
     )
 
 
-def _leading_scalar_rhs(params):
-    def rhs(_eta, f):
-        return (leading_order_rhs(f[0], params),)
-    return rhs
-
-
 def _integrate_or_raise(sol, what: str):
     if sol.status == -1:
         raise ConvergenceError(f"{what}: integrator failed ({sol.message})")
-    if sol.status != 1:
+    # legs without events run to a fixed eta and have no target state to miss
+    if sol.t_events is not None and sol.status != 1:
         raise ConvergenceError(f"{what}: eta budget exhausted before reaching the target state")
     return sol
 
 
-def _extend_tail_log(params, settings, eta_from: float, eta_to: float, f_from: float,
-                     shift: float) -> _Segment:
-    """Continue the downstream tail with the reduced flow in u = ln F."""
+def _reduced_leg(params, settings, eta_from: float, f_from: float, *, shift: float = 0.0,
+                 eta_to: float | None = None, stop: float | None = None,
+                 head: bool = False) -> _Segment:
+    """Continue the front from (eta_from, f_from) with the reduced flow.
+
+    The tail integrates u = ln F and the head u = ln(1 - F), which resolve
+    the exponential or algebraic approach to the far-field states.  The leg
+    runs to ``eta_to``, or, given ``stop``, until F falls below ``stop``.
+    """
 
     def rhs(_eta, u):
-        f = math.exp(u[0])
-        return (leading_order_rhs(f, params) / f,)
+        r = math.exp(u[0])  # F on the tail, 1 - F on the head
+        return ((-leading_order_rhs(1.0 - r, params) if head
+                 else leading_order_rhs(r, params)) / r,)
 
-    sol = solve_ivp(rhs, (eta_from, eta_to), [math.log(f_from)], method=settings.lead_method,
-                    rtol=settings.rel_tol, atol=settings.abs_tol, dense_output=True)
-    if sol.status != 0:
-        raise ConvergenceError(f"tail continuation failed ({sol.message})")
-
-    def f_of(e, _s=sol.sol, _o=shift):
-        return np.exp(_s(np.asarray(e, dtype=float) + _o)[0])
-
-    def y_of(_e, f):
-        return leading_order_rhs(f, params)
-
-    return _Segment(lo=eta_from - shift, hi=eta_to - shift,
-                    natural=np.sort(sol.t) - shift, f_of=f_of, y_of=y_of)
-
-
-def _extend_head_log(params, settings, eta_from: float, eta_to: float, f_from: float,
-                     shift: float) -> _Segment:
-    """Continue the saturated head with the reduced flow in w = ln(1 - F)."""
-
-    def rhs(_eta, w):
-        one_minus_f = math.exp(w[0])
-        return (-leading_order_rhs(1.0 - one_minus_f, params) / one_minus_f,)
-
-    sol = solve_ivp(rhs, (eta_from, eta_to), [math.log(1.0 - f_from)],
-                    method=settings.lead_method, rtol=settings.rel_tol,
-                    atol=settings.abs_tol, dense_output=True)
-    if sol.status != 0:
-        raise ConvergenceError(f"head continuation failed ({sol.message})")
-
-    def f_of(e, _s=sol.sol, _o=shift):
-        return 1.0 - np.exp(_s(np.asarray(e, dtype=float) + _o)[0])
-
-    def y_of(_e, f):
-        return leading_order_rhs(f, params)
-
-    return _Segment(lo=eta_to - shift, hi=eta_from - shift,
-                    natural=np.sort(sol.t) - shift, f_of=f_of, y_of=y_of)
-
-
-def _tail_segments(params, settings, eta_start: float, f_start: float, eta0: float,
-                   stop: float) -> list[_Segment]:
-    """Downstream tail from (eta_start, f_start) until F < stop and the span is met."""
-    segments = []
-
-    def rhs(_eta, u):
-        f = math.exp(u[0])
-        return (leading_order_rhs(f, params) / f,)
-
-    hit = _event(lambda _e, u, _c=math.log(stop): u[0] - _c, direction=-1.0)
-    sol = solve_ivp(rhs, (eta_start, eta_start + settings.span_cap), [math.log(f_start)],
-                    method=settings.lead_method, rtol=settings.rel_tol,
-                    atol=settings.abs_tol, dense_output=True, events=[hit])
-    _integrate_or_raise(sol, "downstream tail")
-    eta_stop = float(sol.t_events[0][0])
-
-    def f_of(e, _s=sol.sol, _o=eta0):
-        return np.exp(_s(np.asarray(e, dtype=float) + _o)[0])
-
-    def y_of(_e, f):
-        return leading_order_rhs(f, params)
-
-    segments.append(_Segment(lo=eta_start - eta0, hi=eta_stop - eta0,
-                             natural=np.sort(sol.t) - eta0, f_of=f_of, y_of=y_of))
-    target = eta0 + settings.eta_span
-    if eta_stop < target:
-        f_stop = math.exp(float(sol.y_events[0][0][0]))
-        segments.append(_extend_tail_log(params, settings, eta_stop, target, f_stop, eta0))
-    return segments
+    events = None
+    if stop is not None:
+        eta_to = eta_from + settings.span_cap
+        events = [_event(lambda _e, u, _c=math.log(stop): u[0] - _c, direction=-1.0)]
+    sol = solve_ivp(rhs, (eta_from, eta_to), [math.log(1.0 - f_from if head else f_from)],
+                    method=LEAD_METHOD, rtol=settings.rel_tol, atol=settings.abs_tol,
+                    dense_output=True, events=events)
+    _integrate_or_raise(sol, "head continuation" if head else "tail continuation")
+    return _Segment(sol, shift, (lambda u: 1.0 - np.exp(u)) if head else np.exp)
 
 
 def solve_leading_order(params: DimensionlessParameters,
                         settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Front profile of the reduced (Pe = 0) equation, normalized to F(0) = 1/2.
 
-    Integrates forwards until F < f_stop_low and backwards until
-    F > 1 - f_stop_high, extending with the log-coordinate reduced flow when
+    Integrates forwards until F < F_STOP_LOW and backwards until
+    F > 1 - F_STOP_HIGH, extending with the log-coordinate reduced flow when
     the requested half-window eta_span is not yet covered.
     """
     settings = settings or WaveSolverSettings()
@@ -394,41 +355,35 @@ def solve_leading_order(params: DimensionlessParameters,
             f"no decreasing front exists for orders (m, n) = ({params.m}, {params.n}): "
             f"{report.reason}", report,
         )
-    rhs = _leading_scalar_rhs(params)
-    common = dict(method=settings.lead_method, rtol=settings.rel_tol,
+
+    def rhs(_eta, f):
+        return (leading_order_rhs(f[0], params),)
+
+    common = dict(method=LEAD_METHOD, rtol=settings.rel_tol,
                   atol=settings.abs_tol, dense_output=True)
 
-    hit_low = _event(lambda _e, f, _c=settings.f_stop_low: f[0] - _c, direction=-1.0)
+    hit_low = _event(lambda _e, f: f[0] - F_STOP_LOW, direction=-1.0)
     fwd = _integrate_or_raise(
         solve_ivp(rhs, (0.0, settings.span_cap), [0.5], events=[hit_low], **common),
         "downstream leg",
     )
     eta_low = float(fwd.t_events[0][0])
 
-    hit_high = _event(lambda _e, f, _c=1.0 - settings.f_stop_high: f[0] - _c, direction=1.0)
+    hit_high = _event(lambda _e, f: f[0] - (1.0 - F_STOP_HIGH), direction=1.0)
     bwd = _integrate_or_raise(
         solve_ivp(rhs, (0.0, -settings.span_cap), [0.5], events=[hit_high], **common),
         "upstream leg",
     )
     eta_high = float(bwd.t_events[0][0])
 
-    def make_seg(sol, lo, hi):
-        def f_of(e, _s=sol.sol):
-            return _s(np.asarray(e, dtype=float))[0]
-
-        def y_of(_e, f):
-            return leading_order_rhs(f, params)
-
-        return _Segment(lo=lo, hi=hi, natural=np.sort(sol.t), f_of=f_of, y_of=y_of)
-
-    segments = [make_seg(bwd, eta_high, 0.0), make_seg(fwd, 0.0, eta_low)]
+    segments = [_Segment(bwd), _Segment(fwd)]
     if eta_high > -settings.eta_span:
-        segments.append(_extend_head_log(params, settings, eta_high, -settings.eta_span,
-                                         1.0 - settings.f_stop_high, 0.0))
+        segments.append(_reduced_leg(params, settings, eta_high, 1.0 - F_STOP_HIGH,
+                                     eta_to=-settings.eta_span, head=True))
     if eta_low < settings.eta_span:
-        segments.append(_extend_tail_log(params, settings, eta_low, settings.eta_span,
-                                         settings.f_stop_low, 0.0))
-    return _assemble_profile(segments, params, pe=0.0, settings=settings)
+        segments.append(_reduced_leg(params, settings, eta_low, F_STOP_LOW,
+                                     eta_to=settings.eta_span))
+    return _assemble_profile(segments, params, pe=0.0)
 
 
 def solve_full_wave(params: DimensionlessParameters,
@@ -456,8 +411,6 @@ def solve_full_wave(params: DimensionlessParameters,
 
     delta = settings.seed_delta
     seed = (delta, float(slow_set(delta, params)))
-    method = settings.stiff_method if pe < settings.explicit_pe_threshold \
-        else settings.explicit_method
 
     def rhs(_eta, z):
         return full_system_rhs(z[0], z[1], params)
@@ -466,7 +419,7 @@ def solve_full_wave(params: DimensionlessParameters,
         hit = _event(lambda _e, z, _c=stop_f: z[0] - _c, direction=1.0)
         exit_low = _event(lambda _e, z: z[0] + 0.1, direction=-1.0)
         exit_high = _event(lambda _e, z: z[0] - 1.1, direction=1.0)
-        sol = solve_ivp(rhs, (0.0, -settings.span_cap), state, method=method,
+        sol = solve_ivp(rhs, (0.0, -settings.span_cap), state, method=STIFF_METHOD,
                         rtol=settings.rel_tol, atol=settings.abs_tol, dense_output=True,
                         events=[hit, exit_low, exit_high])
         if sol.t_events[1].size or sol.t_events[2].size:
@@ -477,17 +430,16 @@ def solve_full_wave(params: DimensionlessParameters,
         return sol
 
     # For algebraic downstream tails the front sits arbitrarily far from the seed,
-    # so the integration clock restarts once F reaches anchor_split; the half-
+    # so the integration clock restarts once F reaches ANCHOR_SPLIT; the half-
     # crossing is then located in small local coordinates, immune to the loss of
     # eta resolution that the long first leg accumulates.
-    split = settings.anchor_split
-    if delta < split:
-        leg_tail = backward(seed, split, "backward leg to the anchor zone")
+    if delta < ANCHOR_SPLIT:
+        leg_tail = backward(seed, ANCHOR_SPLIT, "backward leg to the anchor zone")
         s_end = float(leg_tail.t_events[0][0])
         state_split = tuple(leg_tail.y_events[0][0])
     else:
         leg_tail, s_end, state_split = None, 0.0, seed
-    leg_front = backward(state_split, 1.0 - settings.f_stop_high, "backward heteroclinic leg")
+    leg_front = backward(state_split, 1.0 - F_STOP_HIGH, "backward heteroclinic leg")
     r_top = float(leg_front.t_events[0][0])
 
     # anchor eta = 0 where F crosses 1/2, on the dense front leg
@@ -499,24 +451,18 @@ def solve_full_wave(params: DimensionlessParameters,
     lo_t, hi_t = sorted((float(leg_front.t[k - 1]), float(leg_front.t[k])))
     r0 = brentq(lambda e: float(leg_front.sol(e)[0]) - 0.5, lo_t, hi_t, xtol=1e-13)
 
-    def seg_from_leg(sol, lo_local, hi_local, offset):
-        def f_of(e, _s=sol.sol, _o=offset):
-            return _s(np.asarray(e, dtype=float) + _o)[0]
-
-        def y_of(e, _f, _s=sol.sol, _o=offset):
-            return _s(np.asarray(e, dtype=float) + _o)[1]
-
-        return _Segment(lo=lo_local - offset, hi=hi_local - offset,
-                        natural=np.sort(sol.t) - offset, f_of=f_of, y_of=y_of)
-
-    segments = [seg_from_leg(leg_front, r_top, 0.0, r0)]
-    if leg_tail is not None:
-        # leg_tail local s maps to shifted eta = (s - s_end) - r0
-        segments.append(seg_from_leg(leg_tail, s_end, 0.0, s_end + r0))
     eta0 = s_end + r0  # global position of the anchor relative to the seed
+    segments = [_Segment(leg_front, r0)]
+    if leg_tail is not None:
+        segments.append(_Segment(leg_tail, eta0))
     head_target = r0 - settings.eta_span
     if r_top > head_target:
-        segments.append(_extend_head_log(params, settings, r_top, head_target,
-                                         1.0 - settings.f_stop_high, r0))
-    segments.extend(_tail_segments(params, settings, 0.0, delta, eta0, settings.tail_stop))
-    return _assemble_profile(segments, params, pe=pe, settings=settings)
+        segments.append(_reduced_leg(params, settings, r_top, 1.0 - F_STOP_HIGH, shift=r0,
+                                     eta_to=head_target, head=True))
+    tail = _reduced_leg(params, settings, 0.0, delta, shift=eta0, stop=TAIL_STOP)
+    segments.append(tail)
+    eta_stop, target = tail.sol.t[-1], eta0 + settings.eta_span
+    if eta_stop < target:
+        segments.append(_reduced_leg(params, settings, eta_stop, math.exp(tail.sol.y[0, -1]),
+                                     shift=eta0, eta_to=target))
+    return _assemble_profile(segments, params, pe=pe)

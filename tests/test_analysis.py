@@ -152,19 +152,3 @@ class TestRunSweep:
             assert rec.error is not None and "DivergenceError" in rec.error
             assert np.isnan(rec.l2_error) and np.isnan(rec.e_bt)
 
-    def test_parallel_matches_serial(self):
-        grid = SweepGrid((0.0, 0.1, 0.5))
-        serial = run_sweep(params_for(), grid)
-        parallel = run_sweep(params_for(), grid, max_workers=3)
-        for a, b in zip(serial, parallel):
-            assert a.pe == b.pe and a.l2_error == b.l2_error and a.e_bt == b.e_bt
-
-    def test_worker_cap_from_environment(self, monkeypatch):
-        from adsorb.analysis import default_workers
-
-        monkeypatch.setenv("ADSORB_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("ADSORB_THREADS", "junk")
-        assert default_workers() == 1
-        monkeypatch.delenv("ADSORB_THREADS")
-        assert default_workers() == 1

@@ -215,6 +215,17 @@ class TestFullWaveSolver:
         with pytest.raises(DivergenceError):
             solve_full_wave(params_for(pe=0.1), settings)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2)])
+    def test_seed_beyond_anchor_split(self, m, n):
+        # a seed at or above the anchor split skips the first backward leg
+        p = params_for(pe=0.5, m=m, n=n)
+        settings = WaveSolverSettings(seed_delta=2e-2)
+        w = solve_full_wave(p, settings)
+        assert np.all(np.diff(w.f) < 0.0)
+        assert abs(float(w.f_at(0.0)) - 0.5) < 1e-8
+        assert w.window[0] <= -settings.eta_span and w.window[1] >= settings.eta_span
+        assert w.eta_at(0.9) == pytest.approx(solve_full_wave(p).eta_at(0.9), abs=1e-4)
+
     def test_span_budget_exhaustion(self):
         settings = WaveSolverSettings(span_cap=5.0)
         with pytest.raises(ConvergenceError):
