@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from .errors import AdsorptionError, CoverageError, DomainError
-from .model import DimensionlessParameters, analyze_equilibria
+from .model import DimensionlessParameters
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
 DEFAULT_ETA_STAR = 20.0
@@ -129,10 +129,6 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
     aborting the sweep; records are returned in grid order.
     """
     settings = settings or WaveSolverSettings()
-    report = analyze_equilibria(params)
-    if not report.admissible:
-        # surface the refusal with the report, as the front solvers would
-        solve_leading_order(params, settings)
     leading = solve_leading_order(replace(params, pe=0.0), settings)
     t_0 = breakthrough_window_time(leading, hi, lo)
     return [_solve_record(params, pe, leading, t_0, eta_star, hi, lo, settings)

@@ -61,7 +61,6 @@ _SOLVER_DEFAULTS = {
     "fit_start": None,        # default t_end / 2
     "fit_end": None,          # default t_end
     "pe_values": None,        # default: the standard sweep grid
-    "n_quad": 2001,
 }
 _ISOTHERM_KEYS = {"c_in_values"}
 _OUTPUT_DEFAULTS = {"dir": "out", "format": "csv"}

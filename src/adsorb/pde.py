@@ -101,24 +101,28 @@ def step_kinetics(c, q, params: DimensionlessParameters):
 
 
 def reconstruct_boundaries(c_interior: np.ndarray, params: DimensionlessParameters,
-                           grid: SpatialGrid) -> tuple[float, float]:
+                           grid: SpatialGrid):
     """Boundary concentrations implied by the eliminated stencil conditions.
 
     Inlet: c0 - Pe (-3 c0 + 4 c1 - c2)/(2h) = 1; outlet: (3 cN - 4 c_{N-1}
-    + c_{N-2})/(2h) = 0, both one-sided and second order.
+    + c_{N-2})/(2h) = 0, both one-sided and second order.  The last axis of
+    ``c_interior`` runs over the interior nodes; leading axes (for example
+    sample times) carry through to the returned (inlet, outlet) values.
     """
     h = grid.spacing
     pe = params.pe
     w = pe / (2.0 * h)
-    c0 = (1.0 + w * (4.0 * c_interior[0] - c_interior[1])) / (1.0 + 3.0 * w)
-    c_out = (4.0 * c_interior[-1] - c_interior[-2]) / 3.0
-    return float(c0), float(c_out)
+    c = c_interior.T
+    c0 = (1.0 + w * (4.0 * c[0] - c[1])) / (1.0 + 3.0 * w)
+    c_out = (4.0 * c[-1] - c[-2]) / 3.0
+    return c0, c_out
 
 
 def _full_field(c_interior: np.ndarray, params, grid) -> np.ndarray:
-    c = np.empty(grid.n_cells)
-    c[1:-1] = c_interior
-    c[0], c[-1] = reconstruct_boundaries(c_interior, params, grid)
+    c = np.empty(c_interior.shape[:-1] + (grid.n_cells,))
+    by_node = c.T
+    by_node[1:-1] = c_interior.T
+    by_node[0], by_node[-1] = reconstruct_boundaries(c_interior, params, grid)
     return c
 
 
@@ -191,20 +195,11 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
             "diffusion/reaction contrast"
         )
 
-    n_t = sample_times.size
-    c = np.empty((n_t, n))
-    q = np.empty((n_t, n))
-    for k in range(n_t):
-        state = sol.y[:, k]
-        q[k] = state[n - 2:]
-        if k == 0 and sample_times[0] == 0.0:
-            c[k] = c0_full
-        else:
-            c[k] = _full_field(state[: n - 2], params, grid)
-    breakthrough = np.array([
-        reconstruct_boundaries(sol.y[: n - 2, k], params, grid)[1] for k in range(n_t)
-    ])
-    return PdeSolution(grid=grid, times=sample_times, c=c, q=q,
+    c = _full_field(sol.y[: n - 2].T, params, grid)
+    breakthrough = c[:, -1].copy()
+    if sample_times[0] == 0.0:
+        c[0] = c0_full
+    return PdeSolution(grid=grid, times=sample_times, c=c, q=sol.y[n - 2:].T,
                        breakthrough=breakthrough, params=params)
 
 
@@ -276,16 +271,10 @@ def mass_balance_residual(sol: PdeSolution) -> np.ndarray:
     x = sol.grid.nodes
     pe = sol.params.pe
     h = sol.grid.spacing
-    n_t = sol.times.size
-    inlet = np.empty(n_t)
-    outlet = np.empty(n_t)
-    storage = np.empty(n_t)
-    for k in range(n_t):
-        c = sol.c[k].copy()
-        c[0], c[-1] = reconstruct_boundaries(c[1:-1], sol.params, sol.grid)
-        inlet[k] = c[0] - pe * (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * h)
-        outlet[k] = c[-1] - pe * (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * h)
-        storage[k] = sol.params.da * np.trapezoid(c, x) + np.trapezoid(sol.q[k], x)
+    c = _full_field(sol.c[:, 1:-1], sol.params, sol.grid).T
+    inlet = c[0] - pe * (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * h)
+    outlet = c[-1] - pe * (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * h)
+    storage = sol.params.da * np.trapezoid(c, x, axis=0) + np.trapezoid(sol.q, x, axis=1)
     cum_in = cumulative_trapezoid(inlet, sol.times, initial=0.0)
     cum_out = cumulative_trapezoid(outlet, sol.times, initial=0.0)
     drift = np.abs(cum_in - cum_out - (storage - storage[0]))

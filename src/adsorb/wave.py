@@ -11,9 +11,13 @@ to the clean state, where the slow set approximates the attracting manifold
 to O(Pe).
 
 Backward integration is the only stable direction: in forward eta the layer
-dynamics repel trajectories from the slow manifold at rate q_e v / Pe, so the
-downstream tail beyond the seed is continued with the reduced (slow-manifold)
-flow in log coordinates instead; see `solve_full_wave`.
+dynamics repel trajectories from the slow manifold at rate q_e v / Pe.  Every
+front is therefore finished by one rule, the reduced (slow-manifold) flow
+continued outward in log coordinates: u = ln F towards the clean state (the
+tail) and u = ln(1 - F) towards the saturated state (the head), until F is
+within F_STOP of the far-field state and the window reaches +-eta_span.  The
+Pe = 0 front is two such legs from F(0) = 1/2; the Pe > 0 front adds one at
+each end of its backward legs; see `solve_full_wave`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .errors import (
@@ -41,9 +44,7 @@ F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
 F_RANGE_TOL = 1e-9         # roundoff slack on F in [0, 1]
 NORMALIZATION_TOL = 1e-8   # |F(0) - 1/2| for normalized profiles
 
-F_STOP_LOW = 1e-6          # downstream stop for the leading-order front
-F_STOP_HIGH = 1e-6         # upstream stop (distance of F from 1)
-TAIL_STOP = 1e-8           # downstream stop of the appended tail
+F_STOP = 1e-6              # distance from a far-field state where a front may end
 ANCHOR_SPLIT = 1e-2        # F value where the backward clock restarts
 CORE_STEP = 0.02           # uniform sample spacing near the transition
 CORE_PAD = 25.0            # half-width of the uniformly sampled zone
@@ -213,14 +214,13 @@ class _Segment:
     """One integrated leg of the front on the normalized eta axis.
 
     Normalized eta + ``shift`` is the integration variable of ``sol``.  Full
-    legs carry (F, F') as their state; reduced legs carry F, or a log
-    coordinate that ``f_map`` turns into F, and take F' from the reduced
-    equation.
+    legs carry (F, F') as their state; reduced legs carry a log coordinate
+    that ``f_map`` turns into F, and take F' from the reduced equation.
     """
 
     sol: object             # solve_ivp result with dense output
     shift: float = 0.0
-    f_map: object = None    # callable u -> F for log-coordinate legs
+    f_map: object = None    # callable u -> F for reduced legs
 
     @property
     def lo(self) -> float:
@@ -239,12 +239,12 @@ class _Segment:
         z = self.sol.sol(eta + self.shift)
         if z.shape[0] == 2:
             return z[0], z[1]
-        f = z[0] if self.f_map is None else self.f_map(z[0])
+        f = self.f_map(z[0])
         return f, leading_order_rhs(f, params)
 
 
-def _event(fn, direction: float):
-    fn.terminal = True
+def _event(fn, direction: float, terminal: bool = True):
+    fn.terminal = terminal
     fn.direction = direction
     return fn
 
@@ -314,41 +314,7 @@ def _integrate_or_raise(sol, what: str):
     return sol
 
 
-def _reduced_leg(params, settings, eta_from: float, f_from: float, *, shift: float = 0.0,
-                 eta_to: float | None = None, stop: float | None = None,
-                 head: bool = False) -> _Segment:
-    """Continue the front from (eta_from, f_from) with the reduced flow.
-
-    The tail integrates u = ln F and the head u = ln(1 - F), which resolve
-    the exponential or algebraic approach to the far-field states.  The leg
-    runs to ``eta_to``, or, given ``stop``, until F falls below ``stop``.
-    """
-
-    def rhs(_eta, u):
-        r = math.exp(u[0])  # F on the tail, 1 - F on the head
-        return ((-leading_order_rhs(1.0 - r, params) if head
-                 else leading_order_rhs(r, params)) / r,)
-
-    events = None
-    if stop is not None:
-        eta_to = eta_from + settings.span_cap
-        events = [_event(lambda _e, u, _c=math.log(stop): u[0] - _c, direction=-1.0)]
-    sol = solve_ivp(rhs, (eta_from, eta_to), [math.log(1.0 - f_from if head else f_from)],
-                    method=LEAD_METHOD, rtol=settings.rel_tol, atol=settings.abs_tol,
-                    dense_output=True, events=events)
-    _integrate_or_raise(sol, "head continuation" if head else "tail continuation")
-    return _Segment(sol, shift, (lambda u: 1.0 - np.exp(u)) if head else np.exp)
-
-
-def solve_leading_order(params: DimensionlessParameters,
-                        settings: WaveSolverSettings | None = None) -> WaveProfile:
-    """Front profile of the reduced (Pe = 0) equation, normalized to F(0) = 1/2.
-
-    Integrates forwards until F < F_STOP_LOW and backwards until
-    F > 1 - F_STOP_HIGH, extending with the log-coordinate reduced flow when
-    the requested half-window eta_span is not yet covered.
-    """
-    settings = settings or WaveSolverSettings()
+def _require_front(params: DimensionlessParameters) -> None:
     report = analyze_equilibria(params)
     if not report.admissible:
         raise ExistenceError(
@@ -356,33 +322,58 @@ def solve_leading_order(params: DimensionlessParameters,
             f"{report.reason}", report,
         )
 
-    def rhs(_eta, f):
-        return (leading_order_rhs(f[0], params),)
 
-    common = dict(method=LEAD_METHOD, rtol=settings.rel_tol,
-                  atol=settings.abs_tol, dense_output=True)
+def _reduced_leg(params, settings, eta_from: float, f_from: float, *, shift: float = 0.0,
+                 head: bool = False, window_only: bool = False) -> list[_Segment]:
+    """Continue the front outward from (eta_from, f_from) with the reduced flow.
 
-    hit_low = _event(lambda _e, f: f[0] - F_STOP_LOW, direction=-1.0)
-    fwd = _integrate_or_raise(
-        solve_ivp(rhs, (0.0, settings.span_cap), [0.5], events=[hit_low], **common),
-        "downstream leg",
-    )
-    eta_low = float(fwd.t_events[0][0])
+    The tail runs forward in eta on u = ln F and the head backward on
+    u = ln(1 - F), which resolve the exponential or algebraic approach to the
+    far-field states.  The leg runs until F is within F_STOP of its far-field
+    state, then on to the window edge (normalized eta = +-eta_span) if that
+    lies farther out; each part is skipped when its goal already holds, and
+    ``window_only`` skips the first for a caller that stopped at F_STOP.
+    """
 
-    hit_high = _event(lambda _e, f: f[0] - (1.0 - F_STOP_HIGH), direction=1.0)
-    bwd = _integrate_or_raise(
-        solve_ivp(rhs, (0.0, -settings.span_cap), [0.5], events=[hit_high], **common),
-        "upstream leg",
-    )
-    eta_high = float(bwd.t_events[0][0])
+    def rhs(_eta, u):
+        r = math.exp(u[0])  # F on the tail, 1 - F on the head
+        return ((-leading_order_rhs(1.0 - r, params) if head
+                 else leading_order_rhs(r, params)) / r,)
 
-    segments = [_Segment(bwd), _Segment(fwd)]
-    if eta_high > -settings.eta_span:
-        segments.append(_reduced_leg(params, settings, eta_high, 1.0 - F_STOP_HIGH,
-                                     eta_to=-settings.eta_span, head=True))
-    if eta_low < settings.eta_span:
-        segments.append(_reduced_leg(params, settings, eta_low, F_STOP_LOW,
-                                     eta_to=settings.eta_span))
+    sign = -1.0 if head else 1.0
+    f_map = (lambda u: 1.0 - np.exp(u)) if head else np.exp
+    what = "head continuation" if head else "tail continuation"
+    common = dict(method=LEAD_METHOD, rtol=settings.rel_tol, atol=settings.abs_tol,
+                  dense_output=True)
+    u_stop = math.log(F_STOP)
+    u_from = math.log(1.0 - f_from if head else f_from)
+    segments = []
+    if not window_only and u_from > u_stop:
+        hit = _event(lambda _e, u: u[0] - u_stop, direction=-1.0)
+        sol = _integrate_or_raise(
+            solve_ivp(rhs, (eta_from, eta_from + sign * settings.span_cap), [u_from],
+                      events=[hit], **common), what)
+        segments.append(_Segment(sol, shift, f_map))
+        eta_from, u_from = float(sol.t[-1]), float(sol.y[0, -1])
+    eta_edge = shift + sign * settings.eta_span
+    if sign * (eta_edge - eta_from) > 0.0:
+        sol = _integrate_or_raise(solve_ivp(rhs, (eta_from, eta_edge), [u_from], **common), what)
+        segments.append(_Segment(sol, shift, f_map))
+    return segments
+
+
+def solve_leading_order(params: DimensionlessParameters,
+                        settings: WaveSolverSettings | None = None) -> WaveProfile:
+    """Front profile of the reduced (Pe = 0) equation, normalized to F(0) = 1/2.
+
+    Two reduced legs start from F(0) = 1/2: the head runs backward in eta on
+    ln(1 - F) and the tail forward on ln F, each until F is within F_STOP of
+    its far-field state and the half-window eta_span is covered.
+    """
+    settings = settings or WaveSolverSettings()
+    _require_front(params)
+    segments = (_reduced_leg(params, settings, 0.0, 0.5, head=True)
+                + _reduced_leg(params, settings, 0.0, 0.5))
     return _assemble_profile(segments, params, pe=0.0)
 
 
@@ -391,20 +382,16 @@ def solve_full_wave(params: DimensionlessParameters,
     """Heteroclinic front of the full equation for Pe > 0, normalized to F(0) = 1/2.
 
     The solver seeds on the critical slow set at F = seed_delta next to the
-    clean state and integrates backwards in eta; in reverse time the saturated
-    state (1, 0) attracts along both eigendirections, so the connection is
-    recovered without shooting.  The downstream tail past the seed is appended
-    with the reduced slow-manifold flow, which approximates the attracting
-    manifold to O(Pe) there and never has to integrate against the repelling
-    layer dynamics.
+    clean state and integrates backwards in eta until F = 1 - F_STOP; in
+    reverse time the saturated state (1, 0) attracts along both
+    eigendirections, so the connection is recovered without shooting.  The
+    downstream tail past the seed, and the head if the window is still short,
+    are appended with the reduced slow-manifold flow, which approximates the
+    attracting manifold to O(Pe) there and never has to integrate against the
+    repelling layer dynamics.
     """
     settings = settings or WaveSolverSettings()
-    report = analyze_equilibria(params)
-    if not report.admissible:
-        raise ExistenceError(
-            f"no decreasing front exists for orders (m, n) = ({params.m}, {params.n}): "
-            f"{report.reason}", report,
-        )
+    _require_front(params)
     pe = params.pe
     if pe == 0.0:
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
@@ -419,9 +406,10 @@ def solve_full_wave(params: DimensionlessParameters,
         hit = _event(lambda _e, z, _c=stop_f: z[0] - _c, direction=1.0)
         exit_low = _event(lambda _e, z: z[0] + 0.1, direction=-1.0)
         exit_high = _event(lambda _e, z: z[0] - 1.1, direction=1.0)
+        half = _event(lambda _e, z: z[0] - 0.5, direction=1.0, terminal=False)
         sol = solve_ivp(rhs, (0.0, -settings.span_cap), state, method=STIFF_METHOD,
                         rtol=settings.rel_tol, atol=settings.abs_tol, dense_output=True,
-                        events=[hit, exit_low, exit_high])
+                        events=[hit, exit_low, exit_high, half])
         if sol.t_events[1].size or sol.t_events[2].size:
             raise DivergenceError(
                 "backward trajectory left F in [-0.1, 1.1]; the seed points away from the front"
@@ -439,30 +427,16 @@ def solve_full_wave(params: DimensionlessParameters,
         state_split = tuple(leg_tail.y_events[0][0])
     else:
         leg_tail, s_end, state_split = None, 0.0, seed
-    leg_front = backward(state_split, 1.0 - F_STOP_HIGH, "backward heteroclinic leg")
-    r_top = float(leg_front.t_events[0][0])
-
-    # anchor eta = 0 where F crosses 1/2, on the dense front leg
-    f_path = leg_front.y[0]
-    above = np.nonzero(f_path >= 0.5)[0]
-    if above.size == 0 or above[0] == 0:
+    leg_front = backward(state_split, 1.0 - F_STOP, "backward heteroclinic leg")
+    if leg_front.t_events[3].size == 0:
         raise ConvergenceError("backward leg never crossed F = 1/2")
-    k = above[0]
-    lo_t, hi_t = sorted((float(leg_front.t[k - 1]), float(leg_front.t[k])))
-    r0 = brentq(lambda e: float(leg_front.sol(e)[0]) - 0.5, lo_t, hi_t, xtol=1e-13)
+    r0 = float(leg_front.t_events[3][0])  # anchor eta = 0 where F crosses 1/2
 
     eta0 = s_end + r0  # global position of the anchor relative to the seed
     segments = [_Segment(leg_front, r0)]
     if leg_tail is not None:
         segments.append(_Segment(leg_tail, eta0))
-    head_target = r0 - settings.eta_span
-    if r_top > head_target:
-        segments.append(_reduced_leg(params, settings, r_top, 1.0 - F_STOP_HIGH, shift=r0,
-                                     eta_to=head_target, head=True))
-    tail = _reduced_leg(params, settings, 0.0, delta, shift=eta0, stop=TAIL_STOP)
-    segments.append(tail)
-    eta_stop, target = tail.sol.t[-1], eta0 + settings.eta_span
-    if eta_stop < target:
-        segments.append(_reduced_leg(params, settings, eta_stop, math.exp(tail.sol.y[0, -1]),
-                                     shift=eta0, eta_to=target))
+    segments += _reduced_leg(params, settings, float(leg_front.t[-1]), 1.0 - F_STOP,
+                             shift=r0, head=True, window_only=True)
+    segments += _reduced_leg(params, settings, 0.0, delta, shift=eta0)
     return _assemble_profile(segments, params, pe=pe)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from adsorb.analysis import (
     SweepGrid,
@@ -9,9 +12,17 @@ from adsorb.analysis import (
     l2_profile_error,
     run_sweep,
 )
-from adsorb.errors import CoverageError, DomainError
+from adsorb.errors import CoverageError, DomainError, ExistenceError
 from adsorb.model import DimensionlessParameters, ReactionOrders
-from adsorb.wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
+from adsorb.wave import (
+    WaveProfile,
+    WaveSolverSettings,
+    leading_order_rhs,
+    solve_full_wave,
+    solve_leading_order,
+)
+
+ADMISSIBLE_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)]
 
 
 def params_for(q_e=0.7, da=0.1, pe=0.0, m=1, n=1):
@@ -107,6 +118,16 @@ class TestBreakthroughWindow:
         with pytest.raises(CoverageError):
             breakthrough_window_time(prof, hi=1e-2, lo=1e-8)
 
+    @pytest.mark.parametrize("da", [0.1, 0.5])
+    @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)
+    def test_leading_window_matches_quadrature(self, m, n, da):
+        # t = (1/v) int dF / |F'(F)| over [1e-4, 1e-2], integrated in s = ln F
+        p = params_for(da=da, m=m, n=n)
+        integral, _ = quad(lambda s: math.exp(s) / -leading_order_rhs(math.exp(s), p),
+                           math.log(1e-4), math.log(1e-2), epsrel=1e-13)
+        window = breakthrough_window_time(solve_leading_order(p))
+        assert window == pytest.approx(integral / p.velocity, rel=1e-5)
+
     def test_rejects_swapped_thresholds(self, lead_11):
         with pytest.raises(DomainError):
             breakthrough_window_time(lead_11, hi=1e-4, lo=1e-2)
@@ -143,6 +164,13 @@ class TestRunSweep:
         recs = run_sweep(params_for(m=m, n=n), SweepGrid((0.01, 0.1, 0.5, 1.0, 1.5)))
         errors = [r.l2_error for r in recs]
         assert all(b > a for a, b in zip(errors, errors[1:]))
+
+    def test_refuses_inadmissible_orders_with_report(self):
+        with pytest.raises(ExistenceError) as err:
+            run_sweep(params_for(m=2, n=1), SweepGrid((0.0, 0.1)))
+        report = err.value.report
+        assert report is not None and not report.admissible
+        assert report.interior_equilibrium == pytest.approx(1.0 / 0.7 - 1.0, abs=1e-10)
 
     def test_failed_points_are_marked_not_fatal(self):
         settings = WaveSolverSettings(seed_delta=-1e-6)  # diverges for every pe > 0

@@ -63,6 +63,10 @@ class TestParseConfig:
                                                        "m": 1, "n": 1}}))
         with pytest.raises(ConfigError, match="zz"):
             parse_config(wave_doc(zz=2.0))
+        with pytest.raises(ConfigError, match="n_quad"):
+            parse_config(json.dumps({"mode": "sweep", "solver": {"n_quad": 2001},
+                                     "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0,
+                                                       "m": 1, "n": 1}}))
 
     def test_exactly_one_parameter_section(self):
         with pytest.raises(ConfigError):

@@ -242,6 +242,20 @@ class TestFullWaveSolver:
         assert manifold_distance(0.01) < manifold_distance(0.1)
 
 
+class TestLegsJoinUp:
+    @pytest.mark.parametrize("pe", [0.0, 0.01, 0.5, 1.5])
+    @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)
+    def test_logit_slope_has_no_jumps(self, m, n, pe):
+        # a leg placed off its neighbour shows as a jump of the secant slope of
+        # z = ln(F / (1 - F)); a smooth front changes it by a few percent per step
+        p = params_for(pe=pe, m=m, n=n)
+        w = solve_leading_order(p) if pe == 0.0 else solve_full_wave(p)
+        z = np.log(w.f) - np.log1p(-w.f)
+        slope = np.diff(z) / np.diff(w.eta)
+        ratio = slope[1:] / slope[:-1]
+        assert 0.5 <= ratio.min() and ratio.max() <= 2.0
+
+
 class TestWaveProfileValidation:
     def build(self, **overrides):
         eta = np.linspace(-30.0, 30.0, 1201)
