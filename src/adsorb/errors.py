@@ -31,11 +31,15 @@ class ExistenceError(AdsorptionError):
 
 
 class DivergenceError(AdsorptionError, RuntimeError):
-    """A trajectory left the physically meaningful range (wrong seed direction)."""
+    """The seed of a backward front integration lies outside F in (0, 1/2).
+
+    No trajectory from such a seed runs from the clean side of the front
+    through its anchor F = 1/2 to the saturated state.
+    """
 
 
 class ConvergenceError(AdsorptionError, RuntimeError):
-    """An integration hit its span/step budget before reaching the target state."""
+    """An integrator failed before reaching the target state."""
 
 
 class CoverageError(AdsorptionError, ValueError):

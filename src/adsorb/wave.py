@@ -4,20 +4,28 @@ In the frame eta = x - v t the column model reduces to a second-order ODE for
 the fluid concentration F(eta) whose heteroclinic connection from F = 1
 (saturated, upstream) to F = 0 (clean, downstream) is the moving front.  The
 inverse Peclet number multiplies the highest derivative, so the system is
-slow-fast: for Pe = 0 the front solves a first-order equation whose phase
-curve is the critical slow set, and for Pe > 0 the connection is recovered
-numerically by integrating the full system backwards in eta from a seed next
-to the clean state, where the slow set approximates the attracting manifold
-to O(Pe).
+slow-fast: for Pe = 0 the front solves the first-order equation F' = h0(F)
+whose phase curve is the critical slow set, and for Pe > 0 the connection lies
+on the attracting slow manifold, within O(Pe) of that set.
 
-Backward integration is the only stable direction: in forward eta the layer
-dynamics repel trajectories from the slow manifold at rate q_e v / Pe.  Every
-front is therefore finished by one rule, the reduced (slow-manifold) flow
-continued outward in log coordinates: u = ln F towards the clean state (the
-tail) and u = ln(1 - F) towards the saturated state (the head), until F is
-within F_STOP of the far-field state and the window reaches +-eta_span.  The
-Pe = 0 front is two such legs from F(0) = 1/2; the Pe > 0 front adds one at
-each end of its backward legs; see `solve_full_wave`.
+F decreases strictly along every front, so a front is the graph eta(F).  Both
+solvers compute it on the log-odds axis z = ln(F / (1 - F)) as
+
+    eta(z) = integral from 0 to z of F (1 - F) / F' dz',
+
+which anchors F(0) = 1/2 exactly and is sampled on a uniform z grid: uniform
+in eta across the logistic core, geometric in F (or 1 - F) in algebraic
+tails.  Each side runs outward from z = 0 until F is within F_STOP of its
+far-field state and |eta| >= eta_span, except that the saturated side stops
+by z = Z_HEAD, where 1 - F is about 1e-13 and finer steps in 1 - F no longer
+differ in double precision.
+
+For Pe = 0, F' = h0(F) and the integral is a plain quadrature.  For Pe > 0,
+F' comes from one Radau leg that integrates w = ln(-F') over z from a seed on
+the slow set next to the clean state up to 1 - F = F_STOP.  Increasing z is
+backward eta, the only stable direction: in forward eta the layer dynamics
+repel trajectories from the slow manifold at rate q_e v / Pe.  Outside the leg
+F' = h0(F), the reduced flow that approximates the manifold to O(Pe).
 """
 
 from __future__ import annotations
@@ -45,11 +53,12 @@ F_RANGE_TOL = 1e-9         # roundoff slack on F in [0, 1]
 NORMALIZATION_TOL = 1e-8   # |F(0) - 1/2| for normalized profiles
 
 F_STOP = 1e-6              # distance from a far-field state where a front may end
-ANCHOR_SPLIT = 1e-2        # F value where the backward clock restarts
-CORE_STEP = 0.02           # uniform sample spacing near the transition
-CORE_PAD = 25.0            # half-width of the uniformly sampled zone
-REFINE_RATIO = 1.04        # geometric sample growth outside the core
-LEAD_METHOD = "DOP853"     # reduced (Pe = 0) legs
+Z_STOP = math.log((1.0 - F_STOP) / F_STOP)  # |z| where F is within F_STOP of a far field
+Z_STEP = 0.01              # sample spacing in z; eta spacing 0.018 on the q_e = 0.7 logistic
+# z limits of the saturated and clean sides: past z = 30 samples 1% apart in
+# 1 - F round to the same double; past z = -708, F = e^z leaves the normal doubles
+Z_HEAD = 30.0
+Z_TAIL = -690.0
 # the backward leg stays stiff at any Pe once the clean state is degenerate
 # (layer rate O(1) against an unbounded slow crawl), so it is always implicit
 STIFF_METHOD = "Radau"
@@ -72,13 +81,16 @@ class FarFieldStates:
 
 @dataclass(frozen=True)
 class WaveSolverSettings:
-    """Numerical settings shared by the front solvers."""
+    """Numerical settings shared by the front solvers.
+
+    The tolerances apply to the Radau leg of the Pe > 0 front; the Pe = 0
+    front is a fixed-step quadrature.
+    """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    seed_delta: float = 1e-6       # F value of the backward-integration seed
-    eta_span: float = 22.0         # half-window guaranteed around F(0) = 1/2
-    span_cap: float = 1e18         # hard eta budget before giving up
+    seed_delta: float = 1e-6       # F value of the backward-integration seed, in (0, 1/2)
+    eta_span: float = 22.0         # half-window around F(0) = 1/2, short only at z = Z_HEAD
 
 
 @dataclass(frozen=True)
@@ -206,112 +218,7 @@ def closed_form_wave_11(params: DimensionlessParameters, eta):
 
 
 # ---------------------------------------------------------------------------
-# profile assembly
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """One integrated leg of the front on the normalized eta axis.
-
-    Normalized eta + ``shift`` is the integration variable of ``sol``.  Full
-    legs carry (F, F') as their state; reduced legs carry a log coordinate
-    that ``f_map`` turns into F, and take F' from the reduced equation.
-    """
-
-    sol: object             # solve_ivp result with dense output
-    shift: float = 0.0
-    f_map: object = None    # callable u -> F for reduced legs
-
-    @property
-    def lo(self) -> float:
-        return min(self.sol.t[0], self.sol.t[-1]) - self.shift
-
-    @property
-    def hi(self) -> float:
-        return max(self.sol.t[0], self.sol.t[-1]) - self.shift
-
-    @property
-    def natural(self) -> np.ndarray:
-        return np.sort(self.sol.t) - self.shift
-
-    def evaluate(self, eta: np.ndarray, params: DimensionlessParameters):
-        """F and F' at normalized positions inside the leg."""
-        z = self.sol.sol(eta + self.shift)
-        if z.shape[0] == 2:
-            return z[0], z[1]
-        f = self.f_map(z[0])
-        return f, leading_order_rhs(f, params)
-
-
-def _event(fn, direction: float, terminal: bool = True):
-    fn.terminal = terminal
-    fn.direction = direction
-    return fn
-
-
-def _strict_decrease_mask(f: np.ndarray) -> np.ndarray:
-    keep = np.zeros(f.size, dtype=bool)
-    last = np.inf
-    for i, value in enumerate(f):
-        if value < last:
-            keep[i] = True
-            last = value
-    return keep
-
-
-def _dedupe_sorted(pts: np.ndarray) -> np.ndarray:
-    if pts.size == 0:
-        return pts
-    gaps = np.diff(pts)
-    keep = np.concatenate(([True], gaps > np.maximum(1e-9, 1e-12 * np.abs(pts[1:]))))
-    return pts[keep]
-
-
-def _sample_points(lo: float, hi: float, segments: list[_Segment]) -> np.ndarray:
-    parts = [np.array([lo, hi])]
-    k_lo = math.ceil(max(lo, -CORE_PAD) / CORE_STEP)
-    k_hi = math.floor(min(hi, CORE_PAD) / CORE_STEP)
-    if k_hi >= k_lo:
-        parts.append(np.arange(k_lo, k_hi + 1) * CORE_STEP)
-    for sign, limit in ((1.0, hi), (-1.0, lo)):
-        if sign * limit > CORE_PAD:
-            count = int(math.log(sign * limit / CORE_PAD) / math.log(REFINE_RATIO)) + 1
-            parts.append(sign * CORE_PAD * REFINE_RATIO ** np.arange(1, count + 1))
-    parts.extend(seg.natural for seg in segments)
-    pts = np.concatenate(parts)
-    pts = np.sort(pts[(pts >= lo) & (pts <= hi)])
-    return _dedupe_sorted(pts)
-
-
-def _assemble_profile(segments: list[_Segment], params: DimensionlessParameters,
-                      pe: float) -> WaveProfile:
-    segments = sorted(segments, key=lambda s: s.lo)
-    lo, hi = segments[0].lo, segments[-1].hi
-    pts = _sample_points(lo, hi, segments)
-    uppers = np.array([seg.hi for seg in segments])
-    which = np.minimum(np.searchsorted(uppers, pts, side="left"), len(segments) - 1)
-    f = np.empty_like(pts)
-    y = np.empty_like(pts)
-    for i, seg in enumerate(segments):
-        mask = which == i
-        if np.any(mask):
-            f[mask], y[mask] = seg.evaluate(pts[mask], params)
-    keep = _strict_decrease_mask(f)
-    eta, f, y = pts[keep], f[keep], y[keep]
-    g = params.q_e * f - pe * (params.q_e + params.da) * y
-    return WaveProfile(
-        eta=eta, f=f, g=g, velocity=params.velocity, pe=pe,
-        normalized=True, window=(float(eta[0]), float(eta[-1])),
-    )
-
-
-def _integrate_or_raise(sol, what: str):
-    if sol.status == -1:
-        raise ConvergenceError(f"{what}: integrator failed ({sol.message})")
-    # legs without events run to a fixed eta and have no target state to miss
-    if sol.t_events is not None and sol.status != 1:
-        raise ConvergenceError(f"{what}: eta budget exhausted before reaching the target state")
-    return sol
+# fronts as eta(z), z = ln(F / (1 - F))
 
 
 def _require_front(params: DimensionlessParameters) -> None:
@@ -323,58 +230,54 @@ def _require_front(params: DimensionlessParameters) -> None:
         )
 
 
-def _reduced_leg(params, settings, eta_from: float, f_from: float, *, shift: float = 0.0,
-                 head: bool = False, window_only: bool = False) -> list[_Segment]:
-    """Continue the front outward from (eta_from, f_from) with the reduced flow.
+def _side(f_prime, sign: float, eta_span: float):
+    """Samples (z, eta, F') of one side of the front, outward from z = 0.
 
-    The tail runs forward in eta on u = ln F and the head backward on
-    u = ln(1 - F), which resolve the exponential or algebraic approach to the
-    far-field states.  The leg runs until F is within F_STOP of its far-field
-    state, then on to the window edge (normalized eta = +-eta_span) if that
-    lies farther out; each part is skipped when its goal already holds, and
-    ``window_only`` skips the first for a caller that stopped at F_STOP.
+    The samples sit at z = 0, sign Z_STEP, 2 sign Z_STEP, ... and eta is the
+    integral of F (1 - F) / F' from 0 by Simpson's rule on half steps.  The
+    side ends at the first sample past |z| = Z_STOP with |eta| >= eta_span, or
+    at its z limit; the sampled range doubles until one of them is reached.
     """
+    cap = round((Z_HEAD if sign > 0.0 else -Z_TAIL) / Z_STEP)
+    steps = math.ceil(Z_STOP / Z_STEP)
+    while True:
+        z_half = sign * 0.5 * Z_STEP * np.arange(2 * steps + 1)
+        fp = f_prime(z_half)
+        slope = expit(z_half) * expit(-z_half) / fp  # d eta / dz
+        step = sign * Z_STEP / 6.0 * (slope[:-2:2] + 4.0 * slope[1::2] + slope[2::2])
+        eta = np.concatenate(([0.0], np.cumsum(step)))
+        z = z_half[::2]
+        done = (np.abs(z) >= Z_STOP) & (np.abs(eta) >= eta_span)
+        if done.any() or steps == cap:
+            end = int(np.argmax(done)) + 1 if done.any() else z.size
+            return z[:end], eta[:end], fp[::2][:end]
+        steps = min(2 * steps, cap)
 
-    def rhs(_eta, u):
-        r = math.exp(u[0])  # F on the tail, 1 - F on the head
-        return ((-leading_order_rhs(1.0 - r, params) if head
-                 else leading_order_rhs(r, params)) / r,)
 
-    sign = -1.0 if head else 1.0
-    f_map = (lambda u: 1.0 - np.exp(u)) if head else np.exp
-    what = "head continuation" if head else "tail continuation"
-    common = dict(method=LEAD_METHOD, rtol=settings.rel_tol, atol=settings.abs_tol,
-                  dense_output=True)
-    u_stop = math.log(F_STOP)
-    u_from = math.log(1.0 - f_from if head else f_from)
-    segments = []
-    if not window_only and u_from > u_stop:
-        hit = _event(lambda _e, u: u[0] - u_stop, direction=-1.0)
-        sol = _integrate_or_raise(
-            solve_ivp(rhs, (eta_from, eta_from + sign * settings.span_cap), [u_from],
-                      events=[hit], **common), what)
-        segments.append(_Segment(sol, shift, f_map))
-        eta_from, u_from = float(sol.t[-1]), float(sol.y[0, -1])
-    eta_edge = shift + sign * settings.eta_span
-    if sign * (eta_edge - eta_from) > 0.0:
-        sol = _integrate_or_raise(solve_ivp(rhs, (eta_from, eta_edge), [u_from], **common), what)
-        segments.append(_Segment(sol, shift, f_map))
-    return segments
+def _front(params: DimensionlessParameters, settings: WaveSolverSettings,
+           f_prime) -> WaveProfile:
+    """Normalized profile of the front whose slope at z is ``f_prime(z)``."""
+    (z_head, eta_head, fp_head), (z_tail, eta_tail, fp_tail) = (
+        _side(f_prime, sign, settings.eta_span) for sign in (1.0, -1.0))
+    eta = np.concatenate((eta_head[::-1], eta_tail[1:]))
+    f = expit(np.concatenate((z_head[::-1], z_tail[1:])))
+    fp = np.concatenate((fp_head[::-1], fp_tail[1:]))
+    return WaveProfile(
+        eta=eta, f=f, g=g_from_f(f, fp, params), velocity=params.velocity, pe=params.pe,
+        normalized=True, window=(float(eta[0]), float(eta[-1])),
+    )
 
 
 def solve_leading_order(params: DimensionlessParameters,
                         settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Front profile of the reduced (Pe = 0) equation, normalized to F(0) = 1/2.
 
-    Two reduced legs start from F(0) = 1/2: the head runs backward in eta on
-    ln(1 - F) and the tail forward on ln F, each until F is within F_STOP of
-    its far-field state and the half-window eta_span is covered.
+    eta(z) is the quadrature of F (1 - F) / h0(F) outward from z = 0 on each
+    side; no ODE is integrated.
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
-    segments = (_reduced_leg(params, settings, 0.0, 0.5, head=True)
-                + _reduced_leg(params, settings, 0.0, 0.5))
-    return _assemble_profile(segments, params, pe=0.0)
+    return _front(params, settings, lambda z: leading_order_rhs(expit(z), params))
 
 
 def solve_full_wave(params: DimensionlessParameters,
@@ -382,61 +285,42 @@ def solve_full_wave(params: DimensionlessParameters,
     """Heteroclinic front of the full equation for Pe > 0, normalized to F(0) = 1/2.
 
     The solver seeds on the critical slow set at F = seed_delta next to the
-    clean state and integrates backwards in eta until F = 1 - F_STOP; in
-    reverse time the saturated state (1, 0) attracts along both
-    eigendirections, so the connection is recovered without shooting.  The
-    downstream tail past the seed, and the head if the window is still short,
-    are appended with the reduced slow-manifold flow, which approximates the
-    attracting manifold to O(Pe) there and never has to integrate against the
-    repelling layer dynamics.
+    clean state and integrates w = ln(-F') with Radau over increasing z, which
+    is backward eta, up to 1 - F = F_STOP; in reverse eta the saturated state
+    attracts along both eigendirections, so the connection is recovered
+    without shooting.  Below the seed and above the leg, F' follows the
+    reduced slow-manifold flow h0(F), which approximates the attracting
+    manifold to O(Pe) there.  eta is the quadrature of F (1 - F) / F' from the
+    anchor z = 0, never a state of the leg, so the anchor keeps full precision
+    however far the seed lies from it.
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
-    pe = params.pe
-    if pe == 0.0:
+    if params.pe == 0.0:
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
-
     delta = settings.seed_delta
-    seed = (delta, float(slow_set(delta, params)))
+    if not 0.0 < delta < 0.5:
+        raise DivergenceError(
+            f"seed_delta = {delta!r} must lie in (0, 1/2): a seed outside it is not "
+            "on the clean side of the front"
+        )
+    z_seed = math.log(delta / (1.0 - delta))
 
-    def rhs(_eta, z):
-        return full_system_rhs(z[0], z[1], params)
+    def rhs(z, w):
+        f = 1.0 / (1.0 + math.exp(-z))
+        y = -math.exp(w[0])
+        return (full_system_rhs(f, y, params)[1] * f * (1.0 - f) / (y * y),)
 
-    def backward(state, stop_f: float, what: str):
-        hit = _event(lambda _e, z, _c=stop_f: z[0] - _c, direction=1.0)
-        exit_low = _event(lambda _e, z: z[0] + 0.1, direction=-1.0)
-        exit_high = _event(lambda _e, z: z[0] - 1.1, direction=1.0)
-        half = _event(lambda _e, z: z[0] - 0.5, direction=1.0, terminal=False)
-        sol = solve_ivp(rhs, (0.0, -settings.span_cap), state, method=STIFF_METHOD,
-                        rtol=settings.rel_tol, atol=settings.abs_tol, dense_output=True,
-                        events=[hit, exit_low, exit_high, half])
-        if sol.t_events[1].size or sol.t_events[2].size:
-            raise DivergenceError(
-                "backward trajectory left F in [-0.1, 1.1]; the seed points away from the front"
-            )
-        _integrate_or_raise(sol, what)
-        return sol
+    leg = solve_ivp(rhs, (z_seed, Z_STOP), [math.log(-slow_set(delta, params))],
+                    method=STIFF_METHOD, rtol=settings.rel_tol, atol=settings.abs_tol,
+                    dense_output=True)
+    if leg.status != 0:
+        raise ConvergenceError(f"backward leg from the seed failed: {leg.message}")
 
-    # For algebraic downstream tails the front sits arbitrarily far from the seed,
-    # so the integration clock restarts once F reaches ANCHOR_SPLIT; the half-
-    # crossing is then located in small local coordinates, immune to the loss of
-    # eta resolution that the long first leg accumulates.
-    if delta < ANCHOR_SPLIT:
-        leg_tail = backward(seed, ANCHOR_SPLIT, "backward leg to the anchor zone")
-        s_end = float(leg_tail.t_events[0][0])
-        state_split = tuple(leg_tail.y_events[0][0])
-    else:
-        leg_tail, s_end, state_split = None, 0.0, seed
-    leg_front = backward(state_split, 1.0 - F_STOP, "backward heteroclinic leg")
-    if leg_front.t_events[3].size == 0:
-        raise ConvergenceError("backward leg never crossed F = 1/2")
-    r0 = float(leg_front.t_events[3][0])  # anchor eta = 0 where F crosses 1/2
+    def f_prime(z):
+        out = leading_order_rhs(expit(z), params)
+        inside = (z >= z_seed) & (z <= Z_STOP)
+        out[inside] = -np.exp(leg.sol(z[inside])[0])
+        return out
 
-    eta0 = s_end + r0  # global position of the anchor relative to the seed
-    segments = [_Segment(leg_front, r0)]
-    if leg_tail is not None:
-        segments.append(_Segment(leg_tail, eta0))
-    segments += _reduced_leg(params, settings, float(leg_front.t[-1]), 1.0 - F_STOP,
-                             shift=r0, head=True, window_only=True)
-    segments += _reduced_leg(params, settings, 0.0, delta, shift=eta0)
-    return _assemble_profile(segments, params, pe=pe)
+    return _front(params, settings, f_prime)

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import adsorb
 from adsorb.model import (
     PhysicalParameters,
     ReactionOrders,
@@ -16,6 +20,19 @@ def column_physical(m: int = 1, n: int = 1) -> PhysicalParameters:
         q_max=0.358, rho_b=377.25, column_length=5.4e-3,
         orders=ReactionOrders(m, n),
     )
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for ``python -m adsorb`` subprocesses.
+
+    PYTHONPATH starts with the directory holding the imported ``adsorb``
+    package, so the child runs the code under test without an install.
+    """
+    env = dict(os.environ)
+    parts = [str(Path(adsorb.__file__).resolve().parent.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(part for part in parts if part)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -3,21 +3,25 @@ pass/fail line with the measured quantity next to its tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  Criterion 4 asserts 0 < e_BT < 0.05 at every positive Pe of the
-paper grid for the degenerate-clean-state families (2, 2) and (2, 3).  For
-first-order kinetics (1, 1) the clean state is a saddle and e_BT grows like
-Pe, so criterion 4 asserts that e_BT is positive, increases strictly in Pe and
-lies within 2e-3 relative of the closed-form saddle oracle
-1 + e_BT = lambda_s(0) / lambda_s(Pe).
+paper grid for the degenerate-clean-state families (2, 2) and (2, 3), and for
+Pe <= 0.5 that |e_BT / (S Pe) - 1| <= 0.04 Pe, where S Pe is the window error
+of the first-order slow manifold.  For first-order kinetics (1, 1) the clean
+state is a saddle and e_BT grows like Pe, so criterion 4 asserts that e_BT is
+positive, increases strictly in Pe and lies within 2e-3 relative of the
+closed-form saddle oracle 1 + e_BT = lambda_s(0) / lambda_s(Pe).
 """
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from adsorb.analysis import SweepGrid, l2_profile_error, run_sweep
 from adsorb.errors import ExistenceError
@@ -28,7 +32,13 @@ from adsorb.model import (
     analyze_equilibria,
 )
 from adsorb.pde import mass_balance_residual, track_front
-from adsorb.wave import full_system_rhs, slow_set, solve_full_wave, solve_leading_order
+from adsorb.wave import (
+    full_system_rhs,
+    leading_order_rhs,
+    slow_set,
+    solve_full_wave,
+    solve_leading_order,
+)
 
 
 def params_for(q_e=0.7, da=0.1, pe=0.0, m=1, n=1):
@@ -128,9 +138,52 @@ def saddle_stable_rate(p):
     return -2.0 * alpha * q_e / (b + np.sqrt(b * b + 4.0 * p.pe * alpha * q_e))
 
 
+def manifold_partials(p, f):
+    """(d/dy, d/dPe) of Phi = Pe y' from ``full_system_rhs`` at Pe = 0, y = h0(F).
+
+    Phi = q_e/(q_e+Da) y - alpha (1-q_e)^n ((a/q_e)^n - F^m (b/(1-q_e))^n) with
+    a = q_e F - Pe (q_e+Da) y and b = 1 - a; at Pe = 0, a/q_e = F.
+    """
+    q_e, da, alpha, m, n = p.q_e, p.da, p.alpha, p.m, p.n
+    h0 = leading_order_rhs(f, p)
+    d_y = q_e / (q_e + da)
+    d_pe = (alpha * (1.0 - q_e) ** n * n * (q_e + da) * h0
+            * (f ** (n - 1) / q_e
+               + f ** m * ((1.0 - q_e * f) / (1.0 - q_e)) ** (n - 1) / (1.0 - q_e)))
+    return d_y, d_pe
+
+
+def manifold_window_slope(p, hi=1e-2, lo=1e-4):
+    """Slope S of e_BT = S Pe + O(Pe^2) on the first-order slow manifold.
+
+    The attracting manifold is F' = h0 + Pe h1 + O(Pe^2) with
+    h1 = (h0 h0' - dPhi/dPe) / (dPhi/dy), so the window (1/v) int dF / |F'|
+    over [lo, hi] changes by the factor 1 + S Pe with
+    S = int h1 / h0^2 dF / int dF / |h0|; both integrals are taken in ln F.
+    """
+    q_e, alpha, m, n = p.q_e, p.alpha, p.m, p.n
+    scale = (q_e + p.da) * q_e ** (n - 1)
+
+    def h1(f):
+        h0 = leading_order_rhs(f, p)
+        h0_prime = scale * ((1.0 - alpha) * n * f ** (n - 1) - alpha * (
+            m * f ** (m - 1) * (1.0 / q_e - f) ** n - n * f ** m * (1.0 / q_e - f) ** (n - 1)))
+        d_y, d_pe = manifold_partials(p, f)
+        return (h0 * h0_prime - d_pe) / d_y
+
+    def in_log_f(g):
+        return quad(lambda s: math.exp(s) * g(math.exp(s)), math.log(lo), math.log(hi),
+                    epsrel=1e-12)[0]
+
+    return (in_log_f(lambda f: h1(f) / leading_order_rhs(f, p) ** 2)
+            / in_log_f(lambda f: -1.0 / leading_order_rhs(f, p)))
+
+
 class TestCriterion4BreakthroughRobustness:
     FAMILIES = [(1, 1), (2, 2), (2, 3)]
     ORACLE_RTOL = 2e-3
+    MANIFOLD_PE_MAX = 0.5   # the O(Pe^2) remainder is checked below this Pe
+    MANIFOLD_TOL = 0.04     # on |e_BT / (S Pe) - 1| / Pe
 
     def test_window_error_positive_and_small(self):
         grid = SweepGrid.paper_default()
@@ -161,8 +214,20 @@ class TestCriterion4BreakthroughRobustness:
                 else:
                     bad = [(r.pe, f"e_bt {r.e_bt:.4f} outside (0, 0.05)")
                            for r in positive if not (0.0 < r.e_bt < 0.05)]
+                    outside = len(bad)
+                    slope = manifold_window_slope(params_for(da=da, m=m, n=n))
+                    worst = 0.0
+                    for r in positive:
+                        if r.pe > self.MANIFOLD_PE_MAX:
+                            continue
+                        dev = abs(r.e_bt / (slope * r.pe) - 1.0) / r.pe
+                        worst = max(worst, dev)
+                        if not dev <= self.MANIFOLD_TOL:
+                            bad.append((r.pe, f"e_bt {r.e_bt:.4e} vs slow-manifold oracle "
+                                              f"{slope * r.pe:.4e}"))
                     lines.append(f"Da={da} ({m},{n}): {e_range}, "
-                                 f"{len(bad)}/{len(positive)} out of (0, 0.05)")
+                                 f"{outside}/{len(positive)} out of (0, 0.05), max "
+                                 f"|e_bt/(S Pe) - 1|/Pe {worst:.4f} (tol {self.MANIFOLD_TOL:g})")
                 failures.extend((da, m, n, pe, why) for pe, why in bad)
         ok = not failures
         report(4, "breakthrough robustness", ok, "; ".join(lines))
@@ -183,6 +248,26 @@ class TestCriterion4BreakthroughRobustness:
             assert np.all(np.isreal(eigenvalues))
             assert min(eigenvalues.real) < 0.0 < max(eigenvalues.real)
             assert min(eigenvalues.real) == pytest.approx(saddle_stable_rate(p), rel=1e-6)
+
+    @pytest.mark.parametrize("da", [0.1, 0.5])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
+    def test_manifold_partials_match_field(self, m, n, da):
+        p = params_for(da=da, m=m, n=n)
+
+        def phi(pe, y):
+            return pe * full_system_rhs(f, y, replace(p, pe=pe))[1]
+
+        for f in (0.1, 0.5):
+            y = float(leading_order_rhs(f, p))
+            d_y, d_pe = manifold_partials(p, f)
+            # Phi(Pe = 0) = 0 on the slow set: Richardson on Phi / Pe, then a
+            # central difference in y at a Pe small enough to be Pe = 0
+            h = 1e-3
+            fd_pe = 2.0 * phi(h / 2.0, y) / (h / 2.0) - phi(h, y) / h
+            k = 1e-6
+            fd_y = (phi(1e-9, y + k) - phi(1e-9, y - k)) / (2.0 * k)
+            assert fd_pe == pytest.approx(d_pe, rel=1e-4)
+            assert fd_y == pytest.approx(d_y, rel=1e-4)
 
 
 class TestCriterion5FrontSpeedConsistency:
@@ -232,7 +317,7 @@ class TestCriterion7SlowManifoldDistance:
 
 
 class TestCriterion8Determinism:
-    def test_repeated_cli_runs_are_byte_identical(self, tmp_path):
+    def test_repeated_cli_runs_are_byte_identical(self, tmp_path, child_env):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "mode": "wave",
@@ -243,7 +328,7 @@ class TestCriterion8Determinism:
             proc = subprocess.run(
                 [sys.executable, "-m", "adsorb", "wave", "--config", str(cfg),
                  "--out", str(tmp_path / name)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=child_env,
             )
             assert proc.returncode == 0, proc.stderr
             blob = b"".join(sorted(

@@ -128,6 +128,16 @@ class TestBreakthroughWindow:
         window = breakthrough_window_time(solve_leading_order(p))
         assert window == pytest.approx(integral / p.velocity, rel=1e-5)
 
+    @pytest.mark.parametrize("m,n,da", [(2, 3, 0.1), (2, 2, 0.5)])
+    def test_window_does_not_depend_on_tolerance(self, m, n, da):
+        # the window error of these families is about 1e-4 of the window, so
+        # the solver and the profile read-out must hold it far more tightly
+        p = params_for(pe=0.05, da=da, m=m, n=n)
+        tight = WaveSolverSettings(rel_tol=1e-11, abs_tol=1e-13)
+        window = breakthrough_window_time(solve_full_wave(p))
+        reference = breakthrough_window_time(solve_full_wave(p, tight))
+        assert window == pytest.approx(reference, rel=1e-7)
+
     def test_rejects_swapped_thresholds(self, lead_11):
         with pytest.raises(DomainError):
             breakthrough_window_time(lead_11, hi=1e-4, lo=1e-2)

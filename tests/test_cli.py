@@ -215,13 +215,13 @@ class TestMainEntry:
         assert rc == 4
         assert json.loads(capsys.readouterr().err)["error"] == "DivergenceError"
 
-    def test_console_entry_point(self, tmp_path):
+    def test_console_entry_point(self, tmp_path, child_env):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(wave_doc(pe=0.0))
         proc = subprocess.run(
             [sys.executable, "-m", "adsorb", "wave", "--config", str(cfg),
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "wave_profile.csv").exists()

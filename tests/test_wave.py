@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adsorb.errors import (
-    ConvergenceError,
     CoverageError,
     DegenerateStatesError,
     DivergenceError,
     DomainError,
     ExistenceError,
 )
-from adsorb.model import DimensionlessParameters, ReactionOrders
+from adsorb.model import DimensionlessParameters, ReactionOrders, alpha_from_qe
 from adsorb.wave import (
     FarFieldStates,
     WaveProfile,
@@ -217,7 +218,8 @@ class TestFullWaveSolver:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2)])
     def test_seed_beyond_anchor_split(self, m, n):
-        # a seed at or above the anchor split skips the first backward leg
+        # a seed at F = 2e-2 hands more of the tail to the reduced flow, but
+        # the anchor and the head must not move
         p = params_for(pe=0.5, m=m, n=n)
         settings = WaveSolverSettings(seed_delta=2e-2)
         w = solve_full_wave(p, settings)
@@ -225,11 +227,6 @@ class TestFullWaveSolver:
         assert abs(float(w.f_at(0.0)) - 0.5) < 1e-8
         assert w.window[0] <= -settings.eta_span and w.window[1] >= settings.eta_span
         assert w.eta_at(0.9) == pytest.approx(solve_full_wave(p).eta_at(0.9), abs=1e-4)
-
-    def test_span_budget_exhaustion(self):
-        settings = WaveSolverSettings(span_cap=5.0)
-        with pytest.raises(ConvergenceError):
-            solve_full_wave(params_for(pe=0.1), settings)
 
     def test_slow_manifold_attraction_improves_with_small_pe(self):
         def manifold_distance(pe):
@@ -240,6 +237,35 @@ class TestFullWaveSolver:
             return np.max(np.abs(y - slow_set(w.f[mask], p)))
 
         assert manifold_distance(0.01) < manifold_distance(0.1)
+
+
+@st.composite
+def admissible_params(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    # alpha = R / (1 + R) with R = (q_e / (1 - q_e))^n rounds to 1 for n = 4 once
+    # q_e > 0.9999, and DimensionlessParameters rejects alpha = 1
+    q_e = draw(st.floats(0.05, 0.99993).filter(lambda q: alpha_from_qe(q, n) < 1.0))
+    da = draw(st.floats(0.005, 2.0))
+    pe = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.5)))
+    return params_for(q_e=q_e, da=da, pe=pe, m=m, n=n)
+
+
+class TestFrontProperties:
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+    @hypothesis.given(admissible_params())
+    @hypothesis.example(params_for(q_e=0.99993, da=0.007, pe=0.1))   # reference column corner
+    @hypothesis.example(params_for(q_e=0.99993, da=0.007, pe=0.0))
+    @hypothesis.example(params_for(q_e=0.2127, da=0.1041, pe=0.0, m=4, n=4))
+    @hypothesis.example(params_for(q_e=0.9805, da=1.4255, pe=0.0054))  # head stops at z limit
+    def test_every_admissible_front_is_well_formed(self, p):
+        span = WaveSolverSettings().eta_span
+        w = solve_leading_order(p) if p.pe == 0.0 else solve_full_wave(p)
+        assert w.velocity == pytest.approx(1.0 / (p.q_e + p.da), rel=1e-14)
+        assert np.all(np.diff(w.f) < 0.0)
+        assert abs(float(w.f_at(0.0)) - 0.5) <= 1e-8
+        assert w.window[1] >= span
+        assert w.window[0] <= -span or 1.0 - w.f[0] <= 1e-12
 
 
 class TestLegsJoinUp:
