@@ -34,7 +34,13 @@ from .model import (
     nondimensionalize,
     sips_isotherm,
 )
-from .pde import PdeSolverSettings, SpatialGrid, solve_pde, track_front
+from .pde import (
+    PdeSolverSettings,
+    SpatialGrid,
+    mass_balance_residual,
+    solve_pde,
+    track_front,
+)
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
 MODES = ("nondim", "wave", "pde", "sweep", "isotherm")
@@ -356,7 +362,9 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     _write_table(paths[2], config, ["level", "t", "position"], front_rows)
     meta = out / "pde_meta.json"
     _write_json(meta, config, {"fitted_speeds": fitted, "fit_window": list(window),
-                               "velocity": config.params.velocity})
+                               "velocity": config.params.velocity,
+                               "mass_residual_max": float(mass_balance_residual(sol).max()),
+                               **dataclasses.asdict(sol.stats)})
     return paths + [meta]
 
 

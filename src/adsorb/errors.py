@@ -51,7 +51,12 @@ class FrontNotFoundError(AdsorptionError, ValueError):
 
 
 class StiffnessError(AdsorptionError, RuntimeError):
-    """Time integration underflowed; the spatial grid or parameters are too stiff."""
+    """Implicit time integration failed: its step size collapsed.
+
+    BDF has no explicit stability limit, so this signals a state the Newton
+    iteration cannot follow, such as unphysical initial fields or a grid too
+    coarse for the transport.
+    """
 
 
 class ConfigError(AdsorptionError, ValueError):

@@ -317,25 +317,35 @@ class TestCriterion7SlowManifoldDistance:
 
 
 class TestCriterion8Determinism:
+    RUNS = {
+        "wave": ({"dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1}},
+                 ("wave_profile.csv", "wave_meta.json")),
+        # the sparse-LU implicit integrator must repeat itself bit for bit
+        "pde": ({"dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.2, "m": 1, "n": 1,
+                                   "ell": 8.0},
+                 "solver": {"n_cells": 64, "t_end": 5.0, "n_snapshots": 11,
+                            "front_levels": [0.5], "fit_start": 3.0, "fit_end": 5.0}},
+                ("pde_snapshots.csv", "pde_breakthrough.csv", "pde_front.csv",
+                 "pde_meta.json")),
+    }
+
     def test_repeated_cli_runs_are_byte_identical(self, tmp_path, child_env):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "mode": "wave",
-            "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-        }))
-        digests = []
-        for name in ("first", "second"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "adsorb", "wave", "--config", str(cfg),
-                 "--out", str(tmp_path / name)],
-                capture_output=True, text=True, env=child_env,
-            )
-            assert proc.returncode == 0, proc.stderr
-            blob = b"".join(sorted(
-                (tmp_path / name / f).read_bytes()
-                for f in ("wave_profile.csv", "wave_meta.json")
-            ))
-            digests.append(hashlib.sha256(blob).hexdigest())
-        ok = digests[0] == digests[1]
-        report(8, "determinism", ok, f"artifact sha256 {digests[0][:16]}... twice")
+        details, ok = [], True
+        for mode, (doc, files) in self.RUNS.items():
+            cfg = tmp_path / f"{mode}.json"
+            cfg.write_text(json.dumps({"mode": mode, **doc}))
+            digests = []
+            for name in ("first", "second"):
+                out = tmp_path / mode / name
+                proc = subprocess.run(
+                    [sys.executable, "-m", "adsorb", mode, "--config", str(cfg),
+                     "--out", str(out)],
+                    capture_output=True, text=True, env=child_env,
+                )
+                assert proc.returncode == 0, proc.stderr
+                blob = b"".join(sorted((out / f).read_bytes() for f in files))
+                digests.append(hashlib.sha256(blob).hexdigest())
+            ok = ok and digests[0] == digests[1]
+            details.append(f"{mode} artifact sha256 {digests[0][:16]}...")
+        report(8, "determinism", ok, f"{', '.join(details)} twice each")
         assert ok

@@ -157,6 +157,12 @@ class TestRunners:
         meta = json.loads((tmp_path / "pde_meta.json").read_text())
         v = 1.0 / (0.7 + 0.1)
         assert meta["fitted_speeds"]["0.5"] == pytest.approx(v, rel=0.1)
+        # deterministic solver diagnostics only: no wall times in hashed artifacts
+        assert set(meta) == {"meta", "fitted_speeds", "fit_window", "velocity",
+                             "time_method", "nfev", "njev", "nlu", "mass_residual_max"}
+        assert meta["time_method"] == "BDF"
+        assert meta["nfev"] > meta["njev"] >= 1 and meta["nlu"] >= meta["njev"]
+        assert 0.0 < meta["mass_residual_max"] < 1e-2  # 1.8e-3 on this coarse run
         rows = [l for l in (tmp_path / "pde_snapshots.csv").read_text().splitlines()
                 if l and not l.startswith("#")]
         assert rows[0] == "t,x,c,q"

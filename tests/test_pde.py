@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from adsorb.errors import (
     CellPecletWarning,
@@ -109,6 +109,54 @@ class TestAssembleRhs:
         p, grid = self.make(pe=1e-300)
         c0, _ = reconstruct_boundaries(np.linspace(0.9, 0.0, grid.n_cells - 2), p, grid)
         assert c0 == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3)])
+def test_jacobian_sparsity_is_exact(m, n, monkeypatch):
+    # the nonzero set of a central-difference Jacobian at a generic state
+    # must equal the pattern handed to the integrator, entry for entry
+    p = params_for(m=m, n=n, pe=0.5, ell=5.0)
+    grid = SpatialGrid(ell=5.0, n_cells=20)
+    state = np.random.default_rng(7).uniform(0.1, 0.6, 2 * grid.n_cells - 2)
+    step = 1e-6
+    dense = np.empty((state.size, state.size))
+    for j in range(state.size):
+        e = np.zeros(state.size)
+        e[j] = step
+        dense[:, j] = (assemble_rhs(state + e, p, grid)
+                       - assemble_rhs(state - e, p, grid)) / (2.0 * step)
+
+    used = []
+
+    def recording_solve_ivp(*args, **kwargs):
+        used.append(kwargs["jac_sparsity"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr("adsorb.pde.solve_ivp", recording_solve_ivp)
+    solve_pde(p, grid, t_end=0.1, sample_times=np.array([0.0, 0.1]))
+    (pattern,) = used
+    assert pattern.nnz == 112
+    assert np.array_equal(pattern.toarray() != 0, np.abs(dense) > 1e-9)
+
+
+@pytest.mark.parametrize("pe, da", [(0.5, 0.1), (0.1, 0.007)])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 3)])
+def test_implicit_matches_explicit_reference(m, n, pe, da):
+    # a tight explicit Runge-Kutta solve of the same semi-discrete system
+    # is the reference for the implicit integrator's fields
+    p = params_for(m=m, n=n, pe=pe, da=da, ell=5.0)
+    grid = SpatialGrid(ell=5.0, n_cells=48)
+    times = np.linspace(0.0, 2.0, 9)
+    sol = solve_pde(p, grid, t_end=2.0, sample_times=times)
+    ref = solve_ivp(lambda _t, z: assemble_rhs(z, p, grid), (0.0, 2.0),
+                    np.zeros(2 * grid.n_cells - 2), method="RK45",
+                    rtol=1e-10, atol=1e-12, t_eval=times)
+    assert ref.success
+    k = grid.n_cells - 2
+    assert np.max(np.abs(sol.c[:, 1:-1] - ref.y[:k].T)) <= 1e-5
+    assert np.max(np.abs(sol.q - ref.y[k:].T)) <= 1e-5
+    assert sol.stats.time_method == "BDF"
+    assert sol.stats.nfev > 0 and sol.stats.nlu > 0
 
 
 class TestSolvePde:
