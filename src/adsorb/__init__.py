@@ -40,6 +40,7 @@ from .wave import (
     leading_order_rhs,
     slow_set,
     solve_full_wave,
+    solve_full_waves,
     solve_leading_order,
     wave_velocity_general,
 )

@@ -255,6 +255,9 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
 # artifact writers
 
 
+CELL_FORMAT = "%.16e"  # printf twin of _fmt, used to format whole CSV rows at once
+
+
 def _fmt(value: float) -> str:
     return f"{value:.16e}"
 
@@ -263,21 +266,22 @@ def _header(config: RunConfig) -> str:
     return f"# adsorb version={__version__} config_sha256={config.config_hash}\n"
 
 
-def _write_table(path: Path, config: RunConfig, columns: list[str],
-                 rows: list[list]) -> None:
+def _write_table(path: Path, config: RunConfig, names: list[str], columns) -> None:
+    """Write equal-length float columns as a CSV table, or as JSON if configured."""
+    rows = list(zip(*(np.asarray(col, dtype=float).tolist() for col in columns)))
     if config.output["format"] == "json":
         payload = {
             "meta": {"version": __version__, "config_sha256": config.config_hash},
-            "columns": columns,
-            "rows": [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows],
+            "columns": names,
+            "rows": [[_fmt(v) for v in row] for row in rows],
         }
         path.with_suffix(".json").write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
         return
-    lines = [_header(config), ",".join(columns) + "\n"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    path.write_text("".join(lines), encoding="utf-8", newline="\n")
+    template = ",".join([CELL_FORMAT] * len(names)) + "\n"
+    body = "".join(template % row for row in rows)
+    path.write_text(_header(config) + ",".join(names) + "\n" + body,
+                    encoding="utf-8", newline="\n")
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -288,8 +292,7 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
 
 def write_wave_profile(path_csv: Path, meta_path: Path, profile: WaveProfile,
                        config: RunConfig) -> None:
-    rows = [[float(e), float(f), float(g)] for e, f, g in zip(profile.eta, profile.f, profile.g)]
-    _write_table(path_csv, config, ["eta", "F", "G"], rows)
+    _write_table(path_csv, config, ["eta", "F", "G"], [profile.eta, profile.f, profile.g])
     _write_json(meta_path, config, {
         "velocity": profile.velocity, "pe": profile.pe,
         "window": [profile.window[0], profile.window[1]],
@@ -343,23 +346,20 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     sol = solve_pde(config.params, grid, float(s["t_end"]), sample_times=times,
                     settings=PdeSolverSettings(rel_tol=float(s["pde_rel_tol"]),
                                                abs_tol=float(s["pde_abs_tol"])))
-    x = grid.nodes
-    snap_rows = []
-    for k, t in enumerate(sol.times):
-        for j in range(grid.n_cells):
-            snap_rows.append([float(t), float(x[j]), float(sol.c[k, j]), float(sol.q[k, j])])
+    n_times = sol.times.size
     paths = [out / "pde_snapshots.csv", out / "pde_breakthrough.csv", out / "pde_front.csv"]
-    _write_table(paths[0], config, ["t", "x", "c", "q"], snap_rows)
-    _write_table(paths[1], config, ["t", "c_outlet"],
-                 [[float(t), float(b)] for t, b in zip(sol.times, sol.breakthrough)])
+    _write_table(paths[0], config, ["t", "x", "c", "q"],
+                 [np.repeat(sol.times, grid.n_cells), np.tile(grid.nodes, n_times),
+                  sol.c.ravel(), sol.q.ravel()])
+    _write_table(paths[1], config, ["t", "c_outlet"], [sol.times, sol.breakthrough])
     window = (float(s["fit_start"]), float(s["fit_end"]))
     front_rows, fitted = [], {}
     for level in s["front_levels"]:
         track = track_front(sol, float(level), window)
         fitted[str(level)] = track.fitted_speed
-        for t, pos in track.positions:
-            front_rows.append([float(level), float(t), float(pos)])
-    _write_table(paths[2], config, ["level", "t", "position"], front_rows)
+        front_rows += [(float(level), t, pos) for t, pos in track.positions]
+    _write_table(paths[2], config, ["level", "t", "position"],
+                 np.reshape(front_rows, (-1, 3)).T)
     meta = out / "pde_meta.json"
     _write_json(meta, config, {"fitted_speeds": fitted, "fit_window": list(window),
                                "velocity": config.params.velocity,
@@ -374,9 +374,9 @@ def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
     records = run_sweep(config.params, grid, settings=_wave_settings(config),
                         eta_star=float(s["eta_star"]), hi=float(s["threshold_hi"]),
                         lo=float(s["threshold_lo"]))
-    rows = [[r.pe, r.l2_error, r.t_window, r.e_bt] for r in records]
+    rows = [(r.pe, r.l2_error, r.t_window, r.e_bt) for r in records]
     path = out / "sweep.csv"
-    _write_table(path, config, ["pe", "l2_error", "t_window", "e_bt"], rows)
+    _write_table(path, config, ["pe", "l2_error", "t_window", "e_bt"], np.reshape(rows, (-1, 4)).T)
     failures = {str(r.pe): r.error for r in records if r.error}
     meta = out / "sweep_meta.json"
     _write_json(meta, config, {"failures": failures, "n_records": len(records)})
@@ -386,10 +386,10 @@ def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
 def _run_isotherm(config: RunConfig, out: Path) -> list[Path]:
     phys = config.physical
     k_l = phys.k_ad / phys.k_de
-    rows = [[float(c), float(sips_isotherm(float(c), k_l, phys.q_max, phys.orders))]
-            for c in config.isotherm["c_in_values"]]
+    c_in = [float(c) for c in config.isotherm["c_in_values"]]
     path = out / "isotherm.csv"
-    _write_table(path, config, ["c_in", "q_e"], rows)
+    _write_table(path, config, ["c_in", "q_e"],
+                 [c_in, [float(sips_isotherm(c, k_l, phys.q_max, phys.orders)) for c in c_in]])
     return [path]
 
 

@@ -219,6 +219,8 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
         q0_full = np.asarray(initial[1], dtype=float).copy()
         if c0_full.shape != (n,) or q0_full.shape != (n,):
             raise DomainError(f"initial fields must have shape ({n},)")
+        if not (np.all(np.isfinite(c0_full)) and np.all(np.isfinite(q0_full))):
+            raise DomainError("initial fields must be finite")
     state0 = np.concatenate([c0_full[1:-1], q0_full])
 
     sol = solve_ivp(

@@ -25,13 +25,15 @@ F' comes from one Radau leg that integrates w = ln(-F') over z from a seed on
 the slow set next to the clean state up to 1 - F = F_STOP.  Increasing z is
 backward eta, the only stable direction: in forward eta the layer dynamics
 repel trajectories from the slow manifold at rate q_e v / Pe.  Outside the leg
-F' = h0(F), the reduced flow that approximates the manifold to O(Pe).
+F' = h0(F), the reduced flow that approximates the manifold to O(Pe).  Legs
+at several Pe span the same z interval, so they integrate as one system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -97,7 +99,8 @@ class WaveSolverSettings:
 class WaveProfile:
     """Sampled front profile (eta, F, G) with its velocity and window.
 
-    Arrays are treated as immutable once constructed; eta increases strictly
+    Arrays are treated as immutable once constructed, so the interpolants of
+    F(eta) and eta(F) are built once, on first use; eta increases strictly
     and F decreases strictly from the saturated to the clean state.
     """
 
@@ -127,17 +130,25 @@ class WaveProfile:
             raise DomainError("F leaves [0, 1] beyond roundoff")
         if self.window != (eta[0], eta[-1]):
             raise DomainError("window must match the sampled eta range")
-        if self.normalized:
-            f_mid = float(PchipInterpolator(eta, f, extrapolate=False)(0.0))
-            if not abs(f_mid - 0.5) < NORMALIZATION_TOL:
-                raise DomainError(f"normalized profile has F(0) = {f_mid!r}, expected 1/2")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
+        if self.normalized:
+            f_mid = float(self._f_of_eta(0.0))
+            if not abs(f_mid - 0.5) < NORMALIZATION_TOL:
+                raise DomainError(f"normalized profile has F(0) = {f_mid!r}, expected 1/2")
+
+    @cached_property
+    def _f_of_eta(self) -> PchipInterpolator:
+        return PchipInterpolator(self.eta, self.f, extrapolate=False)
+
+    @cached_property
+    def _eta_of_f(self) -> PchipInterpolator:
+        return PchipInterpolator(self.f[::-1], self.eta[::-1], extrapolate=False)
 
     def f_at(self, eta):
         """Monotone-cubic interpolation of F; NaN outside the sampled window."""
-        return PchipInterpolator(self.eta, self.f, extrapolate=False)(eta)
+        return self._f_of_eta(eta)
 
     def eta_at(self, level: float) -> float:
         """Position where F crosses ``level``; raises if the level is not spanned."""
@@ -145,8 +156,7 @@ class WaveProfile:
             raise CoverageError(
                 f"level {level!r} outside the profile range [{self.f[-1]!r}, {self.f[0]!r}]"
             )
-        inverse = PchipInterpolator(self.f[::-1], self.eta[::-1], extrapolate=False)
-        return float(inverse(level))
+        return float(self._eta_of_f(level))
 
 
 def wave_velocity_general(states: FarFieldStates, da: float) -> float:
@@ -268,6 +278,34 @@ def _front(params: DimensionlessParameters, settings: WaveSolverSettings,
     )
 
 
+def _leg_slopes(members: list[DimensionlessParameters], settings: WaveSolverSettings,
+                z_seed: float) -> tuple[int, np.ndarray]:
+    """F' of every member's backward leg at z = k Z_STEP / 2 inside [z_seed, Z_STOP].
+
+    The sides of a front sample z on that grid, so the leg's dense output is
+    read once, as a table in k; returns the first k and one table row per member.
+    """
+    def rhs(z, w):
+        f = 1.0 / (1.0 + math.exp(-z))
+        out = []
+        for w_k, p in zip(w, members):
+            y = -math.exp(w_k)
+            out.append(full_system_rhs(f, y, p)[1] * f * (1.0 - f) / (y * y))
+        return out
+
+    delta = settings.seed_delta
+    leg = solve_ivp(rhs, (z_seed, Z_STOP), [math.log(-slow_set(delta, p)) for p in members],
+                    method=STIFF_METHOD, rtol=settings.rel_tol, atol=settings.abs_tol,
+                    dense_output=True)
+    if leg.status != 0:
+        raise ConvergenceError(f"backward leg from the seed failed: {leg.message}")
+    half = 0.5 * Z_STEP
+    k = np.arange(math.floor(z_seed / half), math.ceil(Z_STOP / half) + 1)
+    z = half * k
+    keep = (z >= z_seed) & (z <= Z_STOP)
+    return int(k[keep][0]), -np.exp(leg.sol(z[keep]))
+
+
 def solve_leading_order(params: DimensionlessParameters,
                         settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Front profile of the reduced (Pe = 0) equation, normalized to F(0) = 1/2.
@@ -284,6 +322,15 @@ def solve_full_wave(params: DimensionlessParameters,
                     settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Heteroclinic front of the full equation for Pe > 0, normalized to F(0) = 1/2.
 
+    The one-Pe case of ``solve_full_waves``.
+    """
+    return solve_full_waves(params, (params.pe,), settings)[0]
+
+
+def solve_full_waves(params: DimensionlessParameters, pe_values,
+                     settings: WaveSolverSettings | None = None) -> list[WaveProfile]:
+    """Fronts of the full equation at every Pe of ``pe_values``, in that order.
+
     The solver seeds on the critical slow set at F = seed_delta next to the
     clean state and integrates w = ln(-F') with Radau over increasing z, which
     is backward eta, up to 1 - F = F_STOP; in reverse eta the saturated state
@@ -293,10 +340,17 @@ def solve_full_wave(params: DimensionlessParameters,
     manifold to O(Pe) there.  eta is the quadrature of F (1 - F) / F' from the
     anchor z = 0, never a state of the leg, so the anchor keeps full precision
     however far the seed lies from it.
+
+    Every Pe shares the z interval of the leg, so all of them integrate as one
+    Radau system with one w per Pe and share its steps; a failure of that leg
+    fails every Pe.  ``params`` supplies everything but Pe.
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
-    if params.pe == 0.0:
+    members = [replace(params, pe=float(pe)) for pe in pe_values]
+    if not members:
+        raise DomainError("pe_values must hold at least one value")
+    if any(p.pe == 0.0 for p in members):
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
     delta = settings.seed_delta
     if not 0.0 < delta < 0.5:
@@ -306,21 +360,15 @@ def solve_full_wave(params: DimensionlessParameters,
         )
     z_seed = math.log(delta / (1.0 - delta))
 
-    def rhs(z, w):
-        f = 1.0 / (1.0 + math.exp(-z))
-        y = -math.exp(w[0])
-        return (full_system_rhs(f, y, params)[1] * f * (1.0 - f) / (y * y),)
+    k_first, slopes = _leg_slopes(members, settings, z_seed)
+    half = 0.5 * Z_STEP
 
-    leg = solve_ivp(rhs, (z_seed, Z_STOP), [math.log(-slow_set(delta, params))],
-                    method=STIFF_METHOD, rtol=settings.rel_tol, atol=settings.abs_tol,
-                    dense_output=True)
-    if leg.status != 0:
-        raise ConvergenceError(f"backward leg from the seed failed: {leg.message}")
+    def front(p, slope):
+        def f_prime(z):
+            out = leading_order_rhs(expit(z), p)
+            inside = (z >= z_seed) & (z <= Z_STOP)
+            out[inside] = slope[np.rint(z[inside] / half).astype(np.intp) - k_first]
+            return out
+        return _front(p, settings, f_prime)
 
-    def f_prime(z):
-        out = leading_order_rhs(expit(z), params)
-        inside = (z >= z_seed) & (z <= Z_STOP)
-        out[inside] = -np.exp(leg.sol(z[inside])[0])
-        return out
-
-    return _front(params, settings, f_prime)
+    return [front(p, slope) for p, slope in zip(members, slopes)]

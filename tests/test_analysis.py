@@ -137,6 +137,10 @@ class TestBreakthroughWindow:
         window = breakthrough_window_time(solve_full_wave(p))
         reference = breakthrough_window_time(solve_full_wave(p, tight))
         assert window == pytest.approx(reference, rel=1e-7)
+        # a sweep integrates every positive Pe of its grid in one batched leg
+        swept = [r for r in run_sweep(p, SweepGrid.paper_default()) if r.pe == 0.05]
+        assert len(swept) == 1 and swept[0].error is None
+        assert swept[0].t_window == pytest.approx(reference, rel=1e-7)
 
     def test_rejects_swapped_thresholds(self, lead_11):
         with pytest.raises(DomainError):

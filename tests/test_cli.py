@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from adsorb.analysis import l2_profile_error
-from adsorb.cli import main, parse_config, read_wave_profile, run
+from adsorb.cli import CELL_FORMAT, _fmt, main, parse_config, read_wave_profile, run
 from adsorb.errors import ConfigError, ConsistencyError, ExistenceError
 from adsorb.model import DimensionlessParameters, ReactionOrders, sips_isotherm
 from adsorb.wave import solve_full_wave, solve_leading_order
@@ -186,6 +186,13 @@ class TestRunners:
         run(parse_config(json.dumps(doc)))
         payload = json.loads((tmp_path / "wave_profile.json").read_text())
         assert payload["columns"] == ["eta", "F", "G"]
+
+
+class TestTableText:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                                       5e-324, 1.0 / 3.0, -1.5e300])
+    def test_row_template_matches_fmt(self, value):
+        assert CELL_FORMAT % value == _fmt(value)
 
 
 class TestMainEntry:

@@ -193,6 +193,16 @@ class TestSolvePde:
         with pytest.raises(DomainError):
             solve_pde(p, grid, t_end=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_fields(self, bad):
+        p = params_for(ell=5.0, pe=0.5)
+        grid = SpatialGrid(ell=5.0, n_cells=32)
+        fields = (np.full(32, bad), np.zeros(32))
+        with pytest.raises(DomainError, match="finite"):
+            solve_pde(p, grid, t_end=1.0, initial=fields)
+        with pytest.raises(DomainError, match="finite"):
+            solve_pde(p, grid, t_end=1.0, initial=fields[::-1])
+
     def test_array_closure_matches_per_snapshot_loop(self):
         # the boundary closure runs on all snapshots at once; a loop over
         # snapshots is the reference, exact for the fields, and within

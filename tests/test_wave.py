@@ -22,6 +22,7 @@ from adsorb.wave import (
     leading_order_rhs,
     slow_set,
     solve_full_wave,
+    solve_full_waves,
     solve_leading_order,
     wave_velocity_general,
 )
@@ -249,6 +250,32 @@ def admissible_params(draw):
     da = draw(st.floats(0.005, 2.0))
     pe = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.5)))
     return params_for(q_e=q_e, da=da, pe=pe, m=m, n=n)
+
+
+class TestBatchedFullWaves:
+    @pytest.mark.parametrize("m,n,pe", [(1, 1, 0.1), (2, 3, 0.5)])
+    def test_one_pe_batch_is_the_single_solve(self, m, n, pe):
+        # the batch takes its Pe from pe_values, not from params
+        batch = solve_full_waves(params_for(pe=0.3, m=m, n=n), (pe,))[0]
+        single = solve_full_wave(params_for(pe=pe, m=m, n=n))
+        for name in ("eta", "f", "g"):
+            assert np.array_equal(getattr(batch, name), getattr(single, name))
+        assert (batch.pe, batch.velocity, batch.window) == \
+            (single.pe, single.velocity, single.window)
+
+    def test_members_keep_their_pe_and_match_single_solves(self):
+        pe_values = (0.01, 0.1, 1.5)
+        batch = solve_full_waves(params_for(m=2, n=2), pe_values)
+        assert [w.pe for w in batch] == list(pe_values)
+        grid = np.linspace(-20.0, 20.0, 2001)
+        for w in batch:
+            single = solve_full_wave(params_for(pe=w.pe, m=2, n=2))
+            assert np.max(np.abs(w.f_at(grid) - single.f_at(grid))) < 1e-8
+
+    @pytest.mark.parametrize("pe_values", [(), (0.0, 0.1)])
+    def test_rejects_empty_or_zero_pe(self, pe_values):
+        with pytest.raises(DomainError):
+            solve_full_waves(params_for(), pe_values)
 
 
 class TestFrontProperties:
