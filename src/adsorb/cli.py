@@ -181,12 +181,11 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
 
     physical = _build_physical(raw["physical"]) if has_phys else None
     if has_phys:
-        if physical.diffusion is None and pe_override is None and mode != "isotherm":
-            raise ConfigError("physical needs diffusion, or give the top-level pe")
-        pe_for_nondim = pe_override if pe_override is not None else None
-        if mode == "isotherm" and physical.diffusion is None and pe_override is None:
-            pe_for_nondim = 0.0
-        params = nondimensionalize(physical, pe=pe_for_nondim)
+        if physical.diffusion is None and pe_override is None:
+            if mode != "isotherm":
+                raise ConfigError("physical needs diffusion, or give the top-level pe")
+            pe_override = 0.0  # the isotherm involves no transport
+        params = nondimensionalize(physical, pe=pe_override)
     else:
         params = _build_dimensionless(raw["dimensionless"], pe_override)
 
@@ -255,11 +254,7 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
 # artifact writers
 
 
-CELL_FORMAT = "%.16e"  # printf twin of _fmt, used to format whole CSV rows at once
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
+CELL_FORMAT = "%.16e"  # 17 significant digits; formats whole CSV rows at once
 
 
 def _header(config: RunConfig) -> str:
@@ -273,7 +268,7 @@ def _write_table(path: Path, config: RunConfig, names: list[str], columns) -> No
         payload = {
             "meta": {"version": __version__, "config_sha256": config.config_hash},
             "columns": names,
-            "rows": [[_fmt(v) for v in row] for row in rows],
+            "rows": [[CELL_FORMAT % v for v in row] for row in rows],
         }
         path.with_suffix(".json").write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DomainError
 
@@ -252,18 +253,25 @@ def nondimensionalize(p: PhysicalParameters, pe: float | None = None) -> Dimensi
     )
 
 
+def _uptake(c, q, params: DimensionlessParameters):
+    # The attachment law dq/dt = alpha c^m (1-q)^n - (1-alpha) q^n, with
+    # 1 - alpha = alpha ((1-q_e)/q_e)^n from the isotherm: both factors are
+    # exactly one at (1, q_e), so the rate is exactly zero there and at (0, 0).
+    q_e, n = params.q_e, params.n
+    return params.alpha * (1.0 - q_e) ** n * (
+        c ** params.m * ((1.0 - q) / (1.0 - q_e)) ** n - (q / q_e) ** n)
+
+
 def equilibrium_polynomial(x, params: DimensionlessParameters):
     """Equilibrium polynomial of the leading-order front equation (factored form).
 
-    p(x) = alpha (a-1)^n [x^n - x^m ((a-x)/(a-1))^n] with a = 1/q_e, which is
-    algebraically identical to (1-alpha) x^n - alpha x^m (a-x)^n under the
+    p(x) = -r(x, q_e x) / q_e^n with the attachment rate
+    r(c, q) = alpha (1-q_e)^n [c^m ((1-q)/(1-q_e))^n - (q/q_e)^n], which is
+    algebraically identical to (1-alpha) x^n - alpha x^m (1/q_e - x)^n under the
     isotherm link.  The factored form vanishes exactly at x = 0 and x = 1.
     """
     x = np.asarray(x, dtype=float)
-    m, n = params.m, params.n
-    a = 1.0 / params.q_e
-    am1 = a - 1.0
-    out = params.alpha * am1 ** n * (x ** n - x ** m * ((a - x) / am1) ** n)
+    out = -_uptake(x, params.q_e * x, params) / params.q_e ** params.n
     return out if out.ndim else float(out)
 
 
@@ -274,34 +282,6 @@ def equilibrium_polynomial_direct(x, params: DimensionlessParameters):
     a = 1.0 / params.q_e
     out = (1.0 - params.alpha) * x ** n - params.alpha * x ** m * (a - x) ** n
     return out if out.ndim else float(out)
-
-
-def _reduced_factor(x: float, a: float, m: int, n: int) -> float:
-    # q(x) = x^(n-m) - ((a-x)/(a-1))^n; shares the nonzero roots of p(x).
-    return x ** (n - m) - ((a - x) / (a - 1.0)) ** n
-
-
-def _bisect_interior_root(a: float, m: int, n: int,
-                          delta: float = 1e-10, tol: float = 1e-12) -> float:
-    lo, hi = delta, 1.0 - delta
-    f_lo = _reduced_factor(lo, a, m, n)
-    f_hi = _reduced_factor(hi, a, m, n)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise DomainError("interior root bracket failed; no sign change on (0, 1)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = _reduced_factor(mid, a, m, n)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
 
 
 def analyze_equilibria(params: DimensionlessParameters) -> EquilibriumReport:
@@ -320,7 +300,10 @@ def analyze_equilibria(params: DimensionlessParameters) -> EquilibriumReport:
         return EquilibriumReport(True, tuple(roots), None, REASON_ADMISSIBLE)
     threshold = m / (m - n)
     if a < threshold:
-        c_star = _bisect_interior_root(a, m, n)
+        try:
+            c_star = brentq(equilibrium_polynomial, 1e-10, 1.0 - 1e-10, args=(params,))
+        except ValueError as exc:
+            raise DomainError("interior root bracket failed; no sign change on (0, 1)") from exc
         roots.append(PolynomialRoot(c_star, 1))
         roots.append(PolynomialRoot(1.0, 1))
         return EquilibriumReport(False, tuple(roots), c_star, REASON_INTERIOR)

@@ -28,7 +28,7 @@ from .errors import (
     FrontNotFoundError,
     StiffnessError,
 )
-from .model import DimensionlessParameters
+from .model import DimensionlessParameters, _uptake
 
 FIELD_TOL = 1e-6  # roundoff slack on the physical bounds of c and q
 TIME_METHOD = "BDF"  # implicit variable-order BDF; the Da-scaled c rows are stiff
@@ -110,10 +110,12 @@ class FrontTrack:
 
 
 def step_kinetics(c, q, params: DimensionlessParameters):
-    """Attachment rate dq/dt = alpha c^m (1-q)^n - (1-alpha) q^n."""
-    alpha = params.alpha
-    m, n = params.m, params.n
-    return alpha * c ** m * (1.0 - q) ** n - (1.0 - alpha) * q ** n
+    """Attachment rate dq/dt = alpha c^m (1-q)^n - (1-alpha) q^n, in factored form.
+
+    Evaluated as alpha (1-q_e)^n [c^m ((1-q)/(1-q_e))^n - (q/q_e)^n], the same
+    law under the isotherm link, which is exactly zero at (0, 0) and (1, q_e).
+    """
+    return _uptake(c, q, params)
 
 
 def reconstruct_boundaries(c_interior: np.ndarray, params: DimensionlessParameters,

@@ -48,7 +48,7 @@ from .errors import (
     DomainError,
     ExistenceError,
 )
-from .model import DimensionlessParameters, analyze_equilibria, equilibrium_polynomial
+from .model import DimensionlessParameters, _uptake, analyze_equilibria
 
 F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
 F_RANGE_TOL = 1e-9         # roundoff slack on F in [0, 1]
@@ -174,42 +174,41 @@ def g_from_f(f, f_prime, params: DimensionlessParameters):
 
 
 def leading_order_rhs(f, params: DimensionlessParameters):
-    """F' for the Pe = 0 front equation.
+    """F' for the Pe = 0 front equation: the reduced flow h0.
 
-    F' = (q_e + Da) q_e^(n-1) [(1 - alpha) F^n - alpha F^m (1/q_e - F)^n].
+    F' = -(q_e + Da)/q_e r(F, q_e F) with the attachment rate
+    r(c, q) = alpha (1-q_e)^n [c^m ((1-q)/(1-q_e))^n - (q/q_e)^n], which is
+    exactly zero at F = 0 and F = 1.
     """
     f = np.asarray(f, dtype=float)
-    m, n = params.m, params.n
-    q_e, alpha = params.q_e, params.alpha
-    out = (q_e + params.da) * q_e ** (n - 1) * (
-        (1.0 - alpha) * f ** n - alpha * f ** m * (1.0 / q_e - f) ** n
-    )
+    q_e = params.q_e
+    out = -(q_e + params.da) / q_e * _uptake(f, q_e * f, params)
     return out if out.ndim else float(out)
 
 
 def slow_set(x, params: DimensionlessParameters):
-    """Critical slow set y = q_e^(n-1) (q_e + Da) p(x) of the slow-fast system."""
-    q_e = params.q_e
-    return q_e ** (params.n - 1) * (q_e + params.da) * equilibrium_polynomial(x, params)
+    """Critical slow set y = h0(x) of the slow-fast system.
+
+    The zero set of Pe y' from ``full_system_rhs`` at Pe = 0, so the same
+    function as ``leading_order_rhs``: y = -(q_e + Da)/q_e r(x, q_e x).
+    """
+    return leading_order_rhs(x, params)
 
 
 def full_system_rhs(x: float, y: float, params: DimensionlessParameters) -> tuple[float, float]:
     """Phase-plane vector field (x', y') of the full front equation, x = F, y = F'.
 
-    The reaction term is evaluated in a form whose factors are exactly one at
-    the rest states, so (0, 0) and (1, 0) return exactly (0, 0).
+    Pe y' = q_e/(q_e + Da) y + r(x, G) with G = q_e x - Pe (q_e + Da) y and the
+    attachment rate r(c, q) = alpha (1-q_e)^n [c^m ((1-q)/(1-q_e))^n - (q/q_e)^n],
+    whose factors are exactly one at the rest states, so (0, 0) and (1, 0)
+    return exactly (0, 0).
     """
     pe = params.pe
     if pe == 0.0:
         raise DomainError("pe is zero; use leading_order_rhs for the reduced front equation")
     q_e, da = params.q_e, params.da
-    m, n = params.m, params.n
-    a_lin = q_e * x - pe * (q_e + da) * y
-    b_lin = 1.0 - a_lin
-    coeff = params.alpha * (1.0 - q_e) ** n
-    reaction = coeff * ((a_lin / q_e) ** n - x ** m * (b_lin / (1.0 - q_e)) ** n)
-    y_dot = (q_e / (q_e + da) * y - reaction) / pe
-    return y, y_dot
+    g = q_e * x - pe * (q_e + da) * y
+    return y, (q_e / (q_e + da) * y + _uptake(x, g, params)) / pe
 
 
 def closed_form_wave_11(params: DimensionlessParameters, eta):

@@ -5,13 +5,14 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  Criterion 4 asserts 0 < e_BT < 0.05 at every positive Pe of the
 paper grid for the degenerate-clean-state families (2, 2) and (2, 3), and for
 Pe <= 0.5 that |e_BT / (S Pe) - 1| <= 0.04 Pe, where S Pe is the window error
-of the first-order slow manifold.  For first-order kinetics (1, 1) the clean
-state is a saddle and e_BT grows like Pe, so criterion 4 asserts that e_BT is
+of the first-order slow manifold.  For the families (1, n) the clean state is
+a saddle and e_BT grows like Pe, so criterion 4 asserts that e_BT is
 positive, increases strictly in Pe and lies within 2e-3 relative of the
 closed-form saddle oracle 1 + e_BT = lambda_s(0) / lambda_s(Pe).
 """
 
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -127,15 +128,21 @@ class TestCriterion3ConvergenceToLeadingOrder:
 
 
 def saddle_stable_rate(p):
-    """Stable eigenvalue of the clean state (0, 0) of ``full_system_rhs`` for (1, 1).
+    """Stable eigenvalue of the clean state (0, 0) of ``full_system_rhs`` for (1, n).
 
-    Linearizing the field at (0, 0) gives Pe l^2 - b l - alpha q_e = 0 with
+    Linearizing the field at (0, 0) gives Pe l^2 - b l - k = 0.  For n >= 2 the
+    term (G/q_e)^n is higher order, so b = q_e/(q_e+Da) and k = alpha; for
+    n = 1 it is linear, which gives k = alpha q_e and
     b = q_e/(q_e+Da) + alpha (1-q_e) Pe (q_e+Da)/q_e.  The negative root is
-    written without cancellation, so Pe = 0 gives the reduced rate -alpha (q_e+Da).
+    written without cancellation, so Pe = 0 gives the reduced rate -k/b.
     """
+    assert p.m == 1, "the clean state is a saddle only for m = 1"
     q_e, da, alpha = p.q_e, p.da, p.alpha
-    b = q_e / (q_e + da) + alpha * (1.0 - q_e) * p.pe * (q_e + da) / q_e
-    return -2.0 * alpha * q_e / (b + np.sqrt(b * b + 4.0 * p.pe * alpha * q_e))
+    b, k = q_e / (q_e + da), alpha
+    if p.n == 1:
+        b += alpha * (1.0 - q_e) * p.pe * (q_e + da) / q_e
+        k *= q_e
+    return -2.0 * k / (b + np.sqrt(b * b + 4.0 * p.pe * k))
 
 
 def manifold_partials(p, f):
@@ -180,7 +187,8 @@ def manifold_window_slope(p, hi=1e-2, lo=1e-4):
 
 
 class TestCriterion4BreakthroughRobustness:
-    FAMILIES = [(1, 1), (2, 2), (2, 3)]
+    CASES = [(0.1, 1, 1), (0.1, 1, 2), (0.1, 1, 3), (0.1, 2, 2), (0.1, 2, 3),
+             (0.5, 1, 1), (0.5, 1, 2), (0.5, 2, 2), (0.5, 2, 3)]  # (Da, m, n)
     ORACLE_RTOL = 2e-3
     MANIFOLD_PE_MAX = 0.5   # the O(Pe^2) remainder is checked below this Pe
     MANIFOLD_TOL = 0.04     # on |e_BT / (S Pe) - 1| / Pe
@@ -189,46 +197,45 @@ class TestCriterion4BreakthroughRobustness:
         grid = SweepGrid.paper_default()
         failures = []
         lines = []
-        for da in (0.1, 0.5):
-            for m, n in self.FAMILIES:
-                records = run_sweep(params_for(da=da, m=m, n=n), grid)
-                positive = [r for r in records if r.pe > 0]
-                assert all(r.error is None for r in positive)
-                e_range = (f"e_bt in [{min(r.e_bt for r in positive):.4f}, "
-                           f"{max(r.e_bt for r in positive):.4f}]")
-                if m == 1:
-                    bad = [(r.pe, f"e_bt {r.e_bt:.4f} not > 0")
-                           for r in positive if not r.e_bt > 0.0]
-                    bad += [(b.pe, f"e_bt {b.e_bt:.4f} not above {a.e_bt:.4f}")
-                            for a, b in zip(positive, positive[1:]) if not b.e_bt > a.e_bt]
-                    rate_0 = saddle_stable_rate(params_for(da=da))
-                    worst = 0.0
-                    for r in positive:
-                        e_pred = rate_0 / saddle_stable_rate(params_for(da=da, pe=r.pe)) - 1.0
-                        dev = abs((1.0 + r.e_bt) / (1.0 + e_pred) - 1.0)
-                        worst = max(worst, dev)
-                        if not dev <= self.ORACLE_RTOL:
-                            bad.append((r.pe, f"e_bt {r.e_bt:.4f} vs saddle oracle {e_pred:.4f}"))
-                    lines.append(f"Da={da} ({m},{n}): {e_range}, max saddle-oracle deviation "
-                                 f"{worst:.2e} (tol {self.ORACLE_RTOL:g})")
-                else:
-                    bad = [(r.pe, f"e_bt {r.e_bt:.4f} outside (0, 0.05)")
-                           for r in positive if not (0.0 < r.e_bt < 0.05)]
-                    outside = len(bad)
-                    slope = manifold_window_slope(params_for(da=da, m=m, n=n))
-                    worst = 0.0
-                    for r in positive:
-                        if r.pe > self.MANIFOLD_PE_MAX:
-                            continue
-                        dev = abs(r.e_bt / (slope * r.pe) - 1.0) / r.pe
-                        worst = max(worst, dev)
-                        if not dev <= self.MANIFOLD_TOL:
-                            bad.append((r.pe, f"e_bt {r.e_bt:.4e} vs slow-manifold oracle "
-                                              f"{slope * r.pe:.4e}"))
-                    lines.append(f"Da={da} ({m},{n}): {e_range}, "
-                                 f"{outside}/{len(positive)} out of (0, 0.05), max "
-                                 f"|e_bt/(S Pe) - 1|/Pe {worst:.4f} (tol {self.MANIFOLD_TOL:g})")
-                failures.extend((da, m, n, pe, why) for pe, why in bad)
+        for da, m, n in self.CASES:
+            records = run_sweep(params_for(da=da, m=m, n=n), grid)
+            positive = [r for r in records if r.pe > 0]
+            assert all(r.error is None for r in positive)
+            e_range = (f"e_bt in [{min(r.e_bt for r in positive):.4f}, "
+                       f"{max(r.e_bt for r in positive):.4f}]")
+            if m == 1:
+                bad = [(r.pe, f"e_bt {r.e_bt:.4f} not > 0")
+                       for r in positive if not r.e_bt > 0.0]
+                bad += [(b.pe, f"e_bt {b.e_bt:.4f} not above {a.e_bt:.4f}")
+                        for a, b in zip(positive, positive[1:]) if not b.e_bt > a.e_bt]
+                rate_0 = saddle_stable_rate(params_for(da=da, n=n))
+                worst = 0.0
+                for r in positive:
+                    e_pred = rate_0 / saddle_stable_rate(params_for(da=da, pe=r.pe, n=n)) - 1.0
+                    dev = abs((1.0 + r.e_bt) / (1.0 + e_pred) - 1.0)
+                    worst = max(worst, dev)
+                    if not dev <= self.ORACLE_RTOL:
+                        bad.append((r.pe, f"e_bt {r.e_bt:.4f} vs saddle oracle {e_pred:.4f}"))
+                lines.append(f"Da={da} ({m},{n}): {e_range}, max saddle-oracle deviation "
+                             f"{worst:.2e} (tol {self.ORACLE_RTOL:g})")
+            else:
+                bad = [(r.pe, f"e_bt {r.e_bt:.4f} outside (0, 0.05)")
+                       for r in positive if not (0.0 < r.e_bt < 0.05)]
+                outside = len(bad)
+                slope = manifold_window_slope(params_for(da=da, m=m, n=n))
+                worst = 0.0
+                for r in positive:
+                    if r.pe > self.MANIFOLD_PE_MAX:
+                        continue
+                    dev = abs(r.e_bt / (slope * r.pe) - 1.0) / r.pe
+                    worst = max(worst, dev)
+                    if not dev <= self.MANIFOLD_TOL:
+                        bad.append((r.pe, f"e_bt {r.e_bt:.4e} vs slow-manifold oracle "
+                                          f"{slope * r.pe:.4e}"))
+                lines.append(f"Da={da} ({m},{n}): {e_range}, "
+                             f"{outside}/{len(positive)} out of (0, 0.05), max "
+                             f"|e_bt/(S Pe) - 1|/Pe {worst:.4f} (tol {self.MANIFOLD_TOL:g})")
+            failures.extend((da, m, n, pe, why) for pe, why in bad)
         ok = not failures
         report(4, "breakthrough robustness", ok, "; ".join(lines))
         assert ok, "breakthrough-window errors failed: " + ", ".join(
@@ -238,8 +245,8 @@ class TestCriterion4BreakthroughRobustness:
     @pytest.mark.parametrize("da", [0.1, 0.5])
     def test_saddle_rate_matches_field_jacobian(self, da):
         h = 1e-6
-        for pe in (0.05, 0.5, 1.5):
-            p = params_for(da=da, pe=pe)
+        for n, pe in itertools.product((1, 2, 3), (0.05, 0.5, 1.5)):
+            p = params_for(da=da, pe=pe, n=n)
             jacobian = np.column_stack([
                 np.subtract(full_system_rhs(dx, dy, p), full_system_rhs(-dx, -dy, p)) / (2.0 * h)
                 for dx, dy in ((h, 0.0), (0.0, h))

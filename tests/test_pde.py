@@ -27,6 +27,9 @@ from adsorb.wave import solve_full_wave
 from conftest import column_physical
 
 
+ADMISSIBLE_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)]
+
+
 def params_for(q_e=0.7, da=0.1, pe=0.1, m=1, n=1, ell=20.0):
     return DimensionlessParameters.from_qe(q_e, da=da, pe=pe,
                                            orders=ReactionOrders(m, n), ell=ell)
@@ -47,8 +50,11 @@ class TestSpatialGrid:
 
 class TestKinetics:
     def test_equilibrium_at_saturation(self):
-        p = params_for()
-        assert abs(step_kinetics(1.0, p.q_e, p)) < 1e-15
+        # (1, q_e) is a rest state of the law exactly, also next to q_e = 1
+        for q_e in (0.7, 0.99, 0.9999):
+            for m, n in ADMISSIBLE_FAMILIES:
+                p = params_for(q_e=q_e, m=m, n=n)
+                assert step_kinetics(1.0, p.q_e, p) == 0.0, (q_e, m, n)
 
     def test_fresh_state(self):
         p = params_for()

@@ -11,7 +11,13 @@ from adsorb.errors import (
     DomainError,
     ExistenceError,
 )
-from adsorb.model import DimensionlessParameters, ReactionOrders, alpha_from_qe
+from adsorb.model import (
+    DimensionlessParameters,
+    ReactionOrders,
+    alpha_from_qe,
+    equilibrium_polynomial_direct,
+)
+from adsorb.pde import step_kinetics
 from adsorb.wave import (
     FarFieldStates,
     WaveProfile,
@@ -88,15 +94,23 @@ class TestPointwiseFormulas:
 
     @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)
     def test_leading_rhs_negative_inside(self, m, n):
-        p = params_for(m=m, n=n)
-        f = np.linspace(0.0, 1.0, 101)[1:-1]
-        assert np.all(leading_order_rhs(f, p) < 0.0)
+        # down to 1 - F = 1e-12, in the near-saturation corner too
+        f = np.concatenate((np.linspace(0.0, 1.0, 101)[1:-1], 1.0 - 10.0 ** -np.arange(3, 13)))
+        for q_e in (0.7, 0.99, 0.9999):
+            assert np.all(leading_order_rhs(f, params_for(q_e=q_e, m=m, n=n)) < 0.0), q_e
 
     def test_slow_set_matches_leading_rhs(self):
+        # h0, the slow set and the PDE rate on q = q_e F against the expanded
+        # polynomial (1 - alpha) F^n - alpha F^m (1/q_e - F)^n
         x = np.linspace(0.0, 1.0, 257)
         for (m, n) in ADMISSIBLE_FAMILIES:
             p = params_for(m=m, n=n)
-            assert_allclose(slow_set(x, p), leading_order_rhs(x, p), rtol=1e-12, atol=1e-15)
+            direct = p.q_e ** (n - 1) * equilibrium_polynomial_direct(x, p)
+            reduced_flow = (p.q_e + p.da) * direct
+            assert_allclose(leading_order_rhs(x, p), reduced_flow, rtol=1e-10, atol=1e-14)
+            assert_allclose(slow_set(x, p), reduced_flow, rtol=1e-10, atol=1e-14)
+            assert_allclose(step_kinetics(x, p.q_e * x, p), -p.q_e * direct,
+                            rtol=1e-10, atol=1e-14)
 
     def test_slow_set_values(self):
         p = params_for()
@@ -285,6 +299,7 @@ class TestFrontProperties:
     @hypothesis.example(params_for(q_e=0.99993, da=0.007, pe=0.0))
     @hypothesis.example(params_for(q_e=0.2127, da=0.1041, pe=0.0, m=4, n=4))
     @hypothesis.example(params_for(q_e=0.9805, da=1.4255, pe=0.0054))  # head stops at z limit
+    @hypothesis.example(params_for(q_e=0.9999, da=0.1, pe=0.0, m=3, n=4))  # h0 < 0 up to F = 1
     def test_every_admissible_front_is_well_formed(self, p):
         span = WaveSolverSettings().eta_span
         w = solve_leading_order(p) if p.pe == 0.0 else solve_full_wave(p)
