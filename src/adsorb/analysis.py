@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from .errors import AdsorptionError, CoverageError, DomainError
 from .model import DimensionlessParameters
-from .wave import WaveProfile, WaveSolverSettings, solve_full_waves, solve_leading_order
+from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
 DEFAULT_ETA_STAR = 20.0
 DEFAULT_QUAD_POINTS = 2001
@@ -101,20 +101,19 @@ def breakthrough_error(t_pe: float, t_0: float) -> float:
     return (t_pe - t_0) / t_0
 
 
-def _failed(pe: float, exc: AdsorptionError) -> SweepRecord:
-    return SweepRecord(pe=pe, l2_error=float("nan"), t_window=float("nan"),
-                       e_bt=float("nan"), error=f"{type(exc).__name__}: {exc}")
-
-
-def _record(full: WaveProfile, leading: WaveProfile, t_0: float, eta_star: float,
+def _record(params: DimensionlessParameters, settings: WaveSolverSettings,
+            leading: WaveProfile, t_0: float, eta_star: float,
             hi: float, lo: float) -> SweepRecord:
+    pe = params.pe
     try:
+        full = solve_full_wave(params, settings)
         err = l2_profile_error(full, leading, eta_star)
         t_pe = breakthrough_window_time(full, hi, lo)
-        return SweepRecord(pe=full.pe, l2_error=err, t_window=t_pe,
+        return SweepRecord(pe=pe, l2_error=err, t_window=t_pe,
                            e_bt=breakthrough_error(t_pe, t_0))
     except AdsorptionError as exc:  # record and keep sweeping
-        return _failed(full.pe, exc)
+        return SweepRecord(pe=pe, l2_error=float("nan"), t_window=float("nan"),
+                           e_bt=float("nan"), error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
@@ -123,26 +122,15 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
               hi: float = THRESHOLD_HI, lo: float = THRESHOLD_LO) -> list[SweepRecord]:
     """Solve the front for every grid Pe and compare against the Pe = 0 front.
 
-    The leading-order profile is computed once, and the fronts of all
-    positive Pe come from one batched call of ``solve_full_waves``; each
-    contributes the L2 distance, the breakthrough window time, and its signed
-    relative error.  Failures are recorded with an error marker instead of
-    aborting the sweep: a failed batch marks every positive Pe, a failed
-    distance or window only its own.  Records are returned in grid order.
+    The leading-order profile is computed once; every positive Pe gets its own
+    ``solve_full_wave`` and contributes the L2 distance, the breakthrough
+    window time, and its signed relative error.  Failures are recorded with an
+    error marker instead of aborting the sweep, and mark only the Pe that
+    failed.  Records are returned in grid order.
     """
     settings = settings or WaveSolverSettings()
     leading = solve_leading_order(replace(params, pe=0.0), settings)
     t_0 = breakthrough_window_time(leading, hi, lo)
-    head = [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0)] \
-        if grid.pe_values[0] == 0.0 else []
-    positive = grid.pe_values[len(head):]
-    if not positive:
-        return head
-    try:
-        fulls = solve_full_waves(params, positive, settings)
-    except AdsorptionError as exc:  # one leg for every positive Pe: all of them failed
-        return head + [_failed(pe, exc) for pe in positive]
-    records = head
-    while fulls:  # free each front, and the interpolants it caches, once it is recorded
-        records.append(_record(fulls.pop(0), leading, t_0, eta_star, hi, lo))
-    return records
+    return [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0) if pe == 0.0
+            else _record(replace(params, pe=pe), settings, leading, t_0, eta_star, hi, lo)
+            for pe in grid.pe_values]

@@ -35,6 +35,7 @@ from .model import (
     sips_isotherm,
 )
 from .pde import (
+    IntegratorStats,
     PdeSolverSettings,
     SpatialGrid,
     mass_balance_residual,
@@ -285,6 +286,13 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
     path.write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
+def _counters(stats: IntegratorStats | None) -> dict:
+    """The integrator's method and the counters it reports; empty without one."""
+    if stats is None:
+        return {}
+    return {k: v for k, v in dataclasses.asdict(stats).items() if v is not None}
+
+
 def write_wave_profile(path_csv: Path, meta_path: Path, profile: WaveProfile,
                        config: RunConfig) -> None:
     _write_table(path_csv, config, ["eta", "F", "G"], [profile.eta, profile.f, profile.g])
@@ -292,6 +300,7 @@ def write_wave_profile(path_csv: Path, meta_path: Path, profile: WaveProfile,
         "velocity": profile.velocity, "pe": profile.pe,
         "window": [profile.window[0], profile.window[1]],
         "normalized": profile.normalized, "samples": int(profile.eta.size),
+        **_counters(profile.stats),
     })
 
 
@@ -359,7 +368,7 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     _write_json(meta, config, {"fitted_speeds": fitted, "fit_window": list(window),
                                "velocity": config.params.velocity,
                                "mass_residual_max": float(mass_balance_residual(sol).max()),
-                               **dataclasses.asdict(sol.stats)})
+                               **_counters(sol.stats)})
     return paths + [meta]
 
 

@@ -262,6 +262,14 @@ def _uptake(c, q, params: DimensionlessParameters):
         c ** params.m * ((1.0 - q) / (1.0 - q_e)) ** n - (q / q_e) ** n)
 
 
+def _uptake_dq(c, q, params: DimensionlessParameters):
+    # d/dq of _uptake, in the same factored form
+    q_e, n = params.q_e, params.n
+    return -n * params.alpha * (1.0 - q_e) ** n * (
+        c ** params.m * ((1.0 - q) / (1.0 - q_e)) ** (n - 1) / (1.0 - q_e)
+        + (q / q_e) ** (n - 1) / q_e)
+
+
 def equilibrium_polynomial(x, params: DimensionlessParameters):
     """Equilibrium polynomial of the leading-order front equation (factored form).
 
@@ -299,7 +307,10 @@ def analyze_equilibria(params: DimensionlessParameters) -> EquilibriumReport:
         roots.append(PolynomialRoot(1.0, 1))
         return EquilibriumReport(True, tuple(roots), None, REASON_ADMISSIBLE)
     threshold = m / (m - n)
-    if a < threshold:
+    # at the threshold x = 1 is a double root; within roundoff of it no
+    # bracket separates the interior root from x = 1
+    at_threshold = math.isclose(a, threshold)
+    if a < threshold and not at_threshold:
         try:
             c_star = brentq(equilibrium_polynomial, 1e-10, 1.0 - 1e-10, args=(params,))
         except ValueError as exc:
@@ -307,6 +318,5 @@ def analyze_equilibria(params: DimensionlessParameters) -> EquilibriumReport:
         roots.append(PolynomialRoot(c_star, 1))
         roots.append(PolynomialRoot(1.0, 1))
         return EquilibriumReport(False, tuple(roots), c_star, REASON_INTERIOR)
-    one_mult = 2 if a == threshold else 1
-    roots.append(PolynomialRoot(1.0, one_mult))
+    roots.append(PolynomialRoot(1.0, 2 if at_threshold else 1))
     return EquilibriumReport(False, tuple(roots), None, REASON_INCREASING)

@@ -68,8 +68,9 @@ class IntegratorStats:
 
     time_method: str
     nfev: int  # right-hand-side evaluations outside the Jacobian estimates
-    njev: int  # finite-difference Jacobians
+    njev: int  # Jacobian evaluations (finite differences for the PDE)
     nlu: int   # LU factorisations
+    steps: int | None = None  # accepted steps, where the integrator reports them
 
 
 @dataclass(frozen=True)

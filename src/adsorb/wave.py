@@ -21,22 +21,24 @@ by z = Z_HEAD, where 1 - F is about 1e-13 and finer steps in 1 - F no longer
 differ in double precision.
 
 For Pe = 0, F' = h0(F) and the integral is a plain quadrature.  For Pe > 0,
-F' comes from one Radau leg that integrates w = ln(-F') over z from a seed on
+F' comes from one scalar leg that integrates w = ln(-F') over z from a seed on
 the slow set next to the clean state up to 1 - F = F_STOP.  Increasing z is
 backward eta, the only stable direction: in forward eta the layer dynamics
 repel trajectories from the slow manifold at rate q_e v / Pe.  Outside the leg
-F' = h0(F), the reduced flow that approximates the manifold to O(Pe).  Legs
-at several Pe span the same z interval, so they integrate as one system.
+F' = h0(F), the reduced flow that approximates the manifold to O(Pe).  The leg
+stays stiff at any Pe once the clean state is degenerate (layer rate O(1)
+against an unbounded slow crawl), so it is integrated implicitly, by the
+Radau IIA scheme of order 5 written out for one equation in Python floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.special import expit
 
@@ -48,7 +50,8 @@ from .errors import (
     DomainError,
     ExistenceError,
 )
-from .model import DimensionlessParameters, _uptake, analyze_equilibria
+from .model import DimensionlessParameters, _uptake, _uptake_dq, analyze_equilibria
+from .pde import IntegratorStats
 
 F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
 F_RANGE_TOL = 1e-9         # roundoff slack on F in [0, 1]
@@ -61,9 +64,6 @@ Z_STEP = 0.01              # sample spacing in z; eta spacing 0.018 on the q_e =
 # 1 - F round to the same double; past z = -708, F = e^z leaves the normal doubles
 Z_HEAD = 30.0
 Z_TAIL = -690.0
-# the backward leg stays stiff at any Pe once the clean state is degenerate
-# (layer rate O(1) against an unbounded slow crawl), so it is always implicit
-STIFF_METHOD = "Radau"
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,9 @@ class FarFieldStates:
 class WaveSolverSettings:
     """Numerical settings shared by the front solvers.
 
-    The tolerances apply to the Radau leg of the Pe > 0 front; the Pe = 0
-    front is a fixed-step quadrature.
+    The tolerances apply to the Radau leg of the Pe > 0 front, with the
+    meaning of scipy's ``rtol`` and ``atol``; the Pe = 0 front is a
+    fixed-step quadrature.
     """
 
     rel_tol: float = 1e-8
@@ -102,6 +103,7 @@ class WaveProfile:
     Arrays are treated as immutable once constructed, so the interpolants of
     F(eta) and eta(F) are built once, on first use; eta increases strictly
     and F decreases strictly from the saturated to the clean state.
+    ``stats`` holds the work counters of the Pe > 0 leg.
     """
 
     eta: np.ndarray
@@ -111,6 +113,7 @@ class WaveProfile:
     pe: float
     normalized: bool
     window: tuple[float, float]
+    stats: IntegratorStats | None = None
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
@@ -264,7 +267,7 @@ def _side(f_prime, sign: float, eta_span: float):
 
 
 def _front(params: DimensionlessParameters, settings: WaveSolverSettings,
-           f_prime) -> WaveProfile:
+           f_prime, stats: IntegratorStats | None = None) -> WaveProfile:
     """Normalized profile of the front whose slope at z is ``f_prime(z)``."""
     (z_head, eta_head, fp_head), (z_tail, eta_tail, fp_tail) = (
         _side(f_prime, sign, settings.eta_span) for sign in (1.0, -1.0))
@@ -273,36 +276,242 @@ def _front(params: DimensionlessParameters, settings: WaveSolverSettings,
     fp = np.concatenate((fp_head[::-1], fp_tail[1:]))
     return WaveProfile(
         eta=eta, f=f, g=g_from_f(f, fp, params), velocity=params.velocity, pe=params.pe,
-        normalized=True, window=(float(eta[0]), float(eta[-1])),
+        normalized=True, window=(float(eta[0]), float(eta[-1])), stats=stats,
     )
 
 
-def _leg_slopes(members: list[DimensionlessParameters], settings: WaveSolverSettings,
-                z_seed: float) -> tuple[int, np.ndarray]:
-    """F' of every member's backward leg at z = k Z_STEP / 2 inside [z_seed, Z_STOP].
+# ---------------------------------------------------------------------------
+# Radau IIA of order 5 for one equation (Hairer & Wanner, Solving Ordinary
+# Differential Equations II, Sec. IV.8), step for step the scheme of scipy's
+# Radau: its tableau, the T/TI transforms of the simplified Newton iteration,
+# its embedded error estimate and its step and Jacobian-refresh rules.  As in
+# Hairer's RADAU5, and unlike scipy, an error estimate above one is refined
+# on the first step as well as after a rejection.  For a scalar the two linear
+# systems of each Newton iteration are one real and one complex division.
 
-    The sides of a front sample z on that grid, so the leg's dense output is
-    read once, as a table in k; returns the first k and one table row per member.
+_S6 = 6.0 ** 0.5
+_C = ((4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0)
+_E = ((-13.0 - 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0)
+_MU_REAL = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
+_MU_COMPLEX = (3.0 + 0.5 * (3.0 ** (1.0 / 3.0) - 3.0 ** (2.0 / 3.0))
+               - 0.5j * (3.0 ** (5.0 / 6.0) + 3.0 ** (7.0 / 6.0)))
+_T = ((0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
+      (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
+      (1.0, 1.0, 0.0))
+_TI = ((4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
+       (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
+       (0.50287263494578682, -2.57192694985560522, 0.59603920482822492))
+_TI_COMPLEX = tuple(a + 1j * b for a, b in zip(_TI[1], _TI[2]))
+_P = ((13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0, 10.0 / 3.0 + 5.0 * _S6),
+      (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6),
+      (1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0))
+_NEWTON_MAXITER = 6
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
+
+
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old) -> float:
+    if error_norm == 0.0:
+        return math.inf
+    if error_norm_old is None or h_abs_old is None:
+        multiplier = 1.0
+    else:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    return min(1.0, multiplier) * error_norm ** -0.25
+
+
+def _collocation(fun, t, y, h, z, scale, tol, d_real, d_complex):
+    """Simplified Newton iteration for the stage increments z of one step.
+
+    The transformed increments TI z are one real and one complex value, so
+    each iteration solves its two linear systems by one division each.
+    Returns (converged, iterations, z, rate of convergence).
     """
+    (r1, r2, r3), (c1, c2, c3) = _TI[0], _TI_COMPLEX
+    (t11, t12, t13), (t21, t22, t23), _ = _T  # the last row of T is (1, 1, 0)
+    m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
+    s1, s2, s3 = (t + h * c for c in _C)
+    z1, z2, z3 = z
+    w_real = r1 * z1 + r2 * z2 + r3 * z3
+    w_complex = c1 * z1 + c2 * z2 + c3 * z3
+    inv_scale = 1.0 / (3.0 ** 0.5 * scale)  # RMS norm over the three stages
+    dw_norm_old = rate = None
+    for k in range(_NEWTON_MAXITER):
+        f1, f2, f3 = fun(s1, y + z1), fun(s2, y + z2), fun(s3, y + z3)
+        if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
+            raise ConvergenceError(f"non-finite stage value on the leg at z = {t!r}")
+        dw_real = (r1 * f1 + r2 * f2 + r3 * f3 - m_real * w_real) / d_real
+        dw_complex = (c1 * f1 + c2 * f2 + c3 * f3 - m_complex * w_complex) / d_complex
+        dw_norm = math.hypot(dw_real, dw_complex.real, dw_complex.imag) * inv_scale
+        if dw_norm_old is not None:
+            rate = dw_norm / dw_norm_old
+            if rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dw_norm > tol:
+                return False, k + 1, (z1, z2, z3), rate
+        w_real += dw_real
+        w_complex += dw_complex
+        a, b = w_complex.real, w_complex.imag
+        z1 = t11 * w_real + t12 * a + t13 * b
+        z2 = t21 * w_real + t22 * a + t23 * b
+        z3 = w_real + a
+        if dw_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dw_norm < tol:
+            return True, k + 1, (z1, z2, z3), rate
+        dw_norm_old = dw_norm
+    return False, _NEWTON_MAXITER, (z1, z2, z3), rate
+
+
+def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
+    """Integrate the scalar y' = fun(t, y) from t to t_end > t.
+
+    ``jac(t, y, f)`` is d fun / dy at (t, y), where f = fun(t, y).  Returns the
+    dense output as a vectorized function of t in [t, t_end] and the work
+    counters.  A step below ten ulps of t, or a non-finite value, raises
+    ``ConvergenceError``.
+    """
+    f = fun(t, y)
+    # initial step of Hairer, Norsett & Wanner I, Sec. II.4, for error order 3
+    span = t_end - t
+    scale = atol + abs(y) * rtol
+    d0, d1 = abs(y) / scale, abs(f) / scale
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = abs(fun(t + h0, y + h0 * f) - f) / scale / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.25)
+    h_next = min(100.0 * h0, h1, span)
+    h_prev = error_norm_prev = None
+    newton_tol = max(10.0 * sys.float_info.epsilon / rtol, min(0.03, rtol ** 0.5))
+    jac_y = jac(t, y, f)
+    nfev, njev, nlu, current_jac = 2, 1, 0, True
+    d_real = d_complex = None
+    knots, y_olds, qs = [t], [], []  # dense output of the accepted steps
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs, h_abs_old, error_norm_old = h_next, h_prev, error_norm_prev
+        if h_abs < min_step:
+            h_abs, h_abs_old, error_norm_old = min_step, None, None
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ConvergenceError(f"leg step fell below {min_step!r} at z = {t!r}")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            if qs:  # extrapolate the last step's dense output to the new stages
+                x_old = t - knots[-2]
+                q = qs[-1]
+                z = []
+                for c in _C:
+                    x = (x_old + h * c) / x_old
+                    z.append(y_olds[-1] + x * (q[0] + x * (q[1] + x * q[2])) - y)
+            else:
+                z = [0.0, 0.0, 0.0]
+            scale = atol + abs(y) * rtol
+            while True:
+                if d_real is None:
+                    d_real, d_complex = _MU_REAL / h - jac_y, _MU_COMPLEX / h - jac_y
+                    nlu += 2
+                converged, n_iter, z_new, rate = _collocation(
+                    fun, t, y, h, z, scale, newton_tol, d_real, d_complex)
+                nfev += 3 * n_iter
+                if converged or current_jac:
+                    break
+                jac_y = jac(t, y, f)
+                njev, current_jac, d_real = njev + 1, True, None
+            if not converged:
+                h_abs *= 0.5
+                d_real = None
+                continue
+            y_new = y + z_new[2]
+            ze = sum(a * b for a, b in zip(z_new, _E)) / h
+            error = (f + ze) / d_real
+            scale = atol + max(abs(y), abs(y_new)) * rtol
+            error_norm = abs(error) / scale
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            if (rejected or not qs) and error_norm > 1.0:
+                error = (fun(t, y + error) + ze) / d_real
+                nfev += 1
+                error_norm = abs(error) / scale
+            if error_norm <= 1.0:
+                break
+            factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+            h_abs *= max(_MIN_FACTOR, safety * factor)
+            d_real, rejected = None, True
+
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = min(_MAX_FACTOR,
+                     safety * _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old))
+        if not recompute_jac and factor < 1.2:
+            factor = 1.0
+        else:
+            d_real = None
+        f = fun(t_new, y_new)
+        nfev += 1
+        if not math.isfinite(f):
+            raise ConvergenceError(f"non-finite slope on the leg at z = {t_new!r}")
+        if recompute_jac:
+            jac_y = jac(t_new, y_new, f)
+            njev += 1
+        current_jac = recompute_jac
+        h_prev, error_norm_prev = h_next, error_norm
+        h_next = h_abs * factor
+        y_olds.append(y)
+        qs.append([sum(a * b for a, b in zip(z_new, col)) for col in zip(*_P)])
+        knots.append(t_new)
+        t, y = t_new, y_new
+
+    knots, y_olds, qs = np.array(knots), np.array(y_olds), np.array(qs)
+
+    def dense(t_at):
+        seg = np.clip(np.searchsorted(knots, t_at, side="left") - 1, 0, y_olds.size - 1)
+        x = (t_at - knots[seg]) / (knots[seg + 1] - knots[seg])
+        q = qs[seg]
+        return y_olds[seg] + x * (q[:, 0] + x * (q[:, 1] + x * q[:, 2]))
+
+    stats = IntegratorStats(time_method="Radau", nfev=nfev, njev=njev, nlu=nlu,
+                            steps=y_olds.size)
+    return dense, stats
+
+
+def _leg_field(params: DimensionlessParameters):
+    """Right-hand side dw/dz of the backward leg in w = ln(-F'), and its d/dw.
+
+    The Jacobian takes the right-hand side value at the same point as its
+    third argument: dw/dz = Y' s / y^2 with y = F' = -e^w, s = F (1 - F) and
+    Y' = dy/deta from ``full_system_rhs``, so d/dw = s / y dY'/dy - 2 dw/dz,
+    where dY'/dy = q_e / ((q_e + Da) Pe) - (q_e + Da) dr/dq.
+    """
+    q_e, da, pe = params.q_e, params.da, params.pe
+
     def rhs(z, w):
         f = 1.0 / (1.0 + math.exp(-z))
-        out = []
-        for w_k, p in zip(w, members):
-            y = -math.exp(w_k)
-            out.append(full_system_rhs(f, y, p)[1] * f * (1.0 - f) / (y * y))
-        return out
+        y = -math.exp(w)
+        return full_system_rhs(f, y, params)[1] * f * (1.0 - f) / (y * y)
 
-    delta = settings.seed_delta
-    leg = solve_ivp(rhs, (z_seed, Z_STOP), [math.log(-slow_set(delta, p)) for p in members],
-                    method=STIFF_METHOD, rtol=settings.rel_tol, atol=settings.abs_tol,
-                    dense_output=True)
-    if leg.status != 0:
-        raise ConvergenceError(f"backward leg from the seed failed: {leg.message}")
+    def jac(z, w, dw):
+        f = 1.0 / (1.0 + math.exp(-z))
+        y = -math.exp(w)
+        r_q = _uptake_dq(f, q_e * f - pe * (q_e + da) * y, params)
+        return f * (1.0 - f) / y * (q_e / ((q_e + da) * pe) - (q_e + da) * r_q) - 2.0 * dw
+
+    return rhs, jac
+
+
+def _leg_slopes(params: DimensionlessParameters, settings: WaveSolverSettings,
+                z_seed: float) -> tuple[int, np.ndarray, IntegratorStats]:
+    """F' of the backward leg at z = k Z_STEP / 2 inside [z_seed, Z_STOP].
+
+    The sides of a front sample z on that grid, so the leg's dense output is
+    read once, as a table in k; returns the first k, the table and the leg's
+    counters.
+    """
+    w_seed = math.log(-slow_set(settings.seed_delta, params))
+    try:
+        w_at, stats = _radau_leg(*_leg_field(params), z_seed, w_seed, Z_STOP,
+                                 settings.rel_tol, settings.abs_tol)
+    except OverflowError as exc:
+        raise ConvergenceError(f"backward leg from the seed overflowed: {exc}") from exc
     half = 0.5 * Z_STEP
     k = np.arange(math.floor(z_seed / half), math.ceil(Z_STOP / half) + 1)
     z = half * k
     keep = (z >= z_seed) & (z <= Z_STOP)
-    return int(k[keep][0]), -np.exp(leg.sol(z[keep]))
+    return int(k[keep][0]), -np.exp(w_at(z[keep])), stats
 
 
 def solve_leading_order(params: DimensionlessParameters,
@@ -321,15 +530,6 @@ def solve_full_wave(params: DimensionlessParameters,
                     settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Heteroclinic front of the full equation for Pe > 0, normalized to F(0) = 1/2.
 
-    The one-Pe case of ``solve_full_waves``.
-    """
-    return solve_full_waves(params, (params.pe,), settings)[0]
-
-
-def solve_full_waves(params: DimensionlessParameters, pe_values,
-                     settings: WaveSolverSettings | None = None) -> list[WaveProfile]:
-    """Fronts of the full equation at every Pe of ``pe_values``, in that order.
-
     The solver seeds on the critical slow set at F = seed_delta next to the
     clean state and integrates w = ln(-F') with Radau over increasing z, which
     is backward eta, up to 1 - F = F_STOP; in reverse eta the saturated state
@@ -338,18 +538,11 @@ def solve_full_waves(params: DimensionlessParameters, pe_values,
     reduced slow-manifold flow h0(F), which approximates the attracting
     manifold to O(Pe) there.  eta is the quadrature of F (1 - F) / F' from the
     anchor z = 0, never a state of the leg, so the anchor keeps full precision
-    however far the seed lies from it.
-
-    Every Pe shares the z interval of the leg, so all of them integrate as one
-    Radau system with one w per Pe and share its steps; a failure of that leg
-    fails every Pe.  ``params`` supplies everything but Pe.
+    however far the seed lies from it.  The profile carries the leg's counters.
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
-    members = [replace(params, pe=float(pe)) for pe in pe_values]
-    if not members:
-        raise DomainError("pe_values must hold at least one value")
-    if any(p.pe == 0.0 for p in members):
+    if params.pe == 0.0:
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
     delta = settings.seed_delta
     if not 0.0 < delta < 0.5:
@@ -358,16 +551,26 @@ def solve_full_waves(params: DimensionlessParameters, pe_values,
             "on the clean side of the front"
         )
     z_seed = math.log(delta / (1.0 - delta))
-
-    k_first, slopes = _leg_slopes(members, settings, z_seed)
+    k_first, slope, stats = _leg_slopes(params, settings, z_seed)
     half = 0.5 * Z_STEP
 
-    def front(p, slope):
-        def f_prime(z):
-            out = leading_order_rhs(expit(z), p)
-            inside = (z >= z_seed) & (z <= Z_STOP)
-            out[inside] = slope[np.rint(z[inside] / half).astype(np.intp) - k_first]
-            return out
-        return _front(p, settings, f_prime)
+    def f_prime(z):
+        out = leading_order_rhs(expit(z), params)
+        inside = (z >= z_seed) & (z <= Z_STOP)
+        out[inside] = slope[np.rint(z[inside] / half).astype(np.intp) - k_first]
+        return out
 
-    return [front(p, slope) for p, slope in zip(members, slopes)]
+    return _front(params, settings, f_prime, stats)
+
+
+def solve_full_waves(params: DimensionlessParameters, pe_values,
+                     settings: WaveSolverSettings | None = None) -> list[WaveProfile]:
+    """Fronts of the full equation at every Pe of ``pe_values``, in that order.
+
+    Each Pe is its own ``solve_full_wave``; ``params`` supplies everything
+    but Pe.
+    """
+    fronts = [solve_full_wave(replace(params, pe=float(pe)), settings) for pe in pe_values]
+    if not fronts:
+        raise DomainError("pe_values must hold at least one value")
+    return fronts

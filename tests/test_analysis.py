@@ -12,7 +12,7 @@ from adsorb.analysis import (
     l2_profile_error,
     run_sweep,
 )
-from adsorb.errors import CoverageError, DomainError, ExistenceError
+from adsorb.errors import ConvergenceError, CoverageError, DomainError, ExistenceError
 from adsorb.model import DimensionlessParameters, ReactionOrders
 from adsorb.wave import (
     WaveProfile,
@@ -137,7 +137,7 @@ class TestBreakthroughWindow:
         window = breakthrough_window_time(solve_full_wave(p))
         reference = breakthrough_window_time(solve_full_wave(p, tight))
         assert window == pytest.approx(reference, rel=1e-7)
-        # a sweep integrates every positive Pe of its grid in one batched leg
+        # a sweep solves each positive Pe of its grid by its own leg
         swept = [r for r in run_sweep(p, SweepGrid.paper_default()) if r.pe == 0.05]
         assert len(swept) == 1 and swept[0].error is None
         assert swept[0].t_window == pytest.approx(reference, rel=1e-7)
@@ -185,6 +185,20 @@ class TestRunSweep:
         report = err.value.report
         assert report is not None and not report.admissible
         assert report.interior_equilibrium == pytest.approx(1.0 / 0.7 - 1.0, abs=1e-10)
+
+    def test_a_failed_solve_marks_only_its_own_pe(self, monkeypatch):
+        def solve(params, settings=None):
+            if params.pe == 0.2:
+                raise ConvergenceError("leg step fell below the minimum")
+            return solve_full_wave(params, settings)
+
+        monkeypatch.setattr("adsorb.analysis.solve_full_wave", solve)
+        recs = run_sweep(params_for(), SweepGrid((0.0, 0.1, 0.2, 0.3)))
+        assert [r.pe for r in recs] == [0.0, 0.1, 0.2, 0.3]
+        assert recs[2].error == "ConvergenceError: leg step fell below the minimum"
+        assert np.isnan(recs[2].l2_error) and np.isnan(recs[2].t_window)
+        for rec in (recs[0], recs[1], recs[3]):
+            assert rec.error is None and np.isfinite(rec.e_bt)
 
     def test_failed_points_are_marked_not_fatal(self):
         settings = WaveSolverSettings(seed_delta=-1e-6)  # diverges for every pe > 0

@@ -115,6 +115,7 @@ class TestRunners:
         run(parse_config(json.dumps(doc)))
         meta = json.loads((tmp_path / "lead" / "wave_meta.json").read_text())
         assert meta["pe"] == 0.0
+        assert "time_method" not in meta  # the Pe = 0 front integrates no ODE
 
         doc = json.loads(wave_doc(pe=0.1))
         doc["output"] = {"dir": str(tmp_path / "full")}
@@ -122,6 +123,8 @@ class TestRunners:
         meta = json.loads((tmp_path / "full" / "wave_meta.json").read_text())
         assert meta["pe"] == 0.1
         assert meta["velocity"] == pytest.approx(1.25, rel=1e-12)
+        assert meta["time_method"] == "Radau"
+        assert meta["nfev"] > meta["steps"] > 0 and meta["nlu"] >= meta["njev"] >= 1
 
     def test_wave_csv_round_trip_preserves_l2(self, tmp_path):
         doc = json.loads(wave_doc(pe=0.1))

@@ -21,6 +21,7 @@ from adsorb.model import (
     qe_from_alpha,
     sips_isotherm,
 )
+from adsorb.model import _uptake, _uptake_dq
 
 from conftest import column_physical
 
@@ -262,6 +263,17 @@ class TestEquilibriumPolynomial:
         assert abs(equilibrium_polynomial(root, p)) < 1e-14
 
 
+class TestRateLawPartial:
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4), (2, 1)])
+    @pytest.mark.parametrize("q_e", [0.3, 0.7, 0.99])
+    def test_q_partial_matches_central_differences(self, m, n, q_e):
+        p = params_for(q_e, da=0.1, pe=0.0, m=m, n=n)
+        c, q = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(0.05, 0.95, 13))
+        h = 1e-6
+        central = (_uptake(c, q + h, p) - _uptake(c, q - h, p)) / (2.0 * h)
+        assert_allclose(_uptake_dq(c, q, p), central, rtol=1e-7, atol=1e-9)
+
+
 class TestAnalyzeEquilibria:
     def test_physisorption_is_admissible(self):
         report = analyze_equilibria(params_for(0.7, da=0.1, pe=0.0, m=1, n=1))
@@ -288,6 +300,27 @@ class TestAnalyzeEquilibria:
         report = analyze_equilibria(params_for(0.4, da=0.1, pe=0.0, m=2, n=1))
         assert not report.admissible and report.reason == REASON_INCREASING
         assert report.interior_equilibrium is None
+
+    # For (m, n) = (2, 1) the threshold a = m/(m - n) is 2, i.e. q_e = 1/2, and
+    # the interior equilibrium is a - 1, which merges with x = 1 there.
+    @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12])
+    def test_threshold_within_roundoff_is_a_double_root(self, shift):
+        report = analyze_equilibria(params_for(0.5 * (1.0 + shift), da=0.1, pe=0.0, m=2, n=1))
+        assert report.reason == REASON_INCREASING and report.interior_equilibrium is None
+        assert [(r.value, r.multiplicity) for r in report.roots_in_unit_interval] == \
+            [(0.0, 1), (1.0, 2)]
+
+    def test_a_just_above_threshold_gives_increasing_solutions(self):
+        report = analyze_equilibria(params_for(0.5 * (1.0 - 1e-6), da=0.1, pe=0.0, m=2, n=1))
+        assert report.reason == REASON_INCREASING and report.interior_equilibrium is None
+        assert [(r.value, r.multiplicity) for r in report.roots_in_unit_interval] == \
+            [(0.0, 1), (1.0, 1)]
+
+    def test_a_just_below_threshold_gives_interior_equilibrium(self):
+        q_e = 0.5 * (1.0 + 1e-3)
+        report = analyze_equilibria(params_for(q_e, da=0.1, pe=0.0, m=2, n=1))
+        assert report.reason == REASON_INTERIOR
+        assert report.interior_equilibrium == pytest.approx(1.0 / q_e - 1.0, abs=1e-12)
 
     def test_zero_root_multiplicity(self):
         report = analyze_equilibria(params_for(0.7, da=0.1, pe=0.0, m=2, n=3))

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 import hypothesis
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from adsorb.errors import (
+    ConvergenceError,
     CoverageError,
     DegenerateStatesError,
     DivergenceError,
@@ -32,6 +36,7 @@ from adsorb.wave import (
     solve_leading_order,
     wave_velocity_general,
 )
+from adsorb.wave import Z_STEP, Z_STOP, _leg_field, _leg_slopes, _radau_leg
 
 ADMISSIBLE_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)]
 
@@ -290,6 +295,74 @@ class TestBatchedFullWaves:
     def test_rejects_empty_or_zero_pe(self, pe_values):
         with pytest.raises(DomainError):
             solve_full_waves(params_for(), pe_values)
+
+
+class TestScalarRadauLeg:
+    @pytest.mark.parametrize("pe", [0.01, 1.5])
+    @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)
+    def test_slopes_match_tight_scipy_radau(self, m, n, pe):
+        # scipy's Radau at rtol 1e-12 is the oracle for the default-tolerance leg
+        p = params_for(pe=pe, m=m, n=n)
+        settings = WaveSolverSettings()
+        z_seed = math.log(settings.seed_delta / (1.0 - settings.seed_delta))
+        k_first, slopes, _ = _leg_slopes(p, settings, z_seed)
+        rhs, _ = _leg_field(p)
+        oracle = solve_ivp(lambda z, w: [rhs(z, w[0])], (z_seed, Z_STOP),
+                           [math.log(-slow_set(settings.seed_delta, p))],
+                           method="Radau", rtol=1e-12, atol=1e-14, dense_output=True)
+        z = 0.5 * Z_STEP * (k_first + np.arange(slopes.size))
+        assert z_seed <= z[0] and z[-1] <= Z_STOP
+        reference = -np.exp(oracle.sol(z)[0])
+        assert np.max(np.abs(slopes / reference - 1.0)) < 1e-5
+
+    @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
+    @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)
+    def test_jacobian_matches_central_differences(self, m, n, pe):
+        # near the slow set dw/dz is a difference of terms of order 1/Pe, so
+        # the differences carry roundoff of the size of dw/dz, not of d/dw
+        p = params_for(pe=pe, m=m, n=n)
+        rhs, jac = _leg_field(p)
+        h = 1e-4
+        for z in np.linspace(-12.0, 12.0, 9):
+            on_slow_set = math.log(-slow_set(1.0 / (1.0 + math.exp(-z)), p))
+            for w in on_slow_set + np.array([-0.5, 0.0, 0.5]):
+                dw = rhs(z, w)
+                central = (rhs(z, w + h) - rhs(z, w - h)) / (2.0 * h)
+                assert jac(z, w, dw) == pytest.approx(central, rel=1e-6, abs=1e-6 * abs(dw))
+
+    def test_stiff_linear_problem_step_for_step_with_scipy(self):
+        # y' = lam (y - sin t) + cos t from y(0) = 0 is solved by sin t
+        lam = -1e3
+        w_at, stats = _radau_leg(lambda t, y: lam * (y - math.sin(t)) + math.cos(t),
+                                 lambda t, y, f: lam, 0.0, 0.0, 10.0, 1e-8, 1e-10)
+        ref = solve_ivp(lambda t, y: lam * (y - np.sin(t)) + np.cos(t), (0.0, 10.0), [0.0],
+                        method="Radau", rtol=1e-8, atol=1e-10, jac=lambda t, y: [[lam]],
+                        dense_output=True)
+        assert (stats.steps, stats.nfev, stats.njev, stats.nlu) == \
+            (ref.t.size - 1, ref.nfev, ref.njev, ref.nlu)
+        t = np.linspace(0.0, 10.0, 1001)
+        assert np.max(np.abs(w_at(t) - ref.sol(t)[0])) < 1e-10  # roundoff apart
+        assert np.max(np.abs(w_at(t) - np.sin(t))) < 1e-7
+
+    def test_blow_up_raises_convergence_error(self):
+        # y' = y^2 from y(0) = 1 leaves every float at t = 1
+        with pytest.raises(ConvergenceError):
+            _radau_leg(lambda t, y: y * y, lambda t, y, f: 2.0 * y, 0.0, 1.0, 2.0, 1e-8, 1e-10)
+
+    def test_overflow_on_the_leg_is_a_convergence_error(self, monkeypatch):
+        def overflow(x, y, params):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("adsorb.wave.full_system_rhs", overflow)
+        with pytest.raises(ConvergenceError):
+            solve_full_wave(params_for(pe=0.1))
+
+    def test_profile_carries_the_leg_counters(self, full_11_pe01, lead_11):
+        stats = full_11_pe01.stats
+        assert stats.time_method == "Radau"
+        assert stats.steps > 0 and stats.nfev >= 4 * stats.steps + 2
+        assert stats.njev >= 1 and stats.nlu >= 2
+        assert lead_11.stats is None
 
 
 class TestFrontProperties:
