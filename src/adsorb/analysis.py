@@ -61,8 +61,10 @@ def l2_profile_error(full: WaveProfile, leading: WaveProfile,
                      n_points: int = DEFAULT_QUAD_POINTS) -> float:
     """L2 distance between two normalized fronts over [-eta_star, eta_star].
 
-    Both profiles are interpolated monotone-cubically onto a common uniform
-    grid and the squared difference is integrated by the trapezoidal rule.
+    Both profiles are interpolated onto a common uniform grid and the squared
+    difference is integrated by the trapezoidal rule.  A profile covers the
+    grid where ``f_at`` has a value there: inside its window, or upstream of
+    a head that reached saturation.
     """
     if eta_star <= 0.0:
         raise DomainError(f"eta_star must be positive, got {eta_star!r}")
@@ -70,13 +72,15 @@ def l2_profile_error(full: WaveProfile, leading: WaveProfile,
         raise DomainError(f"common grid needs >= 2000 points, got {n_points}")
     if not (full.normalized and leading.normalized):
         raise DomainError("both profiles must be normalized to F(0) = 1/2")
+    grid = np.linspace(-eta_star, eta_star, n_points)
+    values = []
     for name, prof in (("full", full), ("leading", leading)):
-        if prof.window[0] > -eta_star or prof.window[1] < eta_star:
+        values.append(prof.f_at(grid))
+        if np.isnan(values[-1]).any():
             raise CoverageError(
                 f"{name} profile window {prof.window} does not cover [-{eta_star}, {eta_star}]"
             )
-    grid = np.linspace(-eta_star, eta_star, n_points)
-    diff = full.f_at(grid) - leading.f_at(grid)
+    diff = values[0] - values[1]
     return float(np.sqrt(np.trapezoid(diff * diff, grid)))
 
 

@@ -34,14 +34,7 @@ from .model import (
     nondimensionalize,
     sips_isotherm,
 )
-from .pde import (
-    IntegratorStats,
-    PdeSolverSettings,
-    SpatialGrid,
-    mass_balance_residual,
-    solve_pde,
-    track_front,
-)
+from .stats import IntegratorStats
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
 MODES = ("nondim", "wave", "pde", "sweep", "isotherm")
@@ -344,6 +337,9 @@ def _run_wave(config: RunConfig, out: Path) -> list[Path]:
 
 
 def _run_pde(config: RunConfig, out: Path) -> list[Path]:
+    # imported here so that no other mode loads scipy
+    from .pde import PdeSolverSettings, SpatialGrid, mass_balance_residual, solve_pde, track_front
+
     s = config.solver
     grid = SpatialGrid(ell=config.params.ell, n_cells=int(s["n_cells"]))
     times = np.linspace(0.0, float(s["t_end"]), int(s["n_snapshots"]))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 
@@ -292,6 +291,27 @@ def equilibrium_polynomial_direct(x, params: DimensionlessParameters):
     return out if out.ndim else float(out)
 
 
+def _interior_root(m: int, n: int, a: float) -> float:
+    """The root in (0, 1) of (a - 1)^n - x^(m-n) (a - x)^n, for m > n and 1 < a < m/(m-n).
+
+    Under the isotherm link 1 - alpha = alpha (a - 1)^n this is the
+    equilibrium polynomial divided by alpha x^n.  Its root x = 1 is divided
+    out exactly, so the interior root stays separable from x = 1 however
+    close a lies to the threshold.  x^(m-n) (a - x)^n rises and then falls on
+    (0, 1), so the quotient has exactly one root there.
+    """
+    # coefficients, highest power first: x^(m-n) (a - x)^n, then the constant
+    power = [math.comb(n, k) * (-1.0) ** k * a ** (n - k) for k in range(n, -1, -1)]
+    poly = -np.array(power + [0.0] * (m - n))
+    poly[-1] += (a - 1.0) ** n
+    quotient, _ = np.polydiv(poly, [1.0, -1.0])  # the remainder is roundoff
+    roots = np.roots(quotient)
+    inside = [r.real for r in roots if r.imag == 0.0 and 0.0 < r.real < 1.0]
+    if len(inside) != 1:
+        raise DomainError(f"expected one interior equilibrium on (0, 1), found {len(inside)}")
+    return float(inside[0])
+
+
 def analyze_equilibria(params: DimensionlessParameters) -> EquilibriumReport:
     """Classify the equilibria of the leading-order front equation on [0, 1].
 
@@ -307,14 +327,11 @@ def analyze_equilibria(params: DimensionlessParameters) -> EquilibriumReport:
         roots.append(PolynomialRoot(1.0, 1))
         return EquilibriumReport(True, tuple(roots), None, REASON_ADMISSIBLE)
     threshold = m / (m - n)
-    # at the threshold x = 1 is a double root; within roundoff of it no
-    # bracket separates the interior root from x = 1
+    # at the threshold x = 1 is a double root; within 1e-9 of it the interior
+    # root is reported as merged with x = 1
     at_threshold = math.isclose(a, threshold)
     if a < threshold and not at_threshold:
-        try:
-            c_star = brentq(equilibrium_polynomial, 1e-10, 1.0 - 1e-10, args=(params,))
-        except ValueError as exc:
-            raise DomainError("interior root bracket failed; no sign change on (0, 1)") from exc
+        c_star = _interior_root(m, n, a)
         roots.append(PolynomialRoot(c_star, 1))
         roots.append(PolynomialRoot(1.0, 1))
         return EquilibriumReport(False, tuple(roots), c_star, REASON_INTERIOR)

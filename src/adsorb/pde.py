@@ -29,6 +29,7 @@ from .errors import (
     StiffnessError,
 )
 from .model import DimensionlessParameters, _uptake
+from .stats import IntegratorStats
 
 FIELD_TOL = 1e-6  # roundoff slack on the physical bounds of c and q
 TIME_METHOD = "BDF"  # implicit variable-order BDF; the Da-scaled c rows are stiff
@@ -60,17 +61,6 @@ class SpatialGrid:
 class PdeSolverSettings:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-
-
-@dataclass(frozen=True)
-class IntegratorStats:
-    """What the time integrator did: its method and its work counters."""
-
-    time_method: str
-    nfev: int  # right-hand-side evaluations outside the Jacobian estimates
-    njev: int  # Jacobian evaluations (finite differences for the PDE)
-    nlu: int   # LU factorisations
-    steps: int | None = None  # accepted steps, where the integrator reports them
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import expit
 
 from .errors import (
     ConvergenceError,
@@ -51,10 +49,9 @@ from .errors import (
     ExistenceError,
 )
 from .model import DimensionlessParameters, _uptake, _uptake_dq, analyze_equilibria
-from .pde import IntegratorStats
+from .stats import IntegratorStats
 
 F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
-F_RANGE_TOL = 1e-9         # roundoff slack on F in [0, 1]
 NORMALIZATION_TOL = 1e-8   # |F(0) - 1/2| for normalized profiles
 
 F_STOP = 1e-6              # distance from a far-field state where a front may end
@@ -100,9 +97,13 @@ class WaveSolverSettings:
 class WaveProfile:
     """Sampled front profile (eta, F, G) with its velocity and window.
 
-    Arrays are treated as immutable once constructed, so the interpolants of
-    F(eta) and eta(F) are built once, on first use; eta increases strictly
-    and F decreases strictly from the saturated to the clean state.
+    eta increases strictly and F decreases strictly, inside (0, 1), from the
+    saturated to the clean state.  Both read-outs interpolate on the log-odds
+    axis z = ln(F / (1 - F)) by one cubic Hermite through the samples: eta(z)
+    with the slopes ``deta_dz`` and its inverse z(eta) with the slopes
+    1 / ``deta_dz``.  The solvers pass the slopes of their quadrature; without
+    them the slopes are Fritsch-Carlson's.  Arrays are treated as immutable
+    once constructed, so the interpolants are built once, on first use.
     ``stats`` holds the work counters of the Pe > 0 leg.
     """
 
@@ -114,6 +115,7 @@ class WaveProfile:
     normalized: bool
     window: tuple[float, float]
     stats: IntegratorStats | None = None
+    deta_dz: np.ndarray | None = None
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
@@ -129,29 +131,52 @@ class WaveProfile:
             raise DomainError(
                 f"profile does not span the far-field states: F in [{f[-1]!r}, {f[0]!r}]"
             )
-        if np.min(f) < -F_RANGE_TOL or np.max(f) > 1.0 + F_RANGE_TOL:
-            raise DomainError("F leaves [0, 1] beyond roundoff")
+        if not (0.0 < f[-1] and f[0] < 1.0):
+            raise DomainError("F must lie inside (0, 1), where its log-odds are finite")
         if self.window != (eta[0], eta[-1]):
             raise DomainError("window must match the sampled eta range")
+        if self.deta_dz is not None:
+            deta_dz = np.asarray(self.deta_dz, dtype=float)
+            if deta_dz.shape != eta.shape:
+                raise DomainError("deta_dz must have one slope per sample")
+            object.__setattr__(self, "deta_dz", deta_dz)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         if self.normalized:
-            f_mid = float(self._f_of_eta(0.0))
+            f_mid = float(_expit(self._z_of_eta(0.0)))
             if not abs(f_mid - 0.5) < NORMALIZATION_TOL:
                 raise DomainError(f"normalized profile has F(0) = {f_mid!r}, expected 1/2")
 
     @cached_property
-    def _f_of_eta(self) -> PchipInterpolator:
-        return PchipInterpolator(self.eta, self.f, extrapolate=False)
+    def _z(self) -> np.ndarray:
+        return _logit(self.f)
 
     @cached_property
-    def _eta_of_f(self) -> PchipInterpolator:
-        return PchipInterpolator(self.f[::-1], self.eta[::-1], extrapolate=False)
+    def _slopes(self) -> np.ndarray:
+        return _monotone_slopes(self._z, self.eta) if self.deta_dz is None else self.deta_dz
+
+    @cached_property
+    def _z_of_eta(self):
+        return _hermite(self.eta, self._z, 1.0 / self._slopes)
+
+    @cached_property
+    def _eta_of_z(self):
+        return _hermite(self._z[::-1], self.eta[::-1], self._slopes[::-1])
 
     def f_at(self, eta):
-        """Monotone-cubic interpolation of F; NaN outside the sampled window."""
-        return self._f_of_eta(eta)
+        """F interpolated at ``eta``; NaN outside the sampled window.
+
+        Upstream of a window whose head reaches z = Z_HEAD the value is 1.
+        """
+        eta = np.asarray(eta, dtype=float)
+        lo, hi = self.window
+        # past z = Z_HEAD, F equals 1 to 13 digits
+        upstream = 1.0 if self._z[0] >= Z_HEAD - 0.5 * Z_STEP else math.nan
+        inside = (eta >= lo) & (eta <= hi)
+        out = np.where(eta < lo, upstream, math.nan)
+        out[inside] = _expit(self._z_of_eta(eta[inside]))
+        return out
 
     def eta_at(self, level: float) -> float:
         """Position where F crosses ``level``; raises if the level is not spanned."""
@@ -159,7 +184,57 @@ class WaveProfile:
             raise CoverageError(
                 f"level {level!r} outside the profile range [{self.f[-1]!r}, {self.f[0]!r}]"
             )
-        return float(self._eta_of_f(level))
+        return float(self._eta_of_z(_logit(level)))
+
+
+def _expit(z):
+    """Logistic function 1 / (1 + e^-z); 0 where e^-z overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _logit(f):
+    return np.log(f) - np.log1p(-f)
+
+
+def _hermite(x, y, d):
+    """Cubic Hermite through (x, y) with slopes d, for x increasing.
+
+    Returns its vectorized evaluator, which continues the end cubics outside
+    [x[0], x[-1]].
+    """
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    c2 = (3.0 * secant - 2.0 * d[:-1] - d[1:]) / h
+    c3 = (d[:-1] + d[1:] - 2.0 * secant) / (h * h)
+
+    def at(t):
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, h.size - 1)
+        dt = t - x[i]
+        return y[i] + dt * (d[i] + dt * (c2[i] + dt * c3[i]))
+
+    return at
+
+
+def _monotone_slopes(x, y):
+    """Node slopes that keep the cubic Hermite through strictly monotone data monotone.
+
+    Interior slopes are the weighted harmonic means of the adjacent secants
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980, with the weights of
+    Fritsch & Butland); each end takes the three-point estimate, or the end
+    secant where that estimate has the wrong sign, since a zero slope has no
+    inverse.
+    """
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    d = np.empty_like(y)
+    d[1:-1] = (w1 + w2) / (w1 / secant[:-1] + w2 / secant[1:])
+    d[0] = ((2.0 * h[0] + h[1]) * secant[0] - h[0] * secant[1]) / (h[0] + h[1])
+    d[-1] = ((2.0 * h[-1] + h[-2]) * secant[-1] - h[-1] * secant[-2]) / (h[-1] + h[-2])
+    ends, end_secants = [0, -1], secant[[0, -1]]
+    d[ends] = np.where(d[ends] / end_secants > 0.0, d[ends], end_secants)
+    return d
 
 
 def wave_velocity_general(states: FarFieldStates, da: float) -> float:
@@ -225,7 +300,7 @@ def closed_form_wave_11(params: DimensionlessParameters, eta):
     if params.pe != 0.0:
         raise DomainError("closed form is the Pe = 0 front; build params with pe = 0")
     k = params.alpha * (params.q_e + params.da)
-    out = expit(-k * np.asarray(eta, dtype=float))
+    out = _expit(-k * np.asarray(eta, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -243,7 +318,7 @@ def _require_front(params: DimensionlessParameters) -> None:
 
 
 def _side(f_prime, sign: float, eta_span: float):
-    """Samples (z, eta, F') of one side of the front, outward from z = 0.
+    """Samples (z, eta, F', d eta / dz) of one side of the front, outward from z = 0.
 
     The samples sit at z = 0, sign Z_STEP, 2 sign Z_STEP, ... and eta is the
     integral of F (1 - F) / F' from 0 by Simpson's rule on half steps.  The
@@ -255,28 +330,27 @@ def _side(f_prime, sign: float, eta_span: float):
     while True:
         z_half = sign * 0.5 * Z_STEP * np.arange(2 * steps + 1)
         fp = f_prime(z_half)
-        slope = expit(z_half) * expit(-z_half) / fp  # d eta / dz
+        slope = _expit(z_half) * _expit(-z_half) / fp  # d eta / dz
         step = sign * Z_STEP / 6.0 * (slope[:-2:2] + 4.0 * slope[1::2] + slope[2::2])
         eta = np.concatenate(([0.0], np.cumsum(step)))
         z = z_half[::2]
         done = (np.abs(z) >= Z_STOP) & (np.abs(eta) >= eta_span)
         if done.any() or steps == cap:
             end = int(np.argmax(done)) + 1 if done.any() else z.size
-            return z[:end], eta[:end], fp[::2][:end]
+            return z[:end], eta[:end], fp[::2][:end], slope[::2][:end]
         steps = min(2 * steps, cap)
 
 
 def _front(params: DimensionlessParameters, settings: WaveSolverSettings,
            f_prime, stats: IntegratorStats | None = None) -> WaveProfile:
     """Normalized profile of the front whose slope at z is ``f_prime(z)``."""
-    (z_head, eta_head, fp_head), (z_tail, eta_tail, fp_tail) = (
-        _side(f_prime, sign, settings.eta_span) for sign in (1.0, -1.0))
-    eta = np.concatenate((eta_head[::-1], eta_tail[1:]))
-    f = expit(np.concatenate((z_head[::-1], z_tail[1:])))
-    fp = np.concatenate((fp_head[::-1], fp_tail[1:]))
+    head, tail = (_side(f_prime, sign, settings.eta_span) for sign in (1.0, -1.0))
+    z, eta, fp, slope = (np.concatenate((h[::-1], t[1:])) for h, t in zip(head, tail))
+    f = _expit(z)
     return WaveProfile(
         eta=eta, f=f, g=g_from_f(f, fp, params), velocity=params.velocity, pe=params.pe,
         normalized=True, window=(float(eta[0]), float(eta[-1])), stats=stats,
+        deta_dz=slope,
     )
 
 
@@ -523,7 +597,7 @@ def solve_leading_order(params: DimensionlessParameters,
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
-    return _front(params, settings, lambda z: leading_order_rhs(expit(z), params))
+    return _front(params, settings, lambda z: leading_order_rhs(_expit(z), params))
 
 
 def solve_full_wave(params: DimensionlessParameters,
@@ -555,7 +629,7 @@ def solve_full_wave(params: DimensionlessParameters,
     half = 0.5 * Z_STEP
 
     def f_prime(z):
-        out = leading_order_rhs(expit(z), params)
+        out = leading_order_rhs(_expit(z), params)
         inside = (z >= z_seed) & (z <= Z_STOP)
         out[inside] = slope[np.rint(z[inside] / half).astype(np.intp) - k_first]
         return out

@@ -179,6 +179,13 @@ class TestRunSweep:
         errors = [r.l2_error for r in recs]
         assert all(b > a for a, b in zip(errors, errors[1:]))
 
+    def test_fast_front_sweeps(self):
+        # head rate alpha (q_e + Da) = 2.36: every saturated side stops at
+        # z = Z_HEAD short of eta = -20, where F equals 1 to 13 digits
+        recs = run_sweep(params_for(q_e=0.9805, da=1.4255), SweepGrid((0.0, 0.0054, 0.1, 0.5)))
+        assert all(r.error is None for r in recs)
+        assert all(r.l2_error > 0.0 and r.e_bt > 0.0 for r in recs[1:])
+
     def test_refuses_inadmissible_orders_with_report(self):
         with pytest.raises(ExistenceError) as err:
             run_sweep(params_for(m=2, n=1), SweepGrid((0.0, 0.1)))

@@ -25,6 +25,30 @@ PHYSICAL = {
 }
 
 
+def scipy_modules(code: str, env) -> list[str]:
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+                    " if m == 'scipy' or m.startswith('scipy.'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportIsolation:
+    # only pde mode needs scipy; the other modes load numpy and the stdlib
+    def test_cli_import_loads_no_scipy(self, child_env):
+        assert scipy_modules("import adsorb.cli", child_env) == []
+
+    def test_wave_run_loads_no_scipy(self, tmp_path, child_env):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(wave_doc(pe=0.1))
+        argv = ["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = f"from adsorb.cli import main\nassert main({argv!r}) == 0"
+        assert scipy_modules(code, child_env) == []
+        assert (tmp_path / "out" / "wave_profile.csv").exists()
+
+
 class TestParseConfig:
     def test_minimal_wave_document(self):
         config = parse_config(wave_doc())

@@ -322,6 +322,16 @@ class TestAnalyzeEquilibria:
         assert report.reason == REASON_INTERIOR
         assert report.interior_equilibrium == pytest.approx(1.0 / q_e - 1.0, abs=1e-12)
 
+    # the root a - 1 lies 2 eps below x = 1, where the factored polynomial's
+    # sign is lost to roundoff; within 1e-9 of the threshold it is reported
+    # merged with x = 1
+    @pytest.mark.parametrize("eps", [3e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+    def test_interior_root_next_to_the_threshold(self, eps):
+        q_e = 0.5 * (1.0 + eps)
+        report = analyze_equilibria(params_for(q_e, da=0.1, pe=0.0, m=2, n=1))
+        assert report.reason == REASON_INTERIOR
+        assert abs(report.interior_equilibrium - (1.0 / q_e - 1.0)) <= 1e-12
+
     def test_zero_root_multiplicity(self):
         report = analyze_equilibria(params_for(0.7, da=0.1, pe=0.0, m=2, n=3))
         zero = next(r for r in report.roots_in_unit_interval if r.value == 0.0)

@@ -117,6 +117,12 @@ class TestAssembleRhs:
         assert c0 == pytest.approx(1.0, rel=1e-12)
 
 
+def test_integrator_stats_is_one_class_across_layers():
+    # it lives in a module that loads no scipy, so the wave layer can use it
+    from adsorb import pde, stats, wave
+    assert pde.IntegratorStats is stats.IntegratorStats is wave.IntegratorStats
+
+
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 3)])
 def test_jacobian_sparsity_is_exact(m, n, monkeypatch):
     # the nonzero set of a central-difference Jacobian at a generic state

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from adsorb.analysis import breakthrough_window_time
+from adsorb.cli import main, read_wave_profile
 from adsorb.errors import (
     ConvergenceError,
     CoverageError,
@@ -381,6 +384,37 @@ class TestFrontProperties:
         assert abs(float(w.f_at(0.0)) - 0.5) <= 1e-8
         assert w.window[1] >= span
         assert w.window[0] <= -span or 1.0 - w.f[0] <= 1e-12
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("pe", [0.0, 0.05, 0.1])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
+    def test_levels_match_a_fine_tight_oracle(self, m, n, pe, monkeypatch):
+        solve = solve_leading_order if pe == 0.0 else solve_full_wave
+        p = params_for(pe=pe, m=m, n=n)
+        front = solve(p)
+        monkeypatch.setattr("adsorb.wave.Z_STEP", Z_STEP / 8)
+        oracle = solve(p, WaveSolverSettings(rel_tol=1e-12, abs_tol=1e-14))
+        for level in (1e-4, 1e-2):
+            assert front.eta_at(level) == pytest.approx(oracle.eta_at(level), rel=1e-9)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
+    def test_reread_profile_keeps_the_window(self, m, n, tmp_path):
+        # the artifact holds no slopes, so the re-read profile takes Fritsch-Carlson's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "wave", "dimensionless": {
+            "q_e": 0.7, "da": 0.1, "pe": 0.1, "m": m, "n": n}}))
+        assert main(["wave", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        back = read_wave_profile(tmp_path / "wave_profile.csv", tmp_path / "wave_meta.json")
+        assert back.deta_dz is None
+        window = breakthrough_window_time(solve_full_wave(params_for(pe=0.1, m=m, n=n)))
+        assert breakthrough_window_time(back) == pytest.approx(window, rel=1e-8)
+
+    def test_saturated_head_reads_one_upstream(self):
+        w = solve_leading_order(params_for(q_e=0.9805, da=1.4255))
+        assert w.window[0] > -20.0 and 1.0 - w.f[0] < 1e-13
+        assert w.f_at(np.array([-1e3, -20.0])).tolist() == [1.0, 1.0]
+        assert np.isnan(w.f_at(w.window[1] + 1.0))
 
 
 class TestLegsJoinUp:
