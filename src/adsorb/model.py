@@ -221,8 +221,17 @@ def alpha_from_qe(q_e: float, n: int) -> float:
         raise DomainError(f"q_e must lie in (0, 1), got {q_e!r}")
     if n < 1:
         raise DomainError(f"order n must be >= 1, got {n!r}")
-    big_r = (q_e / (1.0 - q_e)) ** n
-    return big_r / (1.0 + big_r)
+    try:
+        big_r = (q_e / (1.0 - q_e)) ** n
+        alpha = big_r / (1.0 + big_r)
+    except OverflowError:  # R past the largest double
+        alpha = 1.0
+    if not alpha < 1.0:
+        raise DomainError(
+            f"alpha = R/(1+R) with R = (q_e/(1-q_e))^n rounds to 1 in double precision "
+            f"for q_e = {q_e!r}, n = {n}"
+        )
+    return alpha
 
 
 def nondimensionalize(p: PhysicalParameters, pe: float | None = None) -> DimensionlessParameters:
@@ -252,21 +261,38 @@ def nondimensionalize(p: PhysicalParameters, pe: float | None = None) -> Dimensi
     )
 
 
+def _rate_law(params: DimensionlessParameters):
+    """The attachment rate r(c, q) and its q-partial, with the constants of ``params`` bound.
+
+    r(c, q) = alpha c^m (1-q)^n - (1-alpha) q^n, written with
+    1 - alpha = alpha ((1-q_e)/q_e)^n from the isotherm: both factors are
+    exactly one at (1, q_e), so the rate is exactly zero there and at (0, 0).
+    Both closures take floats or arrays.
+    """
+    q_e, m, n = params.q_e, params.m, params.n
+    one_minus_qe = 1.0 - q_e
+    amp = params.alpha * one_minus_qe ** n
+    amp_q = -n * params.alpha * one_minus_qe ** n
+    n_q = n - 1
+
+    def r(c, q):
+        return amp * (c ** m * ((1.0 - q) / one_minus_qe) ** n - (q / q_e) ** n)
+
+    def r_q(c, q):
+        return amp_q * (c ** m * ((1.0 - q) / one_minus_qe) ** n_q / one_minus_qe
+                        + (q / q_e) ** n_q / q_e)
+
+    return r, r_q
+
+
 def _uptake(c, q, params: DimensionlessParameters):
-    # The attachment law dq/dt = alpha c^m (1-q)^n - (1-alpha) q^n, with
-    # 1 - alpha = alpha ((1-q_e)/q_e)^n from the isotherm: both factors are
-    # exactly one at (1, q_e), so the rate is exactly zero there and at (0, 0).
-    q_e, n = params.q_e, params.n
-    return params.alpha * (1.0 - q_e) ** n * (
-        c ** params.m * ((1.0 - q) / (1.0 - q_e)) ** n - (q / q_e) ** n)
+    """The attachment rate r(c, q) of ``_rate_law``."""
+    return _rate_law(params)[0](c, q)
 
 
 def _uptake_dq(c, q, params: DimensionlessParameters):
-    # d/dq of _uptake, in the same factored form
-    q_e, n = params.q_e, params.n
-    return -n * params.alpha * (1.0 - q_e) ** n * (
-        c ** params.m * ((1.0 - q) / (1.0 - q_e)) ** (n - 1) / (1.0 - q_e)
-        + (q / q_e) ** (n - 1) / q_e)
+    """d/dq of ``_uptake``, in the same factored form."""
+    return _rate_law(params)[1](c, q)
 
 
 def equilibrium_polynomial(x, params: DimensionlessParameters):

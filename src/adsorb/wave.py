@@ -48,7 +48,7 @@ from .errors import (
     DomainError,
     ExistenceError,
 )
-from .model import DimensionlessParameters, _uptake, _uptake_dq, analyze_equilibria
+from .model import DimensionlessParameters, _rate_law, _uptake, analyze_equilibria
 from .stats import IntegratorStats
 
 F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
@@ -281,12 +281,32 @@ def full_system_rhs(x: float, y: float, params: DimensionlessParameters) -> tupl
     whose factors are exactly one at the rest states, so (0, 0) and (1, 0)
     return exactly (0, 0).
     """
-    pe = params.pe
-    if pe == 0.0:
+    if params.pe == 0.0:
         raise DomainError("pe is zero; use leading_order_rhs for the reduced front equation")
-    q_e, da = params.q_e, params.da
-    g = q_e * x - pe * (q_e + da) * y
-    return y, (q_e / (q_e + da) * y + _uptake(x, g, params)) / pe
+    return y, _phase_field(params)[0](x, y)
+
+
+def _phase_field(params: DimensionlessParameters):
+    """Y' = dy/deta of ``full_system_rhs`` and its d/dy, with the constants bound.
+
+    Pe Y' = q_e/(q_e + Da) y + r(x, G) with G = q_e x - Pe (q_e + Da) y, so
+    dY'/dy = q_e / ((q_e + Da) Pe) - (q_e + Da) dr/dq at the same G.  Both
+    closures take (x, y); ``params.pe`` must be positive.
+    """
+    r, r_q = _rate_law(params)
+    q_e, pe = params.q_e, params.pe
+    q_e_da = q_e + params.da
+    lift = q_e / q_e_da
+    drift = pe * q_e_da
+    lift_dy = q_e / (q_e_da * pe)
+
+    def y_prime(x, y):
+        return (lift * y + r(x, q_e * x - drift * y)) / pe
+
+    def y_prime_dy(x, y):
+        return lift_dy - q_e_da * r_q(x, q_e * x - drift * y)
+
+    return y_prime, y_prime_dy
 
 
 def closed_form_wave_11(params: DimensionlessParameters, eta):
@@ -379,6 +399,13 @@ _TI_COMPLEX = tuple(a + 1j * b for a, b in zip(_TI[1], _TI[2]))
 _P = ((13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0, 10.0 / 3.0 + 5.0 * _S6),
       (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6),
       (1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0))
+# the tableau entries as scalars, read by the stepper without unpacking
+_C1, _C2, _C3 = _C
+_E1, _E2, _E3 = _E
+_TI11, _TI12, _TI13 = _TI[0]
+_TIC1, _TIC2, _TIC3 = _TI_COMPLEX
+(_T11, _T12, _T13), (_T21, _T22, _T23), _ = _T  # the last row of T is (1, 1, 0)
+(_P11, _P12, _P13), (_P21, _P22, _P23), (_P31, _P32, _P33) = _P
 _NEWTON_MAXITER = 6
 _MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
 
@@ -400,21 +427,19 @@ def _collocation(fun, t, y, h, z, scale, tol, d_real, d_complex):
     each iteration solves its two linear systems by one division each.
     Returns (converged, iterations, z, rate of convergence).
     """
-    (r1, r2, r3), (c1, c2, c3) = _TI[0], _TI_COMPLEX
-    (t11, t12, t13), (t21, t22, t23), _ = _T  # the last row of T is (1, 1, 0)
     m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
-    s1, s2, s3 = (t + h * c for c in _C)
+    s1, s2, s3 = t + h * _C1, t + h * _C2, t + h * _C3
     z1, z2, z3 = z
-    w_real = r1 * z1 + r2 * z2 + r3 * z3
-    w_complex = c1 * z1 + c2 * z2 + c3 * z3
+    w_real = _TI11 * z1 + _TI12 * z2 + _TI13 * z3
+    w_complex = _TIC1 * z1 + _TIC2 * z2 + _TIC3 * z3
     inv_scale = 1.0 / (3.0 ** 0.5 * scale)  # RMS norm over the three stages
     dw_norm_old = rate = None
     for k in range(_NEWTON_MAXITER):
         f1, f2, f3 = fun(s1, y + z1), fun(s2, y + z2), fun(s3, y + z3)
         if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
             raise ConvergenceError(f"non-finite stage value on the leg at z = {t!r}")
-        dw_real = (r1 * f1 + r2 * f2 + r3 * f3 - m_real * w_real) / d_real
-        dw_complex = (c1 * f1 + c2 * f2 + c3 * f3 - m_complex * w_complex) / d_complex
+        dw_real = (_TI11 * f1 + _TI12 * f2 + _TI13 * f3 - m_real * w_real) / d_real
+        dw_complex = (_TIC1 * f1 + _TIC2 * f2 + _TIC3 * f3 - m_complex * w_complex) / d_complex
         dw_norm = math.hypot(dw_real, dw_complex.real, dw_complex.imag) * inv_scale
         if dw_norm_old is not None:
             rate = dw_norm / dw_norm_old
@@ -423,8 +448,8 @@ def _collocation(fun, t, y, h, z, scale, tol, d_real, d_complex):
         w_real += dw_real
         w_complex += dw_complex
         a, b = w_complex.real, w_complex.imag
-        z1 = t11 * w_real + t12 * a + t13 * b
-        z2 = t21 * w_real + t22 * a + t23 * b
+        z1 = _T11 * w_real + _T12 * a + _T13 * b
+        z2 = _T21 * w_real + _T22 * a + _T23 * b
         z3 = w_real + a
         if dw_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dw_norm < tol:
             return True, k + 1, (z1, z2, z3), rate
@@ -469,13 +494,14 @@ def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
             h = h_abs = t_new - t
             if qs:  # extrapolate the last step's dense output to the new stages
                 x_old = t - knots[-2]
-                q = qs[-1]
-                z = []
-                for c in _C:
-                    x = (x_old + h * c) / x_old
-                    z.append(y_olds[-1] + x * (q[0] + x * (q[1] + x * q[2])) - y)
+                y_old, (q1, q2, q3) = y_olds[-1], qs[-1]
+                x1, x2, x3 = ((x_old + h * _C1) / x_old, (x_old + h * _C2) / x_old,
+                              (x_old + h * _C3) / x_old)
+                z = (y_old + x1 * (q1 + x1 * (q2 + x1 * q3)) - y,
+                     y_old + x2 * (q1 + x2 * (q2 + x2 * q3)) - y,
+                     y_old + x3 * (q1 + x3 * (q2 + x3 * q3)) - y)
             else:
-                z = [0.0, 0.0, 0.0]
+                z = (0.0, 0.0, 0.0)
             scale = atol + abs(y) * rtol
             while True:
                 if d_real is None:
@@ -492,8 +518,9 @@ def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
                 h_abs *= 0.5
                 d_real = None
                 continue
-            y_new = y + z_new[2]
-            ze = sum(a * b for a, b in zip(z_new, _E)) / h
+            z1, z2, z3 = z_new
+            y_new = y + z3
+            ze = (z1 * _E1 + z2 * _E2 + z3 * _E3) / h
             error = (f + ze) / d_real
             scale = atol + max(abs(y), abs(y_new)) * rtol
             error_norm = abs(error) / scale
@@ -526,7 +553,8 @@ def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
         h_prev, error_norm_prev = h_next, error_norm
         h_next = h_abs * factor
         y_olds.append(y)
-        qs.append([sum(a * b for a, b in zip(z_new, col)) for col in zip(*_P)])
+        qs.append((z1 * _P11 + z2 * _P21 + z3 * _P31, z1 * _P12 + z2 * _P22 + z3 * _P32,
+                   z1 * _P13 + z2 * _P23 + z3 * _P33))
         knots.append(t_new)
         t, y = t_new, y_new
 
@@ -548,21 +576,21 @@ def _leg_field(params: DimensionlessParameters):
 
     The Jacobian takes the right-hand side value at the same point as its
     third argument: dw/dz = Y' s / y^2 with y = F' = -e^w, s = F (1 - F) and
-    Y' = dy/deta from ``full_system_rhs``, so d/dw = s / y dY'/dy - 2 dw/dz,
-    where dY'/dy = q_e / ((q_e + Da) Pe) - (q_e + Da) dr/dq.
+    Y' = dy/deta from ``full_system_rhs``, so d/dw = s / y dY'/dy - 2 dw/dz.
+    The field is bound once per leg, so no evaluation reads ``params``.
     """
-    q_e, da, pe = params.q_e, params.da, params.pe
+    y_prime, y_prime_dy = _phase_field(params)
+    exp = math.exp
 
     def rhs(z, w):
-        f = 1.0 / (1.0 + math.exp(-z))
-        y = -math.exp(w)
-        return full_system_rhs(f, y, params)[1] * f * (1.0 - f) / (y * y)
+        f = 1.0 / (1.0 + exp(-z))
+        y = -exp(w)
+        return y_prime(f, y) * f * (1.0 - f) / (y * y)
 
     def jac(z, w, dw):
-        f = 1.0 / (1.0 + math.exp(-z))
-        y = -math.exp(w)
-        r_q = _uptake_dq(f, q_e * f - pe * (q_e + da) * y, params)
-        return f * (1.0 - f) / y * (q_e / ((q_e + da) * pe) - (q_e + da) * r_q) - 2.0 * dw
+        f = 1.0 / (1.0 + exp(-z))
+        y = -exp(w)
+        return f * (1.0 - f) / y * y_prime_dy(f, y) - 2.0 * dw
 
     return rhs, jac
 

@@ -3,10 +3,19 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from adsorb.analysis import l2_profile_error
-from adsorb.cli import CELL_FORMAT, main, parse_config, read_wave_profile, run
+from adsorb.cli import (
+    CELL_FORMAT,
+    _header,
+    _write_table,
+    main,
+    parse_config,
+    read_wave_profile,
+    run,
+)
 from adsorb.errors import ConfigError, ConsistencyError, ExistenceError
 from adsorb.model import DimensionlessParameters, ReactionOrders, sips_isotherm
 from adsorb.wave import solve_full_wave, solve_leading_order
@@ -220,6 +229,18 @@ class TestTableText:
                                        5e-324, 1.0 / 3.0, -1.5e300])
     def test_row_template_matches_fmt(self, value):
         assert CELL_FORMAT % value == f"{value:.16e}"
+
+    def test_table_text_is_the_per_row_format(self, tmp_path):
+        # 2,500 rows span several blocks of one % each
+        rng = np.random.default_rng(7)
+        columns = rng.standard_normal((3, 2500)) * 10.0 ** rng.integers(-300, 300, (3, 2500))
+        columns[:, :4] = [[float("nan"), -0.0, 5e-324, float("inf")]] * 3
+        config = parse_config(wave_doc())
+        _write_table(tmp_path / "table.csv", config, ["a", "b", "c"], columns)
+        rows = "".join(f"{CELL_FORMAT},{CELL_FORMAT},{CELL_FORMAT}\n" % row
+                       for row in zip(*columns.tolist()))
+        assert (tmp_path / "table.csv").read_bytes() == \
+            (_header(config) + "a,b,c\n" + rows).encode()
 
 
 class TestMainEntry:

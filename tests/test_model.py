@@ -192,6 +192,15 @@ class TestIsothermInversion:
 
 
 class TestDimensionlessParameters:
+    def test_alpha_rounding_to_one_is_named(self):
+        # R = (q_e / (1 - q_e))^4 is about 4e16 > 2^53, so R / (1 + R) is 1.0
+        with pytest.raises(DomainError, match=r"rounds to 1 .*q_e = 0\.99993, n = 4"):
+            DimensionlessParameters.from_qe(0.99993, da=0.007, pe=0.1,
+                                            orders=ReactionOrders(1, 4))
+        # R = 1e350 leaves the doubles
+        with pytest.raises(DomainError, match=r"rounds to 1 .*q_e = 0\.9999999, n = 50"):
+            alpha_from_qe(0.9999999, 50)
+
     def test_rejects_inconsistent_alpha_qe(self):
         with pytest.raises(DomainError):
             DimensionlessParameters(da=0.1, pe=0.0, alpha=0.6, q_e=0.7,

@@ -21,6 +21,9 @@ from adsorb.errors import (
 from adsorb.model import (
     DimensionlessParameters,
     ReactionOrders,
+    _rate_law,
+    _uptake,
+    _uptake_dq,
     alpha_from_qe,
     equilibrium_polynomial_direct,
 )
@@ -262,13 +265,21 @@ class TestFullWaveSolver:
         assert manifold_distance(0.01) < manifold_distance(0.1)
 
 
+def _alpha_below_one(q_e, n):
+    try:
+        alpha_from_qe(q_e, n)
+    except DomainError:
+        return False
+    return True
+
+
 @st.composite
 def admissible_params(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, n))
     # alpha = R / (1 + R) with R = (q_e / (1 - q_e))^n rounds to 1 for n = 4 once
-    # q_e > 0.9999, and DimensionlessParameters rejects alpha = 1
-    q_e = draw(st.floats(0.05, 0.99993).filter(lambda q: alpha_from_qe(q, n) < 1.0))
+    # q_e > 0.9999, where alpha_from_qe raises
+    q_e = draw(st.floats(0.05, 0.99993).filter(lambda q: _alpha_below_one(q, n)))
     da = draw(st.floats(0.005, 2.0))
     pe = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.5)))
     return params_for(q_e=q_e, da=da, pe=pe, m=m, n=n)
@@ -353,12 +364,19 @@ class TestScalarRadauLeg:
             _radau_leg(lambda t, y: y * y, lambda t, y, f: 2.0 * y, 0.0, 1.0, 2.0, 1e-8, 1e-10)
 
     def test_overflow_on_the_leg_is_a_convergence_error(self, monkeypatch):
-        def overflow(x, y, params):
+        def overflow(x, y):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr("adsorb.wave.full_system_rhs", overflow)
+        monkeypatch.setattr("adsorb.wave._phase_field", lambda params: (overflow, overflow))
         with pytest.raises(ConvergenceError):
             solve_full_wave(params_for(pe=0.1))
+
+    @pytest.mark.parametrize("m,n,work", [(1, 1, (1359, 21, 126, 178)),
+                                          (2, 3, (2734, 139, 492, 191))])
+    def test_leg_work_is_pinned(self, m, n, work):
+        # counters of the exact step sequence: a change that moves any step fails here
+        stats = solve_full_wave(params_for(pe=0.1, m=m, n=n)).stats
+        assert (stats.nfev, stats.njev, stats.nlu, stats.steps) == work
 
     def test_profile_carries_the_leg_counters(self, full_11_pe01, lead_11):
         stats = full_11_pe01.stats
@@ -366,6 +384,57 @@ class TestScalarRadauLeg:
         assert stats.steps > 0 and stats.nfev >= 4 * stats.steps + 2
         assert stats.njev >= 1 and stats.nlu >= 2
         assert lead_11.stats is None
+
+
+# (3, 4) at q_e 0.99993 is left out: its alpha rounds to 1 in double precision
+BOUND_FIELD_CASES = [(m, n, q_e) for q_e in (0.7, 0.99993) for m, n in ADMISSIBLE_FAMILIES
+                     if _alpha_below_one(q_e, n)]
+
+
+# the attachment rate and its d/dq reading every constant from p at each call,
+# with the products and quotients in the order of model._rate_law
+def _rate_read_per_call(c, q, p):
+    return p.alpha * (1.0 - p.q_e) ** p.n * (
+        c ** p.m * ((1.0 - q) / (1.0 - p.q_e)) ** p.n - (q / p.q_e) ** p.n)
+
+
+def _rate_dq_read_per_call(c, q, p):
+    return -p.n * p.alpha * (1.0 - p.q_e) ** p.n * (
+        c ** p.m * ((1.0 - q) / (1.0 - p.q_e)) ** (p.n - 1) / (1.0 - p.q_e)
+        + (q / p.q_e) ** (p.n - 1) / p.q_e)
+
+
+class TestBoundField:
+    """Binding the field's constants once leaves every double as it was."""
+
+    @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
+    @pytest.mark.parametrize("m,n,q_e", BOUND_FIELD_CASES)
+    def test_leg_field_is_bit_identical_to_the_field_read_per_call(self, m, n, q_e, pe):
+        p = params_for(q_e=q_e, pe=pe, m=m, n=n)
+        rhs, jac = _leg_field(p)
+        rng = np.random.default_rng(1000 * m + 10 * n + round(100 * pe))
+        for z, w in zip(rng.uniform(-14.0, 14.0, 200).tolist(),
+                        rng.uniform(-25.0, 1.0, 200).tolist()):
+            f = 1.0 / (1.0 + math.exp(-z))
+            y = -math.exp(w)
+            g = p.q_e * f - p.pe * (p.q_e + p.da) * y
+            y_prime = (p.q_e / (p.q_e + p.da) * y + _rate_read_per_call(f, g, p)) / p.pe
+            dw = y_prime * f * (1.0 - f) / (y * y)
+            assert rhs(z, w) == full_system_rhs(f, y, p)[1] * f * (1.0 - f) / (y * y) == dw
+            for r_q in (_uptake_dq(f, g, p), _rate_dq_read_per_call(f, g, p)):
+                assert jac(z, w, dw) == f * (1.0 - f) / y * (
+                    p.q_e / ((p.q_e + p.da) * p.pe) - (p.q_e + p.da) * r_q) - 2.0 * dw
+
+    @pytest.mark.parametrize("m,n,q_e", BOUND_FIELD_CASES)
+    def test_uptake_is_the_bound_rate_on_arrays(self, m, n, q_e):
+        p = params_for(q_e=q_e, m=m, n=n)
+        rng = np.random.default_rng(10 * m + n)
+        c, q = rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 1.0, 500)
+        r, r_q = _rate_law(p)
+        assert np.array_equal(_uptake(c, q, p), r(c, q))
+        assert np.array_equal(r(c, q), _rate_read_per_call(c, q, p))
+        assert np.array_equal(_uptake_dq(c, q, p), r_q(c, q))
+        assert np.array_equal(r_q(c, q), _rate_dq_read_per_call(c, q, p))
 
 
 class TestFrontProperties:
