@@ -8,7 +8,6 @@ from .errors import (
     ConvergenceError,
     CoverageError,
     DegenerateStatesError,
-    DegenerateSystemError,
     DivergenceError,
     DomainError,
     ExistenceError,

@@ -4,6 +4,8 @@ Subcommands: ``nondim``, ``wave``, ``pde``, ``sweep``, ``isotherm``.  Every
 output file starts with a provenance comment carrying the toolkit version and
 a hash of the fully resolved configuration, and floats are written with 17
 significant digits, so identical configs produce byte-identical artifacts.
+Table cells are the bytes of ``CELL_FORMAT % v``, written in blocks of rows by
+a numpy formatter that computes the digits exactly (``_format_cells``).
 """
 
 from __future__ import annotations
@@ -249,9 +251,99 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
 
 
 CELL_FORMAT = "%.16e"  # 17 significant digits
-# CSV rows per % of the row template: one % over a whole 20k-row table holds
-# all its text and cells at once, which raised the peak memory of repeated pde runs
+# Rows per formatted block: one block's cell text and temporaries take a few
+# hundred kB, where a whole 20k-row snapshot table at once raised the peak
+# memory of repeated pde runs
 _BLOCK_ROWS = 1024
+
+
+# _format_cells writes the bytes of CELL_FORMAT % x without a Python string
+# per cell.  For |x| in [1e-6, 1e17) the decimal exponent e lies in [-6, 16],
+# so x * 10**(16 - e) takes a power of ten that is an exact double
+# (5**22 < 2**53).  Veltkamp's split and Dekker's TwoProduct give that product
+# exactly as p + err; the 17 digits are its integer part, rounded half to even.
+# The rounding never carries into an 18th digit: the largest double below each
+# power of ten in the range scales to at least 4.5 below 10**17.
+# A cell is 7 native uint32 words: [0, sign, lead digit, '.'], four words of
+# 4 digits, ['e', sign, d, d] and a word of zeros whose last byte is free for a
+# separator; zero bytes are padding.  All other values, and any cell whose
+# exponent leaves [-6, 16] once its decade is settled, go through CELL_FORMAT.
+_CELL_BYTES = 28
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+_QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+_LEAD = np.frombuffer("".join(f"\0{sign}{d}." for sign in "\0-" for d in range(10)).encode(),
+                      dtype=np.uint32)
+_EXPONENTS = np.frombuffer("".join(f"e{e:+03d}" for e in range(-6, 17)).encode(),
+                           dtype=np.uint32)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**k exactly, as p + err with p = fl(a * 10**k) (Dekker's TwoProduct)."""
+    p = a * _POW10[k]
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _below(p: np.ndarray, err: np.ndarray, bound: float) -> np.ndarray:
+    """Whether the exact sum p + err lies below ``bound``."""
+    return (p < bound) | ((p == bound) & (err < 0.0))
+
+
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``CELL_FORMAT % v`` for every v, one zero-padded row per cell.
+
+    Returns a ``(values.size, _CELL_BYTES)`` uint8 array in ravel order; the
+    last byte of each row is 0, free for a separator.
+    """
+    x = np.ravel(values)
+    ax = np.abs(x)
+    fast = (ax >= 1e-6) & (ax < 1e17)
+    a = np.where(fast, ax, 1.0)
+    # log10 can miss the decade by one next to a power of ten (it reads 17.0
+    # just below 1e17): clip to the table, then settle the decade exactly
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
+    p, err = _scaled(a, k)
+    low, high = _below(p, err, 1e16), ~_below(p, err, 1e17)
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        wanted = k[fix] + low[fix] - high[fix]
+        k[fix] = np.clip(wanted, 0, 22)
+        fast[fix] &= k[fix] == wanted
+        p[fix], err[fix] = _scaled(a[fix], k[fix])
+    whole = np.floor(err)
+    frac = err - whole
+    digits = p.astype(np.int64) + whole.astype(np.int64)
+    digits += (frac > 0.5) | ((frac == 0.5) & (digits & 1).astype(bool))
+    hi, lo = np.divmod(digits, 10 ** 8)  # uint32 halves divide faster than int64
+    lead, hi = np.divmod(hi.astype(np.uint32), 10 ** 8)
+    quads = np.empty((x.size, 4), dtype=np.uint32)
+    quads[:, 0], quads[:, 1] = np.divmod(hi, 10000)
+    quads[:, 2], quads[:, 3] = np.divmod(lo.astype(np.uint32), 10000)
+    words = np.zeros((x.size, _CELL_BYTES // 4), dtype=np.uint32)
+    words[:, 0] = _LEAD[lead + 10 * (x < 0.0)]
+    words[:, 1:5] = _QUADS[quads]
+    words[:, 5] = _EXPONENTS[22 - k]
+    text = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = b"".join((CELL_FORMAT % v).encode().ljust(_CELL_BYTES, b"\0")
+                         for v in x[slow].tolist())
+        text[slow] = np.frombuffer(cells, dtype=np.uint8).reshape(-1, _CELL_BYTES)
+    return text
+
+
+def _text_blocks(table: np.ndarray):
+    """Yield the formatted cells of each block of rows, shaped (rows, columns, bytes)."""
+    for start in range(0, table.shape[0], _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        yield _format_cells(block).reshape(block.shape[0], block.shape[1], _CELL_BYTES)
 
 
 def _header(config: RunConfig) -> str:
@@ -260,24 +352,26 @@ def _header(config: RunConfig) -> str:
 
 def _write_table(path: Path, config: RunConfig, names: list[str], columns) -> None:
     """Write equal-length float columns as a CSV table, or as JSON if configured."""
-    columns = [np.asarray(col, dtype=float) for col in columns]
+    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
     if config.output["format"] == "json":
-        rows = zip(*(col.tolist() for col in columns))
+        cells = []
+        for text in _text_blocks(table):
+            text[..., -1] = ord("\n")
+            cells += text[text != 0].tobytes().decode("ascii").splitlines()
         payload = {
             "meta": {"version": __version__, "config_sha256": config.config_hash},
             "columns": names,
-            "rows": [[CELL_FORMAT % v for v in row] for row in rows],
+            "rows": [cells[i:i + len(names)] for i in range(0, len(cells), len(names))],
         }
         path.with_suffix(".json").write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
         return
-    table = np.column_stack(columns)
-    template = ",".join([CELL_FORMAT] * len(names)) + "\n"
-    with path.open("w", encoding="utf-8", newline="\n") as out:
-        out.write(_header(config) + ",".join(names) + "\n")
-        for start in range(0, table.shape[0], _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
-            out.write((template * block.shape[0]) % tuple(block.ravel().tolist()))
+    with path.open("wb") as out:
+        out.write((_header(config) + ",".join(names) + "\n").encode("utf-8"))
+        for text in _text_blocks(table):
+            text[:, :-1, -1] = ord(",")
+            text[:, -1, -1] = ord("\n")
+            out.write(text[text != 0].tobytes())
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:

@@ -15,10 +15,6 @@ class DegenerateStatesError(AdsorptionError, ValueError):
     """Far-field states make the wave velocity undefined (zero denominator)."""
 
 
-class DegenerateSystemError(AdsorptionError, ValueError):
-    """The transport system is degenerate (vanishing Damkohler number)."""
-
-
 class ExistenceError(AdsorptionError):
     """No travelling wave connecting saturation to the clean state exists.
 

@@ -3,12 +3,15 @@ import json
 import subprocess
 import sys
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from adsorb.analysis import l2_profile_error
 from adsorb.cli import (
     CELL_FORMAT,
+    _format_cells,
     _header,
     _write_table,
     main,
@@ -224,6 +227,24 @@ class TestRunners:
         assert payload["columns"] == ["eta", "F", "G"]
 
 
+def formatted(values) -> list[str]:
+    """``_format_cells``' text of each value, one string per cell."""
+    text = _format_cells(np.asarray(values, dtype=float))
+    text[:, -1] = ord("\n")
+    return text[text != 0].tobytes().decode("ascii").splitlines()
+
+
+def assert_cells_are_the_format(values) -> None:
+    """Every cell of ``_format_cells`` is ``CELL_FORMAT % v``, byte for byte."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    text = _format_cells(values)
+    text[:, -1] = ord("\n")
+    if text[text != 0].tobytes() != "".join([CELL_FORMAT % v + "\n" for v in values]).encode():
+        wrong = [(v, cell) for v, cell in zip(values, formatted(values))
+                 if cell != CELL_FORMAT % v]
+        pytest.fail(f"cells differ from {CELL_FORMAT!r}: {wrong[:5]}")
+
+
 class TestTableText:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
                                        5e-324, 1.0 / 3.0, -1.5e300])
@@ -241,6 +262,66 @@ class TestTableText:
                        for row in zip(*columns.tolist()))
         assert (tmp_path / "table.csv").read_bytes() == \
             (_header(config) + "a,b,c\n" + rows).encode()
+
+    def test_in_domain_table_is_the_per_row_format(self, tmp_path):
+        # magnitudes 1e-7 .. 1e17 of both signs: nearly every cell takes the
+        # vectorized digits, the few below 1e-6 the per-cell format
+        rng = np.random.default_rng(11)
+        columns = rng.choice([-1.0, 1.0], (4, 3000)) * 10.0 ** rng.uniform(-7.0, 17.0, (4, 3000))
+        config = parse_config(wave_doc())
+        _write_table(tmp_path / "table.csv", config, ["a", "b", "c", "d"], columns)
+        rows = "".join(",".join([CELL_FORMAT] * 4) % row + "\n" for row in zip(*columns.tolist()))
+        assert (tmp_path / "table.csv").read_bytes() == \
+            (_header(config) + "a,b,c,d\n" + rows).encode()
+
+    def test_json_rows_are_the_cell_format(self, tmp_path):
+        columns = [[float("nan"), -0.0, 5e-324, 1e-6, -1e17, 0.1],
+                   [float("inf"), 0.0, -2.5e-7, 9.999999999999999e16, 1.0, 1e300],
+                   [-float("inf"), 1e-300, 123.456, -1e-5, 2.0 ** 60, 1.0 / 3.0]]
+        doc = json.loads(wave_doc())
+        doc["output"] = {"dir": str(tmp_path), "format": "json"}
+        config = parse_config(json.dumps(doc))
+        _write_table(tmp_path / "table.csv", config, ["a", "b", "c"], columns)
+        payload = json.loads((tmp_path / "table.json").read_text())
+        assert payload["rows"] == [[CELL_FORMAT % v for v in row] for row in zip(*columns)]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            assert_cells_are_the_format(
+                rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-8, 19)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        assert_cells_are_the_format(np.concatenate([values, -values]))
+
+    def test_exact_ties_round_half_to_even(self):
+        # x = a 2**-j with odd a has the exact decimal a 5**j 10**-j; when that
+        # integer has 18 digits its last digit is 5, so 17 digits tie exactly
+        rng = np.random.default_rng(5)
+        ties = []
+        for j in range(2, 26):
+            lo = max(-(-10 ** 17 // 5 ** j), 1)
+            hi = min((10 ** 18 - 1) // 5 ** j, 2 ** 53 - 1)
+            a = rng.integers(lo, hi + 1, 2000) | 1
+            a = a[a <= hi]
+            assert all(int(v) * 5 ** j % 10 == 5 for v in a[:10])
+            ties.append(np.ldexp(a.astype(float), -j))
+        ties = np.concatenate(ties)
+        assert np.count_nonzero((ties >= 1e-6) & (ties < 1e17)) > 30_000
+        assert_cells_are_the_format(np.concatenate([ties, -ties]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+                                       5e-324, -5e-324])
+    def test_special_values(self, value):
+        assert formatted([value]) == [CELL_FORMAT % value]
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+    @hypothesis.given(st.lists(st.floats(), max_size=40))
+    def test_any_floats(self, values):
+        assert_cells_are_the_format(values)
 
 
 class TestMainEntry:
