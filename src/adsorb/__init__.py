@@ -7,7 +7,6 @@ from .errors import (
     ConsistencyError,
     ConvergenceError,
     CoverageError,
-    DegenerateStatesError,
     DivergenceError,
     DomainError,
     ExistenceError,
@@ -30,18 +29,14 @@ from .model import (
     sips_isotherm,
 )
 from .wave import (
-    FarFieldStates,
     WaveProfile,
     WaveSolverSettings,
     closed_form_wave_11,
     full_system_rhs,
     g_from_f,
     leading_order_rhs,
-    slow_set,
     solve_full_wave,
-    solve_full_waves,
     solve_leading_order,
-    wave_velocity_general,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import SweepGrid, run_sweep
+from .analysis import DEFAULT_ETA_STAR, THRESHOLD_HI, THRESHOLD_LO, SweepGrid, run_sweep
 from .errors import (
     AdsorptionError,
     ConfigError,
@@ -47,16 +47,14 @@ _PHYSICAL_KEYS = {"epsilon", "u_in", "k_ad", "k_de", "c_in", "q_max", "rho_b",
                   "column_length", "diffusion", "m", "n"}
 _DIMENSIONLESS_KEYS = {"da", "pe", "q_e", "alpha", "m", "n", "ell"}
 _SOLVER_DEFAULTS = {
-    "rel_tol": 1e-8,          # wave integrations
-    "abs_tol": 1e-10,
+    **dataclasses.asdict(WaveSolverSettings()),  # rel_tol, abs_tol, seed_delta, eta_span
+    # pde.PdeSolverSettings's values; importing pde would load scipy in every mode
     "pde_rel_tol": 1e-6,
     "pde_abs_tol": 1e-9,
     "n_cells": 400,
-    "eta_star": 20.0,
-    "threshold_hi": 1e-2,
-    "threshold_lo": 1e-4,
-    "seed_delta": 1e-6,
-    "eta_span": 22.0,
+    "eta_star": DEFAULT_ETA_STAR,
+    "threshold_hi": THRESHOLD_HI,
+    "threshold_lo": THRESHOLD_LO,
     "t_end": None,            # pde horizon; default 1.4 * ell * (q_e + Da)
     "n_snapshots": 101,
     "front_levels": [0.25, 0.5, 0.75],
@@ -65,6 +63,8 @@ _SOLVER_DEFAULTS = {
     "pe_values": None,        # default: the standard sweep grid
 }
 _ISOTHERM_KEYS = {"c_in_values"}
+_INTEGER_KEYS = {"n_cells", "n_snapshots"}
+_LIST_KEYS = {"pe_values", "front_levels", "c_in_values"}
 _OUTPUT_DEFAULTS = {"dir": "out", "format": "csv"}
 
 
@@ -87,9 +87,36 @@ class RunConfig:
 
 
 def _fail_unknown(section: str, given: dict, allowed: set[str]) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {given!r}")
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {', '.join(unknown)}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(section: str, given: dict, nullable=frozenset()) -> None:
+    """Reject a value of the wrong JSON type with a ConfigError naming its key.
+
+    Integer and list keys take what their names in ``_INTEGER_KEYS`` and
+    ``_LIST_KEYS`` say, the orders m and n are left to ``ReactionOrders``,
+    and every other key takes a number; keys in ``nullable`` may be null.
+    """
+    for key, value in given.items():
+        if key in ("m", "n") or (value is None and key in nullable):
+            continue
+        if key in _LIST_KEYS:
+            ok, kind = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+        elif key in _INTEGER_KEYS:
+            ok = _is_number(value) and (isinstance(value, int) or value.is_integer())
+            kind = "an integer"
+        else:
+            ok, kind = _is_number(value), "a number"
+        if not ok:
+            raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
 
 
 def _orders_from(section: dict, where: str) -> ReactionOrders:
@@ -102,6 +129,7 @@ def _orders_from(section: dict, where: str) -> ReactionOrders:
 
 def _build_physical(section: dict) -> PhysicalParameters:
     _fail_unknown("physical", section, _PHYSICAL_KEYS)
+    _check_types("physical", section, nullable={"diffusion"})
     orders = _orders_from(section, "physical")
     required = ["epsilon", "u_in", "k_ad", "k_de", "c_in", "q_max", "rho_b", "column_length"]
     missing = [k for k in required if k not in section]
@@ -119,6 +147,7 @@ def _build_physical(section: dict) -> PhysicalParameters:
 
 def _build_dimensionless(section: dict, pe_override: float | None) -> DimensionlessParameters:
     _fail_unknown("dimensionless", section, _DIMENSIONLESS_KEYS)
+    _check_types("dimensionless", section, nullable={"pe", "ell"})
     orders = _orders_from(section, "dimensionless")
     if "da" not in section:
         raise ConfigError("dimensionless must specify da")
@@ -169,6 +198,7 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
+    _check_types("config", {"pe": raw.get("pe")}, nullable={"pe"})
     pe_override = float(raw["pe"]) if raw.get("pe") is not None else None
     has_phys = raw.get("physical") is not None
     has_dimless = raw.get("dimensionless") is not None
@@ -188,6 +218,8 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
     solver = dict(_SOLVER_DEFAULTS)
     given_solver = raw.get("solver") or {}
     _fail_unknown("solver", given_solver, set(_SOLVER_DEFAULTS))
+    _check_types("solver", given_solver,
+                 nullable={k for k, v in _SOLVER_DEFAULTS.items() if v is None})
     solver.update(given_solver)
     if solver["t_end"] is None:
         solver["t_end"] = 1.4 * params.ell * (params.q_e + params.da)
@@ -198,8 +230,10 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
     if solver["pe_values"] is None:
         solver["pe_values"] = list(SweepGrid.paper_default().pe_values)
 
-    isotherm = dict(raw.get("isotherm") or {})
+    isotherm = raw.get("isotherm") or {}
     _fail_unknown("isotherm", isotherm, _ISOTHERM_KEYS)
+    _check_types("isotherm", isotherm)
+    isotherm = dict(isotherm)
     if mode == "isotherm":
         if physical is None:
             raise ConfigError("isotherm mode requires the physical section")
@@ -212,6 +246,8 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
     output.update(given_output)
     if output["format"] not in ("csv", "json"):
         raise ConfigError(f"output format must be csv or json, got {output['format']!r}")
+    if not isinstance(output["dir"], str):
+        raise ConfigError(f"output.dir must be a string, got {output['dir']!r}")
 
     if mode in ("wave", "sweep") and params.m > params.n:
         report = analyze_equilibria(params)
@@ -413,11 +449,8 @@ def read_wave_profile(path_csv: Path, meta_path: Path) -> WaveProfile:
 
 
 def _wave_settings(config: RunConfig) -> WaveSolverSettings:
-    s = config.solver
-    return WaveSolverSettings(
-        rel_tol=float(s["rel_tol"]), abs_tol=float(s["abs_tol"]),
-        seed_delta=float(s["seed_delta"]), eta_span=float(s["eta_span"]),
-    )
+    return WaveSolverSettings(**{field.name: float(config.solver[field.name])
+                                 for field in dataclasses.fields(WaveSolverSettings)})
 
 
 def _run_nondim(config: RunConfig, out: Path) -> list[Path]:
@@ -528,10 +561,13 @@ def main(argv: list[str] | None = None) -> int:
         raw = json.loads(document) if document.strip() else {}
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        if args.out is not None:
-            raw.setdefault("output", {})["dir"] = args.out
-        if args.seed_delta is not None:
-            raw.setdefault("solver", {})["seed_delta"] = args.seed_delta
+        for section, key, value in (("output", "dir", args.out),
+                                    ("solver", "seed_delta", args.seed_delta)):
+            if value is not None:
+                given = raw.get(section) or {}
+                if not isinstance(given, dict):
+                    raise ConfigError(f"{section} must be a JSON object, got {given!r}")
+                raw[section] = {**given, key: value}
         config = parse_config(json.dumps(raw), mode_override=args.mode)
         paths = run(config)
     except ConfigError as exc:

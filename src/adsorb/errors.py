@@ -11,10 +11,6 @@ class DomainError(AdsorptionError, ValueError):
     """An input lies outside the admissible domain of an operation."""
 
 
-class DegenerateStatesError(AdsorptionError, ValueError):
-    """Far-field states make the wave velocity undefined (zero denominator)."""
-
-
 class ExistenceError(AdsorptionError):
     """No travelling wave connecting saturation to the clean state exists.
 

@@ -290,11 +290,6 @@ def _uptake(c, q, params: DimensionlessParameters):
     return _rate_law(params)[0](c, q)
 
 
-def _uptake_dq(c, q, params: DimensionlessParameters):
-    """d/dq of ``_uptake``, in the same factored form."""
-    return _rate_law(params)[1](c, q)
-
-
 def equilibrium_polynomial(x, params: DimensionlessParameters):
     """Equilibrium polynomial of the leading-order front equation (factored form).
 
@@ -305,15 +300,6 @@ def equilibrium_polynomial(x, params: DimensionlessParameters):
     """
     x = np.asarray(x, dtype=float)
     out = -_uptake(x, params.q_e * x, params) / params.q_e ** params.n
-    return out if out.ndim else float(out)
-
-
-def equilibrium_polynomial_direct(x, params: DimensionlessParameters):
-    """Expanded form (1-alpha) x^n - alpha x^m (a-x)^n; cross-check for the factored form."""
-    x = np.asarray(x, dtype=float)
-    m, n = params.m, params.n
-    a = 1.0 / params.q_e
-    out = (1.0 - params.alpha) * x ** n - params.alpha * x ** m * (a - x) ** n
     return out if out.ndim else float(out)
 
 

@@ -100,15 +100,6 @@ class FrontTrack:
     fit_window: tuple[float, float]
 
 
-def step_kinetics(c, q, params: DimensionlessParameters):
-    """Attachment rate dq/dt = alpha c^m (1-q)^n - (1-alpha) q^n, in factored form.
-
-    Evaluated as alpha (1-q_e)^n [c^m ((1-q)/(1-q_e))^n - (q/q_e)^n], the same
-    law under the isotherm link, which is exactly zero at (0, 0) and (1, q_e).
-    """
-    return _uptake(c, q, params)
-
-
 def reconstruct_boundaries(c_interior: np.ndarray, params: DimensionlessParameters,
                            grid: SpatialGrid):
     """Boundary concentrations implied by the eliminated stencil conditions.
@@ -147,7 +138,7 @@ def assemble_rhs(state: np.ndarray, params: DimensionlessParameters,
     c_int = state[: n - 2]
     q = state[n - 2:]
     c = _full_field(c_int, params, grid)
-    dq = step_kinetics(c, q, params)
+    dq = _uptake(c, q, params)
     cxx = (c[:-2] - 2.0 * c[1:-1] + c[2:]) / (h * h)
     cx = (c[2:] - c[:-2]) / (2.0 * h)
     dc_int = (params.pe * cxx - cx - dq[1:-1]) / params.da

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,6 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     CoverageError,
-    DegenerateStatesError,
     DivergenceError,
     DomainError,
     ExistenceError,
@@ -61,21 +60,6 @@ Z_STEP = 0.01              # sample spacing in z; eta spacing 0.018 on the q_e =
 # 1 - F round to the same double; past z = -708, F = e^z leaves the normal doubles
 Z_HEAD = 30.0
 Z_TAIL = -690.0
-
-
-@dataclass(frozen=True)
-class FarFieldStates:
-    """Constant states attained far up- and downstream of the front."""
-
-    f0: float
-    g0: float
-    f_inf: float
-    g_inf: float
-
-    @classmethod
-    def clean_bed(cls, params: DimensionlessParameters) -> "FarFieldStates":
-        """States for an initially clean column: (1, q_e) upstream, (0, 0) downstream."""
-        return cls(f0=1.0, g0=params.q_e, f_inf=0.0, g_inf=0.0)
 
 
 @dataclass(frozen=True)
@@ -237,15 +221,6 @@ def _monotone_slopes(x, y):
     return d
 
 
-def wave_velocity_general(states: FarFieldStates, da: float) -> float:
-    """Front velocity from the jump conditions between the far-field states."""
-    df = states.f0 - states.f_inf
-    denom = states.g0 - states.g_inf + da * df
-    if denom == 0.0:
-        raise DegenerateStatesError("far-field states give a vanishing jump denominator")
-    return df / denom
-
-
 def g_from_f(f, f_prime, params: DimensionlessParameters):
     """Adsorbed fraction along the front: G = q_e F - Pe (q_e + Da) F'."""
     return params.q_e * np.asarray(f) - params.pe * (params.q_e + params.da) * np.asarray(f_prime)
@@ -256,21 +231,14 @@ def leading_order_rhs(f, params: DimensionlessParameters):
 
     F' = -(q_e + Da)/q_e r(F, q_e F) with the attachment rate
     r(c, q) = alpha (1-q_e)^n [c^m ((1-q)/(1-q_e))^n - (q/q_e)^n], which is
-    exactly zero at F = 0 and F = 1.
+    exactly zero at F = 0 and F = 1.  Its graph y = h0(x) is also the critical
+    slow set of the slow-fast system: the zero set of Pe y' from
+    ``full_system_rhs`` at Pe = 0.
     """
     f = np.asarray(f, dtype=float)
     q_e = params.q_e
     out = -(q_e + params.da) / q_e * _uptake(f, q_e * f, params)
     return out if out.ndim else float(out)
-
-
-def slow_set(x, params: DimensionlessParameters):
-    """Critical slow set y = h0(x) of the slow-fast system.
-
-    The zero set of Pe y' from ``full_system_rhs`` at Pe = 0, so the same
-    function as ``leading_order_rhs``: y = -(q_e + Da)/q_e r(x, q_e x).
-    """
-    return leading_order_rhs(x, params)
 
 
 def full_system_rhs(x: float, y: float, params: DimensionlessParameters) -> tuple[float, float]:
@@ -603,7 +571,7 @@ def _leg_slopes(params: DimensionlessParameters, settings: WaveSolverSettings,
     read once, as a table in k; returns the first k, the table and the leg's
     counters.
     """
-    w_seed = math.log(-slow_set(settings.seed_delta, params))
+    w_seed = math.log(-leading_order_rhs(settings.seed_delta, params))
     try:
         w_at, stats = _radau_leg(*_leg_field(params), z_seed, w_seed, Z_STOP,
                                  settings.rel_tol, settings.abs_tol)
@@ -663,16 +631,3 @@ def solve_full_wave(params: DimensionlessParameters,
         return out
 
     return _front(params, settings, f_prime, stats)
-
-
-def solve_full_waves(params: DimensionlessParameters, pe_values,
-                     settings: WaveSolverSettings | None = None) -> list[WaveProfile]:
-    """Fronts of the full equation at every Pe of ``pe_values``, in that order.
-
-    Each Pe is its own ``solve_full_wave``; ``params`` supplies everything
-    but Pe.
-    """
-    fronts = [solve_full_wave(replace(params, pe=float(pe)), settings) for pe in pe_values]
-    if not fronts:
-        raise DomainError("pe_values must hold at least one value")
-    return fronts

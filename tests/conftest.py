@@ -6,6 +6,7 @@ import pytest
 
 import adsorb
 from adsorb.model import (
+    DimensionlessParameters,
     PhysicalParameters,
     ReactionOrders,
     nondimensionalize,
@@ -20,6 +21,18 @@ def column_physical(m: int = 1, n: int = 1) -> PhysicalParameters:
         q_max=0.358, rho_b=377.25, column_length=5.4e-3,
         orders=ReactionOrders(m, n),
     )
+
+
+def equilibrium_polynomial_direct(x, params: DimensionlessParameters):
+    """Expanded form (1-alpha) x^n - alpha x^m (a-x)^n, a = 1/q_e.
+
+    The reference for the factored ``model.equilibrium_polynomial``.
+    """
+    x = np.asarray(x, dtype=float)
+    m, n = params.m, params.n
+    a = 1.0 / params.q_e
+    out = (1.0 - params.alpha) * x ** n - params.alpha * x ** m * (a - x) ** n
+    return out if out.ndim else float(out)
 
 
 @pytest.fixture(scope="session")

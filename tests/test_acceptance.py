@@ -36,7 +36,6 @@ from adsorb.pde import mass_balance_residual, track_front
 from adsorb.wave import (
     full_system_rhs,
     leading_order_rhs,
-    slow_set,
     solve_full_wave,
     solve_leading_order,
 )
@@ -314,7 +313,7 @@ class TestCriterion7SlowManifoldDistance:
             w = solve_full_wave(p)
             mask = (w.eta >= -15.0) & (w.eta <= 15.0) & (w.f >= 0.05) & (w.f <= 0.95)
             y = (p.q_e * w.f[mask] - w.g[mask]) / (pe * (p.q_e + p.da))
-            return float(np.max(np.abs(y - slow_set(w.f[mask], p))))
+            return float(np.max(np.abs(y - leading_order_rhs(w.f[mask], p))))
 
         d_small, d_large = distance(0.01), distance(0.1)
         ok = d_small < d_large

@@ -2,12 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import types
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import adsorb
 from adsorb.analysis import l2_profile_error
 from adsorb.cli import (
     CELL_FORMAT,
@@ -61,7 +63,68 @@ class TestImportIsolation:
         assert (tmp_path / "out" / "wave_profile.csv").exists()
 
 
+class TestPublicSurface:
+    def test_public_names_are_pinned(self):
+        # adding or removing a public name is a contract change: update this list with it
+        names = sorted(k for k, v in vars(adsorb).items()
+                       if not k.startswith("_") and not isinstance(v, types.ModuleType))
+        assert names == [
+            "AdsorptionError", "CellPecletWarning", "ConfigError", "ConsistencyError",
+            "ConvergenceError", "CoverageError", "DimensionlessParameters", "DivergenceError",
+            "DomainError", "EquilibriumReport", "ExistenceError", "FrontNotFoundError",
+            "PhysicalParameters", "RawKinetics", "ReactionOrders", "StiffnessError",
+            "WaveProfile", "WaveSolverSettings", "alpha_from_qe", "analyze_equilibria",
+            "closed_form_wave_11", "convert_raw_rates", "equilibrium_fraction_from_masses",
+            "equilibrium_polynomial", "full_system_rhs", "g_from_f", "leading_order_rhs",
+            "nondimensionalize", "qe_from_alpha", "sips_isotherm", "solve_full_wave",
+            "solve_leading_order",
+        ]
+
+
+# documents whose values have the wrong JSON type, with the key the error names
+WRONG_TYPES = [
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+      "solver": {"rel_tol": "tight"}}, "solver.rel_tol"),
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": "x", "pe": 0.1, "m": 1, "n": 1}},
+     "dimensionless.da"),
+    ({"mode": "sweep", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
+      "solver": {"pe_values": 5}}, "solver.pe_values"),
+]
+
+
 class TestParseConfig:
+    def test_default_hash_is_pinned(self):
+        # the resolved defaults of a minimal wave document; a drift in any
+        # default value moves every artifact's provenance header
+        assert parse_config(wave_doc()).config_hash == \
+            "5a80fc2a0ce3c162e0c60bb356ba5bd28b43d7e48e9557e323361195055531f2"
+
+    @pytest.mark.parametrize("doc,key", WRONG_TYPES + [
+        ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+          "solver": {"n_cells": 64.5}}, "solver.n_cells"),
+        ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+          "solver": {"front_levels": [0.5, None]}}, "solver.front_levels"),
+        ({"mode": "isotherm", "physical": dict(PHYSICAL),
+          "isotherm": {"c_in_values": "1,2"}}, "isotherm.c_in_values"),
+        ({"mode": "nondim", "physical": {**PHYSICAL, "epsilon": True}, "pe": 0.1},
+         "physical.epsilon"),
+        ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "m": 1, "n": 1},
+          "pe": "0.1"}, "config.pe"),
+        ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+          "solver": [1]}, "solver must be a JSON object"),
+        ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+          "output": {"dir": 3}}, "output.dir"),
+    ])
+    def test_wrong_value_types_name_the_key(self, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(json.dumps(doc))
+
+    def test_integral_values_keep_their_resolved_form(self):
+        doc = {"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+               "solver": {"n_cells": 64.0, "t_end": 5}}
+        solver = parse_config(json.dumps(doc)).resolved["solver"]
+        assert (solver["n_cells"], solver["t_end"]) == (64.0, 5)
+
     def test_minimal_wave_document(self):
         config = parse_config(wave_doc())
         assert config.mode == "wave"
@@ -341,6 +404,21 @@ class TestMainEntry:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("doc,key", WRONG_TYPES)
+    def test_wrong_value_type_exit_code(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main([doc["mode"], "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and key in err["message"]
+
+    def test_out_flag_needs_an_output_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(wave_doc()), "output": 5}))
+        assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_existence_refusal_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -16,14 +16,13 @@ from adsorb.model import (
     convert_raw_rates,
     equilibrium_fraction_from_masses,
     equilibrium_polynomial,
-    equilibrium_polynomial_direct,
     nondimensionalize,
     qe_from_alpha,
     sips_isotherm,
 )
-from adsorb.model import _uptake, _uptake_dq
+from adsorb.model import _rate_law, _uptake
 
-from conftest import column_physical
+from conftest import column_physical, equilibrium_polynomial_direct
 
 
 def params_for(q_e, da, pe, m, n, **extra):
@@ -280,7 +279,7 @@ class TestRateLawPartial:
         c, q = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(0.05, 0.95, 13))
         h = 1e-6
         central = (_uptake(c, q + h, p) - _uptake(c, q - h, p)) / (2.0 * h)
-        assert_allclose(_uptake_dq(c, q, p), central, rtol=1e-7, atol=1e-9)
+        assert_allclose(_rate_law(p)[1](c, q), central, rtol=1e-7, atol=1e-9)
 
 
 class TestAnalyzeEquilibria:

@@ -13,7 +13,7 @@ from adsorb.errors import (
     DomainError,
     FrontNotFoundError,
 )
-from adsorb.model import DimensionlessParameters, ReactionOrders, nondimensionalize
+from adsorb.model import DimensionlessParameters, ReactionOrders, _uptake, nondimensionalize
 from adsorb.pde import (
     PdeSolution,
     SpatialGrid,
@@ -22,7 +22,6 @@ from adsorb.pde import (
     mass_balance_residual,
     reconstruct_boundaries,
     solve_pde,
-    step_kinetics,
     track_front,
 )
 from adsorb.analysis import breakthrough_window_time
@@ -58,15 +57,15 @@ class TestKinetics:
         for q_e in (0.7, 0.99, 0.9999):
             for m, n in ADMISSIBLE_FAMILIES:
                 p = params_for(q_e=q_e, m=m, n=n)
-                assert step_kinetics(1.0, p.q_e, p) == 0.0, (q_e, m, n)
+                assert _uptake(1.0, p.q_e, p) == 0.0, (q_e, m, n)
 
     def test_fresh_state(self):
         p = params_for()
-        assert step_kinetics(0.0, 0.0, p) == 0.0
+        assert _uptake(0.0, 0.0, p) == 0.0
 
     def test_direct_substitution(self):
         p = params_for()
-        assert step_kinetics(1.0, 0.0, p) == pytest.approx(p.alpha, rel=1e-14)
+        assert _uptake(1.0, 0.0, p) == pytest.approx(p.alpha, rel=1e-14)
 
 
 class TestAssembleRhs:

@@ -13,7 +13,6 @@ from adsorb.cli import main, read_wave_profile
 from adsorb.errors import (
     ConvergenceError,
     CoverageError,
-    DegenerateStatesError,
     DivergenceError,
     DomainError,
     ExistenceError,
@@ -23,26 +22,21 @@ from adsorb.model import (
     ReactionOrders,
     _rate_law,
     _uptake,
-    _uptake_dq,
     alpha_from_qe,
-    equilibrium_polynomial_direct,
 )
-from adsorb.pde import step_kinetics
 from adsorb.wave import (
-    FarFieldStates,
     WaveProfile,
     WaveSolverSettings,
     closed_form_wave_11,
     full_system_rhs,
     g_from_f,
     leading_order_rhs,
-    slow_set,
     solve_full_wave,
-    solve_full_waves,
     solve_leading_order,
-    wave_velocity_general,
 )
 from adsorb.wave import Z_STEP, Z_STOP, _leg_field, _leg_slopes, _radau_leg
+
+from conftest import equilibrium_polynomial_direct
 
 ADMISSIBLE_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)]
 
@@ -62,29 +56,19 @@ def full_11_pe01():
 
 
 class TestVelocity:
-    def test_clean_bed_states(self):
+    def test_clean_bed_states(self, lead_11):
+        # the jump conditions between (1, q_e) and (0, 0) give 1 / (q_e + Da)
         p = params_for()
-        states = FarFieldStates.clean_bed(p)
-        assert wave_velocity_general(states, p.da) == pytest.approx(1.25, rel=1e-14)
-        assert wave_velocity_general(states, p.da) == pytest.approx(p.velocity, rel=1e-14)
-
-    def test_zero_numerator(self):
-        states = FarFieldStates(f0=0.5, g0=0.6, f_inf=0.5, g_inf=0.1)
-        assert wave_velocity_general(states, 0.3) == 0.0
-
-    def test_degenerate_states(self):
-        states = FarFieldStates(f0=1.0, g0=0.0, f_inf=0.0, g_inf=1.0)
-        with pytest.raises(DegenerateStatesError):
-            wave_velocity_general(states, 1.0)
+        assert p.velocity == pytest.approx(1.25, rel=1e-14)
+        assert lead_11.velocity == p.velocity
 
     def test_clean_bed_states_satisfy_isotherm(self):
+        # the saturated state (F, G) = (1, q_e) is an equilibrium of the isotherm
         for n in (1, 2, 3):
             p = params_for(q_e=0.6, n=n)
-            s = FarFieldStates.clean_bed(p)
-            lhs = p.alpha / (1.0 - p.alpha) * s.f0 ** p.m
-            rhs = (s.g0 / (1.0 - s.g0)) ** p.n
+            lhs = p.alpha / (1.0 - p.alpha)  # times F^m = 1
+            rhs = (p.q_e / (1.0 - p.q_e)) ** p.n
             assert lhs == pytest.approx(rhs, rel=1e-12)
-            assert s.f_inf == 0.0 and s.g_inf == 0.0
 
 
 class TestPointwiseFormulas:
@@ -111,7 +95,7 @@ class TestPointwiseFormulas:
             assert np.all(leading_order_rhs(f, params_for(q_e=q_e, m=m, n=n)) < 0.0), q_e
 
     def test_slow_set_matches_leading_rhs(self):
-        # h0, the slow set and the PDE rate on q = q_e F against the expanded
+        # h0 (the slow set) and the PDE rate on q = q_e F against the expanded
         # polynomial (1 - alpha) F^n - alpha F^m (1/q_e - F)^n
         x = np.linspace(0.0, 1.0, 257)
         for (m, n) in ADMISSIBLE_FAMILIES:
@@ -119,17 +103,16 @@ class TestPointwiseFormulas:
             direct = p.q_e ** (n - 1) * equilibrium_polynomial_direct(x, p)
             reduced_flow = (p.q_e + p.da) * direct
             assert_allclose(leading_order_rhs(x, p), reduced_flow, rtol=1e-10, atol=1e-14)
-            assert_allclose(slow_set(x, p), reduced_flow, rtol=1e-10, atol=1e-14)
-            assert_allclose(step_kinetics(x, p.q_e * x, p), -p.q_e * direct,
+            assert_allclose(_uptake(x, p.q_e * x, p), -p.q_e * direct,
                             rtol=1e-10, atol=1e-14)
 
     def test_slow_set_values(self):
         p = params_for()
-        assert slow_set(0.0, p) == 0.0
-        assert slow_set(1.0, p) == 0.0
-        assert slow_set(0.5, p) == pytest.approx(-0.14, rel=1e-12)
+        assert leading_order_rhs(0.0, p) == 0.0
+        assert leading_order_rhs(1.0, p) == 0.0
+        assert leading_order_rhs(0.5, p) == pytest.approx(-0.14, rel=1e-12)
         x = np.linspace(0.0, 1.0, 101)[1:-1]
-        assert np.all(slow_set(x, p) < 0.0)
+        assert np.all(leading_order_rhs(x, p) < 0.0)
 
 
 class TestFullSystemField:
@@ -142,7 +125,7 @@ class TestFullSystemField:
 
     def test_first_component_is_definitional(self):
         p = params_for(pe=0.1)
-        y = float(slow_set(0.5, p))
+        y = float(leading_order_rhs(0.5, p))
         assert full_system_rhs(0.5, y, p)[0] == y
 
     def test_bounded_on_slow_set_as_pe_vanishes(self):
@@ -150,13 +133,18 @@ class TestFullSystemField:
         values = []
         for pe in (1e-3, 1e-5, 1e-7, 1e-10):
             p = params_for(pe=pe)
-            y = float(slow_set(0.5, p))
+            y = float(leading_order_rhs(0.5, p))
             values.append(abs(full_system_rhs(0.5, y, p)[1]))
         assert max(values) < 10.0
 
     def test_zero_pe_rejected(self):
         with pytest.raises(DomainError):
             full_system_rhs(0.5, -0.1, params_for(pe=0.0))
+
+    def test_full_wave_rejects_zero_pe(self):
+        # the reduced front belongs to solve_leading_order
+        with pytest.raises(DomainError):
+            solve_full_wave(params_for(pe=0.0))
 
 
 class TestClosedForm:
@@ -260,7 +248,7 @@ class TestFullWaveSolver:
             w = solve_full_wave(p)
             mask = (w.eta >= -15.0) & (w.eta <= 15.0) & (w.f >= 0.05) & (w.f <= 0.95)
             y = (p.q_e * w.f[mask] - w.g[mask]) / (pe * (p.q_e + p.da))
-            return np.max(np.abs(y - slow_set(w.f[mask], p)))
+            return np.max(np.abs(y - leading_order_rhs(w.f[mask], p)))
 
         assert manifold_distance(0.01) < manifold_distance(0.1)
 
@@ -285,32 +273,6 @@ def admissible_params(draw):
     return params_for(q_e=q_e, da=da, pe=pe, m=m, n=n)
 
 
-class TestBatchedFullWaves:
-    @pytest.mark.parametrize("m,n,pe", [(1, 1, 0.1), (2, 3, 0.5)])
-    def test_one_pe_batch_is_the_single_solve(self, m, n, pe):
-        # the batch takes its Pe from pe_values, not from params
-        batch = solve_full_waves(params_for(pe=0.3, m=m, n=n), (pe,))[0]
-        single = solve_full_wave(params_for(pe=pe, m=m, n=n))
-        for name in ("eta", "f", "g"):
-            assert np.array_equal(getattr(batch, name), getattr(single, name))
-        assert (batch.pe, batch.velocity, batch.window) == \
-            (single.pe, single.velocity, single.window)
-
-    def test_members_keep_their_pe_and_match_single_solves(self):
-        pe_values = (0.01, 0.1, 1.5)
-        batch = solve_full_waves(params_for(m=2, n=2), pe_values)
-        assert [w.pe for w in batch] == list(pe_values)
-        grid = np.linspace(-20.0, 20.0, 2001)
-        for w in batch:
-            single = solve_full_wave(params_for(pe=w.pe, m=2, n=2))
-            assert np.max(np.abs(w.f_at(grid) - single.f_at(grid))) < 1e-8
-
-    @pytest.mark.parametrize("pe_values", [(), (0.0, 0.1)])
-    def test_rejects_empty_or_zero_pe(self, pe_values):
-        with pytest.raises(DomainError):
-            solve_full_waves(params_for(), pe_values)
-
-
 class TestScalarRadauLeg:
     @pytest.mark.parametrize("pe", [0.01, 1.5])
     @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)
@@ -322,7 +284,7 @@ class TestScalarRadauLeg:
         k_first, slopes, _ = _leg_slopes(p, settings, z_seed)
         rhs, _ = _leg_field(p)
         oracle = solve_ivp(lambda z, w: [rhs(z, w[0])], (z_seed, Z_STOP),
-                           [math.log(-slow_set(settings.seed_delta, p))],
+                           [math.log(-leading_order_rhs(settings.seed_delta, p))],
                            method="Radau", rtol=1e-12, atol=1e-14, dense_output=True)
         z = 0.5 * Z_STEP * (k_first + np.arange(slopes.size))
         assert z_seed <= z[0] and z[-1] <= Z_STOP
@@ -338,7 +300,7 @@ class TestScalarRadauLeg:
         rhs, jac = _leg_field(p)
         h = 1e-4
         for z in np.linspace(-12.0, 12.0, 9):
-            on_slow_set = math.log(-slow_set(1.0 / (1.0 + math.exp(-z)), p))
+            on_slow_set = math.log(-leading_order_rhs(1.0 / (1.0 + math.exp(-z)), p))
             for w in on_slow_set + np.array([-0.5, 0.0, 0.5]):
                 dw = rhs(z, w)
                 central = (rhs(z, w + h) - rhs(z, w - h)) / (2.0 * h)
@@ -412,6 +374,7 @@ class TestBoundField:
     def test_leg_field_is_bit_identical_to_the_field_read_per_call(self, m, n, q_e, pe):
         p = params_for(q_e=q_e, pe=pe, m=m, n=n)
         rhs, jac = _leg_field(p)
+        r_q_bound = _rate_law(p)[1]
         rng = np.random.default_rng(1000 * m + 10 * n + round(100 * pe))
         for z, w in zip(rng.uniform(-14.0, 14.0, 200).tolist(),
                         rng.uniform(-25.0, 1.0, 200).tolist()):
@@ -421,7 +384,7 @@ class TestBoundField:
             y_prime = (p.q_e / (p.q_e + p.da) * y + _rate_read_per_call(f, g, p)) / p.pe
             dw = y_prime * f * (1.0 - f) / (y * y)
             assert rhs(z, w) == full_system_rhs(f, y, p)[1] * f * (1.0 - f) / (y * y) == dw
-            for r_q in (_uptake_dq(f, g, p), _rate_dq_read_per_call(f, g, p)):
+            for r_q in (r_q_bound(f, g), _rate_dq_read_per_call(f, g, p)):
                 assert jac(z, w, dw) == f * (1.0 - f) / y * (
                     p.q_e / ((p.q_e + p.da) * p.pe) - (p.q_e + p.da) * r_q) - 2.0 * dw
 
@@ -433,7 +396,6 @@ class TestBoundField:
         r, r_q = _rate_law(p)
         assert np.array_equal(_uptake(c, q, p), r(c, q))
         assert np.array_equal(r(c, q), _rate_read_per_call(c, q, p))
-        assert np.array_equal(_uptake_dq(c, q, p), r_q(c, q))
         assert np.array_equal(r_q(c, q), _rate_dq_read_per_call(c, q, p))
 
 
