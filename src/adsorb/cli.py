@@ -25,6 +25,7 @@ from .errors import (
     AdsorptionError,
     ConfigError,
     ConsistencyError,
+    DomainError,
     ExistenceError,
 )
 from .model import (
@@ -180,8 +181,9 @@ def _build_dimensionless(section: dict, pe_override: float | None) -> Dimensionl
 def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
     """Parse and validate a JSON config document, applying all defaults.
 
-    Unknown keys are rejected with their names; jointly given alpha and q_e
-    must satisfy the isotherm; wave and sweep modes refuse orders with m > n.
+    Unknown keys are rejected with their names; a parameter outside its
+    domain is a ``ConfigError``; jointly given alpha and q_e must satisfy the
+    isotherm; wave and sweep modes refuse orders with m > n.
     """
     try:
         raw = json.loads(document)
@@ -205,15 +207,18 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
     if has_phys == has_dimless:
         raise ConfigError("exactly one of physical/dimensionless must be given")
 
-    physical = _build_physical(raw["physical"]) if has_phys else None
-    if has_phys:
-        if physical.diffusion is None and pe_override is None:
-            if mode != "isotherm":
-                raise ConfigError("physical needs diffusion, or give the top-level pe")
-            pe_override = 0.0  # the isotherm involves no transport
-        params = nondimensionalize(physical, pe=pe_override)
-    else:
-        params = _build_dimensionless(raw["dimensionless"], pe_override)
+    try:
+        physical = _build_physical(raw["physical"]) if has_phys else None
+        if has_phys:
+            if physical.diffusion is None and pe_override is None:
+                if mode != "isotherm":
+                    raise ConfigError("physical needs diffusion, or give the top-level pe")
+                pe_override = 0.0  # the isotherm involves no transport
+            params = nondimensionalize(physical, pe=pe_override)
+        else:
+            params = _build_dimensionless(raw["dimensionless"], pe_override)
+    except DomainError as exc:  # a value of the right type outside its domain
+        raise ConfigError(str(exc)) from exc
 
     solver = dict(_SOLVER_DEFAULTS)
     given_solver = raw.get("solver") or {}

@@ -262,18 +262,20 @@ def nondimensionalize(p: PhysicalParameters, pe: float | None = None) -> Dimensi
 
 
 def _rate_law(params: DimensionlessParameters):
-    """The attachment rate r(c, q) and its q-partial, with the constants of ``params`` bound.
+    """The attachment rate r(c, q) and its partials, with the constants of ``params`` bound.
 
     r(c, q) = alpha c^m (1-q)^n - (1-alpha) q^n, written with
     1 - alpha = alpha ((1-q_e)/q_e)^n from the isotherm: both factors are
     exactly one at (1, q_e), so the rate is exactly zero there and at (0, 0).
-    Both closures take floats or arrays.
+    The three closures (r, dr/dq, dr/dc) take floats or arrays.
     """
     q_e, m, n = params.q_e, params.m, params.n
     one_minus_qe = 1.0 - q_e
     amp = params.alpha * one_minus_qe ** n
     amp_q = -n * params.alpha * one_minus_qe ** n
+    amp_c = m * amp
     n_q = n - 1
+    m_c = m - 1
 
     def r(c, q):
         return amp * (c ** m * ((1.0 - q) / one_minus_qe) ** n - (q / q_e) ** n)
@@ -282,7 +284,10 @@ def _rate_law(params: DimensionlessParameters):
         return amp_q * (c ** m * ((1.0 - q) / one_minus_qe) ** n_q / one_minus_qe
                         + (q / q_e) ** n_q / q_e)
 
-    return r, r_q
+    def r_c(c, q):
+        return amp_c * c ** m_c * ((1.0 - q) / one_minus_qe) ** n
+
+    return r, r_q, r_c
 
 
 def _uptake(c, q, params: DimensionlessParameters):

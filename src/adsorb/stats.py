@@ -10,7 +10,7 @@ class IntegratorStats:
     """What the time integrator did: its method and its work counters."""
 
     time_method: str
-    nfev: int  # right-hand-side evaluations outside the Jacobian estimates
-    njev: int  # Jacobian evaluations (finite differences for the PDE)
+    nfev: int  # right-hand-side evaluations
+    njev: int  # Jacobian evaluations (the analytic sparse Jacobian for the PDE)
     nlu: int   # LU factorisations
     steps: int | None = None  # accepted steps, where the integrator reports them

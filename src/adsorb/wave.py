@@ -261,7 +261,7 @@ def _phase_field(params: DimensionlessParameters):
     dY'/dy = q_e / ((q_e + Da) Pe) - (q_e + Da) dr/dq at the same G.  Both
     closures take (x, y); ``params.pe`` must be positive.
     """
-    r, r_q = _rate_law(params)
+    r, r_q, _ = _rate_law(params)
     q_e, pe = params.q_e, params.pe
     q_e_da = q_e + params.da
     lift = q_e / q_e_da

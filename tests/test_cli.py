@@ -21,7 +21,7 @@ from adsorb.cli import (
     read_wave_profile,
     run,
 )
-from adsorb.errors import ConfigError, ConsistencyError, ExistenceError
+from adsorb.errors import ConfigError, ConsistencyError, DomainError, ExistenceError
 from adsorb.model import DimensionlessParameters, ReactionOrders, sips_isotherm
 from adsorb.wave import solve_full_wave, solve_leading_order
 
@@ -413,6 +413,24 @@ class TestMainEntry:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and key in err["message"]
+
+    @pytest.mark.parametrize("doc,message", [
+        (json.loads(wave_doc(q_e=1.5)), "q_e must lie in (0, 1)"),
+        (json.loads(wave_doc(m="1")), "reaction order m must be an integer"),
+        ({"mode": "pde", "physical": {**PHYSICAL, "epsilon": -0.3357}, "pe": 0.1}, "epsilon"),
+    ])
+    def test_out_of_domain_value_exit_code(self, tmp_path, capsys, doc, message):
+        # a value of the right type outside its domain is a config error, not
+        # a solver failure (exit 4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main([doc["mode"], "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and message in err["message"]
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert isinstance(info.value.__cause__, DomainError)
 
     def test_out_flag_needs_an_output_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

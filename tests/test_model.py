@@ -281,6 +281,15 @@ class TestRateLawPartial:
         central = (_uptake(c, q + h, p) - _uptake(c, q - h, p)) / (2.0 * h)
         assert_allclose(_rate_law(p)[1](c, q), central, rtol=1e-7, atol=1e-9)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4), (2, 1)])
+    @pytest.mark.parametrize("q_e", [0.3, 0.7, 0.99])
+    def test_c_partial_matches_central_differences(self, m, n, q_e):
+        p = params_for(q_e, da=0.1, pe=0.0, m=m, n=n)
+        c, q = np.meshgrid(np.linspace(0.05, 1.0, 11), np.linspace(0.0, 0.95, 13))
+        h = 1e-6
+        central = (_uptake(c + h, q, p) - _uptake(c - h, q, p)) / (2.0 * h)
+        assert_allclose(_rate_law(p)[2](c, q), central, rtol=1e-7, atol=1e-9)
+
 
 class TestAnalyzeEquilibria:
     def test_physisorption_is_admissible(self):

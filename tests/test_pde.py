@@ -1,3 +1,4 @@
+import gc
 import math
 
 import hypothesis
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import OdeSolver, cumulative_trapezoid, solve_ivp
 
 from adsorb.errors import (
     CellPecletWarning,
@@ -17,6 +18,7 @@ from adsorb.model import DimensionlessParameters, ReactionOrders, _uptake, nondi
 from adsorb.pde import (
     PdeSolution,
     SpatialGrid,
+    _jacobian,
     assemble_rhs,
     breakthrough_time,
     mass_balance_residual,
@@ -126,32 +128,86 @@ def test_integrator_stats_is_one_class_across_layers():
     assert pde.IntegratorStats is stats.IntegratorStats is wave.IntegratorStats
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (2, 3)])
-def test_jacobian_sparsity_is_exact(m, n, monkeypatch):
-    # the nonzero set of a central-difference Jacobian at a generic state
-    # must equal the pattern handed to the integrator, entry for entry
-    p = params_for(m=m, n=n, pe=0.5, ell=5.0)
-    grid = SpatialGrid(ell=5.0, n_cells=20)
-    state = np.random.default_rng(7).uniform(0.1, 0.6, 2 * grid.n_cells - 2)
-    step = 1e-6
+def central_jacobian(state, p, grid, step=1e-6):
+    """Central-difference Jacobian of ``assemble_rhs``, one column per state entry."""
     dense = np.empty((state.size, state.size))
     for j in range(state.size):
         e = np.zeros(state.size)
         e[j] = step
         dense[:, j] = (assemble_rhs(state + e, p, grid)
                        - assemble_rhs(state - e, p, grid)) / (2.0 * step)
+    return dense
 
+
+def assert_jacobian_is_exact(p, grid, state):
+    """The analytic Jacobian equals the central-difference one entry for entry.
+
+    Returns its stored pattern and the difference Jacobian's nonzero set; the
+    pattern holds every nonzero, and at a generic state the two are equal.
+    """
+    dense = central_jacobian(state, p, grid)
+    jac = _jacobian(p, grid)(0.0, state)
+    assert_allclose(jac.toarray(), dense, rtol=1e-7, atol=1e-7 * np.abs(dense).max())
+    stored = jac.copy()
+    stored.data[:] = 1.0
+    pattern, nonzero = stored.toarray() != 0, np.abs(dense) > 1e-9
+    assert not np.any(nonzero & ~pattern)
+    return pattern, nonzero
+
+
+@pytest.mark.parametrize("m, n, q_e, da", [(1, 1, 0.7, 0.1), (1, 2, 0.7, 0.1), (2, 3, 0.7, 0.1),
+                                           (3, 4, 0.7, 0.1),
+                                           (1, 1, 0.99993, 0.007)])  # reference column corner
+def test_jacobian_is_exact(m, n, q_e, da, monkeypatch):
+    p = params_for(q_e=q_e, da=da, m=m, n=n, pe=0.5, ell=5.0)
+    grid = SpatialGrid(ell=5.0, n_cells=20)
+    state = np.random.default_rng(7).uniform(0.1, 0.6, 2 * grid.n_cells - 2)
+    pattern, nonzero = assert_jacobian_is_exact(p, grid, state)
+    assert pattern.sum() == 112
+    assert np.array_equal(pattern, nonzero)
+
+    # the integrator gets the analytic Jacobian, not a pattern to difference on
     used = []
 
     def recording_solve_ivp(*args, **kwargs):
-        used.append(kwargs["jac_sparsity"])
+        used.append(kwargs)
         return solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr("adsorb.pde.solve_ivp", recording_solve_ivp)
     solve_pde(p, grid, t_end=0.1, sample_times=np.array([0.0, 0.1]))
-    (pattern,) = used
-    assert pattern.nnz == 112
-    assert np.array_equal(pattern.toarray() != 0, np.abs(dense) > 1e-9)
+    (kwargs,) = used
+    assert callable(kwargs["jac"]) and "jac_sparsity" not in kwargs
+
+
+@st.composite
+def jacobian_cases(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    p = params_for(q_e=draw(st.floats(0.5, 0.99993)), da=draw(st.floats(0.005, 0.5)),
+                   pe=draw(st.floats(0.05, 1.0)), m=m, n=n, ell=5.0)
+    state = draw(st.lists(st.floats(0.0, 1.0), min_size=38, max_size=38))
+    return p, np.array(state)
+
+
+@hypothesis.settings(max_examples=10, derandomize=True, deadline=None)
+@hypothesis.given(jacobian_cases())
+def test_jacobian_is_exact_over_admissible_params(case):
+    p, state = case
+    assert_jacobian_is_exact(p, SpatialGrid(ell=5.0, n_cells=20), state)
+
+
+def test_finished_solver_is_freed():
+    # scipy's solver refers to itself; solve_pde frees it before returning
+    # instead of leaving it, with its LU factors, to the cyclic collector
+    p = params_for(ell=5.0, pe=0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_pde(p, SpatialGrid(ell=5.0, n_cells=20), t_end=0.5)
+        alive = [o for o in gc.get_objects() if isinstance(o, OdeSolver)]
+    finally:
+        gc.enable()
+    assert alive == []
 
 
 @pytest.mark.parametrize("pe, da", [(0.5, 0.1), (0.1, 0.007)])
@@ -272,6 +328,14 @@ class TestReferenceColumnRun:
         speeds = [track_front(sol, level, (8.0, 16.0)).fitted_speed
                   for level in (0.25, 0.5, 0.75)]
         assert (max(speeds) - min(speeds)) / min(speeds) < 0.02
+
+    def test_mass_audit_quadrature_is_scipys(self, front_speed_run, monkeypatch):
+        # the numpy running trapezoid is scipy's cumulative_trapezoid, bit for bit
+        sol, _ = front_speed_run
+        audit = mass_balance_residual(sol)
+        monkeypatch.setattr("adsorb.pde._running_trapezoid",
+                            lambda y, t: cumulative_trapezoid(y, t, initial=0.0))
+        assert np.array_equal(mass_balance_residual(sol), audit)
 
     def test_mass_balance_audit(self, front_speed_run):
         sol, _ = front_speed_run

@@ -393,7 +393,7 @@ class TestBoundField:
         p = params_for(q_e=q_e, m=m, n=n)
         rng = np.random.default_rng(10 * m + n)
         c, q = rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 1.0, 500)
-        r, r_q = _rate_law(p)
+        r, r_q, _ = _rate_law(p)
         assert np.array_equal(_uptake(c, q, p), r(c, q))
         assert np.array_equal(r(c, q), _rate_read_per_call(c, q, p))
         assert np.array_equal(r_q(c, q), _rate_dq_read_per_call(c, q, p))
