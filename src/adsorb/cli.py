@@ -32,26 +32,25 @@ from .model import (
     DimensionlessParameters,
     PhysicalParameters,
     ReactionOrders,
-    alpha_from_qe,
     analyze_equilibria,
     nondimensionalize,
     sips_isotherm,
 )
-from .stats import IntegratorStats
+from .stats import IntegratorStats, PdeSolverSettings
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
 MODES = ("nondim", "wave", "pde", "sweep", "isotherm")
 
 ALPHA_QE_CONSISTENCY_TOL = 1e-8
 
-_PHYSICAL_KEYS = {"epsilon", "u_in", "k_ad", "k_de", "c_in", "q_max", "rho_b",
-                  "column_length", "diffusion", "m", "n"}
+# the physical section spells out PhysicalParameters, with the orders as m and n
+_PHYSICAL_FIELDS = [f for f in dataclasses.fields(PhysicalParameters) if f.name != "orders"]
+_PHYSICAL_KEYS = {f.name for f in _PHYSICAL_FIELDS} | {"m", "n"}
 _DIMENSIONLESS_KEYS = {"da", "pe", "q_e", "alpha", "m", "n", "ell"}
 _SOLVER_DEFAULTS = {
     **dataclasses.asdict(WaveSolverSettings()),  # rel_tol, abs_tol, seed_delta, eta_span
-    # pde.PdeSolverSettings's values; importing pde would load scipy in every mode
-    "pde_rel_tol": 1e-6,
-    "pde_abs_tol": 1e-9,
+    # pde_rel_tol, pde_abs_tol
+    **{f"pde_{k}": v for k, v in dataclasses.asdict(PdeSolverSettings()).items()},
     "n_cells": 400,
     "eta_star": DEFAULT_ETA_STAR,
     "threshold_hi": THRESHOLD_HI,
@@ -132,18 +131,14 @@ def _build_physical(section: dict) -> PhysicalParameters:
     _fail_unknown("physical", section, _PHYSICAL_KEYS)
     _check_types("physical", section, nullable={"diffusion"})
     orders = _orders_from(section, "physical")
-    required = ["epsilon", "u_in", "k_ad", "k_de", "c_in", "q_max", "rho_b", "column_length"]
-    missing = [k for k in required if k not in section]
+    missing = [f.name for f in _PHYSICAL_FIELDS
+               if f.default is dataclasses.MISSING and f.name not in section]
     if missing:
         raise ConfigError(f"physical is missing keys: {', '.join(missing)}")
-    return PhysicalParameters(
-        epsilon=float(section["epsilon"]), u_in=float(section["u_in"]),
-        k_ad=float(section["k_ad"]), k_de=float(section["k_de"]),
-        c_in=float(section["c_in"]), q_max=float(section["q_max"]),
-        rho_b=float(section["rho_b"]), column_length=float(section["column_length"]),
-        orders=orders,
-        diffusion=float(section["diffusion"]) if section.get("diffusion") is not None else None,
-    )
+    return PhysicalParameters(orders=orders, **{
+        f.name: None if section.get(f.name) is None else float(section[f.name])
+        for f in _PHYSICAL_FIELDS
+    })
 
 
 def _build_dimensionless(section: dict, pe_override: float | None) -> DimensionlessParameters:
@@ -158,24 +153,21 @@ def _build_dimensionless(section: dict, pe_override: float | None) -> Dimensionl
     extra = {}
     if section.get("ell") is not None:
         extra["ell"] = float(section["ell"])
-    has_alpha, has_qe = "alpha" in section, "q_e" in section
-    if not (has_alpha or has_qe):
-        raise ConfigError("dimensionless must specify q_e or alpha")
-    if has_alpha and has_qe:
-        alpha, q_e = float(section["alpha"]), float(section["q_e"])
-        implied = alpha_from_qe(q_e, orders.n)
-        if abs(implied - alpha) > ALPHA_QE_CONSISTENCY_TOL * max(1.0, abs(alpha)):
+    if "q_e" not in section:
+        if "alpha" not in section:
+            raise ConfigError("dimensionless must specify q_e or alpha")
+        return DimensionlessParameters.from_alpha(float(section["alpha"]), da=float(section["da"]),
+                                                  pe=float(pe), orders=orders, **extra)
+    params = DimensionlessParameters.from_qe(float(section["q_e"]), da=float(section["da"]),
+                                             pe=float(pe), orders=orders, **extra)
+    if "alpha" in section:
+        alpha = float(section["alpha"])
+        if abs(params.alpha - alpha) > ALPHA_QE_CONSISTENCY_TOL * max(1.0, abs(alpha)):
             raise ConsistencyError(
-                f"alpha={alpha!r} and q_e={q_e!r} violate the isotherm for n={orders.n}: "
-                f"q_e implies alpha={implied!r}"
+                f"alpha={alpha!r} and q_e={params.q_e!r} violate the isotherm for n={orders.n}: "
+                f"q_e implies alpha={params.alpha!r}"
             )
-        return DimensionlessParameters.from_qe(q_e, da=float(section["da"]), pe=float(pe),
-                                               orders=orders, **extra)
-    if has_qe:
-        return DimensionlessParameters.from_qe(float(section["q_e"]), da=float(section["da"]),
-                                               pe=float(pe), orders=orders, **extra)
-    return DimensionlessParameters.from_alpha(float(section["alpha"]), da=float(section["da"]),
-                                              pe=float(pe), orders=orders, **extra)
+    return params
 
 
 def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
@@ -263,11 +255,7 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
 
     physical_resolved = None
     if physical is not None:
-        physical_resolved = {
-            k: getattr(physical, k) for k in
-            ("epsilon", "u_in", "k_ad", "k_de", "c_in", "q_max", "rho_b",
-             "column_length", "diffusion")
-        }
+        physical_resolved = {f.name: getattr(physical, f.name) for f in _PHYSICAL_FIELDS}
         physical_resolved["m"] = physical.orders.m
         physical_resolved["n"] = physical.orders.n
     resolved = {
@@ -477,7 +465,7 @@ def _run_wave(config: RunConfig, out: Path) -> list[Path]:
 
 def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     # imported here so that no other mode loads scipy
-    from .pde import PdeSolverSettings, SpatialGrid, mass_balance_residual, solve_pde, track_front
+    from .pde import SpatialGrid, mass_balance_residual, solve_pde, track_front
 
     s = config.solver
     grid = SpatialGrid(ell=config.params.ell, n_cells=int(s["n_cells"]))

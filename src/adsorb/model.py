@@ -132,8 +132,6 @@ class DimensionlessParameters:
     @classmethod
     def from_qe(cls, q_e: float, da: float, pe: float, orders: ReactionOrders,
                 **extra) -> "DimensionlessParameters":
-        if not 0.0 < q_e < 1.0:
-            raise DomainError(f"q_e must lie in (0, 1), got {q_e!r}")
         return cls(da=da, pe=pe, alpha=alpha_from_qe(q_e, orders.n), q_e=q_e,
                    orders=orders, **extra)
 

@@ -8,8 +8,10 @@ interior concentrations plus the adsorbed fraction at every node.
 
 The ``c`` rows are divided by Da, which makes the system stiff for small Da,
 so time integration is implicit: variable-order BDF with the analytic sparse
-Jacobian of the semi-discrete system (the constant stencil plus the rate
-law's partials), each Newton matrix factorised by sparse LU.
+Jacobian of the semi-discrete system, each Newton matrix factorised by sparse
+LU.  The Jacobian is the chain rule of the boundary closure: the constant
+stencil acts on the full field through the closure map from the interior
+concentrations, and the rate law's partials r_c and r_q enter at every node.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     StiffnessError,
 )
 from .model import DimensionlessParameters, _rate_law, _uptake
-from .stats import IntegratorStats
+from .stats import IntegratorStats, PdeSolverSettings
 
 FIELD_TOL = 1e-6  # roundoff slack on the physical bounds of c and q
 TIME_METHOD = "BDF"  # implicit variable-order BDF; the Da-scaled c rows are stiff
@@ -56,12 +58,6 @@ class SpatialGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.ell, self.n_cells)
-
-
-@dataclass(frozen=True)
-class PdeSolverSettings:
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,60 +145,44 @@ def assemble_rhs(state: np.ndarray, params: DimensionlessParameters,
 def _jacobian(params: DimensionlessParameters, grid: SpatialGrid):
     """The exact Jacobian of ``assemble_rhs`` over the state, as ``jac(t, state)``.
 
-    Row i of dc/dt (node i+1) reads the interior concentrations i-1..i+1 and
-    q at node i+1; row j of dq/dt reads q and c at node j, which for an
-    interior node is state entry j-1.  The eliminated boundary values depend
-    only on the first and last two interior concentrations, with the weights
-    4w/(1+3w), -w/(1+3w) at the inlet and 4/3, -1/3 at the outlet: they add
-    to the first and last rows of the tridiagonal c-c block, and two entries
-    each to the inlet and outlet rows of dq/dt.
+    ``assemble_rhs`` reads the full field c = E c_interior + const.  The
+    closure map E is the identity on the interior nodes plus the eliminated
+    boundaries' weights, 4w/(1+3w), -w/(1+3w) at the inlet (w = Pe/(2h)) and
+    4/3, -1/3 at the outlet.  The c rows apply the stencil L to that field and
+    subtract the rate r(c, q) at the interior nodes P, all over Da; the q rows
+    are r itself.  By the chain rule
 
-    The CSC pattern and the stencil's constant values are built once; each
-    call evaluates the rate partials r_c and r_q on the full field and
-    scatters them, weighted, into the entries that depend on the state.
+        J = [[L E / Da, 0], [0, 0]] + [[-P/Da, -P/Da], [I, I]] diag(r_c, r_q) D,
+
+    with D = blockdiag(E, I) the derivative of (c, q) over the state.  The
+    constant factors are built once; each call evaluates r_c and r_q on the
+    full field and scales the rows of D by them.
     """
     n = grid.n_cells
     k = n - 2  # interior concentrations lead the state; q at every node follows
-    size = k + n
     h, pe, da = grid.spacing, params.pe, params.da
     w = pe / (2.0 * h)
-    inlet = np.array([4.0 * w, -w]) / (1.0 + 3.0 * w)  # d c_0 / d (c_1, c_2)
-    outlet = np.array([4.0, -1.0]) / 3.0              # d c_N / d (c_{N-1}, c_{N-2})
-    lower = (pe / h + 0.5) / (h * da)                 # d (dc_i/dt) / d c_{i-1}
-    upper = (pe / h - 0.5) / (h * da)                 # d (dc_i/dt) / d c_{i+1}
-    i = np.arange(k)
-    interior = np.arange(1, n - 1)
-    nodes = np.arange(n)
-    ends = np.array([0, 1, k - 1, k - 2])
-
-    # the stencil: the c-c band, with the boundary weights on its end rows
-    fixed_rows = np.concatenate([i, i[1:], i[:-1], [0, 0, k - 1, k - 1]])
-    fixed_cols = np.concatenate([i, i[:-1], i[1:], ends])
-    fixed_vals = np.concatenate([np.full(k, -2.0 * pe / (h * h * da)), np.full(k - 1, lower),
-                                 np.full(k - 1, upper), lower * inlet, upper * outlet])
-    # the state: weight * [r_c, r_q](full field)[src] on the c-c diagonal, the
-    # c-q diagonal, the q-c entries with the boundary weights, and the q-q diagonal
-    var_rows = np.concatenate([i, i, k + interior, [k, k, size - 1, size - 1], k + nodes])
-    var_cols = np.concatenate([i, k + interior, i, ends, k + nodes])
-    src = np.concatenate([interior, n + interior, interior, [0, 0, n - 1, n - 1], n + nodes])
-    weight = np.concatenate([np.full(2 * k, -1.0 / da), np.ones(k), inlet, outlet, np.ones(n)])
-
-    # column-major keys sort the merged entries into CSC order
-    keys, position = np.unique(np.concatenate([fixed_cols, var_cols]) * size
-                               + np.concatenate([fixed_rows, var_rows]), return_inverse=True)
-    indices = (keys % size).astype(np.int32)
-    indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
-    base = np.zeros(keys.size)
-    np.add.at(base, position[:fixed_rows.size], fixed_vals)
-    dep = position[fixed_rows.size:]
+    ends = np.zeros((2, k))
+    ends[0, :2] = np.array([4.0 * w, -w]) / (1.0 + 3.0 * w)  # d c_0 / d (c_1, c_2)
+    ends[1, -2:] = np.array([-1.0, 4.0]) / 3.0              # d c_N / d (c_{N-2}, c_{N-1})
+    closure = sparse.vstack([ends[:1], sparse.eye(k), ends[1:]])  # E
+    stencil = sparse.diags([(pe / h + 0.5) / (h * da), -2.0 * pe / (h * h * da),
+                            (pe / h - 0.5) / (h * da)], [0, 1, 2], shape=(k, n))  # L / Da
+    transport = sparse.block_diag([stencil @ closure, sparse.csc_matrix((n, n))], format="csc")
+    interior = sparse.eye(k, n, 1) / -da  # -P / Da
+    nodes = sparse.eye(n)
+    gather = sparse.bmat([[interior, interior], [nodes, nodes]], format="csc")
+    state_map = sparse.block_diag([closure, nodes], format="csc")  # D
     _, r_q, r_c = _rate_law(params)
 
     def jac(_t, state):
         c = _full_field(state[:k], params, grid)
         q = state[k:]
-        data = base.copy()
-        data[dep] += weight * np.concatenate([r_c(c, q), r_q(c, q)])[src]
-        return sparse.csc_matrix((data, indices, indptr), shape=(size, size))
+        rates = np.concatenate([r_c(c, q), r_q(c, q)])
+        # diag(r_c, r_q) D: the index of a CSC entry is its row
+        scaled = sparse.csc_matrix((state_map.data * rates[state_map.indices], state_map.indices,
+                                    state_map.indptr), shape=state_map.shape)
+        return transport + gather @ scaled
 
     return jac
 

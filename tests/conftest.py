@@ -12,6 +12,10 @@ from adsorb.model import (
     nondimensionalize,
 )
 from adsorb.pde import SpatialGrid, mass_balance_residual, solve_pde
+from adsorb.wave import solve_full_wave, solve_leading_order
+
+#: the order pairs (m, n) with m <= n, for which a front exists
+ADMISSIBLE_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)]
 
 
 def column_physical(m: int = 1, n: int = 1) -> PhysicalParameters:
@@ -21,6 +25,12 @@ def column_physical(m: int = 1, n: int = 1) -> PhysicalParameters:
         q_max=0.358, rho_b=377.25, column_length=5.4e-3,
         orders=ReactionOrders(m, n),
     )
+
+
+def params_for(q_e=0.7, da=0.1, pe=0.0, m=1, n=1, **extra) -> DimensionlessParameters:
+    """Nondimensional parameters from q_e; ``extra`` passes ell and the scales through."""
+    return DimensionlessParameters.from_qe(q_e, da=da, pe=pe, orders=ReactionOrders(m, n),
+                                           **extra)
 
 
 def equilibrium_polynomial_direct(x, params: DimensionlessParameters):
@@ -46,6 +56,18 @@ def child_env():
     parts = [str(Path(adsorb.__file__).resolve().parent.parent), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(part for part in parts if part)
     return env
+
+
+@pytest.fixture(scope="session")
+def lead_11():
+    """The (1,1) reduced front at the default parameters."""
+    return solve_leading_order(params_for())
+
+
+@pytest.fixture(scope="session")
+def full_11_pe01():
+    """The (1,1) full front at Pe = 0.1."""
+    return solve_full_wave(params_for(pe=0.1))
 
 
 @pytest.fixture(scope="session")

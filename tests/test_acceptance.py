@@ -26,12 +26,7 @@ from scipy.integrate import quad
 
 from adsorb.analysis import SweepGrid, l2_profile_error, run_sweep
 from adsorb.errors import ExistenceError
-from adsorb.model import (
-    REASON_INCREASING,
-    DimensionlessParameters,
-    ReactionOrders,
-    analyze_equilibria,
-)
+from adsorb.model import REASON_INCREASING, analyze_equilibria
 from adsorb.pde import mass_balance_residual, track_front
 from adsorb.wave import (
     full_system_rhs,
@@ -40,9 +35,7 @@ from adsorb.wave import (
     solve_leading_order,
 )
 
-
-def params_for(q_e=0.7, da=0.1, pe=0.0, m=1, n=1):
-    return DimensionlessParameters.from_qe(q_e, da=da, pe=pe, orders=ReactionOrders(m, n))
+from conftest import params_for
 
 
 def report(number, name, ok, detail):

@@ -13,7 +13,6 @@ from adsorb.analysis import (
     run_sweep,
 )
 from adsorb.errors import ConvergenceError, CoverageError, DomainError, ExistenceError
-from adsorb.model import DimensionlessParameters, ReactionOrders
 from adsorb.wave import (
     WaveProfile,
     WaveSolverSettings,
@@ -22,11 +21,7 @@ from adsorb.wave import (
     solve_leading_order,
 )
 
-ADMISSIBLE_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)]
-
-
-def params_for(q_e=0.7, da=0.1, pe=0.0, m=1, n=1):
-    return DimensionlessParameters.from_qe(q_e, da=da, pe=pe, orders=ReactionOrders(m, n))
+from conftest import ADMISSIBLE_FAMILIES, params_for
 
 
 def logistic_profile(k=0.56, span=30.0, n=3001, lift=0.0):
@@ -34,16 +29,6 @@ def logistic_profile(k=0.56, span=30.0, n=3001, lift=0.0):
     f = 1.0 / (1.0 + np.exp(k * eta)) + lift
     return WaveProfile(eta=eta, f=f, g=0.7 * f, velocity=1.25, pe=0.0,
                        normalized=True, window=(float(eta[0]), float(eta[-1])))
-
-
-@pytest.fixture(scope="module")
-def lead_11():
-    return solve_leading_order(params_for())
-
-
-@pytest.fixture(scope="module")
-def full_11_pe01():
-    return solve_full_wave(params_for(pe=0.1))
 
 
 class TestSweepGrid:

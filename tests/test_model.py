@@ -22,12 +22,7 @@ from adsorb.model import (
 )
 from adsorb.model import _rate_law, _uptake
 
-from conftest import column_physical, equilibrium_polynomial_direct
-
-
-def params_for(q_e, da, pe, m, n, **extra):
-    return DimensionlessParameters.from_qe(q_e, da=da, pe=pe,
-                                           orders=ReactionOrders(m, n), **extra)
+from conftest import column_physical, equilibrium_polynomial_direct, params_for
 
 
 class TestReactionOrders:

@@ -14,7 +14,7 @@ from adsorb.errors import (
     DomainError,
     FrontNotFoundError,
 )
-from adsorb.model import DimensionlessParameters, ReactionOrders, _uptake, nondimensionalize
+from adsorb.model import _uptake, nondimensionalize
 from adsorb.pde import (
     PdeSolution,
     SpatialGrid,
@@ -29,15 +29,7 @@ from adsorb.pde import (
 from adsorb.analysis import breakthrough_window_time
 from adsorb.wave import solve_full_wave
 
-from conftest import column_physical
-
-
-ADMISSIBLE_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)]
-
-
-def params_for(q_e=0.7, da=0.1, pe=0.1, m=1, n=1, ell=20.0):
-    return DimensionlessParameters.from_qe(q_e, da=da, pe=pe,
-                                           orders=ReactionOrders(m, n), ell=ell)
+from conftest import ADMISSIBLE_FAMILIES, column_physical, params_for
 
 
 class TestSpatialGrid:
@@ -58,15 +50,15 @@ class TestKinetics:
         # (1, q_e) is a rest state of the law exactly, also next to q_e = 1
         for q_e in (0.7, 0.99, 0.9999):
             for m, n in ADMISSIBLE_FAMILIES:
-                p = params_for(q_e=q_e, m=m, n=n)
+                p = params_for(q_e=q_e, pe=0.1, m=m, n=n)
                 assert _uptake(1.0, p.q_e, p) == 0.0, (q_e, m, n)
 
     def test_fresh_state(self):
-        p = params_for()
+        p = params_for(pe=0.1)
         assert _uptake(0.0, 0.0, p) == 0.0
 
     def test_direct_substitution(self):
-        p = params_for()
+        p = params_for(pe=0.1)
         assert _uptake(1.0, 0.0, p) == pytest.approx(p.alpha, rel=1e-14)
 
 
@@ -395,7 +387,7 @@ class TestLongHorizonBehaviour:
 class TestFrontTracking:
     def synthetic_ramp_solution(self, v=1.25, ell=20.0, n_cells=201):
         # piecewise-linear moving ramp: linear interpolation recovers it exactly
-        p = params_for(ell=ell)
+        p = params_for(pe=0.1, ell=ell)
         grid = SpatialGrid(ell=ell, n_cells=n_cells)
         x = grid.nodes
         times = np.linspace(1.0, 9.0, 33)

@@ -17,13 +17,7 @@ from adsorb.errors import (
     DomainError,
     ExistenceError,
 )
-from adsorb.model import (
-    DimensionlessParameters,
-    ReactionOrders,
-    _rate_law,
-    _uptake,
-    alpha_from_qe,
-)
+from adsorb.model import _rate_law, _uptake, alpha_from_qe
 from adsorb.wave import (
     WaveProfile,
     WaveSolverSettings,
@@ -36,23 +30,7 @@ from adsorb.wave import (
 )
 from adsorb.wave import Z_STEP, Z_STOP, _leg_field, _leg_slopes, _radau_leg
 
-from conftest import equilibrium_polynomial_direct
-
-ADMISSIBLE_FAMILIES = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)]
-
-
-def params_for(q_e=0.7, da=0.1, pe=0.0, m=1, n=1):
-    return DimensionlessParameters.from_qe(q_e, da=da, pe=pe, orders=ReactionOrders(m, n))
-
-
-@pytest.fixture(scope="module")
-def lead_11():
-    return solve_leading_order(params_for())
-
-
-@pytest.fixture(scope="module")
-def full_11_pe01():
-    return solve_full_wave(params_for(pe=0.1))
+from conftest import ADMISSIBLE_FAMILIES, equilibrium_polynomial_direct, params_for
 
 
 class TestVelocity:
