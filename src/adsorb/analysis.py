@@ -130,8 +130,11 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
     ``solve_full_wave`` and contributes the L2 distance, the breakthrough
     window time, and its signed relative error.  Failures are recorded with an
     error marker instead of aborting the sweep, and mark only the Pe that
-    failed.  Records are returned in grid order.
+    failed.  Records are returned in grid order.  A non-positive ``eta_star``
+    is refused before any front is solved.
     """
+    if eta_star <= 0.0:
+        raise DomainError(f"eta_star must be positive, got {eta_star!r}")
     settings = settings or WaveSolverSettings()
     leading = solve_leading_order(replace(params, pe=0.0), settings)
     t_0 = breakthrough_window_time(leading, hi, lo)

@@ -1,6 +1,9 @@
 """Command-line front end: JSON config in, deterministic CSV/JSON artifacts out.
 
-Subcommands: ``nondim``, ``wave``, ``pde``, ``sweep``, ``isotherm``.  Every
+``adsorb <mode> --config <path> [--out <dir>] [--seed-delta <float>]``, where the
+mode is one of ``nondim``, ``wave``, ``pde``, ``sweep``, ``isotherm`` and the flags
+may come before or after it.  ``parse_config`` is the only reader of the config
+document; the two flags override ``output.dir`` and ``solver.seed_delta``.  Every
 output file starts with a provenance comment carrying the toolkit version and
 a hash of the fully resolved configuration, and floats are written with 17
 significant digits, so identical configs produce byte-identical artifacts.
@@ -94,6 +97,13 @@ def _fail_unknown(section: str, given: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown keys in {section}: {', '.join(unknown)}")
 
 
+def _section(raw: dict, name: str, allowed: set[str]) -> dict:
+    """The named top-level section; absent or null means no keys given."""
+    given = {} if raw.get(name) is None else raw[name]
+    _fail_unknown(name, given, allowed)
+    return given
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -170,12 +180,15 @@ def _build_dimensionless(section: dict, pe_override: float | None) -> Dimensionl
     return params
 
 
-def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
+def parse_config(document: str, mode_override: str | None = None, *,
+                 out: str | None = None, seed_delta: float | None = None) -> RunConfig:
     """Parse and validate a JSON config document, applying all defaults.
 
     Unknown keys are rejected with their names; a parameter outside its
     domain is a ``ConfigError``; jointly given alpha and q_e must satisfy the
-    isotherm; wave and sweep modes refuse orders with m > n.
+    isotherm; wave and sweep modes refuse orders with m > n.  ``out`` and
+    ``seed_delta``, when given, replace ``output.dir`` and
+    ``solver.seed_delta`` and are checked as those keys are.
     """
     try:
         raw = json.loads(document)
@@ -188,7 +201,8 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
 
     mode = raw.get("mode", mode_override)
     if mode_override is not None and raw.get("mode") is not None and raw["mode"] != mode_override:
-        raise ConfigError(f"config mode {raw['mode']!r} conflicts with subcommand {mode_override!r}")
+        raise ConfigError(f"config mode {raw['mode']!r} conflicts with the mode argument "
+                          f"{mode_override!r}")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
@@ -213,8 +227,9 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     solver = dict(_SOLVER_DEFAULTS)
-    given_solver = raw.get("solver") or {}
-    _fail_unknown("solver", given_solver, set(_SOLVER_DEFAULTS))
+    given_solver = _section(raw, "solver", set(_SOLVER_DEFAULTS))
+    if seed_delta is not None:
+        given_solver = {**given_solver, "seed_delta": seed_delta}
     _check_types("solver", given_solver,
                  nullable={k for k, v in _SOLVER_DEFAULTS.items() if v is None})
     solver.update(given_solver)
@@ -227,10 +242,8 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
     if solver["pe_values"] is None:
         solver["pe_values"] = list(SweepGrid.paper_default().pe_values)
 
-    isotherm = raw.get("isotherm") or {}
-    _fail_unknown("isotherm", isotherm, _ISOTHERM_KEYS)
+    isotherm = dict(_section(raw, "isotherm", _ISOTHERM_KEYS))
     _check_types("isotherm", isotherm)
-    isotherm = dict(isotherm)
     if mode == "isotherm":
         if physical is None:
             raise ConfigError("isotherm mode requires the physical section")
@@ -238,9 +251,9 @@ def parse_config(document: str, mode_override: str | None = None) -> RunConfig:
             isotherm["c_in_values"] = list(physical.c_in * np.logspace(-2.0, 2.0, 41))
 
     output = dict(_OUTPUT_DEFAULTS)
-    given_output = raw.get("output") or {}
-    _fail_unknown("output", given_output, set(_OUTPUT_DEFAULTS))
-    output.update(given_output)
+    output.update(_section(raw, "output", set(_OUTPUT_DEFAULTS)))
+    if out is not None:
+        output["dir"] = out
     if output["format"] not in ("csv", "json"):
         raise ConfigError(f"output format must be csv or json, got {output['format']!r}")
     if not isinstance(output["dir"], str):
@@ -536,42 +549,22 @@ def main(argv: list[str] | None = None) -> int:
         prog="adsorb",
         description="Fixed-bed adsorption column simulation and sensitivity toolkit.",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--config", required=True, help="path to the JSON config document")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed-delta", type=float, default=None,
-                       help="backward-integration seed for wave solves")
+    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("--config", required=True, help="path to the JSON config document")
+    parser.add_argument("--out", help="output directory (overrides output.dir)")
+    parser.add_argument("--seed-delta", type=float,
+                        help="backward-integration seed for wave solves")
     args = parser.parse_args(argv)
 
     try:
-        document = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)}), file=sys.stderr)
-        return 2
-    try:
-        raw = json.loads(document) if document.strip() else {}
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        for section, key, value in (("output", "dir", args.out),
-                                    ("solver", "seed_delta", args.seed_delta)):
-            if value is not None:
-                given = raw.get(section) or {}
-                if not isinstance(given, dict):
-                    raise ConfigError(f"{section} must be a JSON object, got {given!r}")
-                raw[section] = {**given, key: value}
-        config = parse_config(json.dumps(raw), mode_override=args.mode)
-        paths = run(config)
-    except ConfigError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except ExistenceError as exc:
-        print(json.dumps({"error": "ExistenceError", "message": str(exc)}), file=sys.stderr)
-        return 3
+        try:
+            document = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
+        paths = run(parse_config(document, args.mode, out=args.out, seed_delta=args.seed_delta))
     except AdsorptionError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, ExistenceError) else 4
     for path in paths:
         print(path)
     return 0

@@ -68,13 +68,21 @@ class WaveSolverSettings:
 
     The tolerances apply to the Radau leg of the Pe > 0 front, with the
     meaning of scipy's ``rtol`` and ``atol``; the Pe = 0 front is a
-    fixed-step quadrature.
+    fixed-step quadrature.  Construction refuses a tolerance that is not
+    finite, a ``rel_tol`` <= 0 and an ``abs_tol`` < 0; an out-of-range
+    ``seed_delta`` is the solvers' ``DivergenceError``.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     seed_delta: float = 1e-6       # F value of the backward-integration seed, in (0, 1/2)
     eta_span: float = 22.0         # half-window around F(0) = 1/2, short only at z = Z_HEAD
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
+            raise DomainError(f"abs_tol must be >= 0 and finite, got {self.abs_tol!r}")
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,15 @@ class TestRunSweep:
         for rec in (recs[0], recs[1], recs[3]):
             assert rec.error is None and np.isfinite(rec.e_bt)
 
+    def test_nonpositive_eta_star_is_refused_before_any_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("a front was solved")
+
+        monkeypatch.setattr("adsorb.analysis.solve_leading_order", solve)
+        monkeypatch.setattr("adsorb.analysis.solve_full_wave", solve)
+        with pytest.raises(DomainError, match="eta_star must be positive, got -1.0"):
+            run_sweep(params_for(), SweepGrid((0.0, 0.1)), eta_star=-1.0)
+
     def test_failed_points_are_marked_not_fatal(self):
         settings = WaveSolverSettings(seed_delta=-1e-6)  # diverges for every pe > 0
         recs = run_sweep(params_for(), SweepGrid((0.0, 0.1, 0.2)), settings=settings)

@@ -96,8 +96,10 @@ class TestParseConfig:
     def test_default_hash_is_pinned(self):
         # the resolved defaults of a minimal wave document; a drift in any
         # default value moves every artifact's provenance header
-        assert parse_config(wave_doc()).config_hash == \
-            "5a80fc2a0ce3c162e0c60bb356ba5bd28b43d7e48e9557e323361195055531f2"
+        pinned = "5a80fc2a0ce3c162e0c60bb356ba5bd28b43d7e48e9557e323361195055531f2"
+        assert parse_config(wave_doc()).config_hash == pinned
+        nulls = {**json.loads(wave_doc()), "solver": None, "isotherm": None, "output": None}
+        assert parse_config(json.dumps(nulls)).config_hash == pinned
 
     @pytest.mark.parametrize("doc,key", WRONG_TYPES + [
         ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
@@ -114,6 +116,11 @@ class TestParseConfig:
           "solver": [1]}, "solver must be a JSON object"),
         ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
           "output": {"dir": 3}}, "output.dir"),
+    ] + [
+        # only an absent or null section means "use the defaults"
+        ({**json.loads(wave_doc()), section: value}, f"{section} must be a JSON object")
+        for section, value in (("solver", []), ("solver", 0), ("output", ""),
+                               ("isotherm", False))
     ])
     def test_wrong_value_types_name_the_key(self, doc, key):
         with pytest.raises(ConfigError, match=key):
@@ -399,11 +406,21 @@ class TestMainEntry:
                 (tmp_path / name / "wave_profile.csv").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        rc = main(["wave", "--config", str(tmp_path / "absent.json")])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read"),  # no such file
+        (b"\xff\xfe{}", "cannot read"),  # not UTF-8
+        (b'{"mode": "wave",', "not valid JSON"),
+        (b"", "not valid JSON"),
+    ])
+    def test_unusable_config_file(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["wave", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one JSON line, no traceback
+        err = json.loads(err)
+        assert err["error"] == "ConfigError" and message in err["message"]
 
     @pytest.mark.parametrize("doc,key", WRONG_TYPES)
     def test_wrong_value_type_exit_code(self, tmp_path, capsys, doc, key):
@@ -445,13 +462,40 @@ class TestMainEntry:
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ExistenceError"
 
-    def test_seed_delta_flag_reaches_solver(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode,solver,flags,error,message", [
+        ("wave", {}, ["--seed-delta=-1e-6"], "DivergenceError", "seed"),
+        ("wave", {"rel_tol": 0}, [], "DomainError", "rel_tol"),
+        ("wave", {"rel_tol": -1}, [], "DomainError", "rel_tol"),
+        ("sweep", {"rel_tol": -1}, [], "DomainError", "rel_tol"),
+        ("sweep", {"eta_star": -1.0, "pe_values": [0.0, 0.1]}, [], "DomainError", "eta_star"),
+        ("pde", {"n_cells": 8}, [], "DomainError", "16 nodes"),
+    ])
+    def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, flags, error, message):
+        # solver-section values are checked by the solvers: exit 4, one JSON line
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(wave_doc(pe=0.1))
-        rc = main(["wave", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                   "--seed-delta=-1e-6"])
-        assert rc == 4
-        assert json.loads(capsys.readouterr().err)["error"] == "DivergenceError"
+        cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1)), "mode": mode,
+                                   "solver": solver}))
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == error and message in err["message"]
+
+    def test_flags_match_the_same_values_in_the_document(self, tmp_path):
+        doc = json.loads(wave_doc(pe=0.1))
+        flagged, written = tmp_path / "flagged.json", tmp_path / "written.json"
+        flagged.write_text(json.dumps(doc))
+        written.write_text(json.dumps({**doc, "solver": {"seed_delta": 2e-6},
+                                       "output": {"dir": str(tmp_path / "b")}}))
+        # the flags may come before or after the mode
+        assert main(["--seed-delta", "2e-6", "--out", str(tmp_path / "a"), "wave",
+                     "--config", str(flagged)]) == 0
+        assert main(["wave", "--config", str(written)]) == 0
+        for name in ("wave_profile.csv", "wave_meta.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        config = parse_config(flagged.read_text(), "wave", out="x", seed_delta=2e-6)
+        assert config.config_hash == parse_config(written.read_text()).config_hash
+        assert config.solver["seed_delta"] == 2e-6 and config.output["dir"] == "x"
 
     def test_console_entry_point(self, tmp_path, child_env):
         cfg = tmp_path / "cfg.json"

@@ -203,6 +203,14 @@ class TestFullWaveSolver:
         with pytest.raises(ExistenceError):
             solve_full_wave(params_for(pe=0.1, m=3, n=2))
 
+    @pytest.mark.parametrize("tolerances", [
+        {"rel_tol": 0.0}, {"rel_tol": -1e-8}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
+        {"abs_tol": -1e-10}, {"abs_tol": math.inf}, {"abs_tol": math.nan},
+    ])
+    def test_settings_refuse_bad_tolerances(self, tolerances):
+        with pytest.raises(DomainError, match=next(iter(tolerances))):
+            WaveSolverSettings(**tolerances)
+
     def test_wrong_seed_direction_diverges(self):
         settings = WaveSolverSettings(seed_delta=-1e-6)
         with pytest.raises(DivergenceError):
