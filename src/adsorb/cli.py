@@ -199,9 +199,11 @@ def parse_config(document: str, mode_override: str | None = None, *,
     _fail_unknown("config", raw, {"mode", "physical", "dimensionless", "pe", "solver",
                                   "isotherm", "output"})
 
-    mode = raw.get("mode", mode_override)
-    if mode_override is not None and raw.get("mode") is not None and raw["mode"] != mode_override:
-        raise ConfigError(f"config mode {raw['mode']!r} conflicts with the mode argument "
+    mode = raw.get("mode")  # null, like an absent key, defers to the mode argument
+    if mode is None:
+        mode = mode_override
+    elif mode_override is not None and mode != mode_override:
+        raise ConfigError(f"config mode {mode!r} conflicts with the mode argument "
                           f"{mode_override!r}")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -540,7 +542,10 @@ _RUNNERS = {"nondim": _run_nondim, "wave": _run_wave, "pde": _run_pde,
 def run(config: RunConfig) -> list[Path]:
     """Execute a validated config and return the written artifact paths."""
     out = Path(config.output["dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {str(out)!r}: {exc}") from exc
     return _RUNNERS[config.mode](config, out)
 
 

@@ -7,22 +7,24 @@ stencils that eliminate the boundary values, so the evolved unknowns are the
 interior concentrations plus the adsorbed fraction at every node.
 
 The ``c`` rows are divided by Da, which makes the system stiff for small Da,
-so time integration is implicit: variable-order BDF with the analytic sparse
-Jacobian of the semi-discrete system, each Newton matrix factorised by sparse
-LU.  The Jacobian is the chain rule of the boundary closure: the constant
-stencil acts on the full field through the closure map from the interior
+so time integration is implicit: the variable-order BDF of scipy's ``BDF``,
+ported step for step, with the analytic Jacobian of the semi-discrete system.
+The Jacobian is the chain rule of the boundary closure: the constant stencil
+acts on the full field through the closure map from the interior
 concentrations, and the rate law's partials r_c and r_q enter at every node.
+Each Newton matrix is solved through that structure: its q block is
+diagonal, so eliminating q leaves a tridiagonal system in the interior
+concentrations, which LAPACK's dgttrf factors.  ``scipy.linalg.lapack`` is
+the only scipy module this solver loads.
 """
 
 from __future__ import annotations
 
-import gc
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     CellPecletWarning,
@@ -142,49 +144,258 @@ def assemble_rhs(state: np.ndarray, params: DimensionlessParameters,
     return np.concatenate([dc_int, dq])
 
 
-def _jacobian(params: DimensionlessParameters, grid: SpatialGrid):
-    """The exact Jacobian of ``assemble_rhs`` over the state, as ``jac(t, state)``.
+class _ColumnNewton:
+    """The Jacobian of ``assemble_rhs`` and the solves of BDF's Newton matrices.
 
     ``assemble_rhs`` reads the full field c = E c_interior + const.  The
     closure map E is the identity on the interior nodes plus the eliminated
-    boundaries' weights, 4w/(1+3w), -w/(1+3w) at the inlet (w = Pe/(2h)) and
-    4/3, -1/3 at the outlet.  The c rows apply the stencil L to that field and
-    subtract the rate r(c, q) at the interior nodes P, all over Da; the q rows
-    are r itself.  By the chain rule
+    boundaries' weights, ``inlet`` = (4w, -w)/(1+3w) on (c_1, c_2) with
+    w = Pe/(2h) and ``outlet`` = (-1/3, 4/3) on (c_{N-2}, c_{N-1}).  The c
+    rows apply the stencil L to that field and subtract the rate r(c, q) at
+    the interior nodes P, all over Da; the q rows are r itself.  By the chain
+    rule, with R_c and R_q the rate law's partials r_c and r_q on the diagonal,
 
-        J = [[L E / Da, 0], [0, 0]] + [[-P/Da, -P/Da], [I, I]] diag(r_c, r_q) D,
+        J = [[L E / Da - P R_c E / Da, -P R_q / Da], [R_c E, R_q]].
 
-    with D = blockdiag(E, I) the derivative of (c, q) over the state.  The
-    constant factors are built once; each call evaluates r_c and r_q on the
-    full field and scales the rows of D by them.
+    L E / Da is a constant tridiagonal ``band`` over the interior c, so
+    ``jacobian(state)`` is the pair (r_c, r_q) at every node.
+
+    In the Newton matrix M = I - g J the q block 1 - g r_q is diagonal, and
+    the c rows read q only at the interior nodes.  Eliminating q leaves, over
+    the interior c,
+
+        S = I - g L E / Da + diag(g r_c / (Da (1 - g r_q))),
+
+    tridiagonal and strictly diagonally dominant while spacing/Pe < 2.
+    ``factor`` runs LAPACK's dgttrf on S; ``solve`` runs dgttrs and
+    back-substitutes q.
     """
-    n = grid.n_cells
-    k = n - 2  # interior concentrations lead the state; q at every node follows
-    h, pe, da = grid.spacing, params.pe, params.da
-    w = pe / (2.0 * h)
-    ends = np.zeros((2, k))
-    ends[0, :2] = np.array([4.0 * w, -w]) / (1.0 + 3.0 * w)  # d c_0 / d (c_1, c_2)
-    ends[1, -2:] = np.array([-1.0, 4.0]) / 3.0              # d c_N / d (c_{N-2}, c_{N-1})
-    closure = sparse.vstack([ends[:1], sparse.eye(k), ends[1:]])  # E
-    stencil = sparse.diags([(pe / h + 0.5) / (h * da), -2.0 * pe / (h * h * da),
-                            (pe / h - 0.5) / (h * da)], [0, 1, 2], shape=(k, n))  # L / Da
-    transport = sparse.block_diag([stencil @ closure, sparse.csc_matrix((n, n))], format="csc")
-    interior = sparse.eye(k, n, 1) / -da  # -P / Da
-    nodes = sparse.eye(n)
-    gather = sparse.bmat([[interior, interior], [nodes, nodes]], format="csc")
-    state_map = sparse.block_diag([closure, nodes], format="csc")  # D
-    _, r_q, r_c = _rate_law(params)
 
-    def jac(_t, state):
-        c = _full_field(state[:k], params, grid)
+    def __init__(self, params: DimensionlessParameters, grid: SpatialGrid):
+        k = grid.n_cells - 2  # interior concentrations lead the state; q at every node follows
+        h, pe, da = grid.spacing, params.pe, params.da
+        w = pe / (2.0 * h)
+        self.inlet = np.array([4.0 * w, -w]) / (1.0 + 3.0 * w)  # d c_0 / d (c_1, c_2)
+        self.outlet = np.array([-1.0, 4.0]) / 3.0              # d c_N / d (c_{N-2}, c_{N-1})
+        # L / Da reads the nodes i - 1, i, i + 1 of interior node i
+        west, centre, east = ((pe / h + 0.5) / (h * da), -2.0 * pe / (h * h * da),
+                              (pe / h - 0.5) / (h * da))
+        lower, main, upper = np.full(k - 1, west), np.full(k, centre), np.full(k - 1, east)
+        main[0] += west * self.inlet[0]  # the first row reads c_0 through the closure
+        upper[0] += west * self.inlet[1]
+        lower[-1] += east * self.outlet[0]  # the last row reads c_N
+        main[-1] += east * self.outlet[1]
+        self.band = (lower, main, upper)
+        self._da = da
+        self._params, self._grid = params, grid
+        _, self._r_q, self._r_c = _rate_law(params)
+
+    def jacobian(self, state: np.ndarray):
+        """The state-dependent part of J: (r_c, r_q) at every node."""
+        k = self._grid.n_cells - 2
+        c = _full_field(state[:k], self._params, self._grid)
         q = state[k:]
-        rates = np.concatenate([r_c(c, q), r_q(c, q)])
-        # diag(r_c, r_q) D: the index of a CSC entry is its row
-        scaled = sparse.csc_matrix((state_map.data * rates[state_map.indices], state_map.indices,
-                                    state_map.indptr), shape=state_map.shape)
-        return transport + gather @ scaled
+        return self._r_c(c, q), self._r_q(c, q)
 
-    return jac
+    def factor(self, jac, g: float):
+        """M = I - g J at the Jacobian ``jac``, factored for ``solve``."""
+        r_c, r_q = jac
+        lower, main, upper = self.band
+        q_diag = 1.0 - g * r_q
+        take = g / (self._da * q_diag[1:-1])  # what the c rows take of the eliminated q, per r
+        dl, d, du, du2, ipiv, _ = dgttrf(-g * lower, 1.0 - g * main + take * r_c[1:-1],
+                                         -g * upper)
+        return (dl, d, du, du2, ipiv), q_diag, g * r_c, take * r_q[1:-1]
+
+    def solve(self, lu, b: np.ndarray) -> np.ndarray:
+        """The solution x of M x = b for the factored M."""
+        schur, q_diag, g_r_c, q_weight = lu
+        k = q_diag.size - 2
+        x_c, _ = dgttrs(*schur, b[:k] - q_weight * b[k + 1:-1])
+        dc = np.empty(k + 2)  # E x_c, the change of the full field
+        dc[1:-1] = x_c
+        dc[0] = self.inlet @ x_c[:2]
+        dc[-1] = self.outlet @ x_c[-2:]
+        return np.concatenate([x_c, (b[k:] + g_r_c * dc) / q_diag])
+
+
+# The variable-order BDF of scipy's ``BDF``, step for step: the NDF of
+# Shampine & Reichelt, "The MATLAB ODE Suite", SIAM J. Sci. Comput. 18 (1997),
+# orders 1-5 on a quasi-constant step with the backward differences rescaled
+# at every change of step, its initial step, its simplified Newton iteration,
+# and its rule that the Jacobian is re-evaluated only when Newton fails.
+
+_MAX_ORDER = 5
+_NEWTON_MAXITER = 4
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
+_EPS = np.finfo(float).eps
+_KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
+_GAMMA = np.hstack((0.0, np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))))
+_ALPHA = (1.0 - _KAPPA) * _GAMMA
+_ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _step_map(order: int, factor: float) -> np.ndarray:
+    """The map of the first order + 1 backward differences to step ratio ``factor``."""
+    i = np.arange(1, order + 1)[:, None]
+    j = np.arange(1, order + 1)
+    m = np.zeros((order + 1, order + 1))
+    m[1:, 1:] = (i - 1 - factor * j) / i
+    m[0] = 1
+    return np.cumprod(m, axis=0)
+
+
+def _rescale(diffs: np.ndarray, order: int, factor: float) -> None:
+    """Change the step of the backward differences ``diffs`` by ``factor``, in place."""
+    ru = _step_map(order, factor).dot(_step_map(order, 1))
+    diffs[:order + 1] = np.dot(ru.T, diffs[:order + 1])
+
+
+def _newton(fun, y_predict, c, psi, lu, solve, scale, tol):
+    """Simplified Newton iteration for the BDF step's correction d.
+
+    Returns (converged, iterations, y, d).
+    """
+    d = 0
+    y = y_predict.copy()
+    dy_norm_old = None
+    for k in range(_NEWTON_MAXITER):
+        f = fun(y)
+        if not np.all(np.isfinite(f)):
+            break
+        dy = solve(lu, c * f - psi - d)
+        dy_norm = _rms(dy / scale)
+        rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+        if rate is not None and (rate >= 1
+                                 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol):
+            break
+        y += dy
+        d += dy
+        if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
+            return True, k + 1, y, d
+        dy_norm_old = dy_norm
+    return False, k + 1, y, d
+
+
+def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: np.ndarray,
+         rtol: float, atol: float):
+    """Integrate the autonomous y' = fun(y) from t = 0 to t_end > 0.
+
+    ``newton`` evaluates the Jacobian and solves the Newton matrices.
+    Returns the states at ``sample_times``, one per row, read from the
+    interpolating polynomial of the step that reaches each, and the work
+    counters.  A step below ten ulps of t raises ``StiffnessError``.
+    """
+    rtol = max(rtol, 100 * _EPS)  # scipy's floor; below it the error estimate is roundoff
+    t = 0.0
+    f = fun(y)
+    # initial step of Hairer, Norsett & Wanner I, Sec. II.4, for error order 1
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.5)
+    h_abs = min(100 * h0, h1, t_end)
+    newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    jac = newton.jacobian(y)
+    nfev, njev, nlu, steps = 2, 1, 0, 0
+    diffs = np.zeros((_MAX_ORDER + 3, y.size))  # backward differences times step powers
+    diffs[0] = y
+    diffs[1] = f * h_abs
+    order, n_equal_steps, lu = 1, 0, None
+    samples = np.empty((sample_times.size, y.size))
+    sampled = 0
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            _rescale(diffs, order, min_step / h_abs)
+            h_abs, n_equal_steps = min_step, 0
+        current_jac = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(
+                    f"time integration failed at t = {float(t)!r}: the implicit step fell below "
+                    f"{float(min_step):.3g}; check that the initial fields are physical, or refine "
+                    "the grid"
+                )
+            t_new = t + h_abs
+            if t_new > t_end:
+                t_new = t_end
+                _rescale(diffs, order, np.abs(t_new - t) / h_abs)
+                n_equal_steps, lu = 0, None
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_predict = np.sum(diffs[:order + 1], axis=0)
+            scale = atol + rtol * np.abs(y_predict)
+            psi = np.dot(diffs[1:order + 1].T, _GAMMA[1:order + 1]) / _ALPHA[order]
+            c = h / _ALPHA[order]
+            while True:
+                if lu is None:
+                    lu = newton.factor(jac, c)
+                    nlu += 1
+                converged, n_iter, y_new, d = _newton(fun, y_predict, c, psi, lu, newton.solve,
+                                                      scale, newton_tol)
+                nfev += n_iter
+                if converged or current_jac:
+                    break
+                jac = newton.jacobian(y_predict)
+                njev += 1
+                lu, current_jac = None, True
+            if not converged:
+                h_abs *= 0.5
+                _rescale(diffs, order, 0.5)
+                n_equal_steps, lu = 0, None
+                continue
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            scale = atol + rtol * np.abs(y_new)
+            error_norm = _rms(_ERROR_CONST[order] * d / scale)
+            if error_norm <= 1:
+                break
+            factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
+            h_abs *= factor
+            _rescale(diffs, order, factor)
+            n_equal_steps = 0  # Newton converged, so the factors stay
+
+        steps += 1
+        n_equal_steps += 1
+        t, y = t_new, y_new
+        # d is the (order + 1)-th difference of the new point, so the
+        # differences of the new polynomial follow by summation
+        diffs[order + 2] = d - diffs[order + 1]
+        diffs[order + 1] = d
+        for i in reversed(range(order + 1)):
+            diffs[i] += diffs[i + 1]
+        if n_equal_steps >= order + 1:  # time to try the neighbouring orders
+            error_m_norm = (_rms(_ERROR_CONST[order - 1] * diffs[order] / scale)
+                            if order > 1 else np.inf)
+            error_p_norm = (_rms(_ERROR_CONST[order + 1] * diffs[order + 2] / scale)
+                            if order < _MAX_ORDER else np.inf)
+            error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+            with np.errstate(divide="ignore"):
+                factors = error_norms ** (-1 / np.arange(order, order + 3))
+            order += int(np.argmax(factors)) - 1
+            factor = min(_MAX_FACTOR, safety * np.max(factors))
+            h_abs *= factor
+            _rescale(diffs, order, factor)
+            n_equal_steps, lu = 0, None
+
+        reached = int(np.searchsorted(sample_times, t, side="right"))
+        if reached > sampled:
+            # the polynomial through the last order + 1 points, at the new step
+            x = ((sample_times[sampled:reached] - (t - h_abs * np.arange(order))[:, None])
+                 / (h_abs * (1 + np.arange(order)))[:, None])
+            at = np.dot(diffs[1:order + 1].T, np.cumprod(x, axis=0))
+            at += diffs[0, :, None]
+            samples[sampled:reached] = at.T
+            sampled = reached
+
+    return samples, IntegratorStats(time_method=TIME_METHOD, nfev=nfev, njev=njev, nlu=nlu,
+                                    steps=steps)
 
 
 def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
@@ -228,31 +439,13 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
             raise DomainError("initial fields must be finite")
     state0 = np.concatenate([c0_full[1:-1], q0_full])
 
-    sol = solve_ivp(
-        lambda _t, z: assemble_rhs(z, params, grid),
-        (0.0, t_end), state0, method=TIME_METHOD, jac=_jacobian(params, grid),
-        rtol=settings.rel_tol, atol=settings.abs_tol, t_eval=sample_times,
-    )
-    # scipy's solver holds itself in reference cycles (its counting wrappers), so
-    # the finished solver, with its Jacobian and LU factors, waits for the cyclic
-    # collector.  Collecting the young generations frees it now.  Left to the
-    # collector, finished solvers fragmented the heap of a process running many
-    # solves: on a 2-vCPU VM a 20 s perfbench column run peaked at 139-169 MB,
-    # growing ~0.7 MB per pass, against 91 MB with this collection.
-    gc.collect(1)
-    if sol.status == -1:
-        raise StiffnessError(
-            f"time integration failed ({sol.message}): the implicit step size collapsed; "
-            "check that the initial fields are physical, or refine the grid"
-        )
-
-    c = _full_field(sol.y[: n - 2].T, params, grid)
+    samples, stats = _bdf(lambda z: assemble_rhs(z, params, grid), _ColumnNewton(params, grid),
+                          state0, t_end, sample_times, settings.rel_tol, settings.abs_tol)
+    c = _full_field(samples[:, : n - 2], params, grid)
     breakthrough = c[:, -1].copy()
     if sample_times[0] == 0.0:
         c[0] = c0_full
-    stats = IntegratorStats(time_method=TIME_METHOD, nfev=int(sol.nfev),
-                            njev=int(sol.njev), nlu=int(sol.nlu))
-    return PdeSolution(grid=grid, times=sample_times, c=c, q=sol.y[n - 2:].T,
+    return PdeSolution(grid=grid, times=sample_times, c=c, q=samples[:, n - 2:],
                        breakthrough=breakthrough, params=params, stats=stats)
 
 

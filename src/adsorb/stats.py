@@ -2,12 +2,23 @@
 
 Both live in this scipy-free module: the wave layer reports ``IntegratorStats``
 and the config layer reads ``PdeSolverSettings``'s defaults without loading
-the PDE solver.
+the PDE solver.  The wave and column settings share one tolerance check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .errors import DomainError
+
+
+def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
+    """Refuse a tolerance that is not finite, a ``rel_tol`` <= 0 and an ``abs_tol`` < 0."""
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    if not (math.isfinite(abs_tol) and abs_tol >= 0.0):
+        raise DomainError(f"abs_tol must be >= 0 and finite, got {abs_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -16,14 +27,21 @@ class IntegratorStats:
 
     time_method: str
     nfev: int  # right-hand-side evaluations
-    njev: int  # Jacobian evaluations (the analytic sparse Jacobian for the PDE)
+    njev: int  # Jacobian evaluations
     nlu: int   # LU factorisations
     steps: int | None = None  # accepted steps, where the integrator reports them
 
 
 @dataclass(frozen=True)
 class PdeSolverSettings:
-    """Tolerances of the column PDE's time integrator."""
+    """Tolerances of the column PDE's time integrator.
+
+    They mean scipy's ``rtol`` and ``atol``.  Construction refuses a tolerance
+    that is not finite, a ``rel_tol`` <= 0 and an ``abs_tol`` < 0.
+    """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
+
+    def __post_init__(self):
+        _check_tolerances(self.rel_tol, self.abs_tol)

@@ -48,7 +48,7 @@ from .errors import (
     ExistenceError,
 )
 from .model import DimensionlessParameters, _rate_law, _uptake, analyze_equilibria
-from .stats import IntegratorStats
+from .stats import IntegratorStats, _check_tolerances
 
 F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
 NORMALIZATION_TOL = 1e-8   # |F(0) - 1/2| for normalized profiles
@@ -79,10 +79,7 @@ class WaveSolverSettings:
     eta_span: float = 22.0         # half-window around F(0) = 1/2, short only at z = Z_HEAD
 
     def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0.0):
-            raise DomainError(f"abs_tol must be >= 0 and finite, got {self.abs_tol!r}")
+        _check_tolerances(self.rel_tol, self.abs_tol)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,19 @@ class TestImportIsolation:
         assert scipy_modules(code, child_env) == []
         assert (tmp_path / "out" / "wave_profile.csv").exists()
 
+    def test_pde_run_loads_no_integrate_or_sparse(self, tmp_path, child_env):
+        # the column's BDF needs LAPACK's tridiagonal routines and nothing more
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "pde", "dimensionless": {
+            "q_e": 0.7, "da": 0.1, "pe": 0.5, "m": 1, "n": 1, "ell": 5.0},
+            "solver": {"n_cells": 32, "t_end": 2.0, "n_snapshots": 5}}))
+        argv = ["pde", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = f"from adsorb.cli import main\nassert main({argv!r}) == 0"
+        loaded = scipy_modules(code, child_env)
+        assert "scipy.linalg.lapack" in loaded
+        assert [m for m in loaded if m.startswith(("scipy.integrate", "scipy.sparse"))] == []
+        assert (tmp_path / "out" / "pde_meta.json").exists()
+
 
 class TestPublicSurface:
     def test_public_names_are_pinned(self):
@@ -144,6 +157,18 @@ class TestParseConfig:
         assert parse_config(doc, mode_override="wave").mode == "wave"
         with pytest.raises(ConfigError):
             parse_config(wave_doc(), mode_override="pde")
+
+    def test_null_mode_defers_to_the_mode_argument(self):
+        # null means "absent", as for every section and for pe
+        absent = json.loads(wave_doc())
+        del absent["mode"]
+        null = {**absent, "mode": None}
+        config = parse_config(json.dumps(null), mode_override="wave")
+        assert config.mode == "wave"
+        assert config.config_hash == parse_config(json.dumps(absent), "wave").config_hash
+        assert config.config_hash == parse_config(wave_doc()).config_hash
+        with pytest.raises(ConfigError, match="mode must be one of"):
+            parse_config(json.dumps(null))
 
     def test_inadmissible_orders_in_wave_mode(self):
         with pytest.raises(ExistenceError):
@@ -268,9 +293,10 @@ class TestRunners:
         assert meta["fitted_speeds"]["0.5"] == pytest.approx(v, rel=0.1)
         # deterministic solver diagnostics only: no wall times in hashed artifacts
         assert set(meta) == {"meta", "fitted_speeds", "fit_window", "velocity",
-                             "time_method", "nfev", "njev", "nlu", "mass_residual_max"}
+                             "time_method", "nfev", "njev", "nlu", "steps",
+                             "mass_residual_max"}
         assert meta["time_method"] == "BDF"
-        assert meta["nfev"] > meta["njev"] >= 1 and meta["nlu"] >= meta["njev"]
+        assert meta["nfev"] > meta["steps"] > 0 and meta["nlu"] >= meta["njev"] >= 1
         assert 0.0 < meta["mass_residual_max"] < 1e-2  # 1.8e-3 on this coarse run
         rows = [l for l in (tmp_path / "pde_snapshots.csv").read_text().splitlines()
                 if l and not l.startswith("#")]
@@ -455,6 +481,17 @@ class TestMainEntry:
         assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(wave_doc())
+        taken = tmp_path / "afile"
+        taken.write_text("")
+        assert main(["wave", "--config", str(cfg), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one JSON line, no traceback
+        err = json.loads(err)
+        assert err["error"] == "ConfigError" and str(taken) in err["message"]
+
     def test_existence_refusal_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(wave_doc(m=2, n=1))
@@ -469,6 +506,8 @@ class TestMainEntry:
         ("sweep", {"rel_tol": -1}, [], "DomainError", "rel_tol"),
         ("sweep", {"eta_star": -1.0, "pe_values": [0.0, 0.1]}, [], "DomainError", "eta_star"),
         ("pde", {"n_cells": 8}, [], "DomainError", "16 nodes"),
+        ("pde", {"pde_rel_tol": 0}, [], "DomainError", "rel_tol"),
+        ("pde", {"pde_abs_tol": -1e-9}, [], "DomainError", "abs_tol"),
     ])
     def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, flags, error, message):
         # solver-section values are checked by the solvers: exit 4, one JSON line

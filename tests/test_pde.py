@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import OdeSolver, cumulative_trapezoid, solve_ivp
+from scipy import sparse
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from adsorb.errors import (
     CellPecletWarning,
     CoverageError,
     DomainError,
     FrontNotFoundError,
+    StiffnessError,
 )
 from adsorb.model import _uptake, nondimensionalize
 from adsorb.pde import (
     PdeSolution,
     SpatialGrid,
-    _jacobian,
+    _ColumnNewton,
     assemble_rhs,
     breakthrough_time,
     mass_balance_residual,
@@ -131,44 +133,68 @@ def central_jacobian(state, p, grid, step=1e-6):
     return dense
 
 
+def dense_jacobian(p, grid, state):
+    """The analytic Jacobian of ``_ColumnNewton`` as a dense matrix.
+
+    J = [[L E / Da - P R_c E / Da, -P R_q / Da], [R_c E, R_q]], from the
+    constant band, the closure weights and the rate partials at ``state``.
+    """
+    newton = _ColumnNewton(p, grid)
+    r_c, r_q = newton.jacobian(state)
+    n = grid.n_cells
+    k = n - 2
+    closure = np.zeros((n, k))  # E
+    closure[1:-1] = np.eye(k)
+    closure[0, :2], closure[-1, -2:] = newton.inlet, newton.outlet
+    lower, main, upper = newton.band
+    jac = np.zeros((k + n, k + n))
+    jac[:k, :k] = (np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1)
+                   - np.diag(r_c[1:-1]) / p.da)
+    jac[:k, k + 1:-1] = -np.diag(r_q[1:-1]) / p.da
+    jac[k:, :k] = r_c[:, None] * closure
+    jac[k:, k:] = np.diag(r_q)
+    return jac
+
+
 def assert_jacobian_is_exact(p, grid, state):
     """The analytic Jacobian equals the central-difference one entry for entry.
 
-    Returns its stored pattern and the difference Jacobian's nonzero set; the
-    pattern holds every nonzero, and at a generic state the two are equal.
+    Returns both, with the analytic one's nonzero set and the difference
+    Jacobian's; at a generic state the two sets are equal.
     """
     dense = central_jacobian(state, p, grid)
-    jac = _jacobian(p, grid)(0.0, state)
-    assert_allclose(jac.toarray(), dense, rtol=1e-7, atol=1e-7 * np.abs(dense).max())
-    stored = jac.copy()
-    stored.data[:] = 1.0
-    pattern, nonzero = stored.toarray() != 0, np.abs(dense) > 1e-9
+    jac = dense_jacobian(p, grid, state)
+    assert_allclose(jac, dense, rtol=1e-7, atol=1e-7 * np.abs(dense).max())
+    pattern, nonzero = jac != 0, np.abs(dense) > 1e-9
     assert not np.any(nonzero & ~pattern)
-    return pattern, nonzero
+    return jac, dense, pattern, nonzero
 
 
 @pytest.mark.parametrize("m, n, q_e, da", [(1, 1, 0.7, 0.1), (1, 2, 0.7, 0.1), (2, 3, 0.7, 0.1),
                                            (3, 4, 0.7, 0.1),
                                            (1, 1, 0.99993, 0.007)])  # reference column corner
-def test_jacobian_is_exact(m, n, q_e, da, monkeypatch):
+def test_jacobian_is_exact(m, n, q_e, da):
     p = params_for(q_e=q_e, da=da, m=m, n=n, pe=0.5, ell=5.0)
     grid = SpatialGrid(ell=5.0, n_cells=20)
     state = np.random.default_rng(7).uniform(0.1, 0.6, 2 * grid.n_cells - 2)
-    pattern, nonzero = assert_jacobian_is_exact(p, grid, state)
+    jac, dense, pattern, nonzero = assert_jacobian_is_exact(p, grid, state)
     assert pattern.sum() == 112
     assert np.array_equal(pattern, nonzero)
 
-    # the integrator gets the analytic Jacobian, not a pattern to difference on
-    used = []
-
-    def recording_solve_ivp(*args, **kwargs):
-        used.append(kwargs)
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr("adsorb.pde.solve_ivp", recording_solve_ivp)
-    solve_pde(p, grid, t_end=0.1, sample_times=np.array([0.0, 0.1]))
-    (kwargs,) = used
-    assert callable(kwargs["jac"]) and "jac_sparsity" not in kwargs
+    # the factored Newton operator solves I - g J, by value: against the
+    # central-difference J within its entry tolerance, and against the dense
+    # analytic J to roundoff
+    newton = _ColumnNewton(p, grid)
+    rng = np.random.default_rng(11)
+    eye = np.eye(state.size)
+    for g in (1e-3, 0.1, 10.0):
+        lu = newton.factor(newton.jacobian(state), g)
+        b = rng.standard_normal(state.size)
+        x = newton.solve(lu, b)
+        slack = g * 1e-7 * np.abs(dense).max() * np.abs(x).sum()
+        assert_allclose((eye - g * dense) @ x, b, rtol=0.0, atol=slack)
+        assert_allclose(x, np.linalg.solve(eye - g * jac, b), rtol=0.0,
+                        atol=1e-13 * np.abs(x).max())
 
 
 @st.composite
@@ -189,17 +215,46 @@ def test_jacobian_is_exact_over_admissible_params(case):
 
 
 def test_finished_solver_is_freed():
-    # scipy's solver refers to itself; solve_pde frees it before returning
-    # instead of leaving it, with its LU factors, to the cyclic collector
+    # the integrator holds no reference cycles: all it allocates is freed by
+    # reference counting, and nothing waits for the cyclic collector
     p = params_for(ell=5.0, pe=0.5)
+    grid = SpatialGrid(ell=5.0, n_cells=20)
     gc.collect()
     gc.disable()
     try:
-        solve_pde(p, SpatialGrid(ell=5.0, n_cells=20), t_end=0.5)
-        alive = [o for o in gc.get_objects() if isinstance(o, OdeSolver)]
+        solve_pde(p, grid, t_end=0.5)
+        unreachable = gc.collect()
     finally:
         gc.enable()
-    assert alive == []
+    assert unreachable == 0
+
+
+@pytest.mark.parametrize("m, n, n_cells, da, jac_format", [
+    (1, 1, 20, 0.1, "dense"), (1, 2, 32, 0.01, "sparse"), (2, 3, 48, 0.1, "dense"),
+    (2, 3, 48, 0.007, "sparse"),
+])
+def test_bdf_matches_scipy_step_for_step(m, n, n_cells, da, jac_format):
+    # scipy's BDF with the same analytic Jacobian takes the same steps, makes
+    # the same evaluations and factorisations, and samples the same fields
+    p = params_for(m=m, n=n, pe=0.5, da=da, ell=5.0)
+    grid = SpatialGrid(ell=5.0, n_cells=n_cells)
+    times = np.linspace(0.0, 2.0, 9)
+    sol = solve_pde(p, grid, t_end=2.0, sample_times=times)
+
+    def jac(_t, z):
+        dense = dense_jacobian(p, grid, z)
+        return sparse.csc_matrix(dense) if jac_format == "sparse" else dense
+
+    ref = solve_ivp(lambda _t, z: assemble_rhs(z, p, grid), (0.0, 2.0),
+                    np.zeros(2 * n_cells - 2), method="BDF", jac=jac, rtol=1e-6, atol=1e-9,
+                    t_eval=times, dense_output=True)
+    assert ref.success
+    steps = ref.sol.ts.size - 1
+    assert (sol.stats.steps, sol.stats.nfev, sol.stats.njev, sol.stats.nlu) == \
+        (steps, ref.nfev, ref.njev, ref.nlu)
+    k = n_cells - 2
+    assert_allclose(sol.c[:, 1:-1], ref.y[:k].T, rtol=1e-10, atol=1e-14)
+    assert_allclose(sol.q, ref.y[k:].T, rtol=1e-10, atol=1e-14)
 
 
 @pytest.mark.parametrize("pe, da", [(0.5, 0.1), (0.1, 0.007)])
@@ -265,6 +320,15 @@ class TestSolvePde:
             solve_pde(p, grid, t_end=1.0, initial=fields)
         with pytest.raises(DomainError, match="finite"):
             solve_pde(p, grid, t_end=1.0, initial=fields[::-1])
+
+    def test_collapsing_step_is_a_stiffness_error(self):
+        # c = 1e160 overflows the rate law, so the initial step is zero, every
+        # Newton iteration fails, and the step never reaches ten ulps of t
+        p = params_for(m=2, n=2, ell=5.0, pe=0.5)
+        grid = SpatialGrid(ell=5.0, n_cells=20)
+        with np.errstate(all="ignore"), \
+                pytest.raises(StiffnessError, match="step fell below"):
+            solve_pde(p, grid, t_end=1.0, initial=(np.full(20, 1e160), np.zeros(20)))
 
     def test_array_closure_matches_per_snapshot_loop(self):
         # the boundary closure runs on all snapshots at once; a loop over
