@@ -34,7 +34,15 @@ from .errors import (
     StiffnessError,
 )
 from .model import DimensionlessParameters, _rate_law, _uptake
-from .stats import IntegratorStats, PdeSolverSettings
+from .stats import (
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    IntegratorStats,
+    PdeSolverSettings,
+    _initial_step,
+    _newton_tol,
+    _probe_step,
+)
 
 FIELD_TOL = 1e-6  # roundoff slack on the physical bounds of c and q
 TIME_METHOD = "BDF"  # implicit variable-order BDF; the Da-scaled c rows are stiff
@@ -227,8 +235,6 @@ class _ColumnNewton:
 
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
-_MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
-_EPS = np.finfo(float).eps
 _KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
 _GAMMA = np.hstack((0.0, np.cumsum(1.0 / np.arange(1, _MAX_ORDER + 1))))
 _ALPHA = (1.0 - _KAPPA) * _GAMMA
@@ -286,22 +292,20 @@ def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: 
     """Integrate the autonomous y' = fun(y) from t = 0 to t_end > 0.
 
     ``newton`` evaluates the Jacobian and solves the Newton matrices.
+    ``rtol`` is at least 100 ulps of 1, as ``PdeSolverSettings`` ensures.
     Returns the states at ``sample_times``, one per row, read from the
     interpolating polynomial of the step that reaches each, and the work
     counters.  A step below ten ulps of t raises ``StiffnessError``.
     """
-    rtol = max(rtol, 100 * _EPS)  # scipy's floor; below it the error estimate is roundoff
     t = 0.0
     f = fun(y)
     # initial step of Hairer, Norsett & Wanner I, Sec. II.4, for error order 1
     scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d1 = _rms(f / scale)
+    h0 = _probe_step(_rms(y / scale), d1, t_end)
     d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** 0.5)
-    h_abs = min(100 * h0, h1, t_end)
-    newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    h_abs = _initial_step(h0, d1, d2, t_end, 1)
+    newton_tol = _newton_tol(rtol)
     jac = newton.jacobian(y)
     nfev, njev, nlu, steps = 2, 1, 0, 0
     diffs = np.zeros((_MAX_ORDER + 3, y.size))  # backward differences times step powers

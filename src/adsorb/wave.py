@@ -34,7 +34,6 @@ Radau IIA scheme of order 5 written out for one equation in Python floats.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +47,15 @@ from .errors import (
     ExistenceError,
 )
 from .model import DimensionlessParameters, _rate_law, _uptake, analyze_equilibria
-from .stats import IntegratorStats, _check_tolerances
+from .stats import (
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    IntegratorStats,
+    _check_tolerances,
+    _initial_step,
+    _newton_tol,
+    _probe_step,
+)
 
 F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
 NORMALIZATION_TOL = 1e-8   # |F(0) - 1/2| for normalized profiles
@@ -380,7 +387,6 @@ _TIC1, _TIC2, _TIC3 = _TI_COMPLEX
 (_T11, _T12, _T13), (_T21, _T22, _T23), _ = _T  # the last row of T is (1, 1, 0)
 (_P11, _P12, _P13), (_P21, _P22, _P23), (_P31, _P32, _P33) = _P
 _NEWTON_MAXITER = 6
-_MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
 
 
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old) -> float:
@@ -442,14 +448,12 @@ def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
     # initial step of Hairer, Norsett & Wanner I, Sec. II.4, for error order 3
     span = t_end - t
     scale = atol + abs(y) * rtol
-    d0, d1 = abs(y) / scale, abs(f) / scale
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d1 = abs(f) / scale
+    h0 = _probe_step(abs(y) / scale, d1, span)
     d2 = abs(fun(t + h0, y + h0 * f) - f) / scale / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** 0.25)
-    h_next = min(100.0 * h0, h1, span)
+    h_next = _initial_step(h0, d1, d2, span, 3)
     h_prev = error_norm_prev = None
-    newton_tol = max(10.0 * sys.float_info.epsilon / rtol, min(0.03, rtol ** 0.5))
+    newton_tol = _newton_tol(rtol)
     jac_y = jac(t, y, f)
     nfev, njev, nlu, current_jac = 2, 1, 0, True
     d_real = d_complex = None
