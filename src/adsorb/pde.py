@@ -6,6 +6,12 @@ zero-gradient outlet condition are imposed through second-order one-sided
 stencils that eliminate the boundary values, so the evolved unknowns are the
 interior concentrations plus the adsorbed fraction at every node.
 
+The ``c`` rows are the transport in difference form,
+west (c[i-1] - c[i]) + east (c[i+1] - c[i]), minus the rate over Da: the
+central-difference (Pe c_xx - c_x)/Da, exactly zero on a constant field.
+The weights west and east are one stencil, ``_transport_weights``, that the
+right-hand side and the Jacobian's band both read.
+
 The ``c`` rows are divided by Da, which makes the system stiff for small Da,
 so time integration is implicit: the variable-order BDF of scipy's ``BDF``,
 ported step for step, with the analytic Jacobian of the semi-discrete system.
@@ -20,6 +26,7 @@ the only scipy module this solver loads.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -133,23 +140,43 @@ def _full_field(c_interior: np.ndarray, params, grid) -> np.ndarray:
     return c
 
 
+def _transport_weights(params: DimensionlessParameters, grid: SpatialGrid):
+    """The weights (west, east) of the c rows' transport stencil.
+
+    With central differences, (Pe c_xx - c_x)/Da at interior node i is
+    west (c[i-1] - c[i]) + east (c[i+1] - c[i]), with
+    west = (Pe/h + 1/2)/(h Da) and east = (Pe/h - 1/2)/(h Da).
+    """
+    h, pe, da = grid.spacing, params.pe, params.da
+    return (pe / h + 0.5) / (h * da), (pe / h - 0.5) / (h * da)
+
+
 def assemble_rhs(state: np.ndarray, params: DimensionlessParameters,
                  grid: SpatialGrid) -> np.ndarray:
     """Time derivatives of the reduced state [c interior, q all nodes].
 
-    dc/dt = (Pe c_xx - c_x - dq/dt)/Da with central differences; boundary
+    dc/dt = west (c[i-1] - c[i]) + east (c[i+1] - c[i]) - (dq/dt)/Da, the
+    difference form of (Pe c_xx - c_x - dq/dt)/Da with central differences,
+    and dq/dt is the rate law at every node.  The weights are
+    ``_transport_weights``, the ones the Jacobian's band is built from, and
+    the difference form is exactly zero on a constant field.  Boundary
     concentrations are reconstructed from the stencil-eliminated conditions.
     """
-    n = grid.n_cells
-    h = grid.spacing
-    c_int = state[: n - 2]
-    q = state[n - 2:]
-    c = _full_field(c_int, params, grid)
-    dq = _uptake(c, q, params)
-    cxx = (c[:-2] - 2.0 * c[1:-1] + c[2:]) / (h * h)
-    cx = (c[2:] - c[:-2]) / (2.0 * h)
-    dc_int = (params.pe * cxx - cx - dq[1:-1]) / params.da
-    return np.concatenate([dc_int, dq])
+    k = grid.n_cells - 2
+    west, east = _transport_weights(params, grid)
+    c = _full_field(state[:k], params, grid)
+    out = np.empty(state.size)
+    dq = out[k:]
+    dq[...] = _uptake(c, state[k:], params)
+    dc = out[:k]
+    centre = c[1:-1]
+    np.subtract(c[:-2], centre, out=dc)
+    dc *= west
+    downstream = c[2:] - centre
+    downstream *= east
+    dc += downstream
+    dc -= dq[1:-1] / params.da
+    return out
 
 
 class _ColumnNewton:
@@ -181,20 +208,19 @@ class _ColumnNewton:
 
     def __init__(self, params: DimensionlessParameters, grid: SpatialGrid):
         k = grid.n_cells - 2  # interior concentrations lead the state; q at every node follows
-        h, pe, da = grid.spacing, params.pe, params.da
-        w = pe / (2.0 * h)
+        w = params.pe / (2.0 * grid.spacing)
         self.inlet = np.array([4.0 * w, -w]) / (1.0 + 3.0 * w)  # d c_0 / d (c_1, c_2)
         self.outlet = np.array([-1.0, 4.0]) / 3.0              # d c_N / d (c_{N-2}, c_{N-1})
-        # L / Da reads the nodes i - 1, i, i + 1 of interior node i
-        west, centre, east = ((pe / h + 0.5) / (h * da), -2.0 * pe / (h * h * da),
-                              (pe / h - 0.5) / (h * da))
-        lower, main, upper = np.full(k - 1, west), np.full(k, centre), np.full(k - 1, east)
+        # L / Da is the stencil of assemble_rhs: west, -(west + east), east on
+        # the nodes i - 1, i, i + 1 of interior node i
+        west, east = _transport_weights(params, grid)
+        lower, main, upper = np.full(k - 1, west), np.full(k, -(west + east)), np.full(k - 1, east)
         main[0] += west * self.inlet[0]  # the first row reads c_0 through the closure
         upper[0] += west * self.inlet[1]
         lower[-1] += east * self.outlet[0]  # the last row reads c_N
         main[-1] += east * self.outlet[1]
         self.band = (lower, main, upper)
-        self._da = da
+        self._da = params.da
         self._params, self._grid = params, grid
         _, self._r_q, self._r_c = _rate_law(params)
 
@@ -219,12 +245,18 @@ class _ColumnNewton:
         """The solution x of M x = b for the factored M."""
         schur, q_diag, g_r_c, q_weight = lu
         k = q_diag.size - 2
-        x_c, _ = dgttrs(*schur, b[:k] - q_weight * b[k + 1:-1])
-        dc = np.empty(k + 2)  # E x_c, the change of the full field
-        dc[1:-1] = x_c
-        dc[0] = self.inlet @ x_c[:2]
-        dc[-1] = self.outlet @ x_c[-2:]
-        return np.concatenate([x_c, (b[k:] + g_r_c * dc) / q_diag])
+        x = np.empty(b.size)
+        x_c, x_q = x[:k], x[k:]
+        np.multiply(q_weight, b[k + 1:-1], out=x_c)
+        np.subtract(b[:k], x_c, out=x_c)
+        x_c[...], _ = dgttrs(*schur, x_c, overwrite_b=1)
+        # x_q = (b_q + g r_c E x_c) / (1 - g r_q), E x_c the change of the full field
+        np.multiply(g_r_c[1:-1], x_c, out=x_q[1:-1])
+        x_q[0] = g_r_c[0] * (self.inlet @ x_c[:2])
+        x_q[-1] = g_r_c[-1] * (self.outlet @ x_c[-2:])
+        x_q += b[k:]
+        x_q /= q_diag
+        return x
 
 
 # The variable-order BDF of scipy's ``BDF``, step for step: the NDF of
@@ -242,7 +274,7 @@ _ERROR_CONST = _KAPPA * _GAMMA + 1.0 / np.arange(1, _MAX_ORDER + 2)
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5  # np.linalg.norm of a real vector, bit for bit
 
 
 def _step_map(order: int, factor: float) -> np.ndarray:
@@ -261,6 +293,13 @@ def _rescale(diffs: np.ndarray, order: int, factor: float) -> None:
     diffs[:order + 1] = np.dot(ru.T, diffs[:order + 1])
 
 
+def _step_collapse(t: float, min_step: float) -> StiffnessError:
+    """The error for a BDF step below ``min_step`` at time ``t``."""
+    return StiffnessError(
+        f"time integration failed at t = {float(t)!r}: the implicit step fell below "
+        f"{float(min_step):.3g}; check that the initial fields are physical, or refine the grid")
+
+
 def _newton(fun, y_predict, c, psi, lu, solve, scale, tol):
     """Simplified Newton iteration for the BDF step's correction d.
 
@@ -271,7 +310,7 @@ def _newton(fun, y_predict, c, psi, lu, solve, scale, tol):
     dy_norm_old = None
     for k in range(_NEWTON_MAXITER):
         f = fun(y)
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             break
         dy = solve(lu, c * f - psi - d)
         dy_norm = _rms(dy / scale)
@@ -295,14 +334,23 @@ def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: 
     ``rtol`` is at least 100 ulps of 1, as ``PdeSolverSettings`` ensures.
     Returns the states at ``sample_times``, one per row, read from the
     interpolating polynomial of the step that reaches each, and the work
-    counters.  A step below ten ulps of t raises ``StiffnessError``.
+    counters.  A non-finite initial rate raises ``DomainError``; a step
+    below ten ulps of t raises ``StiffnessError``.
     """
     t = 0.0
-    f = fun(y)
+    # an overflow in the initial rate or its norm raises a typed error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = fun(y)
+        scale = atol + np.abs(y) * rtol
+        d1 = _rms(f / scale)
+    if not np.isfinite(f).all():
+        raise DomainError(
+            f"the initial rate is not finite in {np.count_nonzero(~np.isfinite(f))} of "
+            f"{f.size} state entries; check that the initial fields are physical")
     # initial step of Hairer, Norsett & Wanner I, Sec. II.4, for error order 1
-    scale = atol + np.abs(y) * rtol
-    d1 = _rms(f / scale)
     h0 = _probe_step(_rms(y / scale), d1, t_end)
+    if h0 == 0.0:  # the initial rate overflows the error norm
+        raise _step_collapse(t, 10 * math.nextafter(t, math.inf))
     d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
     h_abs = _initial_step(h0, d1, d2, t_end, 1)
     newton_tol = _newton_tol(rtol)
@@ -315,29 +363,24 @@ def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: 
     samples = np.empty((sample_times.size, y.size))
     sampled = 0
     while t < t_end:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             _rescale(diffs, order, min_step / h_abs)
             h_abs, n_equal_steps = min_step, 0
         current_jac = False
         while True:
             if h_abs < min_step:
-                raise StiffnessError(
-                    f"time integration failed at t = {float(t)!r}: the implicit step fell below "
-                    f"{float(min_step):.3g}; check that the initial fields are physical, or refine "
-                    "the grid"
-                )
+                raise _step_collapse(t, min_step)
             t_new = t + h_abs
             if t_new > t_end:
                 t_new = t_end
-                _rescale(diffs, order, np.abs(t_new - t) / h_abs)
+                _rescale(diffs, order, (t_new - t) / h_abs)
                 n_equal_steps, lu = 0, None
-            h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = t_new - t
             y_predict = np.sum(diffs[:order + 1], axis=0)
             scale = atol + rtol * np.abs(y_predict)
             psi = np.dot(diffs[1:order + 1].T, _GAMMA[1:order + 1]) / _ALPHA[order]
-            c = h / _ALPHA[order]
+            c = h_abs / _ALPHA[order]
             while True:
                 if lu is None:
                     lu = newton.factor(jac, c)
@@ -383,13 +426,13 @@ def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: 
             with np.errstate(divide="ignore"):
                 factors = error_norms ** (-1 / np.arange(order, order + 3))
             order += int(np.argmax(factors)) - 1
-            factor = min(_MAX_FACTOR, safety * np.max(factors))
+            factor = min(_MAX_FACTOR, safety * float(factors.max()))
             h_abs *= factor
             _rescale(diffs, order, factor)
             n_equal_steps, lu = 0, None
 
-        reached = int(np.searchsorted(sample_times, t, side="right"))
-        if reached > sampled:
+        if sampled < sample_times.size and sample_times[sampled] <= t:
+            reached = int(np.searchsorted(sample_times, t, side="right"))
             # the polynomial through the last order + 1 points, at the new step
             x = ((sample_times[sampled:reached] - (t - h_abs * np.arange(order))[:, None])
                  / (h_abs * (1 + np.arange(order)))[:, None])

@@ -71,7 +71,9 @@ class PdeSolverSettings:
 
     They mean scipy's ``rtol`` and ``atol``.  Construction refuses a tolerance
     that is not finite, a ``rel_tol`` below 100 ulps of 1 (where scipy's BDF
-    would raise it to that floor) and an ``abs_tol`` < 0.
+    would raise it to that floor) and an ``abs_tol`` <= 0: the entries of a
+    clean column are exactly zero, and with no ``abs_tol`` their error scale
+    would be zero too.
     """
 
     rel_tol: float = 1e-6
@@ -82,3 +84,5 @@ class PdeSolverSettings:
         if self.rel_tol < _BDF_MIN_RTOL:
             raise DomainError(
                 f"rel_tol must be at least {_BDF_MIN_RTOL!r} for the column, got {self.rel_tol!r}")
+        if self.abs_tol == 0.0:
+            raise DomainError("abs_tol must be positive for the column, got 0.0")

@@ -511,6 +511,7 @@ class TestMainEntry:
         ("pde", {"pde_rel_tol": 0}, [], "DomainError", "rel_tol"),
         ("pde", {"pde_rel_tol": 1e-15}, [], "DomainError", "rel_tol"),
         ("pde", {"pde_abs_tol": -1e-9}, [], "DomainError", "abs_tol"),
+        ("pde", {"pde_abs_tol": 0}, [], "DomainError", "abs_tol"),
     ])
     def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, flags, error, message):
         # solver-section values are checked by the solvers: exit 4, one JSON line

@@ -77,6 +77,16 @@ class TestAssembleRhs:
         c0, c_out = reconstruct_boundaries(np.ones(grid.n_cells - 2), p, grid)
         assert c0 == 1.0 and c_out == pytest.approx(1.0, rel=1e-15)
 
+    def test_saturated_reference_column_is_exactly_stationary(self, eq_column_params):
+        # the difference form west (c[i-1] - c[i]) + east (c[i+1] - c[i]) is
+        # exactly zero on a constant field, where the three-weight form
+        # west c[i-1] + centre c[i] + east c[i+1] leaves roundoff
+        p = eq_column_params
+        grid = SpatialGrid(ell=p.ell, n_cells=400)
+        state = np.concatenate([np.ones(grid.n_cells - 2), np.full(grid.n_cells, p.q_e)])
+        rhs = assemble_rhs(state, p, grid)
+        assert np.count_nonzero(rhs) == 0
+
     def test_injection_drives_clean_column(self):
         p, grid = self.make()
         state = np.zeros(2 * grid.n_cells - 2)
@@ -322,12 +332,18 @@ class TestSolvePde:
             solve_pde(p, grid, t_end=1.0, initial=fields[::-1])
 
     def test_collapsing_step_is_a_stiffness_error(self):
-        # c = 1e160 overflows the rate law, so the initial step is zero, every
-        # Newton iteration fails, and the step never reaches ten ulps of t
+        # c = 1e100 gives a finite rate whose error norm overflows, so the
+        # initial step is zero and never reaches ten ulps of t
         p = params_for(m=2, n=2, ell=5.0, pe=0.5)
         grid = SpatialGrid(ell=5.0, n_cells=20)
-        with np.errstate(all="ignore"), \
-                pytest.raises(StiffnessError, match="step fell below"):
+        with pytest.raises(StiffnessError, match="step fell below"):
+            solve_pde(p, grid, t_end=1.0, initial=(np.full(20, 1e100), np.zeros(20)))
+
+    def test_non_finite_initial_rate_is_a_domain_error(self):
+        # c = 1e160 is finite but overflows the rate law
+        p = params_for(m=2, n=2, ell=5.0, pe=0.5)
+        grid = SpatialGrid(ell=5.0, n_cells=20)
+        with pytest.raises(DomainError, match="initial rate is not finite"):
             solve_pde(p, grid, t_end=1.0, initial=(np.full(20, 1e160), np.zeros(20)))
 
     def test_array_closure_matches_per_snapshot_loop(self):
@@ -409,6 +425,19 @@ class TestReferenceColumnRun:
     def test_mass_residual_refines_at_second_order(self, refinement_residuals):
         assert refinement_residuals[400] < 1e-3
         assert refinement_residuals[400] / refinement_residuals[800] >= 3.5
+
+
+@pytest.mark.parametrize("pe", [0.02, 0.05, 0.1, 0.3, 0.6, 1.0])
+def test_outlet_window_matches_travelling_wave_across_pe(pe):
+    # the reference column, with cell Peclet number spacing/Pe below 1 and a
+    # horizon past the front's crossing time ell (q_e + Da)
+    p = nondimensionalize(column_physical(), pe=pe)
+    grid = SpatialGrid(ell=p.ell, n_cells=max(400, math.ceil(p.ell / pe) + 1))
+    t_end = 1.2 * p.ell * (p.q_e + p.da)
+    sol = solve_pde(p, grid, t_end=t_end, sample_times=np.linspace(0.0, t_end, 2001))
+    pde_window = breakthrough_time(sol, 1e-2) - breakthrough_time(sol, 1e-4)
+    wave_window = breakthrough_window_time(solve_full_wave(p))
+    assert pde_window == pytest.approx(wave_window, rel=5e-3)
 
 
 class TestSpatialConvergence:
