@@ -35,6 +35,7 @@ from .model import (
     DimensionlessParameters,
     PhysicalParameters,
     ReactionOrders,
+    _require_positive,
     analyze_equilibria,
     nondimensionalize,
     sips_isotherm,
@@ -428,7 +429,7 @@ def _counters(stats: IntegratorStats | None) -> dict:
     """The integrator's method and the counters it reports; empty without one."""
     if stats is None:
         return {}
-    return {k: v for k, v in dataclasses.asdict(stats).items() if v is not None}
+    return dataclasses.asdict(stats)
 
 
 def write_wave_profile(path_csv: Path, meta_path: Path, profile: WaveProfile,
@@ -480,12 +481,18 @@ def _run_wave(config: RunConfig, out: Path) -> list[Path]:
 
 def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     # imported here so that no other mode loads scipy
-    from .pde import SpatialGrid, mass_balance_residual, solve_pde, track_front
+    from .pde import SpatialGrid, _check_tracks, mass_balance_residual, solve_pde, track_front
 
     s = config.solver
     grid = SpatialGrid(ell=config.params.ell, n_cells=int(s["n_cells"]))
-    times = np.linspace(0.0, float(s["t_end"]), int(s["n_snapshots"]))
-    sol = solve_pde(config.params, grid, float(s["t_end"]), sample_times=times,
+    t_end, window = float(s["t_end"]), (float(s["fit_start"]), float(s["fit_end"]))
+    # refuse what the solve, the tracks and the mass audit would refuse, before the solve
+    _require_positive(t_end=t_end)
+    if int(s["n_snapshots"]) < 2:
+        raise DomainError(f"n_snapshots must be at least 2, got {s['n_snapshots']!r}")
+    _check_tracks([float(level) for level in s["front_levels"]], window)
+    times = np.linspace(0.0, t_end, int(s["n_snapshots"]))
+    sol = solve_pde(config.params, grid, t_end, sample_times=times,
                     settings=PdeSolverSettings(rel_tol=float(s["pde_rel_tol"]),
                                                abs_tol=float(s["pde_abs_tol"])))
     n_times = sol.times.size
@@ -494,7 +501,6 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
                  [np.repeat(sol.times, grid.n_cells), np.tile(grid.nodes, n_times),
                   sol.c.ravel(), sol.q.ravel()])
     _write_table(paths[1], config, ["t", "c_outlet"], [sol.times, sol.breakthrough])
-    window = (float(s["fit_start"]), float(s["fit_end"]))
     front_rows, fitted = [], {}
     for level in s["front_levels"]:
         track = track_front(sol, float(level), window)

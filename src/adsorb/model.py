@@ -288,11 +288,6 @@ def _rate_law(params: DimensionlessParameters):
     return r, r_q, r_c
 
 
-def _uptake(c, q, params: DimensionlessParameters):
-    """The attachment rate r(c, q) of ``_rate_law``."""
-    return _rate_law(params)[0](c, q)
-
-
 def equilibrium_polynomial(x, params: DimensionlessParameters):
     """Equilibrium polynomial of the leading-order front equation (factored form).
 
@@ -302,7 +297,7 @@ def equilibrium_polynomial(x, params: DimensionlessParameters):
     isotherm link.  The factored form vanishes exactly at x = 0 and x = 1.
     """
     x = np.asarray(x, dtype=float)
-    out = -_uptake(x, params.q_e * x, params) / params.q_e ** params.n
+    out = -_rate_law(params)[0](x, params.q_e * x) / params.q_e ** params.n
     return out if out.ndim else float(out)
 
 

@@ -6,11 +6,13 @@ zero-gradient outlet condition are imposed through second-order one-sided
 stencils that eliminate the boundary values, so the evolved unknowns are the
 interior concentrations plus the adsorbed fraction at every node.
 
-The ``c`` rows are the transport in difference form,
+One private ``_Column``, built once per solve from (params, grid), holds
+the semi-discretisation: the boundary closure, the transport stencil and the
+bound rate law.  The ``c`` rows are the transport in difference form,
 west (c[i-1] - c[i]) + east (c[i+1] - c[i]), minus the rate over Da: the
 central-difference (Pe c_xx - c_x)/Da, exactly zero on a constant field.
-The weights west and east are one stencil, ``_transport_weights``, that the
-right-hand side and the Jacobian's band both read.
+The right-hand side ``assemble_rhs``, the Jacobian's band, the solution's
+boundary values and the mass audit all read that one column.
 
 The ``c`` rows are divided by Da, which makes the system stiff for small Da,
 so time integration is implicit: the variable-order BDF of scipy's ``BDF``,
@@ -40,7 +42,7 @@ from .errors import (
     FrontNotFoundError,
     StiffnessError,
 )
-from .model import DimensionlessParameters, _rate_law, _uptake
+from .model import DimensionlessParameters, _rate_law, _require_positive
 from .stats import (
     _MAX_FACTOR,
     _MIN_FACTOR,
@@ -114,81 +116,24 @@ class FrontTrack:
     fit_window: tuple[float, float]
 
 
-def reconstruct_boundaries(c_interior: np.ndarray, params: DimensionlessParameters,
-                           grid: SpatialGrid):
-    """Boundary concentrations implied by the eliminated stencil conditions.
+class _Column:
+    """The boundary closure, transport stencil and rate law of one solve's column.
 
-    Inlet: c0 - Pe (-3 c0 + 4 c1 - c2)/(2h) = 1; outlet: (3 cN - 4 c_{N-1}
-    + c_{N-2})/(2h) = 0, both one-sided and second order.  The last axis of
-    ``c_interior`` runs over the interior nodes; leading axes (for example
-    sample times) carry through to the returned (inlet, outlet) values.
-    """
-    h = grid.spacing
-    pe = params.pe
-    w = pe / (2.0 * h)
-    c = c_interior.T
-    c0 = (1.0 + w * (4.0 * c[0] - c[1])) / (1.0 + 3.0 * w)
-    c_out = (4.0 * c[-1] - c[-2]) / 3.0
-    return c0, c_out
-
-
-def _full_field(c_interior: np.ndarray, params, grid) -> np.ndarray:
-    c = np.empty(c_interior.shape[:-1] + (grid.n_cells,))
-    by_node = c.T
-    by_node[1:-1] = c_interior.T
-    by_node[0], by_node[-1] = reconstruct_boundaries(c_interior, params, grid)
-    return c
-
-
-def _transport_weights(params: DimensionlessParameters, grid: SpatialGrid):
-    """The weights (west, east) of the c rows' transport stencil.
+    All are bound once from (params, grid).  The state is [c at the interior
+    nodes, q at every node].  The eliminated boundary conditions, inlet
+    c_0 - Pe (-3 c_0 + 4 c_1 - c_2)/(2h) = 1 and outlet
+    (3 c_N - 4 c_{N-1} + c_{N-2})/(2h) = 0, both one-sided and second order,
+    close the full field c = E c_interior + const (``full_field``).
+    The closure map E is the identity on the interior nodes plus the
+    boundaries' weights, ``inlet`` = (4w, -w)/(1+3w) on (c_1, c_2) with
+    w = Pe/(2h) and ``outlet`` = (-1/3, 4/3) on (c_{N-2}, c_{N-1}).
 
     With central differences, (Pe c_xx - c_x)/Da at interior node i is
-    west (c[i-1] - c[i]) + east (c[i+1] - c[i]), with
-    west = (Pe/h + 1/2)/(h Da) and east = (Pe/h - 1/2)/(h Da).
-    """
-    h, pe, da = grid.spacing, params.pe, params.da
-    return (pe / h + 0.5) / (h * da), (pe / h - 0.5) / (h * da)
-
-
-def assemble_rhs(state: np.ndarray, params: DimensionlessParameters,
-                 grid: SpatialGrid) -> np.ndarray:
-    """Time derivatives of the reduced state [c interior, q all nodes].
-
-    dc/dt = west (c[i-1] - c[i]) + east (c[i+1] - c[i]) - (dq/dt)/Da, the
-    difference form of (Pe c_xx - c_x - dq/dt)/Da with central differences,
-    and dq/dt is the rate law at every node.  The weights are
-    ``_transport_weights``, the ones the Jacobian's band is built from, and
-    the difference form is exactly zero on a constant field.  Boundary
-    concentrations are reconstructed from the stencil-eliminated conditions.
-    """
-    k = grid.n_cells - 2
-    west, east = _transport_weights(params, grid)
-    c = _full_field(state[:k], params, grid)
-    out = np.empty(state.size)
-    dq = out[k:]
-    dq[...] = _uptake(c, state[k:], params)
-    dc = out[:k]
-    centre = c[1:-1]
-    np.subtract(c[:-2], centre, out=dc)
-    dc *= west
-    downstream = c[2:] - centre
-    downstream *= east
-    dc += downstream
-    dc -= dq[1:-1] / params.da
-    return out
-
-
-class _ColumnNewton:
-    """The Jacobian of ``assemble_rhs`` and the solves of BDF's Newton matrices.
-
-    ``assemble_rhs`` reads the full field c = E c_interior + const.  The
-    closure map E is the identity on the interior nodes plus the eliminated
-    boundaries' weights, ``inlet`` = (4w, -w)/(1+3w) on (c_1, c_2) with
-    w = Pe/(2h) and ``outlet`` = (-1/3, 4/3) on (c_{N-2}, c_{N-1}).  The c
-    rows apply the stencil L to that field and subtract the rate r(c, q) at
-    the interior nodes P, all over Da; the q rows are r itself.  By the chain
-    rule, with R_c and R_q the rate law's partials r_c and r_q on the diagonal,
+    ``west`` (c[i-1] - c[i]) + ``east`` (c[i+1] - c[i]), with
+    west = (Pe/h + 1/2)/(h Da) and east = (Pe/h - 1/2)/(h Da); the c rows
+    subtract the rate r(c, q) at the interior nodes P over Da, and the q rows
+    are r itself.  By the chain rule, with R_c and R_q the rate law's
+    partials r_c and r_q on the diagonal,
 
         J = [[L E / Da - P R_c E / Da, -P R_q / Da], [R_c E, R_q]].
 
@@ -207,36 +152,49 @@ class _ColumnNewton:
     """
 
     def __init__(self, params: DimensionlessParameters, grid: SpatialGrid):
-        k = grid.n_cells - 2  # interior concentrations lead the state; q at every node follows
-        w = params.pe / (2.0 * grid.spacing)
+        h, pe, da = grid.spacing, params.pe, params.da
+        self.k = k = grid.n_cells - 2  # the number of interior nodes, where the state's c lives
+        self.w = w = pe / (2.0 * h)
         self.inlet = np.array([4.0 * w, -w]) / (1.0 + 3.0 * w)  # d c_0 / d (c_1, c_2)
         self.outlet = np.array([-1.0, 4.0]) / 3.0              # d c_N / d (c_{N-2}, c_{N-1})
-        # L / Da is the stencil of assemble_rhs: west, -(west + east), east on
-        # the nodes i - 1, i, i + 1 of interior node i
-        west, east = _transport_weights(params, grid)
+        self.west = west = (pe / h + 0.5) / (h * da)
+        self.east = east = (pe / h - 0.5) / (h * da)
+        # L / Da: west, -(west + east), east on the nodes i - 1, i, i + 1 of interior node i
         lower, main, upper = np.full(k - 1, west), np.full(k, -(west + east)), np.full(k - 1, east)
         main[0] += west * self.inlet[0]  # the first row reads c_0 through the closure
         upper[0] += west * self.inlet[1]
         lower[-1] += east * self.outlet[0]  # the last row reads c_N
         main[-1] += east * self.outlet[1]
         self.band = (lower, main, upper)
-        self._da = params.da
-        self._params, self._grid = params, grid
-        _, self._r_q, self._r_c = _rate_law(params)
+        self.da = da
+        self.rate, self.rate_q, self.rate_c = _rate_law(params)
+
+    def full_field(self, c_interior: np.ndarray) -> np.ndarray:
+        """The concentrations at every node, the boundaries from the closure.
+
+        The last axis of ``c_interior`` runs over the interior nodes; leading
+        axes (for example sample times) carry through.
+        """
+        c = np.empty(c_interior.shape[:-1] + (self.k + 2,))
+        by_node, inner = c.T, c_interior.T
+        by_node[1:-1] = inner
+        w = self.w
+        by_node[0] = (1.0 + w * (4.0 * inner[0] - inner[1])) / (1.0 + 3.0 * w)
+        by_node[-1] = (4.0 * inner[-1] - inner[-2]) / 3.0
+        return c
 
     def jacobian(self, state: np.ndarray):
         """The state-dependent part of J: (r_c, r_q) at every node."""
-        k = self._grid.n_cells - 2
-        c = _full_field(state[:k], self._params, self._grid)
-        q = state[k:]
-        return self._r_c(c, q), self._r_q(c, q)
+        c = self.full_field(state[:self.k])
+        q = state[self.k:]
+        return self.rate_c(c, q), self.rate_q(c, q)
 
     def factor(self, jac, g: float):
         """M = I - g J at the Jacobian ``jac``, factored for ``solve``."""
         r_c, r_q = jac
         lower, main, upper = self.band
         q_diag = 1.0 - g * r_q
-        take = g / (self._da * q_diag[1:-1])  # what the c rows take of the eliminated q, per r
+        take = g / (self.da * q_diag[1:-1])  # what the c rows take of the eliminated q, per r
         dl, d, du, du2, ipiv, _ = dgttrf(-g * lower, 1.0 - g * main + take * r_c[1:-1],
                                          -g * upper)
         return (dl, d, du, du2, ipiv), q_diag, g * r_c, take * r_q[1:-1]
@@ -244,7 +202,7 @@ class _ColumnNewton:
     def solve(self, lu, b: np.ndarray) -> np.ndarray:
         """The solution x of M x = b for the factored M."""
         schur, q_diag, g_r_c, q_weight = lu
-        k = q_diag.size - 2
+        k = self.k
         x = np.empty(b.size)
         x_c, x_q = x[:k], x[k:]
         np.multiply(q_weight, b[k + 1:-1], out=x_c)
@@ -257,6 +215,28 @@ class _ColumnNewton:
         x_q += b[k:]
         x_q /= q_diag
         return x
+
+
+def assemble_rhs(state: np.ndarray, column: _Column) -> np.ndarray:
+    """Time derivatives of the reduced state [c interior, q all nodes].
+
+    dc/dt = west (c[i-1] - c[i]) + east (c[i+1] - c[i]) - (dq/dt)/Da on the
+    column's full field, with dq/dt the column's rate law at every node.
+    """
+    k = column.k
+    c = column.full_field(state[:k])
+    out = np.empty(state.size)
+    dq = out[k:]
+    dq[...] = column.rate(c, state[k:])
+    dc = out[:k]
+    centre = c[1:-1]
+    np.subtract(c[:-2], centre, out=dc)
+    dc *= column.west
+    downstream = c[2:] - centre
+    downstream *= column.east
+    dc += downstream
+    dc -= dq[1:-1] / column.da
+    return out
 
 
 # The variable-order BDF of scipy's ``BDF``, step for step: the NDF of
@@ -300,7 +280,7 @@ def _step_collapse(t: float, min_step: float) -> StiffnessError:
         f"{float(min_step):.3g}; check that the initial fields are physical, or refine the grid")
 
 
-def _newton(fun, y_predict, c, psi, lu, solve, scale, tol):
+def _newton(column: _Column, y_predict, c, psi, lu, scale, tol):
     """Simplified Newton iteration for the BDF step's correction d.
 
     Returns (converged, iterations, y, d).
@@ -309,10 +289,10 @@ def _newton(fun, y_predict, c, psi, lu, solve, scale, tol):
     y = y_predict.copy()
     dy_norm_old = None
     for k in range(_NEWTON_MAXITER):
-        f = fun(y)
+        f = assemble_rhs(y, column)
         if not np.isfinite(f).all():
             break
-        dy = solve(lu, c * f - psi - d)
+        dy = column.solve(lu, c * f - psi - d)
         dy_norm = _rms(dy / scale)
         rate = None if dy_norm_old is None else dy_norm / dy_norm_old
         if rate is not None and (rate >= 1
@@ -326,11 +306,11 @@ def _newton(fun, y_predict, c, psi, lu, solve, scale, tol):
     return False, k + 1, y, d
 
 
-def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: np.ndarray,
+def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
          rtol: float, atol: float):
-    """Integrate the autonomous y' = fun(y) from t = 0 to t_end > 0.
+    """Integrate the column's y' = assemble_rhs(y, column) from t = 0 to t_end > 0.
 
-    ``newton`` evaluates the Jacobian and solves the Newton matrices.
+    ``column`` evaluates the Jacobian and solves the Newton matrices.
     ``rtol`` is at least 100 ulps of 1, as ``PdeSolverSettings`` ensures.
     Returns the states at ``sample_times``, one per row, read from the
     interpolating polynomial of the step that reaches each, and the work
@@ -340,7 +320,7 @@ def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: 
     t = 0.0
     # an overflow in the initial rate or its norm raises a typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        f = fun(y)
+        f = assemble_rhs(y, column)
         scale = atol + np.abs(y) * rtol
         d1 = _rms(f / scale)
     if not np.isfinite(f).all():
@@ -351,10 +331,10 @@ def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: 
     h0 = _probe_step(_rms(y / scale), d1, t_end)
     if h0 == 0.0:  # the initial rate overflows the error norm
         raise _step_collapse(t, 10 * math.nextafter(t, math.inf))
-    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+    d2 = _rms((assemble_rhs(y + h0 * f, column) - f) / scale) / h0
     h_abs = _initial_step(h0, d1, d2, t_end, 1)
     newton_tol = _newton_tol(rtol)
-    jac = newton.jacobian(y)
+    jac = column.jacobian(y)
     nfev, njev, nlu, steps = 2, 1, 0, 0
     diffs = np.zeros((_MAX_ORDER + 3, y.size))  # backward differences times step powers
     diffs[0] = y
@@ -383,14 +363,14 @@ def _bdf(fun, newton: _ColumnNewton, y: np.ndarray, t_end: float, sample_times: 
             c = h_abs / _ALPHA[order]
             while True:
                 if lu is None:
-                    lu = newton.factor(jac, c)
+                    lu = column.factor(jac, c)
                     nlu += 1
-                converged, n_iter, y_new, d = _newton(fun, y_predict, c, psi, lu, newton.solve,
-                                                      scale, newton_tol)
+                converged, n_iter, y_new, d = _newton(column, y_predict, c, psi, lu, scale,
+                                                      newton_tol)
                 nfev += n_iter
                 if converged or current_jac:
                     break
-                jac = newton.jacobian(y_predict)
+                jac = column.jacobian(y_predict)
                 njev += 1
                 lu, current_jac = None, True
             if not converged:
@@ -457,8 +437,7 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
     initial data verbatim.
     """
     settings = settings or PdeSolverSettings()
-    if not np.isfinite(t_end) or t_end <= 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end!r}")
+    _require_positive(t_end=t_end)
     if params.pe == 0.0 or grid.spacing / params.pe >= 2.0:
         warnings.warn(
             f"cell Peclet number spacing/Pe = "
@@ -469,9 +448,9 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 201)
     sample_times = np.asarray(sample_times, dtype=float)
-    if np.any(sample_times < 0.0) or np.any(sample_times > t_end) \
+    if sample_times.size < 1 or np.any(sample_times < 0.0) or np.any(sample_times > t_end) \
             or not np.all(np.diff(sample_times) > 0.0):
-        raise DomainError("sample times must increase strictly within [0, t_end]")
+        raise DomainError("sample times must be given and increase strictly within [0, t_end]")
 
     n = grid.n_cells
     if initial is None:
@@ -486,9 +465,10 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
             raise DomainError("initial fields must be finite")
     state0 = np.concatenate([c0_full[1:-1], q0_full])
 
-    samples, stats = _bdf(lambda z: assemble_rhs(z, params, grid), _ColumnNewton(params, grid),
-                          state0, t_end, sample_times, settings.rel_tol, settings.abs_tol)
-    c = _full_field(samples[:, : n - 2], params, grid)
+    column = _Column(params, grid)
+    samples, stats = _bdf(column, state0, t_end, sample_times, settings.rel_tol,
+                          settings.abs_tol)
+    c = column.full_field(samples[:, : n - 2])
     breakthrough = c[:, -1].copy()
     if sample_times[0] == 0.0:
         c[0] = c0_full
@@ -512,6 +492,15 @@ def breakthrough_time(sol: PdeSolution, threshold: float) -> float:
     return float(t0 + (threshold - b0) * (t1 - t0) / (b1 - b0))
 
 
+def _check_tracks(levels, fit_window: tuple[float, float]) -> None:
+    """Refuse a tracked level outside (0, 1) and an empty or nan fit window."""
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise DomainError(f"level must lie in (0, 1), got {level!r}")
+    if not fit_window[0] < fit_window[1]:
+        raise DomainError(f"empty fit window {fit_window!r}")
+
+
 def track_front(sol: PdeSolution, level: float,
                 fit_window: tuple[float, float]) -> FrontTrack:
     """Follow the x-position where c crosses ``level`` and fit its speed.
@@ -520,11 +509,8 @@ def track_front(sol: PdeSolution, level: float,
     speed is the least-squares slope of x(t) over ``fit_window`` (divide by
     ell for the column-proportion speed).
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level!r}")
+    _check_tracks((level,), fit_window)
     t_lo, t_hi = fit_window
-    if t_hi <= t_lo:
-        raise DomainError(f"empty fit window {fit_window!r}")
     x = sol.grid.nodes
     positions: list[tuple[float, float]] = []
     for k, t in enumerate(sol.times):
@@ -569,7 +555,7 @@ def mass_balance_residual(sol: PdeSolution) -> np.ndarray:
     x = sol.grid.nodes
     pe = sol.params.pe
     h = sol.grid.spacing
-    c = _full_field(sol.c[:, 1:-1], sol.params, sol.grid).T
+    c = _Column(sol.params, sol.grid).full_field(sol.c[:, 1:-1]).T
     inlet = c[0] - pe * (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * h)
     outlet = c[-1] - pe * (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * h)
     storage = sol.params.da * np.trapezoid(c, x, axis=0) + np.trapezoid(sol.q, x, axis=1)

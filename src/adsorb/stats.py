@@ -62,7 +62,7 @@ class IntegratorStats:
     nfev: int  # right-hand-side evaluations
     njev: int  # Jacobian evaluations
     nlu: int   # LU factorisations
-    steps: int | None = None  # accepted steps, where the integrator reports them
+    steps: int  # accepted steps
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .errors import (
     DomainError,
     ExistenceError,
 )
-from .model import DimensionlessParameters, _rate_law, _uptake, analyze_equilibria
+from .model import DimensionlessParameters, _rate_law, analyze_equilibria
 from .stats import (
     _MAX_FACTOR,
     _MIN_FACTOR,
@@ -249,7 +249,7 @@ def leading_order_rhs(f, params: DimensionlessParameters):
     """
     f = np.asarray(f, dtype=float)
     q_e = params.q_e
-    out = -(q_e + params.da) / q_e * _uptake(f, q_e * f, params)
+    out = -(q_e + params.da) / q_e * _rate_law(params)[0](f, q_e * f)
     return out if out.ndim else float(out)
 
 

@@ -512,17 +512,29 @@ class TestMainEntry:
         ("pde", {"pde_rel_tol": 1e-15}, [], "DomainError", "rel_tol"),
         ("pde", {"pde_abs_tol": -1e-9}, [], "DomainError", "abs_tol"),
         ("pde", {"pde_abs_tol": 0}, [], "DomainError", "abs_tol"),
+        ("pde", {"t_end": 0}, [], "DomainError", "t_end"),
+        ("pde", {"n_snapshots": 0}, [], "DomainError", "n_snapshots"),
+        ("pde", {"n_snapshots": -3}, [], "DomainError", "n_snapshots"),
+        ("pde", {"n_snapshots": 1}, [], "DomainError", "n_snapshots"),
+        ("pde", {"front_levels": [0.5, 1.0]}, [], "DomainError", "level"),
+        ("pde", {"front_levels": [0.0]}, [], "DomainError", "level"),
+        ("pde", {"fit_start": 3.0, "fit_end": 3.0}, [], "DomainError", "fit window"),
+        ("pde", {"fit_start": 3.0, "fit_end": 2.0}, [], "DomainError", "fit window"),
+        ("pde", {"fit_end": float("nan")}, [], "DomainError", "fit window"),
     ])
     def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, flags, error, message):
-        # solver-section values are checked by the solvers: exit 4, one JSON line
+        # solver-section values are checked before anything is solved or
+        # written: exit 4, one JSON line, no artifact
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1)), "mode": mode,
                                    "solver": solver}))
-        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 4
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(cfg), "--out", str(out), *flags]) == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         err = json.loads(err)
         assert err["error"] == error and message in err["message"]
+        assert not out.exists() or not any(out.iterdir())
 
     def test_flags_match_the_same_values_in_the_document(self, tmp_path):
         doc = json.loads(wave_doc(pe=0.1))

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 
 import hypothesis
 import numpy as np
@@ -16,15 +17,14 @@ from adsorb.errors import (
     FrontNotFoundError,
     StiffnessError,
 )
-from adsorb.model import _uptake, nondimensionalize
+from adsorb.model import _rate_law, nondimensionalize
 from adsorb.pde import (
     PdeSolution,
     SpatialGrid,
-    _ColumnNewton,
+    _Column,
     assemble_rhs,
     breakthrough_time,
     mass_balance_residual,
-    reconstruct_boundaries,
     solve_pde,
     track_front,
 )
@@ -53,15 +53,15 @@ class TestKinetics:
         for q_e in (0.7, 0.99, 0.9999):
             for m, n in ADMISSIBLE_FAMILIES:
                 p = params_for(q_e=q_e, pe=0.1, m=m, n=n)
-                assert _uptake(1.0, p.q_e, p) == 0.0, (q_e, m, n)
+                assert _rate_law(p)[0](1.0, p.q_e) == 0.0, (q_e, m, n)
 
     def test_fresh_state(self):
         p = params_for(pe=0.1)
-        assert _uptake(0.0, 0.0, p) == 0.0
+        assert _rate_law(p)[0](0.0, 0.0) == 0.0
 
     def test_direct_substitution(self):
         p = params_for(pe=0.1)
-        assert _uptake(1.0, 0.0, p) == pytest.approx(p.alpha, rel=1e-14)
+        assert _rate_law(p)[0](1.0, 0.0) == pytest.approx(p.alpha, rel=1e-14)
 
 
 class TestAssembleRhs:
@@ -72,9 +72,9 @@ class TestAssembleRhs:
     def test_saturated_state_is_stationary(self):
         p, grid = self.make()
         state = np.concatenate([np.ones(grid.n_cells - 2), np.full(grid.n_cells, p.q_e)])
-        rhs = assemble_rhs(state, p, grid)
+        rhs = assemble_rhs(state, _Column(p, grid))
         assert np.max(np.abs(rhs)) < 1e-12
-        c0, c_out = reconstruct_boundaries(np.ones(grid.n_cells - 2), p, grid)
+        c0, c_out = _Column(p, grid).full_field(np.ones(grid.n_cells - 2))[[0, -1]]
         assert c0 == 1.0 and c_out == pytest.approx(1.0, rel=1e-15)
 
     def test_saturated_reference_column_is_exactly_stationary(self, eq_column_params):
@@ -84,13 +84,13 @@ class TestAssembleRhs:
         p = eq_column_params
         grid = SpatialGrid(ell=p.ell, n_cells=400)
         state = np.concatenate([np.ones(grid.n_cells - 2), np.full(grid.n_cells, p.q_e)])
-        rhs = assemble_rhs(state, p, grid)
+        rhs = assemble_rhs(state, _Column(p, grid))
         assert np.count_nonzero(rhs) == 0
 
     def test_injection_drives_clean_column(self):
         p, grid = self.make()
         state = np.zeros(2 * grid.n_cells - 2)
-        rhs = assemble_rhs(state, p, grid)
+        rhs = assemble_rhs(state, _Column(p, grid))
         assert rhs[0] > 0.0
 
     def test_interior_stencils_exact_on_linear_data(self):
@@ -101,7 +101,7 @@ class TestAssembleRhs:
         c = 1.0 - x / (2.0 * grid.ell)
         q = p.alpha * c / (p.alpha * c + (1.0 - p.alpha))
         state = np.concatenate([c[1:-1], q])
-        rhs = assemble_rhs(state, p, grid)
+        rhs = assemble_rhs(state, _Column(p, grid))
         dc = rhs[: grid.n_cells - 2]
         dq = rhs[grid.n_cells - 2:]
         expected = 1.0 / (2.0 * grid.ell * p.da)
@@ -113,7 +113,7 @@ class TestAssembleRhs:
         p, grid = self.make()
         rng = np.random.default_rng(3)
         c_int = rng.uniform(0.0, 1.0, grid.n_cells - 2)
-        c0, c_out = reconstruct_boundaries(c_int, p, grid)
+        c0, c_out = _Column(p, grid).full_field(c_int)[[0, -1]]
         h = grid.spacing
         inlet_residual = c0 - p.pe * (-3.0 * c0 + 4.0 * c_int[0] - c_int[1]) / (2.0 * h) - 1.0
         outlet_gradient = 3.0 * c_out - 4.0 * c_int[-1] + c_int[-2]
@@ -122,7 +122,7 @@ class TestAssembleRhs:
 
     def test_dirichlet_limit_without_diffusion(self):
         p, grid = self.make(pe=1e-300)
-        c0, _ = reconstruct_boundaries(np.linspace(0.9, 0.0, grid.n_cells - 2), p, grid)
+        c0 = _Column(p, grid).full_field(np.linspace(0.9, 0.0, grid.n_cells - 2))[0]
         assert c0 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -134,29 +134,30 @@ def test_integrator_stats_is_one_class_across_layers():
 
 def central_jacobian(state, p, grid, step=1e-6):
     """Central-difference Jacobian of ``assemble_rhs``, one column per state entry."""
+    column = _Column(p, grid)
     dense = np.empty((state.size, state.size))
     for j in range(state.size):
         e = np.zeros(state.size)
         e[j] = step
-        dense[:, j] = (assemble_rhs(state + e, p, grid)
-                       - assemble_rhs(state - e, p, grid)) / (2.0 * step)
+        dense[:, j] = (assemble_rhs(state + e, column)
+                       - assemble_rhs(state - e, column)) / (2.0 * step)
     return dense
 
 
 def dense_jacobian(p, grid, state):
-    """The analytic Jacobian of ``_ColumnNewton`` as a dense matrix.
+    """The analytic Jacobian of ``_Column`` as a dense matrix.
 
     J = [[L E / Da - P R_c E / Da, -P R_q / Da], [R_c E, R_q]], from the
     constant band, the closure weights and the rate partials at ``state``.
     """
-    newton = _ColumnNewton(p, grid)
-    r_c, r_q = newton.jacobian(state)
+    column = _Column(p, grid)
+    r_c, r_q = column.jacobian(state)
     n = grid.n_cells
     k = n - 2
     closure = np.zeros((n, k))  # E
     closure[1:-1] = np.eye(k)
-    closure[0, :2], closure[-1, -2:] = newton.inlet, newton.outlet
-    lower, main, upper = newton.band
+    closure[0, :2], closure[-1, -2:] = column.inlet, column.outlet
+    lower, main, upper = column.band
     jac = np.zeros((k + n, k + n))
     jac[:k, :k] = (np.diag(main) + np.diag(lower, -1) + np.diag(upper, 1)
                    - np.diag(r_c[1:-1]) / p.da)
@@ -194,13 +195,13 @@ def test_jacobian_is_exact(m, n, q_e, da):
     # the factored Newton operator solves I - g J, by value: against the
     # central-difference J within its entry tolerance, and against the dense
     # analytic J to roundoff
-    newton = _ColumnNewton(p, grid)
+    column = _Column(p, grid)
     rng = np.random.default_rng(11)
     eye = np.eye(state.size)
     for g in (1e-3, 0.1, 10.0):
-        lu = newton.factor(newton.jacobian(state), g)
+        lu = column.factor(column.jacobian(state), g)
         b = rng.standard_normal(state.size)
-        x = newton.solve(lu, b)
+        x = column.solve(lu, b)
         slack = g * 1e-7 * np.abs(dense).max() * np.abs(x).sum()
         assert_allclose((eye - g * dense) @ x, b, rtol=0.0, atol=slack)
         assert_allclose(x, np.linalg.solve(eye - g * jac, b), rtol=0.0,
@@ -239,6 +240,25 @@ def test_finished_solver_is_freed():
     assert unreachable == 0
 
 
+def test_rate_law_is_bound_once_per_solve(monkeypatch):
+    # the column binds the rate law's constants once; no right-hand side or
+    # Jacobian evaluation binds them again
+    from adsorb import model
+    bound = []
+
+    def counted(params):
+        bound.append(params)
+        return _rate_law(params)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adsorb") and getattr(module, "_rate_law", None) is _rate_law:
+            monkeypatch.setattr(module, "_rate_law", counted)
+    assert model._rate_law is counted
+    sol = solve_pde(params_for(ell=5.0, pe=0.5), SpatialGrid(ell=5.0, n_cells=20), t_end=0.5)
+    assert sol.stats.nfev > 1
+    assert len(bound) == 1
+
+
 @pytest.mark.parametrize("m, n, n_cells, da, jac_format", [
     (1, 1, 20, 0.1, "dense"), (1, 2, 32, 0.01, "sparse"), (2, 3, 48, 0.1, "dense"),
     (2, 3, 48, 0.007, "sparse"),
@@ -255,7 +275,8 @@ def test_bdf_matches_scipy_step_for_step(m, n, n_cells, da, jac_format):
         dense = dense_jacobian(p, grid, z)
         return sparse.csc_matrix(dense) if jac_format == "sparse" else dense
 
-    ref = solve_ivp(lambda _t, z: assemble_rhs(z, p, grid), (0.0, 2.0),
+    column = _Column(p, grid)
+    ref = solve_ivp(lambda _t, z: assemble_rhs(z, column), (0.0, 2.0),
                     np.zeros(2 * n_cells - 2), method="BDF", jac=jac, rtol=1e-6, atol=1e-9,
                     t_eval=times, dense_output=True)
     assert ref.success
@@ -276,7 +297,8 @@ def test_implicit_matches_explicit_reference(m, n, pe, da):
     grid = SpatialGrid(ell=5.0, n_cells=48)
     times = np.linspace(0.0, 2.0, 9)
     sol = solve_pde(p, grid, t_end=2.0, sample_times=times)
-    ref = solve_ivp(lambda _t, z: assemble_rhs(z, p, grid), (0.0, 2.0),
+    column = _Column(p, grid)
+    ref = solve_ivp(lambda _t, z: assemble_rhs(z, column), (0.0, 2.0),
                     np.zeros(2 * grid.n_cells - 2), method="RK45",
                     rtol=1e-10, atol=1e-12, t_eval=times)
     assert ref.success
@@ -313,13 +335,17 @@ class TestSolvePde:
         with pytest.warns(CellPecletWarning):
             solve_pde(p, grid, t_end=1e-6, sample_times=np.array([0.0, 1e-6]))
 
-    def test_rejects_bad_sampling(self):
+    def test_rejects_bad_sampling(self, monkeypatch):
+        # refused before the column is integrated
+        monkeypatch.setattr("adsorb.pde._bdf", lambda *args: pytest.fail("integrated"))
         p = params_for(ell=5.0, pe=0.5)
         grid = SpatialGrid(ell=5.0, n_cells=32)
         with pytest.raises(DomainError):
             solve_pde(p, grid, t_end=1.0, sample_times=np.array([0.0, 2.0]))
         with pytest.raises(DomainError):
             solve_pde(p, grid, t_end=0.0)
+        with pytest.raises(DomainError, match="sample times"):
+            solve_pde(p, grid, t_end=1.0, sample_times=np.array([]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_initial_fields(self, bad):
@@ -357,7 +383,7 @@ class TestSolvePde:
         inlet, outlet, storage = [], [], []
         for k in range(sol.times.size):
             c = sol.c[k].copy()
-            c0, c_out = reconstruct_boundaries(c[1:-1], p, grid)
+            c0, c_out = _Column(p, grid).full_field(c[1:-1])[[0, -1]]
             assert c_out == sol.breakthrough[k]
             if k > 0:
                 assert c0 == c[0] and c_out == c[-1]

@@ -17,7 +17,7 @@ from adsorb.errors import (
     DomainError,
     ExistenceError,
 )
-from adsorb.model import _rate_law, _uptake, alpha_from_qe
+from adsorb.model import _rate_law, alpha_from_qe
 from adsorb.wave import (
     WaveProfile,
     WaveSolverSettings,
@@ -81,7 +81,7 @@ class TestPointwiseFormulas:
             direct = p.q_e ** (n - 1) * equilibrium_polynomial_direct(x, p)
             reduced_flow = (p.q_e + p.da) * direct
             assert_allclose(leading_order_rhs(x, p), reduced_flow, rtol=1e-10, atol=1e-14)
-            assert_allclose(_uptake(x, p.q_e * x, p), -p.q_e * direct,
+            assert_allclose(_rate_law(p)[0](x, p.q_e * x), -p.q_e * direct,
                             rtol=1e-10, atol=1e-14)
 
     def test_slow_set_values(self):
@@ -375,12 +375,11 @@ class TestBoundField:
                     p.q_e / ((p.q_e + p.da) * p.pe) - (p.q_e + p.da) * r_q) - 2.0 * dw
 
     @pytest.mark.parametrize("m,n,q_e", BOUND_FIELD_CASES)
-    def test_uptake_is_the_bound_rate_on_arrays(self, m, n, q_e):
+    def test_bound_rate_is_the_rate_read_per_call_on_arrays(self, m, n, q_e):
         p = params_for(q_e=q_e, m=m, n=n)
         rng = np.random.default_rng(10 * m + n)
         c, q = rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 1.0, 500)
         r, r_q, _ = _rate_law(p)
-        assert np.array_equal(_uptake(c, q, p), r(c, q))
         assert np.array_equal(r(c, q), _rate_read_per_call(c, q, p))
         assert np.array_equal(r_q(c, q), _rate_dq_read_per_call(c, q, p))
 
