@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from .errors import AdsorptionError, CoverageError, DomainError
-from .model import DimensionlessParameters
+from .model import DimensionlessParameters, _require_positive
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
 DEFAULT_ETA_STAR = 20.0
@@ -66,8 +66,7 @@ def l2_profile_error(full: WaveProfile, leading: WaveProfile,
     grid where ``f_at`` has a value there: inside its window, or upstream of
     a head that reached saturation.
     """
-    if eta_star <= 0.0:
-        raise DomainError(f"eta_star must be positive, got {eta_star!r}")
+    _require_positive(eta_star=eta_star)
     if n_points < 2000:
         raise DomainError(f"common grid needs >= 2000 points, got {n_points}")
     if not (full.normalized and leading.normalized):
@@ -100,8 +99,7 @@ def breakthrough_window_time(profile: WaveProfile, hi: float = THRESHOLD_HI,
 
 def breakthrough_error(t_pe: float, t_0: float) -> float:
     """Signed relative error (t_pe - t_0) / t_0 of the breakthrough window time."""
-    if not np.isfinite(t_0) or t_0 <= 0.0:
-        raise DomainError(f"reference window time must be positive, got {t_0!r}")
+    _require_positive(t_0=t_0)
     return (t_pe - t_0) / t_0
 
 
@@ -130,11 +128,10 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
     ``solve_full_wave`` and contributes the L2 distance, the breakthrough
     window time, and its signed relative error.  Failures are recorded with an
     error marker instead of aborting the sweep, and mark only the Pe that
-    failed.  Records are returned in grid order.  A non-positive ``eta_star``
-    is refused before any front is solved.
+    failed.  Records are returned in grid order.  An ``eta_star`` that is not
+    positive and finite is refused before any front is solved.
     """
-    if eta_star <= 0.0:
-        raise DomainError(f"eta_star must be positive, got {eta_star!r}")
+    _require_positive(eta_star=eta_star)
     settings = settings or WaveSolverSettings()
     leading = solve_leading_order(replace(params, pe=0.0), settings)
     t_0 = breakthrough_window_time(leading, hi, lo)

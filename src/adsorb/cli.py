@@ -35,8 +35,6 @@ from .model import (
     DimensionlessParameters,
     PhysicalParameters,
     ReactionOrders,
-    _require_positive,
-    analyze_equilibria,
     nondimensionalize,
     sips_isotherm,
 )
@@ -106,7 +104,13 @@ def _section(raw: dict, name: str, allowed: set[str]) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a JSON number that is a finite double.
+
+    ``json.loads`` also reads NaN, Infinity and integers past the largest double.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # false for NaN
 
 
 def _check_types(section: str, given: dict, nullable=frozenset()) -> None:
@@ -115,17 +119,19 @@ def _check_types(section: str, given: dict, nullable=frozenset()) -> None:
     Integer and list keys take what their names in ``_INTEGER_KEYS`` and
     ``_LIST_KEYS`` say, the orders m and n are left to ``ReactionOrders``,
     and every other key takes a number; keys in ``nullable`` may be null.
+    No number may be NaN or infinite.
     """
     for key, value in given.items():
         if key in ("m", "n") or (value is None and key in nullable):
             continue
         if key in _LIST_KEYS:
-            ok, kind = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+            ok = isinstance(value, list) and all(map(_is_number, value))
+            kind = "a list of finite numbers"
         elif key in _INTEGER_KEYS:
             ok = _is_number(value) and (isinstance(value, int) or value.is_integer())
             kind = "an integer"
         else:
-            ok, kind = _is_number(value), "a number"
+            ok, kind = _is_number(value), "a finite number"
         if not ok:
             raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
 
@@ -185,15 +191,17 @@ def parse_config(document: str, mode_override: str | None = None, *,
                  out: str | None = None, seed_delta: float | None = None) -> RunConfig:
     """Parse and validate a JSON config document, applying all defaults.
 
-    Unknown keys are rejected with their names; a parameter outside its
+    Unknown keys and values of the wrong JSON type, NaN and Infinity among
+    them, are rejected with their names; a model parameter outside its
     domain is a ``ConfigError``; jointly given alpha and q_e must satisfy the
-    isotherm; wave and sweep modes refuse orders with m > n.  ``out`` and
-    ``seed_delta``, when given, replace ``output.dir`` and
-    ``solver.seed_delta`` and are checked as those keys are.
+    isotherm.  Solver values are left to the solvers, which also refuse
+    orders with m > n in wave and sweep modes.  ``out`` and ``seed_delta``,
+    when given, replace ``output.dir`` and ``solver.seed_delta`` and are
+    checked as those keys are.
     """
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -261,13 +269,6 @@ def parse_config(document: str, mode_override: str | None = None, *,
         raise ConfigError(f"output format must be csv or json, got {output['format']!r}")
     if not isinstance(output["dir"], str):
         raise ConfigError(f"output.dir must be a string, got {output['dir']!r}")
-
-    if mode in ("wave", "sweep") and params.m > params.n:
-        report = analyze_equilibria(params)
-        raise ExistenceError(
-            f"{mode} mode needs m <= n for a decreasing front; got (m, n) = "
-            f"({params.m}, {params.n}) with {report.reason}", report,
-        )
 
     physical_resolved = None
     if physical is not None:
@@ -481,38 +482,35 @@ def _run_wave(config: RunConfig, out: Path) -> list[Path]:
 
 def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     # imported here so that no other mode loads scipy
-    from .pde import SpatialGrid, _check_tracks, mass_balance_residual, solve_pde, track_front
+    from .pde import SpatialGrid, mass_balance_residual, solve_pde, track_front
 
     s = config.solver
     grid = SpatialGrid(ell=config.params.ell, n_cells=int(s["n_cells"]))
-    t_end, window = float(s["t_end"]), (float(s["fit_start"]), float(s["fit_end"]))
-    # refuse what the solve, the tracks and the mass audit would refuse, before the solve
-    _require_positive(t_end=t_end)
-    if int(s["n_snapshots"]) < 2:
+    if int(s["n_snapshots"]) < 2:  # the snapshot count is this mode's own setting
         raise DomainError(f"n_snapshots must be at least 2, got {s['n_snapshots']!r}")
-    _check_tracks([float(level) for level in s["front_levels"]], window)
+    t_end, window = float(s["t_end"]), (float(s["fit_start"]), float(s["fit_end"]))
     times = np.linspace(0.0, t_end, int(s["n_snapshots"]))
     sol = solve_pde(config.params, grid, t_end, sample_times=times,
                     settings=PdeSolverSettings(rel_tol=float(s["pde_rel_tol"]),
                                                abs_tol=float(s["pde_abs_tol"])))
+    # every result exists before the first file is written, so a refusal leaves none
+    tracks = [track_front(sol, float(level), window) for level in s["front_levels"]]
+    mass_residual_max = float(mass_balance_residual(sol).max())
     n_times = sol.times.size
     paths = [out / "pde_snapshots.csv", out / "pde_breakthrough.csv", out / "pde_front.csv"]
     _write_table(paths[0], config, ["t", "x", "c", "q"],
                  [np.repeat(sol.times, grid.n_cells), np.tile(grid.nodes, n_times),
                   sol.c.ravel(), sol.q.ravel()])
     _write_table(paths[1], config, ["t", "c_outlet"], [sol.times, sol.breakthrough])
-    front_rows, fitted = [], {}
-    for level in s["front_levels"]:
-        track = track_front(sol, float(level), window)
-        fitted[str(level)] = track.fitted_speed
-        front_rows += [(float(level), t, pos) for t, pos in track.positions]
+    front_rows = [(track.level, t, pos) for track in tracks for t, pos in track.positions]
     _write_table(paths[2], config, ["level", "t", "position"],
                  np.reshape(front_rows, (-1, 3)).T)
     meta = out / "pde_meta.json"
-    _write_json(meta, config, {"fitted_speeds": fitted, "fit_window": list(window),
-                               "velocity": config.params.velocity,
-                               "mass_residual_max": float(mass_balance_residual(sol).max()),
-                               **_counters(sol.stats)})
+    _write_json(meta, config, {
+        "fitted_speeds": {str(level): track.fitted_speed
+                          for level, track in zip(s["front_levels"], tracks)},
+        "fit_window": list(window), "velocity": config.params.velocity,
+        "mass_residual_max": mass_residual_max, **_counters(sol.stats)})
     return paths + [meta]
 
 

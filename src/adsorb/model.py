@@ -92,8 +92,8 @@ class PhysicalParameters:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if not 0.0 < self.q_max < 1.0:
             raise DomainError(f"q_max must lie in (0, 1), got {self.q_max!r}")
-        if self.diffusion is not None and (not np.isfinite(self.diffusion) or self.diffusion <= 0.0):
-            raise DomainError(f"diffusion must be positive when given, got {self.diffusion!r}")
+        if self.diffusion is not None:
+            _require_positive(diffusion=self.diffusion)
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,7 @@ def sips_isotherm(c_in: float, k_l: float, q_max: float, orders: ReactionOrders)
 
 def equilibrium_fraction_from_masses(m_final: float, m_initial: float) -> float:
     """Adsorbed fraction measured by weighing the column: (m_final - m_initial)/m_initial."""
-    if not np.isfinite(m_initial) or m_initial <= 0.0:
-        raise DomainError(f"initial mass must be positive, got {m_initial!r}")
+    _require_positive(m_initial=m_initial)
     if not np.isfinite(m_final) or m_final < m_initial:
         raise DomainError(f"final mass {m_final!r} must be >= initial mass {m_initial!r}")
     return (m_final - m_initial) / m_initial

@@ -53,7 +53,6 @@ from .stats import (
     _probe_step,
 )
 
-FIELD_TOL = 1e-6  # roundoff slack on the physical bounds of c and q
 TIME_METHOD = "BDF"  # implicit variable-order BDF; the Da-scaled c rows are stiff
 
 
@@ -65,8 +64,7 @@ class SpatialGrid:
     n_cells: int
 
     def __post_init__(self):
-        if not np.isfinite(self.ell) or self.ell <= 0.0:
-            raise DomainError(f"ell must be positive, got {self.ell!r}")
+        _require_positive(ell=self.ell)
         if self.n_cells < 16:
             raise DomainError(f"need at least 16 nodes, got {self.n_cells}")
 
@@ -492,15 +490,6 @@ def breakthrough_time(sol: PdeSolution, threshold: float) -> float:
     return float(t0 + (threshold - b0) * (t1 - t0) / (b1 - b0))
 
 
-def _check_tracks(levels, fit_window: tuple[float, float]) -> None:
-    """Refuse a tracked level outside (0, 1) and an empty or nan fit window."""
-    for level in levels:
-        if not 0.0 < level < 1.0:
-            raise DomainError(f"level must lie in (0, 1), got {level!r}")
-    if not fit_window[0] < fit_window[1]:
-        raise DomainError(f"empty fit window {fit_window!r}")
-
-
 def track_front(sol: PdeSolution, level: float,
                 fit_window: tuple[float, float]) -> FrontTrack:
     """Follow the x-position where c crosses ``level`` and fit its speed.
@@ -509,8 +498,11 @@ def track_front(sol: PdeSolution, level: float,
     speed is the least-squares slope of x(t) over ``fit_window`` (divide by
     ell for the column-proportion speed).
     """
-    _check_tracks((level,), fit_window)
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"level must lie in (0, 1), got {level!r}")
     t_lo, t_hi = fit_window
+    if not t_lo < t_hi:
+        raise DomainError(f"empty fit window {fit_window!r}")
     x = sol.grid.nodes
     positions: list[tuple[float, float]] = []
     for k, t in enumerate(sol.times):

@@ -16,12 +16,12 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .model import _require_positive
 
 
 def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
     """Refuse a tolerance that is not finite, a ``rel_tol`` <= 0 and an ``abs_tol`` < 0."""
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be positive and finite, got {rel_tol!r}")
+    _require_positive(rel_tol=rel_tol)
     if not (math.isfinite(abs_tol) and abs_tol >= 0.0):
         raise DomainError(f"abs_tol must be >= 0 and finite, got {abs_tol!r}")
 

@@ -76,8 +76,9 @@ class WaveSolverSettings:
     The tolerances apply to the Radau leg of the Pe > 0 front, with the
     meaning of scipy's ``rtol`` and ``atol``; the Pe = 0 front is a
     fixed-step quadrature.  Construction refuses a tolerance that is not
-    finite, a ``rel_tol`` <= 0 and an ``abs_tol`` < 0; an out-of-range
-    ``seed_delta`` is the solvers' ``DivergenceError``.
+    finite, a ``rel_tol`` <= 0, an ``abs_tol`` < 0 and an ``eta_span`` that
+    is not finite; an out-of-range ``seed_delta`` is the solvers'
+    ``DivergenceError``.
     """
 
     rel_tol: float = 1e-8
@@ -87,6 +88,8 @@ class WaveSolverSettings:
 
     def __post_init__(self):
         _check_tolerances(self.rel_tol, self.abs_tol)
+        if not math.isfinite(self.eta_span):
+            raise DomainError(f"eta_span must be finite, got {self.eta_span!r}")
 
 
 @dataclass(frozen=True)

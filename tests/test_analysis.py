@@ -198,7 +198,7 @@ class TestRunSweep:
 
         monkeypatch.setattr("adsorb.analysis.solve_leading_order", solve)
         monkeypatch.setattr("adsorb.analysis.solve_full_wave", solve)
-        with pytest.raises(DomainError, match="eta_star must be positive, got -1.0"):
+        with pytest.raises(DomainError, match="eta_star must be positive and finite, got -1.0"):
             run_sweep(params_for(), SweepGrid((0.0, 0.1)), eta_star=-1.0)
 
     def test_failed_points_are_marked_not_fatal(self):

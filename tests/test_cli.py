@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import types
@@ -21,7 +22,7 @@ from adsorb.cli import (
     read_wave_profile,
     run,
 )
-from adsorb.errors import ConfigError, ConsistencyError, DomainError, ExistenceError
+from adsorb.errors import ConfigError, ConsistencyError, DomainError
 from adsorb.model import DimensionlessParameters, ReactionOrders, sips_isotherm
 from adsorb.wave import solve_full_wave, solve_leading_order
 
@@ -102,6 +103,25 @@ WRONG_TYPES = [
      "dimensionless.da"),
     ({"mode": "sweep", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
       "solver": {"pe_values": 5}}, "solver.pe_values"),
+    # json.loads reads NaN and Infinity, which no config number may be
+    ({"mode": "sweep", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
+      "solver": {"eta_star": math.nan, "pe_values": [0.0, 0.1]}}, "solver.eta_star"),
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+      "solver": {"eta_span": math.nan}}, "solver.eta_span"),
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+      "solver": {"eta_span": math.inf}}, "solver.eta_span"),
+    ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+      "solver": {"fit_end": math.nan}}, "solver.fit_end"),
+    ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+      "solver": {"front_levels": [0.5, -math.inf]}}, "solver.front_levels"),
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1,
+                                       "ell": math.inf}}, "dimensionless.ell"),
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "m": 1, "n": 1},
+      "pe": math.nan}, "config.pe"),
+    ({"mode": "nondim", "physical": {**PHYSICAL, "diffusion": -math.inf}}, "physical.diffusion"),
+    # and integers that no double holds
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 10 ** 400, "pe": 0.1, "m": 1, "n": 1}},
+     "dimensionless.da"),
 ]
 
 
@@ -171,13 +191,51 @@ class TestParseConfig:
             parse_config(json.dumps(null))
 
     def test_inadmissible_orders_in_wave_mode(self):
-        with pytest.raises(ExistenceError):
-            parse_config(wave_doc(m=2, n=1))
+        # the front solvers own the existence rule (exit 3 in TestMainEntry)
+        for mode in ("wave", "sweep"):
+            doc = {**json.loads(wave_doc(m=2, n=1)), "mode": mode}
+            assert parse_config(json.dumps(doc)).params.m == 2
 
     def test_inadmissible_orders_allowed_in_pde_mode(self):
         doc = json.dumps({"mode": "pde",
                           "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 2, "n": 1}})
         assert parse_config(doc).params.m == 2
+
+    @pytest.mark.parametrize("doc,message", [
+        ([json.loads(wave_doc())], "config must be a JSON object"),
+        ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1}},
+         "dimensionless must specify the reaction orders m and n"),
+        ({"mode": "nondim", "pe": 0.1,
+          "physical": {k: v for k, v in PHYSICAL.items() if k not in ("u_in", "rho_b")}},
+         "physical is missing keys: u_in, rho_b"),
+        ({"mode": "wave", "dimensionless": {"q_e": 0.7, "pe": 0.1, "m": 1, "n": 1}},
+         "dimensionless must specify da"),
+        ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "m": 1, "n": 1}},
+         "dimensionless must specify pe"),
+        ({"mode": "wave", "dimensionless": {"da": 0.1, "pe": 0.1, "m": 1, "n": 1}},
+         "dimensionless must specify q_e or alpha"),
+        ({**json.loads(wave_doc()), "mode": "isotherm"},
+         "isotherm mode requires the physical section"),
+        ({**json.loads(wave_doc()), "output": {"format": "xml"}},
+         "output format must be csv or json"),
+    ])
+    def test_incomplete_documents_name_what_is_missing(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps(doc))
+
+    def test_alpha_alone_gives_the_matching_q_e(self):
+        by_qe = parse_config(wave_doc())
+        doc = json.loads(wave_doc(alpha=by_qe.params.alpha))
+        del doc["dimensionless"]["q_e"]
+        assert parse_config(json.dumps(doc)).params == by_qe.params
+
+    def test_isotherm_default_inlet_grid(self):
+        # 41 inlet concentrations, log-spaced over four decades around c_in
+        config = parse_config(json.dumps({"mode": "isotherm", "physical": dict(PHYSICAL)}))
+        c_in = config.isotherm["c_in_values"]
+        assert len(c_in) == 41
+        for i, scale in ((0, 1e-2), (20, 1.0), (40, 1e2)):
+            assert c_in[i] == pytest.approx(scale * PHYSICAL["c_in"], rel=1e-15)
 
     def test_consistent_alpha_and_qe_accepted(self):
         config = parse_config(wave_doc(alpha=0.7))
@@ -439,6 +497,7 @@ class TestMainEntry:
         (b"\xff\xfe{}", "cannot read"),  # not UTF-8
         (b'{"mode": "wave",', "not valid JSON"),
         (b"", "not valid JSON"),
+        pytest.param(b'{"pe": 1' + b"0" * 5000 + b"}", "not valid JSON", id="int-digit-limit"),
     ])
     def test_unusable_config_file(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -494,12 +553,14 @@ class TestMainEntry:
         err = json.loads(err)
         assert err["error"] == "ConfigError" and str(taken) in err["message"]
 
-    def test_existence_refusal_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["wave", "sweep"])
+    def test_existence_refusal_exit_code(self, tmp_path, capsys, mode):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(wave_doc(m=2, n=1))
-        rc = main(["wave", "--config", str(cfg)])
-        assert rc == 3
+        cfg.write_text(json.dumps({**json.loads(wave_doc(m=2, n=1)), "mode": mode}))
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ExistenceError"
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("mode,solver,flags,error,message", [
         ("wave", {}, ["--seed-delta=-1e-6"], "DivergenceError", "seed"),
@@ -520,13 +581,15 @@ class TestMainEntry:
         ("pde", {"front_levels": [0.0]}, [], "DomainError", "level"),
         ("pde", {"fit_start": 3.0, "fit_end": 3.0}, [], "DomainError", "fit window"),
         ("pde", {"fit_start": 3.0, "fit_end": 2.0}, [], "DomainError", "fit window"),
-        ("pde", {"fit_end": float("nan")}, [], "DomainError", "fit window"),
+        # level 0.75 is never crossed in the fit window
+        ("pde", {"n_cells": 64, "t_end": 0.01, "n_snapshots": 11}, [], "FrontNotFoundError",
+         "level 0.75"),
     ])
     def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, flags, error, message):
-        # solver-section values are checked before anything is solved or
+        # the solvers refuse solver-section values before anything is
         # written: exit 4, one JSON line, no artifact
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1)), "mode": mode,
+        cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1, ell=5.0)), "mode": mode,
                                    "solver": solver}))
         out = tmp_path / "o"
         assert main([mode, "--config", str(cfg), "--out", str(out), *flags]) == 4

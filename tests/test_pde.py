@@ -29,6 +29,7 @@ from adsorb.pde import (
     track_front,
 )
 from adsorb.analysis import breakthrough_window_time
+from adsorb.stats import PdeSolverSettings
 from adsorb.wave import solve_full_wave
 
 from conftest import ADMISSIBLE_FAMILIES, column_physical, params_for
@@ -259,25 +260,30 @@ def test_rate_law_is_bound_once_per_solve(monkeypatch):
     assert len(bound) == 1
 
 
-@pytest.mark.parametrize("m, n, n_cells, da, jac_format", [
-    (1, 1, 20, 0.1, "dense"), (1, 2, 32, 0.01, "sparse"), (2, 3, 48, 0.1, "dense"),
-    (2, 3, 48, 0.007, "sparse"),
+@pytest.mark.parametrize("m, n, n_cells, da, jac_format, q_e, abs_tol, t_end", [
+    (1, 1, 20, 0.1, "dense", 0.7, 1e-9, 2.0), (1, 2, 32, 0.01, "sparse", 0.7, 1e-9, 2.0),
+    (2, 3, 48, 0.1, "dense", 0.7, 1e-9, 2.0), (2, 3, 48, 0.007, "sparse", 0.7, 1e-9, 2.0),
+    # steps rejected by the error estimate (110 steps, 23 factorisations)
+    (1, 1, 20, 0.1, "dense", 0.7, 1e-6, 2.0),
+    # steps halved after Newton fails at a fresh Jacobian (18 steps, 6 Jacobians)
+    (2, 2, 20, 0.1, "dense", 0.99, 0.1, 5.0),
 ])
-def test_bdf_matches_scipy_step_for_step(m, n, n_cells, da, jac_format):
+def test_bdf_matches_scipy_step_for_step(m, n, n_cells, da, jac_format, q_e, abs_tol, t_end):
     # scipy's BDF with the same analytic Jacobian takes the same steps, makes
     # the same evaluations and factorisations, and samples the same fields
-    p = params_for(m=m, n=n, pe=0.5, da=da, ell=5.0)
+    p = params_for(m=m, n=n, q_e=q_e, pe=0.5, da=da, ell=5.0)
     grid = SpatialGrid(ell=5.0, n_cells=n_cells)
-    times = np.linspace(0.0, 2.0, 9)
-    sol = solve_pde(p, grid, t_end=2.0, sample_times=times)
+    times = np.linspace(0.0, t_end, 9)
+    sol = solve_pde(p, grid, t_end=t_end, sample_times=times,
+                    settings=PdeSolverSettings(abs_tol=abs_tol))
 
     def jac(_t, z):
         dense = dense_jacobian(p, grid, z)
         return sparse.csc_matrix(dense) if jac_format == "sparse" else dense
 
     column = _Column(p, grid)
-    ref = solve_ivp(lambda _t, z: assemble_rhs(z, column), (0.0, 2.0),
-                    np.zeros(2 * n_cells - 2), method="BDF", jac=jac, rtol=1e-6, atol=1e-9,
+    ref = solve_ivp(lambda _t, z: assemble_rhs(z, column), (0.0, t_end),
+                    np.zeros(2 * n_cells - 2), method="BDF", jac=jac, rtol=1e-6, atol=abs_tol,
                     t_eval=times, dense_output=True)
     assert ref.success
     steps = ref.sol.ts.size - 1

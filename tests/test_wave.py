@@ -173,10 +173,6 @@ class TestLeadingOrderSolver:
 
 
 class TestFullWaveSolver:
-    def test_zero_pe_redirects(self):
-        with pytest.raises(DomainError):
-            solve_full_wave(params_for(pe=0.0))
-
     def test_small_pe_stays_near_reduced_front(self, lead_11):
         w = solve_full_wave(params_for(pe=1e-4))
         grid = np.linspace(-20.0, 20.0, 2001)
@@ -206,6 +202,7 @@ class TestFullWaveSolver:
     @pytest.mark.parametrize("tolerances", [
         {"rel_tol": 0.0}, {"rel_tol": -1e-8}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
         {"abs_tol": -1e-10}, {"abs_tol": math.inf}, {"abs_tol": math.nan},
+        {"eta_span": math.inf}, {"eta_span": math.nan},
     ])
     def test_settings_refuse_bad_tolerances(self, tolerances):
         with pytest.raises(DomainError, match=next(iter(tolerances))):
