@@ -69,8 +69,6 @@ def l2_profile_error(full: WaveProfile, leading: WaveProfile,
     _require_positive(eta_star=eta_star)
     if n_points < 2000:
         raise DomainError(f"common grid needs >= 2000 points, got {n_points}")
-    if not (full.normalized and leading.normalized):
-        raise DomainError("both profiles must be normalized to F(0) = 1/2")
     grid = np.linspace(-eta_star, eta_star, n_points)
     values = []
     for name, prof in (("full", full), ("leading", leading)):
@@ -133,7 +131,7 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
     """
     _require_positive(eta_star=eta_star)
     settings = settings or WaveSolverSettings()
-    leading = solve_leading_order(replace(params, pe=0.0), settings)
+    leading = solve_leading_order(params, settings)
     t_0 = breakthrough_window_time(leading, hi, lo)
     return [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0) if pe == 0.0
             else _record(replace(params, pe=pe), settings, leading, t_0, eta_star, hi, lo)

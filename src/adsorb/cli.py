@@ -3,10 +3,11 @@
 ``adsorb <mode> --config <path> [--out <dir>] [--seed-delta <float>]``, where the
 mode is one of ``nondim``, ``wave``, ``pde``, ``sweep``, ``isotherm`` and the flags
 may come before or after it.  ``parse_config`` is the only reader of the config
-document; the two flags override ``output.dir`` and ``solver.seed_delta``.  Every
-output file starts with a provenance comment carrying the toolkit version and
-a hash of the fully resolved configuration, and floats are written with 17
-significant digits, so identical configs produce byte-identical artifacts.
+document; the two flags override ``output.dir`` and ``solver.seed_delta``.  A CSV
+file starts with a comment carrying the toolkit version and a hash of the fully
+resolved configuration, a JSON file carries both as its ``"meta"`` object, and
+floats are written with 17 significant digits, so identical configs produce
+byte-identical artifacts.
 Table cells are the bytes of ``CELL_FORMAT % v``, written in blocks of rows by
 a numpy formatter that computes the digits exactly (``_format_cells``).
 """
@@ -227,9 +228,7 @@ def parse_config(document: str, mode_override: str | None = None, *,
     try:
         physical = _build_physical(raw["physical"]) if has_phys else None
         if has_phys:
-            if physical.diffusion is None and pe_override is None:
-                if mode != "isotherm":
-                    raise ConfigError("physical needs diffusion, or give the top-level pe")
+            if physical.diffusion is None and pe_override is None and mode == "isotherm":
                 pe_override = 0.0  # the isotherm involves no transport
             params = nondimensionalize(physical, pe=pe_override)
         else:
@@ -438,24 +437,25 @@ def write_wave_profile(path_csv: Path, meta_path: Path, profile: WaveProfile,
     _write_table(path_csv, config, ["eta", "F", "G"], [profile.eta, profile.f, profile.g])
     _write_json(meta_path, config, {
         "velocity": profile.velocity, "pe": profile.pe,
-        "window": [profile.window[0], profile.window[1]],
-        "normalized": profile.normalized, "samples": int(profile.eta.size),
+        "window": list(profile.window),
+        "normalized": True, "samples": int(profile.eta.size),
         **_counters(profile.stats),
     })
 
 
 def read_wave_profile(path_csv: Path, meta_path: Path) -> WaveProfile:
-    """Rebuild a WaveProfile from the wave-mode artifacts."""
+    """Rebuild a WaveProfile from the wave-mode artifacts, whose window must match."""
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     rows = [line for line in path_csv.read_text(encoding="utf-8").splitlines()
             if line and not line.startswith("#")]
     data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
-    return WaveProfile(
-        eta=data[:, 0], f=data[:, 1], g=data[:, 2],
-        velocity=float(meta["velocity"]), pe=float(meta["pe"]),
-        normalized=bool(meta["normalized"]),
-        window=(float(meta["window"][0]), float(meta["window"][1])),
-    )
+    profile = WaveProfile(eta=data[:, 0], f=data[:, 1], g=data[:, 2],
+                          velocity=float(meta["velocity"]), pe=float(meta["pe"]))
+    window = tuple(float(v) for v in meta["window"])
+    if window != profile.window:
+        raise DomainError(f"meta window {window} does not match the sampled eta range "
+                          f"{profile.window}")
+    return profile
 
 
 def _wave_settings(config: RunConfig) -> WaveSolverSettings:

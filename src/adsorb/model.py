@@ -249,8 +249,6 @@ def nondimensionalize(p: PhysicalParameters, pe: float | None = None) -> Dimensi
         if p.diffusion is None:
             raise DomainError("either diffusion or an explicit pe is required")
         pe = p.diffusion / (p.u_in * length_scale)
-    elif pe < 0.0:
-        raise DomainError(f"pe must be >= 0, got {pe!r}")
     return DimensionlessParameters(
         da=da, pe=pe, alpha=alpha, q_e=qe_from_alpha(alpha, n), orders=p.orders,
         ell=p.column_length / length_scale,

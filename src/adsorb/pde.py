@@ -467,11 +467,10 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
     samples, stats = _bdf(column, state0, t_end, sample_times, settings.rel_tol,
                           settings.abs_tol)
     c = column.full_field(samples[:, : n - 2])
-    breakthrough = c[:, -1].copy()
     if sample_times[0] == 0.0:
         c[0] = c0_full
     return PdeSolution(grid=grid, times=sample_times, c=c, q=samples[:, n - 2:],
-                       breakthrough=breakthrough, params=params, stats=stats)
+                       breakthrough=c[:, -1].copy(), params=params, stats=stats)
 
 
 def breakthrough_time(sol: PdeSolution, threshold: float) -> float:

@@ -58,7 +58,7 @@ from .stats import (
 )
 
 F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
-NORMALIZATION_TOL = 1e-8   # |F(0) - 1/2| for normalized profiles
+NORMALIZATION_TOL = 1e-8   # largest |F(0) - 1/2| of a profile
 
 F_STOP = 1e-6              # distance from a far-field state where a front may end
 Z_STOP = math.log((1.0 - F_STOP) / F_STOP)  # |z| where F is within F_STOP of a far field
@@ -94,7 +94,7 @@ class WaveSolverSettings:
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """Sampled front profile (eta, F, G) with its velocity and window.
+    """Sampled front profile (eta, F, G) with its velocity, normalized to F(0) = 1/2.
 
     eta increases strictly and F decreases strictly, inside (0, 1), from the
     saturated to the clean state.  Both read-outs interpolate on the log-odds
@@ -111,8 +111,6 @@ class WaveProfile:
     g: np.ndarray
     velocity: float
     pe: float
-    normalized: bool
-    window: tuple[float, float]
     stats: IntegratorStats | None = None
     deta_dz: np.ndarray | None = None
 
@@ -132,8 +130,6 @@ class WaveProfile:
             )
         if not (0.0 < f[-1] and f[0] < 1.0):
             raise DomainError("F must lie inside (0, 1), where its log-odds are finite")
-        if self.window != (eta[0], eta[-1]):
-            raise DomainError("window must match the sampled eta range")
         if self.deta_dz is not None:
             deta_dz = np.asarray(self.deta_dz, dtype=float)
             if deta_dz.shape != eta.shape:
@@ -142,10 +138,13 @@ class WaveProfile:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
-        if self.normalized:
-            f_mid = float(_expit(self._z_of_eta(0.0)))
-            if not abs(f_mid - 0.5) < NORMALIZATION_TOL:
-                raise DomainError(f"normalized profile has F(0) = {f_mid!r}, expected 1/2")
+        f_mid = float(_expit(self._z_of_eta(0.0)))
+        if not abs(f_mid - 0.5) < NORMALIZATION_TOL:
+            raise DomainError(f"profile has F(0) = {f_mid!r}, expected 1/2")
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return float(self.eta[0]), float(self.eta[-1])
 
     @cached_property
     def _z(self) -> np.ndarray:
@@ -344,17 +343,11 @@ def _side(f_prime, sign: float, eta_span: float):
         steps = min(2 * steps, cap)
 
 
-def _front(params: DimensionlessParameters, settings: WaveSolverSettings,
-           f_prime, stats: IntegratorStats | None = None) -> WaveProfile:
-    """Normalized profile of the front whose slope at z is ``f_prime(z)``."""
+def _front(settings: WaveSolverSettings, f_prime):
+    """Samples (eta, F, F', d eta / dz) of the front whose slope at z is ``f_prime(z)``."""
     head, tail = (_side(f_prime, sign, settings.eta_span) for sign in (1.0, -1.0))
     z, eta, fp, slope = (np.concatenate((h[::-1], t[1:])) for h, t in zip(head, tail))
-    f = _expit(z)
-    return WaveProfile(
-        eta=eta, f=f, g=g_from_f(f, fp, params), velocity=params.velocity, pe=params.pe,
-        normalized=True, window=(float(eta[0]), float(eta[-1])), stats=stats,
-        deta_dz=slope,
-    )
+    return eta, _expit(z), fp, slope
 
 
 # ---------------------------------------------------------------------------
@@ -575,37 +568,19 @@ def _leg_field(params: DimensionlessParameters):
     return rhs, jac
 
 
-def _leg_slopes(params: DimensionlessParameters, settings: WaveSolverSettings,
-                z_seed: float) -> tuple[int, np.ndarray, IntegratorStats]:
-    """F' of the backward leg at z = k Z_STEP / 2 inside [z_seed, Z_STOP].
-
-    The sides of a front sample z on that grid, so the leg's dense output is
-    read once, as a table in k; returns the first k, the table and the leg's
-    counters.
-    """
-    w_seed = math.log(-leading_order_rhs(settings.seed_delta, params))
-    try:
-        w_at, stats = _radau_leg(*_leg_field(params), z_seed, w_seed, Z_STOP,
-                                 settings.rel_tol, settings.abs_tol)
-    except OverflowError as exc:
-        raise ConvergenceError(f"backward leg from the seed overflowed: {exc}") from exc
-    half = 0.5 * Z_STEP
-    k = np.arange(math.floor(z_seed / half), math.ceil(Z_STOP / half) + 1)
-    z = half * k
-    keep = (z >= z_seed) & (z <= Z_STOP)
-    return int(k[keep][0]), -np.exp(w_at(z[keep])), stats
-
-
 def solve_leading_order(params: DimensionlessParameters,
                         settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Front profile of the reduced (Pe = 0) equation, normalized to F(0) = 1/2.
 
+    ``params.pe`` is not read: the profile is labelled Pe = 0 with G = q_e F.
     eta(z) is the quadrature of F (1 - F) / h0(F) outward from z = 0 on each
     side; no ODE is integrated.
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
-    return _front(params, settings, lambda z: leading_order_rhs(_expit(z), params))
+    eta, f, _, slope = _front(settings, lambda z: leading_order_rhs(_expit(z), params))
+    return WaveProfile(eta=eta, f=f, g=params.q_e * f, velocity=params.velocity, pe=0.0,
+                       deta_dz=slope)
 
 
 def solve_full_wave(params: DimensionlessParameters,
@@ -633,13 +608,20 @@ def solve_full_wave(params: DimensionlessParameters,
             "on the clean side of the front"
         )
     z_seed = math.log(delta / (1.0 - delta))
-    k_first, slope, stats = _leg_slopes(params, settings, z_seed)
-    half = 0.5 * Z_STEP
+    try:
+        w_at, stats = _radau_leg(*_leg_field(params), z_seed,
+                                 math.log(-leading_order_rhs(delta, params)), Z_STOP,
+                                 settings.rel_tol, settings.abs_tol)
+    except OverflowError as exc:
+        raise ConvergenceError(f"backward leg from the seed overflowed: {exc}") from exc
 
     def f_prime(z):
-        out = leading_order_rhs(_expit(z), params)
         inside = (z >= z_seed) & (z <= Z_STOP)
-        out[inside] = slope[np.rint(z[inside] / half).astype(np.intp) - k_first]
+        out = np.empty_like(z)
+        out[inside] = -np.exp(w_at(z[inside]))
+        out[~inside] = leading_order_rhs(_expit(z[~inside]), params)
         return out
 
-    return _front(params, settings, f_prime, stats)
+    eta, f, fp, slope = _front(settings, f_prime)
+    return WaveProfile(eta=eta, f=f, g=g_from_f(f, fp, params), velocity=params.velocity,
+                       pe=params.pe, stats=stats, deta_dz=slope)

@@ -27,8 +27,7 @@ from conftest import ADMISSIBLE_FAMILIES, params_for
 def logistic_profile(k=0.56, span=30.0, n=3001, lift=0.0):
     eta = np.linspace(-span, span, n)
     f = 1.0 / (1.0 + np.exp(k * eta)) + lift
-    return WaveProfile(eta=eta, f=f, g=0.7 * f, velocity=1.25, pe=0.0,
-                       normalized=True, window=(float(eta[0]), float(eta[-1])))
+    return WaveProfile(eta=eta, f=f, g=0.7 * f, velocity=1.25, pe=0.0)
 
 
 class TestSweepGrid:

@@ -267,7 +267,7 @@ class TestParseConfig:
 
     def test_physical_needs_diffusion_or_pe(self):
         doc = {"mode": "nondim", "physical": dict(PHYSICAL)}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="either diffusion or an explicit pe is required"):
             parse_config(json.dumps(doc))
         doc["pe"] = 0.1
         config = parse_config(json.dumps(doc))
@@ -304,13 +304,16 @@ class TestRunners:
         run(parse_config(json.dumps(doc)))
         meta = json.loads((tmp_path / "lead" / "wave_meta.json").read_text())
         assert meta["pe"] == 0.0
-        assert "time_method" not in meta  # the Pe = 0 front integrates no ODE
+        # the Pe = 0 front integrates no ODE, so it reports no counters
+        assert set(meta) == {"meta", "velocity", "pe", "window", "normalized", "samples"}
 
         doc = json.loads(wave_doc(pe=0.1))
         doc["output"] = {"dir": str(tmp_path / "full")}
         run(parse_config(json.dumps(doc)))
         meta = json.loads((tmp_path / "full" / "wave_meta.json").read_text())
         assert meta["pe"] == 0.1
+        assert set(meta) == {"meta", "velocity", "pe", "window", "normalized", "samples",
+                             "time_method", "nfev", "njev", "nlu", "steps"}
         assert meta["velocity"] == pytest.approx(1.25, rel=1e-12)
         assert meta["time_method"] == "Radau"
         assert meta["nfev"] > meta["njev"] >= 1 and meta["nfev"] > meta["steps"] > 0
@@ -327,6 +330,17 @@ class TestRunners:
         e_file = l2_profile_error(profile, lead)
         assert abs(e_memory - e_file) <= 1e-12
 
+    def test_wave_reread_refuses_a_window_off_the_table(self, tmp_path):
+        doc = json.loads(wave_doc(pe=0.1))
+        doc["output"] = {"dir": str(tmp_path)}
+        run(parse_config(json.dumps(doc)))
+        meta_path = tmp_path / "wave_meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["window"][1] += 1.0
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DomainError, match="does not match the sampled eta range"):
+            read_wave_profile(tmp_path / "wave_profile.csv", meta_path)
+
     def test_sweep_paper_grid_row_count(self, tmp_path):
         doc = {"mode": "sweep",
                "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
@@ -336,6 +350,9 @@ class TestRunners:
                  if l and not l.startswith("#")]
         assert lines[0] == "pe,l2_error,t_window,e_bt"
         assert len(lines) - 1 == 16
+        meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+        assert set(meta) == {"meta", "failures", "n_records"}
+        assert meta["failures"] == {} and meta["n_records"] == 16
 
     def test_pde_artifacts(self, tmp_path):
         doc = {"mode": "pde",

@@ -223,6 +223,25 @@ class TestDimensionlessParameters:
         assert b.alpha == pytest.approx(a.alpha, rel=1e-12)
 
 
+@pytest.mark.parametrize("refused,message", [
+    (lambda: RawKinetics(kappa_ad=1.0, kappa_de=-0.1, c_sat=1.0), "kappa_de must be >= 0"),
+    (lambda: PhysicalParameters(
+        epsilon=0.3357, u_in=0.13, k_ad=1.13, k_de=2.173e-4, c_in=2.835, q_max=1.0,
+        rho_b=377.25, column_length=5.4e-3, orders=ReactionOrders(1, 1)),
+     r"q_max must lie in \(0, 1\)"),
+    (lambda: DimensionlessParameters(da=0.1, pe=0.0, alpha=1.2, q_e=0.7,
+                                     orders=ReactionOrders(1, 1)),
+     r"alpha must lie in \(0, 1\)"),
+    (lambda: qe_from_alpha(0.3, 0), "order n must be >= 1"),
+    (lambda: alpha_from_qe(0.7, 0), "order n must be >= 1"),
+    (lambda: nondimensionalize(column_physical(), pe=-0.1), "pe must be >= 0"),
+], ids=["kappa_de", "q_max", "alpha", "qe_from_alpha-n", "alpha_from_qe-n",
+        "nondimensionalize-pe"])
+def test_refusal_names_the_value(refused, message):
+    with pytest.raises(DomainError, match=message):
+        refused()
+
+
 class TestEquilibriumPolynomial:
     def test_zero_at_both_states_exactly(self):
         rng = np.random.default_rng(7)

@@ -363,6 +363,17 @@ class TestSolvePde:
         with pytest.raises(DomainError, match="finite"):
             solve_pde(p, grid, t_end=1.0, initial=fields[::-1])
 
+    def test_breakthrough_is_the_stored_outlet_column(self):
+        # a custom initial field keeps its outlet value in c[0], and so in breakthrough[0]
+        p = params_for(m=2, n=2, q_e=0.7, da=0.1, pe=0.5, ell=5.0)
+        grid = SpatialGrid(ell=5.0, n_cells=32)
+        rng = np.random.default_rng(1)
+        initial = (rng.uniform(size=32), rng.uniform(size=32))
+        sol = solve_pde(p, grid, t_end=0.5, sample_times=np.linspace(0.0, 0.5, 3),
+                        initial=initial)
+        assert sol.c[0, -1] == initial[0][-1]
+        assert np.array_equal(sol.breakthrough, sol.c[:, -1])
+
     def test_collapsing_step_is_a_stiffness_error(self):
         # c = 1e100 gives a finite rate whose error norm overflows, so the
         # initial step is zero and never reaches ten ulps of t
@@ -541,7 +552,35 @@ class TestFrontTracking:
             track_front(sol, 0.5, (9.0, 1.0))
 
 
+def _solution(times=(0.0, 1.0), c=None):
+    """A 16-node PdeSolution of the given fields; by default c = t / max t everywhere."""
+    times = np.asarray(times, dtype=float)
+    c = np.outer(times / times.max(), np.ones(16)) if c is None else c
+    return PdeSolution(grid=SpatialGrid(ell=5.0, n_cells=16), times=times, c=c,
+                       q=np.zeros((times.size, 16)), breakthrough=c[:, -1],
+                       params=params_for(ell=5.0, pe=0.5))
+
+
+@pytest.mark.parametrize("refused,message", [
+    (lambda: _solution(c=np.zeros((2, 15))), "field shapes must be"),
+    (lambda: _solution(times=(1.0, 0.5)), "sample times must increase strictly"),
+    (lambda: solve_pde(params_for(ell=5.0, pe=0.5), SpatialGrid(ell=5.0, n_cells=32), 1.0,
+                       initial=(np.zeros(31), np.zeros(32))), "initial fields must have shape"),
+    (lambda: breakthrough_time(_solution(), 0.0), "threshold must lie in"),
+    (lambda: breakthrough_time(_solution(), 1.0), "threshold must lie in"),
+    (lambda: mass_balance_residual(_solution(times=(1.0,))), "at least two sample instants"),
+], ids=["field-shape", "times-order", "initial-shape", "threshold-zero", "threshold-one",
+        "single-instant"])
+def test_refusal_names_the_value(refused, message):
+    with pytest.raises(DomainError, match=message):
+        refused()
+
+
 class TestBreakthroughTime:
+    def test_outlet_above_threshold_at_the_first_sample(self):
+        sol = _solution(times=(2.0, 3.0, 4.0), c=np.full((3, 16), 0.5))
+        assert breakthrough_time(sol, 0.25) == 2.0
+
     def test_threshold_never_reached(self, front_speed_run):
         sol, _ = front_speed_run
         with pytest.raises(CoverageError):

@@ -28,7 +28,7 @@ from adsorb.wave import (
     solve_full_wave,
     solve_leading_order,
 )
-from adsorb.wave import Z_STEP, Z_STOP, _leg_field, _leg_slopes, _radau_leg
+from adsorb.wave import Z_STEP, Z_STOP, _leg_field, _radau_leg
 
 from conftest import ADMISSIBLE_FAMILIES, equilibrium_polynomial_direct, params_for
 
@@ -153,9 +153,16 @@ class TestLeadingOrderSolver:
     def test_profile_metadata(self, lead_11):
         p = params_for()
         assert lead_11.pe == 0.0
-        assert lead_11.normalized
+        assert lead_11.window == (lead_11.eta[0], lead_11.eta[-1])
         assert lead_11.velocity == pytest.approx(1.0 / (p.q_e + p.da), rel=1e-14)
         assert_allclose(lead_11.g, p.q_e * lead_11.f, rtol=1e-13, atol=1e-16)
+
+    def test_reduced_front_is_solved_at_pe_zero(self, lead_11):
+        # the reduced front does not depend on Pe: a positive params.pe is not read
+        lead = solve_leading_order(params_for(pe=0.1))
+        assert lead.pe == 0.0
+        assert np.array_equal(lead.g, lead.f * params_for().q_e)
+        assert np.array_equal(lead.eta, lead_11.eta) and np.array_equal(lead.f, lead_11.f)
 
     @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)
     def test_strictly_decreasing_with_far_field_endpoints(self, m, n):
@@ -264,14 +271,17 @@ class TestScalarRadauLeg:
         p = params_for(pe=pe, m=m, n=n)
         settings = WaveSolverSettings()
         z_seed = math.log(settings.seed_delta / (1.0 - settings.seed_delta))
-        k_first, slopes, _ = _leg_slopes(p, settings, z_seed)
-        rhs, _ = _leg_field(p)
-        oracle = solve_ivp(lambda z, w: [rhs(z, w[0])], (z_seed, Z_STOP),
-                           [math.log(-leading_order_rhs(settings.seed_delta, p))],
+        w_seed = math.log(-leading_order_rhs(settings.seed_delta, p))
+        rhs, jac = _leg_field(p)
+        w_at, _ = _radau_leg(rhs, jac, z_seed, w_seed, Z_STOP,
+                             settings.rel_tol, settings.abs_tol)
+        oracle = solve_ivp(lambda z, w: [rhs(z, w[0])], (z_seed, Z_STOP), [w_seed],
                            method="Radau", rtol=1e-12, atol=1e-14, dense_output=True)
-        z = 0.5 * Z_STEP * (k_first + np.arange(slopes.size))
+        # the half-step z grid of the front's samples inside the leg
+        z = 0.5 * Z_STEP * np.arange(math.ceil(z_seed / (0.5 * Z_STEP)),
+                                     math.floor(Z_STOP / (0.5 * Z_STEP)) + 1)
         assert z_seed <= z[0] and z[-1] <= Z_STOP
-        reference = -np.exp(oracle.sol(z)[0])
+        slopes, reference = -np.exp(w_at(z)), -np.exp(oracle.sol(z)[0])
         assert np.max(np.abs(slopes / reference - 1.0)) < 1e-5
 
     @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
@@ -448,8 +458,7 @@ class TestWaveProfileValidation:
     def build(self, **overrides):
         eta = np.linspace(-30.0, 30.0, 1201)
         f = 1.0 / (1.0 + np.exp(0.56 * eta))
-        fields = dict(eta=eta, f=f, g=0.7 * f, velocity=1.25, pe=0.0,
-                      normalized=True, window=(float(eta[0]), float(eta[-1])))
+        fields = dict(eta=eta, f=f, g=0.7 * f, velocity=1.25, pe=0.0)
         fields.update(overrides)
         return WaveProfile(**fields)
 
@@ -472,8 +481,16 @@ class TestWaveProfileValidation:
         eta = np.linspace(-3.0, 3.0, 301)
         f = 1.0 / (1.0 + np.exp(0.56 * eta))
         with pytest.raises(DomainError):
-            WaveProfile(eta=eta, f=f, g=0.7 * f, velocity=1.25, pe=0.0,
-                        normalized=True, window=(-3.0, 3.0))
+            WaveProfile(eta=eta, f=f, g=0.7 * f, velocity=1.25, pe=0.0)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"g": np.ones(1200)}, "equal-length"),
+        ({"f": np.linspace(1.0, 1e-6, 1201)}, "inside"),
+        ({"deta_dz": np.ones(1200)}, "one slope per sample"),
+    ], ids=["array-shapes", "f-reaches-one", "slope-shape"])
+    def test_rejects_malformed_fields(self, overrides, message):
+        with pytest.raises(DomainError, match=message):
+            self.build(**overrides)
 
     def test_rejects_off_center_normalization(self):
         eta = np.linspace(-30.0, 30.0, 1201)
