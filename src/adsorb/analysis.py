@@ -90,8 +90,6 @@ def breakthrough_window_time(profile: WaveProfile, hi: float = THRESHOLD_HI,
     """
     if not 0.0 < lo <= hi < 1.0:
         raise DomainError(f"need 0 < lo <= hi < 1, got lo={lo!r}, hi={hi!r}")
-    if hi == lo:
-        return 0.0
     return (profile.eta_at(lo) - profile.eta_at(hi)) / profile.velocity
 
 

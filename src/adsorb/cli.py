@@ -39,7 +39,7 @@ from .model import (
     nondimensionalize,
     sips_isotherm,
 )
-from .stats import IntegratorStats, PdeSolverSettings
+from .stats import PdeSolverSettings
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
 MODES = ("nondim", "wave", "pde", "sweep", "isotherm")
@@ -395,52 +395,48 @@ def _header(config: RunConfig) -> str:
     return f"# adsorb version={__version__} config_sha256={config.config_hash}\n"
 
 
-def _write_table(path: Path, config: RunConfig, names: list[str], columns) -> None:
-    """Write equal-length float columns as a CSV table, or as JSON if configured."""
+def _write_table(path: Path, config: RunConfig, names: list[str], columns) -> Path:
+    """Write equal-length float columns as a CSV table, or as JSON if configured.
+
+    Returns the path written: ``path``, or ``path`` with the suffix ``.json``.
+    """
     table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
     if config.output["format"] == "json":
         cells = []
         for text in _text_blocks(table):
             text[..., -1] = ord("\n")
             cells += text[text != 0].tobytes().decode("ascii").splitlines()
-        payload = {
-            "meta": {"version": __version__, "config_sha256": config.config_hash},
+        return _write_json(path.with_suffix(".json"), config, {
             "columns": names,
             "rows": [cells[i:i + len(names)] for i in range(0, len(cells), len(names))],
-        }
-        path.with_suffix(".json").write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        return
+        })
     with path.open("wb") as out:
         out.write((_header(config) + ",".join(names) + "\n").encode("utf-8"))
         for text in _text_blocks(table):
             text[:, :-1, -1] = ord(",")
             text[:, -1, -1] = ord("\n")
             out.write(text[text != 0].tobytes())
+    return path
 
 
-def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
+def _write_json(path: Path, config: RunConfig, payload: dict) -> Path:
     body = {"meta": {"version": __version__, "config_sha256": config.config_hash}}
     body.update(payload)
     path.write_text(json.dumps(body, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
-
-def _counters(stats: IntegratorStats | None) -> dict:
-    """The integrator's method and the counters it reports; empty without one."""
-    if stats is None:
-        return {}
-    return dataclasses.asdict(stats)
+    return path
 
 
 def write_wave_profile(path_csv: Path, meta_path: Path, profile: WaveProfile,
-                       config: RunConfig) -> None:
-    _write_table(path_csv, config, ["eta", "F", "G"], [profile.eta, profile.f, profile.g])
-    _write_json(meta_path, config, {
-        "velocity": profile.velocity, "pe": profile.pe,
-        "window": list(profile.window),
-        "normalized": True, "samples": int(profile.eta.size),
-        **_counters(profile.stats),
-    })
+                       config: RunConfig) -> list[Path]:
+    """Write the profile table and its meta document; returns the two paths written."""
+    counters = {} if profile.stats is None else dataclasses.asdict(profile.stats)
+    return [_write_table(path_csv, config, ["eta", "F", "G"],
+                         [profile.eta, profile.f, profile.g]),
+            _write_json(meta_path, config, {
+                "velocity": profile.velocity, "pe": profile.pe,
+                "window": list(profile.window),
+                "normalized": True, "samples": int(profile.eta.size), **counters,
+            })]
 
 
 def read_wave_profile(path_csv: Path, meta_path: Path) -> WaveProfile:
@@ -464,9 +460,8 @@ def _wave_settings(config: RunConfig) -> WaveSolverSettings:
 
 
 def _run_nondim(config: RunConfig, out: Path) -> list[Path]:
-    path = out / "nondim.json"
-    _write_json(path, config, {"dimensionless": config.resolved["dimensionless"]})
-    return [path]
+    return [_write_json(out / "nondim.json", config,
+                        {"dimensionless": config.resolved["dimensionless"]})]
 
 
 def _run_wave(config: RunConfig, out: Path) -> list[Path]:
@@ -475,9 +470,7 @@ def _run_wave(config: RunConfig, out: Path) -> list[Path]:
         profile = solve_leading_order(config.params, settings)
     else:
         profile = solve_full_wave(config.params, settings)
-    csv_path, meta_path = out / "wave_profile.csv", out / "wave_meta.json"
-    write_wave_profile(csv_path, meta_path, profile, config)
-    return [csv_path, meta_path]
+    return write_wave_profile(out / "wave_profile.csv", out / "wave_meta.json", profile, config)
 
 
 def _run_pde(config: RunConfig, out: Path) -> list[Path]:
@@ -496,22 +489,21 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     # every result exists before the first file is written, so a refusal leaves none
     tracks = [track_front(sol, float(level), window) for level in s["front_levels"]]
     mass_residual_max = float(mass_balance_residual(sol).max())
-    n_times = sol.times.size
-    paths = [out / "pde_snapshots.csv", out / "pde_breakthrough.csv", out / "pde_front.csv"]
-    _write_table(paths[0], config, ["t", "x", "c", "q"],
-                 [np.repeat(sol.times, grid.n_cells), np.tile(grid.nodes, n_times),
-                  sol.c.ravel(), sol.q.ravel()])
-    _write_table(paths[1], config, ["t", "c_outlet"], [sol.times, sol.breakthrough])
     front_rows = [(track.level, t, pos) for track in tracks for t, pos in track.positions]
-    _write_table(paths[2], config, ["level", "t", "position"],
-                 np.reshape(front_rows, (-1, 3)).T)
-    meta = out / "pde_meta.json"
-    _write_json(meta, config, {
-        "fitted_speeds": {str(level): track.fitted_speed
-                          for level, track in zip(s["front_levels"], tracks)},
-        "fit_window": list(window), "velocity": config.params.velocity,
-        "mass_residual_max": mass_residual_max, **_counters(sol.stats)})
-    return paths + [meta]
+    return [
+        _write_table(out / "pde_snapshots.csv", config, ["t", "x", "c", "q"],
+                     [np.repeat(sol.times, grid.n_cells), np.tile(grid.nodes, sol.times.size),
+                      sol.c.ravel(), sol.q.ravel()]),
+        _write_table(out / "pde_breakthrough.csv", config, ["t", "c_outlet"],
+                     [sol.times, sol.breakthrough]),
+        _write_table(out / "pde_front.csv", config, ["level", "t", "position"],
+                     np.reshape(front_rows, (-1, 3)).T),
+        _write_json(out / "pde_meta.json", config, {
+            "fitted_speeds": {str(level): track.fitted_speed
+                              for level, track in zip(s["front_levels"], tracks)},
+            "fit_window": list(window), "velocity": config.params.velocity,
+            "mass_residual_max": mass_residual_max, **dataclasses.asdict(sol.stats)}),
+    ]
 
 
 def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
@@ -521,22 +513,20 @@ def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
                         eta_star=float(s["eta_star"]), hi=float(s["threshold_hi"]),
                         lo=float(s["threshold_lo"]))
     rows = [(r.pe, r.l2_error, r.t_window, r.e_bt) for r in records]
-    path = out / "sweep.csv"
-    _write_table(path, config, ["pe", "l2_error", "t_window", "e_bt"], np.reshape(rows, (-1, 4)).T)
     failures = {str(r.pe): r.error for r in records if r.error}
-    meta = out / "sweep_meta.json"
-    _write_json(meta, config, {"failures": failures, "n_records": len(records)})
-    return [path, meta]
+    return [_write_table(out / "sweep.csv", config, ["pe", "l2_error", "t_window", "e_bt"],
+                         np.reshape(rows, (-1, 4)).T),
+            _write_json(out / "sweep_meta.json", config,
+                        {"failures": failures, "n_records": len(records)})]
 
 
 def _run_isotherm(config: RunConfig, out: Path) -> list[Path]:
     phys = config.physical
     k_l = phys.k_ad / phys.k_de
     c_in = [float(c) for c in config.isotherm["c_in_values"]]
-    path = out / "isotherm.csv"
-    _write_table(path, config, ["c_in", "q_e"],
-                 [c_in, [float(sips_isotherm(c, k_l, phys.q_max, phys.orders)) for c in c_in]])
-    return [path]
+    return [_write_table(out / "isotherm.csv", config, ["c_in", "q_e"],
+                         [c_in, [float(sips_isotherm(c, k_l, phys.q_max, phys.orders))
+                                 for c in c_in]])]
 
 
 _RUNNERS = {"nondim": _run_nondim, "wave": _run_wave, "pde": _run_pde,

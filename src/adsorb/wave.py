@@ -265,42 +265,20 @@ def full_system_rhs(x: float, y: float, params: DimensionlessParameters) -> tupl
     """
     if params.pe == 0.0:
         raise DomainError("pe is zero; use leading_order_rhs for the reduced front equation")
-    return y, _phase_field(params)[0](x, y)
-
-
-def _phase_field(params: DimensionlessParameters):
-    """Y' = dy/deta of ``full_system_rhs`` and its d/dy, with the constants bound.
-
-    Pe Y' = q_e/(q_e + Da) y + r(x, G) with G = q_e x - Pe (q_e + Da) y, so
-    dY'/dy = q_e / ((q_e + Da) Pe) - (q_e + Da) dr/dq at the same G.  Both
-    closures take (x, y); ``params.pe`` must be positive.
-    """
-    r, r_q, _ = _rate_law(params)
     q_e, pe = params.q_e, params.pe
     q_e_da = q_e + params.da
-    lift = q_e / q_e_da
-    drift = pe * q_e_da
-    lift_dy = q_e / (q_e_da * pe)
-
-    def y_prime(x, y):
-        return (lift * y + r(x, q_e * x - drift * y)) / pe
-
-    def y_prime_dy(x, y):
-        return lift_dy - q_e_da * r_q(x, q_e * x - drift * y)
-
-    return y_prime, y_prime_dy
+    return y, (q_e / q_e_da * y + _rate_law(params)[0](x, q_e * x - pe * q_e_da * y)) / pe
 
 
 def closed_form_wave_11(params: DimensionlessParameters, eta):
     """Analytic logistic front for first-order kinetics at Pe = 0.
 
     F(eta) = 1 / (1 + exp(k eta)) with k = alpha (q_e + Da); normalized so
-    that F(0) = 1/2.
+    that F(0) = 1/2.  Like ``solve_leading_order``, it does not read
+    ``params.pe``.
     """
     if (params.m, params.n) != (1, 1):
         raise DomainError(f"closed form requires m = n = 1, got ({params.m}, {params.n})")
-    if params.pe != 0.0:
-        raise DomainError("closed form is the Pe = 0 front; build params with pe = 0")
     k = params.alpha * (params.q_e + params.da)
     out = _expit(-k * np.asarray(eta, dtype=float))
     return out if out.ndim else float(out)
@@ -547,23 +525,29 @@ def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
 def _leg_field(params: DimensionlessParameters):
     """Right-hand side dw/dz of the backward leg in w = ln(-F'), and its d/dw.
 
-    The Jacobian takes the right-hand side value at the same point as its
-    third argument: dw/dz = Y' s / y^2 with y = F' = -e^w, s = F (1 - F) and
-    Y' = dy/deta from ``full_system_rhs``, so d/dw = s / y dY'/dy - 2 dw/dz.
-    The field is bound once per leg, so no evaluation reads ``params``.
+    With y = F' = -e^w, s = F (1 - F) and Y' = dy/deta from
+    ``full_system_rhs``, dw/dz = Y' s / y^2 and d/dw = s / y dY'/dy - 2 dw/dz,
+    where dY'/dy = q_e / ((q_e + Da) Pe) - (q_e + Da) dr/dq at
+    G = q_e F - Pe (q_e + Da) y.  The Jacobian takes the right-hand side value
+    at the same point as its third argument.  The rate law and the constants
+    are bound once per leg, so no evaluation reads ``params``; ``params.pe``
+    must be positive.
     """
-    y_prime, y_prime_dy = _phase_field(params)
+    r, r_q, _ = _rate_law(params)
+    q_e, pe = params.q_e, params.pe
+    q_e_da = q_e + params.da
+    lift, drift, lift_dy = q_e / q_e_da, pe * q_e_da, q_e / (q_e_da * pe)
     exp = math.exp
 
     def rhs(z, w):
         f = 1.0 / (1.0 + exp(-z))
         y = -exp(w)
-        return y_prime(f, y) * f * (1.0 - f) / (y * y)
+        return (lift * y + r(f, q_e * f - drift * y)) / pe * f * (1.0 - f) / (y * y)
 
     def jac(z, w, dw):
         f = 1.0 / (1.0 + exp(-z))
         y = -exp(w)
-        return f * (1.0 - f) / y * y_prime_dy(f, y) - 2.0 * dw
+        return f * (1.0 - f) / y * (lift_dy - q_e_da * r_q(f, q_e * f - drift * y)) - 2.0 * dw
 
     return rhs, jac
 

@@ -101,6 +101,9 @@ class TestBreakthroughWindow:
         prof = logistic_profile(k=1.0, span=15.0)  # tail bottoms out near 3e-7
         with pytest.raises(CoverageError):
             breakthrough_window_time(prof, hi=1e-2, lo=1e-8)
+        # equal levels give no window only where the profile spans them
+        with pytest.raises(CoverageError):
+            breakthrough_window_time(prof, hi=1e-8, lo=1e-8)
 
     @pytest.mark.parametrize("da", [0.1, 0.5])
     @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -75,6 +77,17 @@ class TestImportIsolation:
         assert "scipy.linalg.lapack" in loaded
         assert [m for m in loaded if m.startswith(("scipy.integrate", "scipy.sparse"))] == []
         assert (tmp_path / "out" / "pde_meta.json").exists()
+
+
+class TestReadme:
+    def test_python_blocks_run(self, tmp_path, child_env):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+        assert blocks
+        for code in blocks:
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=child_env, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
 
 
 class TestPublicSurface:
@@ -288,6 +301,21 @@ class TestParseConfig:
         assert parse_config(wave_doc()).config_hash == h1
 
 
+# one small run of every mode, and of wave mode on both solvers
+JSON_RUNS = [
+    pytest.param({"mode": "nondim", "physical": PHYSICAL, "pe": 0.1}, id="nondim"),
+    pytest.param(json.loads(wave_doc(pe=0.0)), id="wave-pe0"),
+    pytest.param(json.loads(wave_doc(pe=0.1)), id="wave-pe0.1"),
+    pytest.param({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.5, "m": 1,
+                                                   "n": 1, "ell": 5.0},
+                  "solver": {"n_cells": 32, "t_end": 2.0, "n_snapshots": 5}}, id="pde"),
+    pytest.param({**json.loads(wave_doc(pe=0.0)), "mode": "sweep",
+                  "solver": {"pe_values": [0.0, 0.1]}}, id="sweep"),
+    pytest.param({"mode": "isotherm", "physical": PHYSICAL,
+                  "isotherm": {"c_in_values": [1.0, 2.835]}}, id="isotherm"),
+]
+
+
 class TestRunners:
     def test_nondim_artifacts(self, tmp_path):
         doc = {"mode": "nondim", "physical": dict(PHYSICAL), "pe": 0.1,
@@ -392,12 +420,24 @@ class TestRunners:
         expected = sips_isotherm(2.835, 1.13 / 2.173e-4, 0.358, ReactionOrders(1, 1))
         assert c_in == 2.835 and q_e == pytest.approx(expected, rel=1e-14)
 
-    def test_json_output_format(self, tmp_path):
-        doc = json.loads(wave_doc(pe=0.0))
-        doc["output"] = {"dir": str(tmp_path), "format": "json"}
-        run(parse_config(json.dumps(doc)))
-        payload = json.loads((tmp_path / "wave_profile.json").read_text())
-        assert payload["columns"] == ["eta", "F", "G"]
+    @pytest.mark.parametrize("doc", JSON_RUNS)
+    def test_json_output_format(self, tmp_path, capsys, doc):
+        # main prints exactly the files it wrote, each a JSON document with its meta
+        doc = {**doc, "output": {"format": "json"}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([doc["mode"], "--config", str(cfg), "--out", str(out)]) == 0
+        printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+        assert all(path.is_file() for path in printed)
+        assert set(printed) == set(out.iterdir())
+        config_hash = parse_config(json.dumps(doc)).config_hash
+        for path in printed:
+            assert path.suffix == ".json"
+            assert json.loads(path.read_text())["meta"]["config_sha256"] == config_hash
+        if doc["mode"] == "wave":
+            payload = json.loads((out / "wave_profile.json").read_text())
+            assert payload["columns"] == ["eta", "F", "G"]
 
 
 def formatted(values) -> list[str]:

@@ -137,11 +137,18 @@ class TestClosedForm:
         eta = np.log(99.0) / 0.56
         assert closed_form_wave_11(p, eta) == pytest.approx(0.01, rel=1e-12)
 
-    def test_rejects_wrong_orders_and_pe(self):
+    def test_rejects_wrong_orders(self):
         with pytest.raises(DomainError):
             closed_form_wave_11(params_for(m=1, n=2), 0.0)
-        with pytest.raises(DomainError):
-            closed_form_wave_11(params_for(pe=0.1), 0.0)
+
+    def test_reads_no_pe_like_the_reduced_front(self):
+        # the oracle of solve_leading_order, which does not read params.pe either
+        p = params_for(pe=0.1)
+        lead = solve_leading_order(p)
+        inside = (lead.eta >= -20.0) & (lead.eta <= 20.0)
+        oracle = closed_form_wave_11(p, lead.eta[inside])
+        assert np.array_equal(oracle, closed_form_wave_11(params_for(pe=0.0), lead.eta[inside]))
+        assert np.max(np.abs(lead.f[inside] - oracle)) < 1e-6
 
 
 class TestLeadingOrderSolver:
@@ -319,10 +326,10 @@ class TestScalarRadauLeg:
             _radau_leg(lambda t, y: y * y, lambda t, y, f: 2.0 * y, 0.0, 1.0, 2.0, 1e-8, 1e-10)
 
     def test_overflow_on_the_leg_is_a_convergence_error(self, monkeypatch):
-        def overflow(x, y):
+        def overflow(z, w, *dw):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr("adsorb.wave._phase_field", lambda params: (overflow, overflow))
+        monkeypatch.setattr("adsorb.wave._leg_field", lambda params: (overflow, overflow))
         with pytest.raises(ConvergenceError):
             solve_full_wave(params_for(pe=0.1))
 
