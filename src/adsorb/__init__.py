@@ -4,14 +4,10 @@ from .errors import (
     AdsorptionError,
     CellPecletWarning,
     ConfigError,
-    ConsistencyError,
     ConvergenceError,
     CoverageError,
-    DivergenceError,
     DomainError,
     ExistenceError,
-    FrontNotFoundError,
-    StiffnessError,
 )
 from .model import (
     DimensionlessParameters,

@@ -125,10 +125,14 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
     window time, and its signed relative error.  Failures are recorded with an
     error marker instead of aborting the sweep, and mark only the Pe that
     failed.  Records are returned in grid order.  An ``eta_star`` that is not
-    positive and finite is refused before any front is solved.
+    positive and finite is refused before any front is solved; one beyond
+    ``settings.eta_span`` widens the span to it, so every front covers the
+    L2 window.
     """
     _require_positive(eta_star=eta_star)
     settings = settings or WaveSolverSettings()
+    if settings.eta_span < eta_star:
+        settings = replace(settings, eta_span=eta_star)
     leading = solve_leading_order(params, settings)
     t_0 = breakthrough_window_time(leading, hi, lo)
     return [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0) if pe == 0.0

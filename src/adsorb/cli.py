@@ -25,13 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import DEFAULT_ETA_STAR, THRESHOLD_HI, THRESHOLD_LO, SweepGrid, run_sweep
-from .errors import (
-    AdsorptionError,
-    ConfigError,
-    ConsistencyError,
-    DomainError,
-    ExistenceError,
-)
+from .errors import AdsorptionError, ConfigError, DomainError, ExistenceError
 from .model import (
     DimensionlessParameters,
     PhysicalParameters,
@@ -181,7 +175,7 @@ def _build_dimensionless(section: dict, pe_override: float | None) -> Dimensionl
     if "alpha" in section:
         alpha = float(section["alpha"])
         if abs(params.alpha - alpha) > ALPHA_QE_CONSISTENCY_TOL * max(1.0, abs(alpha)):
-            raise ConsistencyError(
+            raise ConfigError(
                 f"alpha={alpha!r} and q_e={params.q_e!r} violate the isotherm for n={orders.n}: "
                 f"q_e implies alpha={params.alpha!r}"
             )
@@ -193,12 +187,12 @@ def parse_config(document: str, mode_override: str | None = None, *,
     """Parse and validate a JSON config document, applying all defaults.
 
     Unknown keys and values of the wrong JSON type, NaN and Infinity among
-    them, are rejected with their names; a model parameter outside its
-    domain is a ``ConfigError``; jointly given alpha and q_e must satisfy the
-    isotherm.  Solver values are left to the solvers, which also refuse
-    orders with m > n in wave and sweep modes.  ``out`` and ``seed_delta``,
-    when given, replace ``output.dir`` and ``solver.seed_delta`` and are
-    checked as those keys are.
+    them, are rejected with their names as a ``ConfigError``, and so are
+    jointly given alpha and q_e that violate the isotherm; a model parameter
+    outside its domain is the parameter types' ``DomainError``.  Solver
+    values are left to the solvers, which also refuse orders with m > n in
+    wave and sweep modes.  ``out`` and ``seed_delta``, when given, replace
+    ``output.dir`` and ``solver.seed_delta`` and are checked as those keys are.
     """
     try:
         raw = json.loads(document)
@@ -225,16 +219,13 @@ def parse_config(document: str, mode_override: str | None = None, *,
     if has_phys == has_dimless:
         raise ConfigError("exactly one of physical/dimensionless must be given")
 
-    try:
-        physical = _build_physical(raw["physical"]) if has_phys else None
-        if has_phys:
-            if physical.diffusion is None and pe_override is None and mode == "isotherm":
-                pe_override = 0.0  # the isotherm involves no transport
-            params = nondimensionalize(physical, pe=pe_override)
-        else:
-            params = _build_dimensionless(raw["dimensionless"], pe_override)
-    except DomainError as exc:  # a value of the right type outside its domain
-        raise ConfigError(str(exc)) from exc
+    physical = _build_physical(raw["physical"]) if has_phys else None
+    if has_phys:
+        if physical.diffusion is None and pe_override is None and mode == "isotherm":
+            pe_override = 0.0  # the isotherm involves no transport
+        params = nondimensionalize(physical, pe=pe_override)
+    else:
+        params = _build_dimensionless(raw["dimensionless"], pe_override)
 
     solver = dict(_SOLVER_DEFAULTS)
     given_solver = _section(raw, "solver", set(_SOLVER_DEFAULTS))
@@ -426,11 +417,11 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> Path:
     return path
 
 
-def write_wave_profile(path_csv: Path, meta_path: Path, profile: WaveProfile,
+def write_wave_profile(table_path: Path, meta_path: Path, profile: WaveProfile,
                        config: RunConfig) -> list[Path]:
     """Write the profile table and its meta document; returns the two paths written."""
     counters = {} if profile.stats is None else dataclasses.asdict(profile.stats)
-    return [_write_table(path_csv, config, ["eta", "F", "G"],
+    return [_write_table(table_path, config, ["eta", "F", "G"],
                          [profile.eta, profile.f, profile.g]),
             _write_json(meta_path, config, {
                 "velocity": profile.velocity, "pe": profile.pe,
@@ -439,12 +430,20 @@ def write_wave_profile(path_csv: Path, meta_path: Path, profile: WaveProfile,
             })]
 
 
-def read_wave_profile(path_csv: Path, meta_path: Path) -> WaveProfile:
-    """Rebuild a WaveProfile from the wave-mode artifacts, whose window must match."""
+def read_wave_profile(table_path: Path, meta_path: Path) -> WaveProfile:
+    """Rebuild a WaveProfile from the wave-mode artifacts, whose window must match.
+
+    The table is read by its suffix: a ``.json`` table's rows hold the cell
+    text of the CSV table.
+    """
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    rows = [line for line in path_csv.read_text(encoding="utf-8").splitlines()
-            if line and not line.startswith("#")]
-    data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
+    text = table_path.read_text(encoding="utf-8")
+    if table_path.suffix == ".json":
+        rows = json.loads(text)["rows"]
+    else:
+        rows = [line.split(",") for line in text.splitlines()
+                if line and not line.startswith("#")][1:]
+    data = np.array([[float(v) for v in row] for row in rows])
     profile = WaveProfile(eta=data[:, 0], f=data[:, 1], g=data[:, 2],
                           velocity=float(meta["velocity"]), pe=float(meta["pe"]))
     window = tuple(float(v) for v in meta["window"])
@@ -563,7 +562,8 @@ def main(argv: list[str] | None = None) -> int:
         paths = run(parse_config(document, args.mode, out=args.out, seed_delta=args.seed_delta))
     except AdsorptionError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, ExistenceError) else 4
+        return (2 if isinstance(exc, (ConfigError, DomainError))
+                else 3 if isinstance(exc, ExistenceError) else 4)
     for path in paths:
         print(path)
     return 0

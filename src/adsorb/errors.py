@@ -1,10 +1,19 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each type names one cause, and the command line maps the type alone to its
+exit code: ``ConfigError`` and ``DomainError`` exit 2, ``ExistenceError``
+exits 3, ``ConvergenceError`` and ``CoverageError`` exit 4.
+"""
 
 from __future__ import annotations
 
 
 class AdsorptionError(Exception):
     """Base class for all toolkit errors."""
+
+
+class ConfigError(AdsorptionError, ValueError):
+    """A run configuration document is malformed or inconsistent."""
 
 
 class DomainError(AdsorptionError, ValueError):
@@ -22,41 +31,20 @@ class ExistenceError(AdsorptionError):
         self.report = report
 
 
-class DivergenceError(AdsorptionError, RuntimeError):
-    """The seed of a backward front integration lies outside F in (0, 1/2).
-
-    No trajectory from such a seed runs from the clean side of the front
-    through its anchor F = 1/2 to the saturated state.
-    """
-
-
 class ConvergenceError(AdsorptionError, RuntimeError):
-    """An integrator failed before reaching the target state."""
+    """A numerical method on valid input did not finish.
+
+    The wave leg's or the column's implicit step collapsed, a value went
+    non-finite, or a root search did not find the root it was built to find.
+    """
 
 
 class CoverageError(AdsorptionError, ValueError):
-    """A profile does not cover the window or levels required by an operation."""
+    """A result on valid input does not reach what an operation requires.
 
-
-class FrontNotFoundError(AdsorptionError, ValueError):
-    """The tracked concentration level is never crossed by the solution."""
-
-
-class StiffnessError(AdsorptionError, RuntimeError):
-    """Implicit time integration failed: its step size collapsed.
-
-    BDF has no explicit stability limit, so this signals a state the Newton
-    iteration cannot follow, such as unphysical initial fields or a grid too
-    coarse for the transport.
+    A profile does not cover a window or level, the outlet never reaches a
+    threshold, or a tracked level is crossed too rarely to fit a speed.
     """
-
-
-class ConfigError(AdsorptionError, ValueError):
-    """A run configuration document is malformed or inconsistent."""
-
-
-class ConsistencyError(ConfigError):
-    """Jointly specified alpha and q_e violate the nondimensional isotherm."""
 
 
 class CellPecletWarning(UserWarning):

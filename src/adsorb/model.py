@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 #: Relative tolerance for the alpha <-> q_e isotherm link.
 ISOTHERM_LINK_RTOL = 1e-12
@@ -315,7 +315,7 @@ def _interior_root(m: int, n: int, a: float) -> float:
     roots = np.roots(quotient)
     inside = [r.real for r in roots if r.imag == 0.0 and 0.0 < r.real < 1.0]
     if len(inside) != 1:
-        raise DomainError(f"expected one interior equilibrium on (0, 1), found {len(inside)}")
+        raise ConvergenceError(f"expected one interior equilibrium on (0, 1), found {len(inside)}")
     return float(inside[0])
 
 

@@ -35,13 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import (
-    CellPecletWarning,
-    CoverageError,
-    DomainError,
-    FrontNotFoundError,
-    StiffnessError,
-)
+from .errors import CellPecletWarning, ConvergenceError, CoverageError, DomainError
 from .model import DimensionlessParameters, _rate_law, _require_positive
 from .stats import (
     _MAX_FACTOR,
@@ -271,9 +265,9 @@ def _rescale(diffs: np.ndarray, order: int, factor: float) -> None:
     diffs[:order + 1] = np.dot(ru.T, diffs[:order + 1])
 
 
-def _step_collapse(t: float, min_step: float) -> StiffnessError:
+def _step_collapse(t: float, min_step: float) -> ConvergenceError:
     """The error for a BDF step below ``min_step`` at time ``t``."""
-    return StiffnessError(
+    return ConvergenceError(
         f"time integration failed at t = {float(t)!r}: the implicit step fell below "
         f"{float(min_step):.3g}; check that the initial fields are physical, or refine the grid")
 
@@ -313,7 +307,7 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
     Returns the states at ``sample_times``, one per row, read from the
     interpolating polynomial of the step that reaches each, and the work
     counters.  A non-finite initial rate raises ``DomainError``; a step
-    below ten ulps of t raises ``StiffnessError``.
+    below ten ulps of t raises ``ConvergenceError``.
     """
     t = 0.0
     # an overflow in the initial rate or its norm raises a typed error below
@@ -516,7 +510,7 @@ def track_front(sol: PdeSolution, level: float,
         positions.append((float(t), float(x_level / sol.grid.ell)))
     in_window = [(t, p) for t, p in positions if t_lo <= t <= t_hi]
     if len(in_window) < 2:
-        raise FrontNotFoundError(
+        raise CoverageError(
             f"level {level!r} is crossed at {len(in_window)} sample times inside "
             f"{fit_window!r}; cannot fit a speed"
         )

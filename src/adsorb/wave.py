@@ -39,13 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    CoverageError,
-    DivergenceError,
-    DomainError,
-    ExistenceError,
-)
+from .errors import ConvergenceError, CoverageError, DomainError, ExistenceError
 from .model import DimensionlessParameters, _rate_law, analyze_equilibria
 from .stats import (
     _MAX_FACTOR,
@@ -76,9 +70,9 @@ class WaveSolverSettings:
     The tolerances apply to the Radau leg of the Pe > 0 front, with the
     meaning of scipy's ``rtol`` and ``atol``; the Pe = 0 front is a
     fixed-step quadrature.  Construction refuses a tolerance that is not
-    finite, a ``rel_tol`` <= 0, an ``abs_tol`` < 0 and an ``eta_span`` that
-    is not finite; an out-of-range ``seed_delta`` is the solvers'
-    ``DivergenceError``.
+    finite, a ``rel_tol`` <= 0, an ``abs_tol`` < 0, a ``seed_delta`` outside
+    (0, 1/2), where a seed is not on the clean side of the front, and an
+    ``eta_span`` that is not finite.
     """
 
     rel_tol: float = 1e-8
@@ -88,6 +82,8 @@ class WaveSolverSettings:
 
     def __post_init__(self):
         _check_tolerances(self.rel_tol, self.abs_tol)
+        if not 0.0 < self.seed_delta < 0.5:
+            raise DomainError(f"seed_delta must lie in (0, 1/2), got {self.seed_delta!r}")
         if not math.isfinite(self.eta_span):
             raise DomainError(f"eta_span must be finite, got {self.eta_span!r}")
 
@@ -338,28 +334,25 @@ def _front(settings: WaveSolverSettings, f_prime):
 # systems of each Newton iteration are one real and one complex division.
 
 _S6 = 6.0 ** 0.5
-_C = ((4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0)
-_E = ((-13.0 - 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0)
+_C1, _C2, _C3 = (4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0
+_E1, _E2, _E3 = (-13.0 - 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0
 _MU_REAL = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
 _MU_COMPLEX = (3.0 + 0.5 * (3.0 ** (1.0 / 3.0) - 3.0 ** (2.0 / 3.0))
                - 0.5j * (3.0 ** (5.0 / 6.0) + 3.0 ** (7.0 / 6.0)))
-_T = ((0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
-      (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
-      (1.0, 1.0, 0.0))
-_TI = ((4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
-       (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
-       (0.50287263494578682, -2.57192694985560522, 0.59603920482822492))
-_TI_COMPLEX = tuple(a + 1j * b for a, b in zip(_TI[1], _TI[2]))
-_P = ((13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0, 10.0 / 3.0 + 5.0 * _S6),
-      (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6),
-      (1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0))
-# the tableau entries as scalars, read by the stepper without unpacking
-_C1, _C2, _C3 = _C
-_E1, _E2, _E3 = _E
-_TI11, _TI12, _TI13 = _TI[0]
-_TIC1, _TIC2, _TIC3 = _TI_COMPLEX
-(_T11, _T12, _T13), (_T21, _T22, _T23), _ = _T  # the last row of T is (1, 1, 0)
-(_P11, _P12, _P13), (_P21, _P22, _P23), (_P31, _P32, _P33) = _P
+# T and its inverse TI; the last row of T is (1, 1, 0), and the second and
+# third rows of TI act as one complex row
+_T11, _T12, _T13 = 0.09443876248897524, -0.14125529502095421, 0.03002919410514742
+_T21, _T22, _T23 = 0.25021312296533332, 0.20412935229379994, -0.38294211275726192
+_TI11, _TI12, _TI13 = 4.17871859155190428, 0.32768282076106237, 0.52337644549944951
+_TIC1, _TIC2, _TIC3 = (complex(-4.17871859155190428, 0.50287263494578682),
+                       complex(-0.32768282076106237, -2.57192694985560522),
+                       complex(0.47662355450055044, 0.59603920482822492))
+# P maps the stage increments to the dense-output coefficients
+_P11, _P12, _P13 = (13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0,
+                    10.0 / 3.0 + 5.0 * _S6)
+_P21, _P22, _P23 = (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0,
+                    10.0 / 3.0 - 5.0 * _S6)
+_P31, _P32, _P33 = 1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0
 _NEWTON_MAXITER = 6
 
 
@@ -586,11 +579,6 @@ def solve_full_wave(params: DimensionlessParameters,
     if params.pe == 0.0:
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
     delta = settings.seed_delta
-    if not 0.0 < delta < 0.5:
-        raise DivergenceError(
-            f"seed_delta = {delta!r} must lie in (0, 1/2): a seed outside it is not "
-            "on the clean side of the front"
-        )
     z_seed = math.log(delta / (1.0 - delta))
     try:
         w_at, stats = _radau_leg(*_leg_field(params), z_seed,

@@ -181,18 +181,23 @@ class TestRunSweep:
         assert report.interior_equilibrium == pytest.approx(1.0 / 0.7 - 1.0, abs=1e-10)
 
     def test_a_failed_solve_marks_only_its_own_pe(self, monkeypatch):
+        # the other records are those of a sweep in which nothing fails
+        grid = SweepGrid((0.0, 0.1, 0.2, 0.3))
+        clean = run_sweep(params_for(), grid)
+
         def solve(params, settings=None):
             if params.pe == 0.2:
                 raise ConvergenceError("leg step fell below the minimum")
             return solve_full_wave(params, settings)
 
         monkeypatch.setattr("adsorb.analysis.solve_full_wave", solve)
-        recs = run_sweep(params_for(), SweepGrid((0.0, 0.1, 0.2, 0.3)))
+        recs = run_sweep(params_for(), grid)
         assert [r.pe for r in recs] == [0.0, 0.1, 0.2, 0.3]
         assert recs[2].error == "ConvergenceError: leg step fell below the minimum"
         assert np.isnan(recs[2].l2_error) and np.isnan(recs[2].t_window)
-        for rec in (recs[0], recs[1], recs[3]):
-            assert rec.error is None and np.isfinite(rec.e_bt)
+        assert np.isnan(recs[2].e_bt)
+        assert recs[:2] + recs[3:] == clean[:2] + clean[3:]
+        assert all(rec.error is None for rec in clean)
 
     def test_nonpositive_eta_star_is_refused_before_any_solve(self, monkeypatch):
         def solve(*args, **kwargs):
@@ -203,11 +208,10 @@ class TestRunSweep:
         with pytest.raises(DomainError, match="eta_star must be positive and finite, got -1.0"):
             run_sweep(params_for(), SweepGrid((0.0, 0.1)), eta_star=-1.0)
 
-    def test_failed_points_are_marked_not_fatal(self):
-        settings = WaveSolverSettings(seed_delta=-1e-6)  # diverges for every pe > 0
-        recs = run_sweep(params_for(), SweepGrid((0.0, 0.1, 0.2)), settings=settings)
-        assert recs[0].error is None and recs[0].l2_error == 0.0
-        for rec in recs[1:]:
-            assert rec.error is not None and "DivergenceError" in rec.error
-            assert np.isnan(rec.l2_error) and np.isnan(rec.e_bt)
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3)])
+    def test_eta_star_beyond_the_span_widens_it(self, m, n):
+        # fronts sampled to the default eta_span = 22 would not cover [-30, 30]
+        recs = run_sweep(params_for(m=m, n=n), SweepGrid((0.0, 0.1, 1.5)), eta_star=30.0)
+        assert all(r.error is None for r in recs)
+        assert all(r.l2_error > 0.0 for r in recs[1:])
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 import adsorb
+from adsorb import cli
 from adsorb.analysis import l2_profile_error
 from adsorb.cli import (
     CELL_FORMAT,
@@ -24,7 +25,13 @@ from adsorb.cli import (
     read_wave_profile,
     run,
 )
-from adsorb.errors import ConfigError, ConsistencyError, DomainError
+from adsorb.errors import (
+    ConfigError,
+    ConvergenceError,
+    CoverageError,
+    DomainError,
+    ExistenceError,
+)
 from adsorb.model import DimensionlessParameters, ReactionOrders, sips_isotherm
 from adsorb.wave import solve_full_wave, solve_leading_order
 
@@ -96,10 +103,9 @@ class TestPublicSurface:
         names = sorted(k for k, v in vars(adsorb).items()
                        if not k.startswith("_") and not isinstance(v, types.ModuleType))
         assert names == [
-            "AdsorptionError", "CellPecletWarning", "ConfigError", "ConsistencyError",
-            "ConvergenceError", "CoverageError", "DimensionlessParameters", "DivergenceError",
-            "DomainError", "EquilibriumReport", "ExistenceError", "FrontNotFoundError",
-            "PhysicalParameters", "RawKinetics", "ReactionOrders", "StiffnessError",
+            "AdsorptionError", "CellPecletWarning", "ConfigError", "ConvergenceError",
+            "CoverageError", "DimensionlessParameters", "DomainError", "EquilibriumReport",
+            "ExistenceError", "PhysicalParameters", "RawKinetics", "ReactionOrders",
             "WaveProfile", "WaveSolverSettings", "alpha_from_qe", "analyze_equilibria",
             "closed_form_wave_11", "convert_raw_rates", "equilibrium_fraction_from_masses",
             "equilibrium_polynomial", "full_system_rhs", "g_from_f", "leading_order_rhs",
@@ -255,7 +261,7 @@ class TestParseConfig:
         assert config.params.alpha == pytest.approx(0.7, rel=1e-12)
 
     def test_inconsistent_alpha_and_qe_rejected(self):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConfigError, match="violate the isotherm"):
             parse_config(wave_doc(alpha=0.62))
 
     def test_unknown_keys_rejected_with_names(self):
@@ -280,7 +286,7 @@ class TestParseConfig:
 
     def test_physical_needs_diffusion_or_pe(self):
         doc = {"mode": "nondim", "physical": dict(PHYSICAL)}
-        with pytest.raises(ConfigError, match="either diffusion or an explicit pe is required"):
+        with pytest.raises(DomainError, match="either diffusion or an explicit pe is required"):
             parse_config(json.dumps(doc))
         doc["pe"] = 0.1
         config = parse_config(json.dumps(doc))
@@ -357,6 +363,19 @@ class TestRunners:
         e_memory = l2_profile_error(solve_full_wave(p), lead)
         e_file = l2_profile_error(profile, lead)
         assert abs(e_memory - e_file) <= 1e-12
+
+    @pytest.mark.parametrize("pe", [0.0, 0.1])
+    def test_wave_rereads_both_formats_bit_identically(self, tmp_path, pe):
+        back = {}
+        for fmt in ("csv", "json"):
+            doc = {**json.loads(wave_doc(pe=pe)), "output": {"dir": str(tmp_path / fmt),
+                                                              "format": fmt}}
+            table, meta = run(parse_config(json.dumps(doc)))
+            assert table.suffix == f".{fmt}"
+            back[fmt] = read_wave_profile(table, meta)
+        for name in ("eta", "f", "g"):
+            assert np.array_equal(getattr(back["csv"], name), getattr(back["json"], name))
+        assert back["csv"].window == back["json"].window
 
     def test_wave_reread_refuses_a_window_off_the_table(self, tmp_path):
         doc = json.loads(wave_doc(pe=0.1))
@@ -581,17 +600,16 @@ class TestMainEntry:
         ({"mode": "pde", "physical": {**PHYSICAL, "epsilon": -0.3357}, "pe": 0.1}, "epsilon"),
     ])
     def test_out_of_domain_value_exit_code(self, tmp_path, capsys, doc, message):
-        # a value of the right type outside its domain is a config error, not
-        # a solver failure (exit 4)
+        # a model value outside its domain is the parameter types' own
+        # DomainError, which exits 2 like a config error
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         rc = main([doc["mode"], "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError" and message in err["message"]
-        with pytest.raises(ConfigError) as info:
+        assert err["error"] == "DomainError" and message in err["message"]
+        with pytest.raises(DomainError, match=re.escape(message)):
             parse_config(json.dumps(doc))
-        assert isinstance(info.value.__cause__, DomainError)
 
     def test_out_flag_needs_an_output_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -619,42 +637,72 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().err)["error"] == "ExistenceError"
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("mode,solver,flags,error,message", [
-        ("wave", {}, ["--seed-delta=-1e-6"], "DivergenceError", "seed"),
-        ("wave", {"rel_tol": 0}, [], "DomainError", "rel_tol"),
-        ("wave", {"rel_tol": -1}, [], "DomainError", "rel_tol"),
-        ("sweep", {"rel_tol": -1}, [], "DomainError", "rel_tol"),
-        ("sweep", {"eta_star": -1.0, "pe_values": [0.0, 0.1]}, [], "DomainError", "eta_star"),
-        ("pde", {"n_cells": 8}, [], "DomainError", "16 nodes"),
-        ("pde", {"pde_rel_tol": 0}, [], "DomainError", "rel_tol"),
-        ("pde", {"pde_rel_tol": 1e-15}, [], "DomainError", "rel_tol"),
-        ("pde", {"pde_abs_tol": -1e-9}, [], "DomainError", "abs_tol"),
-        ("pde", {"pde_abs_tol": 0}, [], "DomainError", "abs_tol"),
-        ("pde", {"t_end": 0}, [], "DomainError", "t_end"),
-        ("pde", {"n_snapshots": 0}, [], "DomainError", "n_snapshots"),
-        ("pde", {"n_snapshots": -3}, [], "DomainError", "n_snapshots"),
-        ("pde", {"n_snapshots": 1}, [], "DomainError", "n_snapshots"),
-        ("pde", {"front_levels": [0.5, 1.0]}, [], "DomainError", "level"),
-        ("pde", {"front_levels": [0.0]}, [], "DomainError", "level"),
-        ("pde", {"fit_start": 3.0, "fit_end": 3.0}, [], "DomainError", "fit window"),
-        ("pde", {"fit_start": 3.0, "fit_end": 2.0}, [], "DomainError", "fit window"),
-        # level 0.75 is never crossed in the fit window
-        ("pde", {"n_cells": 64, "t_end": 0.01, "n_snapshots": 11}, [], "FrontNotFoundError",
-         "level 0.75"),
+    @pytest.mark.parametrize("mode,solver,flags,message", [
+        ("wave", {}, ["--seed-delta=-1e-6"], "seed_delta"),
+        ("wave", {"seed_delta": 0.5}, [], "seed_delta"),
+        ("wave", {"rel_tol": 0}, [], "rel_tol"),
+        ("wave", {"rel_tol": -1}, [], "rel_tol"),
+        ("sweep", {"rel_tol": -1}, [], "rel_tol"),
+        ("sweep", {"eta_star": -1.0, "pe_values": [0.0, 0.1]}, [], "eta_star"),
+        ("sweep", {"pe_values": [0.1, 0.0]}, [], "increase strictly"),
+        ("pde", {"n_cells": 8}, [], "16 nodes"),
+        ("pde", {"pde_rel_tol": 0}, [], "rel_tol"),
+        ("pde", {"pde_rel_tol": 1e-15}, [], "rel_tol"),
+        ("pde", {"pde_abs_tol": -1e-9}, [], "abs_tol"),
+        ("pde", {"pde_abs_tol": 0}, [], "abs_tol"),
+        ("pde", {"t_end": 0}, [], "t_end"),
+        ("pde", {"n_snapshots": 0}, [], "n_snapshots"),
+        ("pde", {"n_snapshots": -3}, [], "n_snapshots"),
+        ("pde", {"n_snapshots": 1}, [], "n_snapshots"),
+        ("pde", {"front_levels": [0.5, 1.0]}, [], "level"),
+        ("pde", {"front_levels": [0.0]}, [], "level"),
+        ("pde", {"fit_start": 3.0, "fit_end": 3.0}, [], "fit window"),
+        ("pde", {"fit_start": 3.0, "fit_end": 2.0}, [], "fit window"),
     ])
-    def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, flags, error, message):
-        # the solvers refuse solver-section values before anything is
-        # written: exit 4, one JSON line, no artifact
+    def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, flags, message):
+        # a solver-section value outside its domain is the solvers' DomainError:
+        # exit 2, one JSON line, no artifact
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1, ell=5.0)), "mode": mode,
                                    "solver": solver}))
         out = tmp_path / "o"
-        assert main([mode, "--config", str(cfg), "--out", str(out), *flags]) == 4
+        assert main([mode, "--config", str(cfg), "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         err = json.loads(err)
-        assert err["error"] == error and message in err["message"]
+        assert err["error"] == "DomainError" and message in err["message"]
         assert not out.exists() or not any(out.iterdir())
+
+    def test_uncrossed_level_exit_code(self, tmp_path, capsys):
+        # valid values whose solution never crosses level 0.75 in the fit
+        # window: the result falls short, exit 4, and no artifact is written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1, ell=5.0)), "mode": "pde",
+                                   "solver": {"n_cells": 64, "t_end": 0.01, "n_snapshots": 11}}))
+        out = tmp_path / "o"
+        assert main(["pde", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == "CoverageError" and "level 0.75" in err["message"]
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("error,code", [
+        (ConfigError, 2), (DomainError, 2), (ExistenceError, 3),
+        (ConvergenceError, 4), (CoverageError, 4),
+    ])
+    def test_the_error_type_sets_the_exit_code(self, tmp_path, capsys, monkeypatch,
+                                               error, code):
+        def runner(config, out):
+            raise error("refused")
+
+        monkeypatch.setitem(cli._RUNNERS, "wave", runner)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(wave_doc())
+        assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": error.__name__, "message": "refused"}
 
     def test_flags_match_the_same_values_in_the_document(self, tmp_path):
         doc = json.loads(wave_doc(pe=0.1))
