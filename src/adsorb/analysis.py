@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from .errors import AdsorptionError, CoverageError, DomainError
 from .model import DimensionlessParameters, _require_positive
+from .stats import IntegratorStats
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
 DEFAULT_ETA_STAR = 20.0
@@ -47,13 +48,18 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Per-Pe sensitivity result; ``error`` marks a failed solve."""
+    """Per-Pe sensitivity result; ``error`` marks a failed solve.
+
+    ``stats`` holds the work counters of the leg of a front that was solved
+    and measured.
+    """
 
     pe: float
     l2_error: float
     t_window: float
     e_bt: float
     error: str | None = None
+    stats: IntegratorStats | None = None
 
 
 def l2_profile_error(full: WaveProfile, leading: WaveProfile,
@@ -66,18 +72,30 @@ def l2_profile_error(full: WaveProfile, leading: WaveProfile,
     grid where ``f_at`` has a value there: inside its window, or upstream of
     a head that reached saturation.
     """
+    grid = _l2_grid(eta_star, n_points)
+    return _l2_distance(full, leading, leading.f_at(grid), grid, eta_star)
+
+
+def _l2_grid(eta_star: float, n_points: int) -> np.ndarray:
     _require_positive(eta_star=eta_star)
     if n_points < 2000:
         raise DomainError(f"common grid needs >= 2000 points, got {n_points}")
-    grid = np.linspace(-eta_star, eta_star, n_points)
-    values = []
-    for name, prof in (("full", full), ("leading", leading)):
-        values.append(prof.f_at(grid))
-        if np.isnan(values[-1]).any():
+    return np.linspace(-eta_star, eta_star, n_points)
+
+
+def _l2_distance(full: WaveProfile, leading: WaveProfile, f_leading: np.ndarray,
+                 grid: np.ndarray, eta_star: float) -> float:
+    """``l2_profile_error`` with the leading front already sampled on ``grid``.
+
+    The full profile's coverage is checked first, then the leading one's.
+    """
+    f_full = full.f_at(grid)
+    for name, prof, values in (("full", full, f_full), ("leading", leading, f_leading)):
+        if np.isnan(values).any():
             raise CoverageError(
                 f"{name} profile window {prof.window} does not cover [-{eta_star}, {eta_star}]"
             )
-    diff = values[0] - values[1]
+    diff = f_full - f_leading
     return float(np.sqrt(np.trapezoid(diff * diff, grid)))
 
 
@@ -100,15 +118,15 @@ def breakthrough_error(t_pe: float, t_0: float) -> float:
 
 
 def _record(params: DimensionlessParameters, settings: WaveSolverSettings,
-            leading: WaveProfile, t_0: float, eta_star: float,
-            hi: float, lo: float) -> SweepRecord:
+            leading: WaveProfile, f_leading: np.ndarray, grid: np.ndarray, t_0: float,
+            eta_star: float, hi: float, lo: float) -> SweepRecord:
     pe = params.pe
     try:
         full = solve_full_wave(params, settings)
-        err = l2_profile_error(full, leading, eta_star)
+        err = _l2_distance(full, leading, f_leading, grid, eta_star)
         t_pe = breakthrough_window_time(full, hi, lo)
         return SweepRecord(pe=pe, l2_error=err, t_window=t_pe,
-                           e_bt=breakthrough_error(t_pe, t_0))
+                           e_bt=breakthrough_error(t_pe, t_0), stats=full.stats)
     except AdsorptionError as exc:  # record and keep sweeping
         return SweepRecord(pe=pe, l2_error=float("nan"), t_window=float("nan"),
                            e_bt=float("nan"), error=f"{type(exc).__name__}: {exc}")
@@ -120,21 +138,24 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
               hi: float = THRESHOLD_HI, lo: float = THRESHOLD_LO) -> list[SweepRecord]:
     """Solve the front for every grid Pe and compare against the Pe = 0 front.
 
-    The leading-order profile is computed once; every positive Pe gets its own
-    ``solve_full_wave`` and contributes the L2 distance, the breakthrough
-    window time, and its signed relative error.  Failures are recorded with an
+    The leading-order profile is computed, and sampled on the L2 grid, once;
+    every positive Pe gets its own ``solve_full_wave`` and contributes the L2
+    distance, the breakthrough window time, its signed relative error and the
+    leg's counters.  Failures are recorded with an
     error marker instead of aborting the sweep, and mark only the Pe that
     failed.  Records are returned in grid order.  An ``eta_star`` that is not
     positive and finite is refused before any front is solved; one beyond
     ``settings.eta_span`` widens the span to it, so every front covers the
     L2 window.
     """
-    _require_positive(eta_star=eta_star)
+    eta = _l2_grid(eta_star, DEFAULT_QUAD_POINTS)
     settings = settings or WaveSolverSettings()
     if settings.eta_span < eta_star:
         settings = replace(settings, eta_span=eta_star)
     leading = solve_leading_order(params, settings)
     t_0 = breakthrough_window_time(leading, hi, lo)
+    f_leading = leading.f_at(eta)
     return [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0) if pe == 0.0
-            else _record(replace(params, pe=pe), settings, leading, t_0, eta_star, hi, lo)
+            else _record(replace(params, pe=pe), settings, leading, f_leading, eta, t_0,
+                         eta_star, hi, lo)
             for pe in grid.pe_values]

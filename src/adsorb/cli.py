@@ -112,16 +112,18 @@ def _check_types(section: str, given: dict, nullable=frozenset()) -> None:
     """Reject a value of the wrong JSON type with a ConfigError naming its key.
 
     Integer and list keys take what their names in ``_INTEGER_KEYS`` and
-    ``_LIST_KEYS`` say, the orders m and n are left to ``ReactionOrders``,
-    and every other key takes a number; keys in ``nullable`` may be null.
-    No number may be NaN or infinite.
+    ``_LIST_KEYS`` say, the orders m and n take a JSON integer, as
+    ``ReactionOrders`` does, and every other key takes a number; keys in
+    ``nullable`` may be null.  No number may be NaN or infinite.
     """
     for key, value in given.items():
-        if key in ("m", "n") or (value is None and key in nullable):
+        if value is None and key in nullable:
             continue
         if key in _LIST_KEYS:
             ok = isinstance(value, list) and all(map(_is_number, value))
             kind = "a list of finite numbers"
+        elif key in ("m", "n"):
+            ok, kind = _is_number(value) and isinstance(value, int), "an integer"
         elif key in _INTEGER_KEYS:
             ok = _is_number(value) and (isinstance(value, int) or value.is_integer())
             kind = "an integer"
@@ -513,10 +515,13 @@ def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
                         lo=float(s["threshold_lo"]))
     rows = [(r.pe, r.l2_error, r.t_window, r.e_bt) for r in records]
     failures = {str(r.pe): r.error for r in records if r.error}
+    counters = {str(r.pe): {k: getattr(r.stats, k) for k in ("nfev", "njev", "nlu", "steps")}
+                for r in records if r.stats is not None}
     return [_write_table(out / "sweep.csv", config, ["pe", "l2_error", "t_window", "e_bt"],
                          np.reshape(rows, (-1, 4)).T),
             _write_json(out / "sweep_meta.json", config,
-                        {"failures": failures, "n_records": len(records)})]
+                        {"failures": failures, "n_records": len(records),
+                         "counters": counters})]
 
 
 def _run_isotherm(config: RunConfig, out: Path) -> list[Path]:

@@ -21,13 +21,16 @@ by z = Z_HEAD, where 1 - F is about 1e-13 and finer steps in 1 - F no longer
 differ in double precision.
 
 For Pe = 0, F' = h0(F) and the integral is a plain quadrature.  For Pe > 0,
-F' comes from one scalar leg that integrates w = ln(-F') over z from a seed on
-the slow set next to the clean state up to 1 - F = F_STOP.  Increasing z is
-backward eta, the only stable direction: in forward eta the layer dynamics
-repel trajectories from the slow manifold at rate q_e v / Pe.  Outside the leg
-F' = h0(F), the reduced flow that approximates the manifold to O(Pe).  The leg
-stays stiff at any Pe once the clean state is degenerate (layer rate O(1)
-against an unbounded slow crawl), so it is integrated implicitly, by the
+F' comes from one scalar leg that integrates w = ln(-F') over z from a seed
+next to the clean state up to 1 - F = F_STOP.  Increasing z is backward eta,
+the only stable direction: in forward eta the layer dynamics repel
+trajectories from the slow manifold at rate q_e v / Pe.  For m = 1 the clean
+state is a hyperbolic saddle, and the leg seeds on its stable eigendirection
+F' = lambda_s F; for m >= 2 it is degenerate, and the leg seeds on the slow
+set F' = h0(F), the reduced flow that approximates the manifold to O(Pe).
+Below the seed F' keeps the seed's law, and past the leg's end F' = h0(F).
+The leg stays stiff at any Pe once the clean state is degenerate (layer rate
+O(1) against an unbounded slow crawl), so it is integrated implicitly, by the
 Radau IIA scheme of order 5 written out for one equation in Python floats.
 """
 
@@ -371,7 +374,9 @@ def _collocation(fun, t, y, h, z, scale, tol, d_real, d_complex):
 
     The transformed increments TI z are one real and one complex value, so
     each iteration solves its two linear systems by one division each.
-    Returns (converged, iterations, z, rate of convergence).
+    Returns (converged, iterations, z, rate of convergence).  A non-finite
+    stage value, or one so large that the correction overflows, raises
+    ``ConvergenceError``.
     """
     m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
     s1, s2, s3 = t + h * _C1, t + h * _C2, t + h * _C3
@@ -382,11 +387,11 @@ def _collocation(fun, t, y, h, z, scale, tol, d_real, d_complex):
     dw_norm_old = rate = None
     for k in range(_NEWTON_MAXITER):
         f1, f2, f3 = fun(s1, y + z1), fun(s2, y + z2), fun(s3, y + z3)
-        if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
-            raise ConvergenceError(f"non-finite stage value on the leg at z = {t!r}")
         dw_real = (_TI11 * f1 + _TI12 * f2 + _TI13 * f3 - m_real * w_real) / d_real
         dw_complex = (_TIC1 * f1 + _TIC2 * f2 + _TIC3 * f3 - m_complex * w_complex) / d_complex
         dw_norm = math.hypot(dw_real, dw_complex.real, dw_complex.imag) * inv_scale
+        if not math.isfinite(dw_norm):  # every non-finite stage value reaches the norm
+            raise ConvergenceError(f"non-finite stage value on the leg at z = {t!r}")
         if dw_norm_old is not None:
             rate = dw_norm / dw_norm_old
             if rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dw_norm > tol:
@@ -545,6 +550,25 @@ def _leg_field(params: DimensionlessParameters):
     return rhs, jac
 
 
+def _clean_stable_rate(params: DimensionlessParameters) -> float:
+    """Stable eigenvalue lambda_s of the clean state (0, 0) of ``full_system_rhs``, for m = 1.
+
+    Linearizing the field at (0, 0) gives Pe l^2 - b l - k = 0 with
+    b = q_e/(q_e + Da) - Pe (q_e + Da) dr/dq and k = dr/dc + q_e dr/dq, the
+    partials of the rate law at (0, 0).  For m = 1, k > 0, so the clean state
+    is a saddle and F' = lambda_s F is the front's exact linear tail.  The
+    negative root is written without cancellation; Pe = 0 gives the reduced
+    rate -k/b.
+    """
+    _, r_q, r_c = _rate_law(params)
+    q_e, pe = params.q_e, params.pe
+    q_e_da = q_e + params.da
+    dr_dq = r_q(0.0, 0.0)
+    b = q_e / q_e_da - pe * q_e_da * dr_dq
+    k = r_c(0.0, 0.0) + q_e * dr_dq
+    return -2.0 * k / (b + math.sqrt(b * b + 4.0 * pe * k))
+
+
 def solve_leading_order(params: DimensionlessParameters,
                         settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Front profile of the reduced (Pe = 0) equation, normalized to F(0) = 1/2.
@@ -564,15 +588,18 @@ def solve_full_wave(params: DimensionlessParameters,
                     settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Heteroclinic front of the full equation for Pe > 0, normalized to F(0) = 1/2.
 
-    The solver seeds on the critical slow set at F = seed_delta next to the
-    clean state and integrates w = ln(-F') with Radau over increasing z, which
-    is backward eta, up to 1 - F = F_STOP; in reverse eta the saturated state
-    attracts along both eigendirections, so the connection is recovered
-    without shooting.  Below the seed and above the leg, F' follows the
-    reduced slow-manifold flow h0(F), which approximates the attracting
-    manifold to O(Pe) there.  eta is the quadrature of F (1 - F) / F' from the
-    anchor z = 0, never a state of the leg, so the anchor keeps full precision
-    however far the seed lies from it.  The profile carries the leg's counters.
+    The solver seeds at F = seed_delta next to the clean state and integrates
+    w = ln(-F') with Radau over increasing z, which is backward eta, up to
+    1 - F = F_STOP; in reverse eta the saturated state attracts along both
+    eigendirections, so the connection is recovered without shooting.  For
+    m = 1 the seed lies on the clean saddle's stable eigendirection
+    F' = lambda_s F, and below the seed F' = lambda_s F, the exact linear
+    tail.  For m >= 2 the seed lies on the critical slow set, and below the
+    seed F' follows the reduced slow-manifold flow h0(F), which approximates
+    the attracting manifold to O(Pe) there.  Above the leg F' = h0(F).  eta
+    is the quadrature of F (1 - F) / F' from the anchor z = 0, never a state
+    of the leg, so the anchor keeps full precision however far the seed lies
+    from it.  The profile carries the leg's counters.
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
@@ -580,18 +607,23 @@ def solve_full_wave(params: DimensionlessParameters,
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
     delta = settings.seed_delta
     z_seed = math.log(delta / (1.0 - delta))
+    rate = _clean_stable_rate(params) if params.m == 1 else None
+    slope_seed = leading_order_rhs(delta, params) if rate is None else rate * delta
     try:
-        w_at, stats = _radau_leg(*_leg_field(params), z_seed,
-                                 math.log(-leading_order_rhs(delta, params)), Z_STOP,
+        w_at, stats = _radau_leg(*_leg_field(params), z_seed, math.log(-slope_seed), Z_STOP,
                                  settings.rel_tol, settings.abs_tol)
     except OverflowError as exc:
         raise ConvergenceError(f"backward leg from the seed overflowed: {exc}") from exc
 
     def f_prime(z):
-        inside = (z >= z_seed) & (z <= Z_STOP)
+        leg = (z >= z_seed) & (z <= Z_STOP)
+        reduced = ~leg if rate is None else z > Z_STOP
         out = np.empty_like(z)
-        out[inside] = -np.exp(w_at(z[inside]))
-        out[~inside] = leading_order_rhs(_expit(z[~inside]), params)
+        out[leg] = -np.exp(w_at(z[leg]))
+        out[reduced] = leading_order_rhs(_expit(z[reduced]), params)
+        if rate is not None:
+            tail = z < z_seed
+            out[tail] = rate * _expit(z[tail])
         return out
 
     eta, f, fp, slope = _front(settings, f_prime)

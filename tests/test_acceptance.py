@@ -34,6 +34,7 @@ from adsorb.wave import (
     solve_full_wave,
     solve_leading_order,
 )
+from adsorb.wave import _clean_stable_rate
 
 from conftest import params_for
 
@@ -247,6 +248,14 @@ class TestCriterion4BreakthroughRobustness:
             assert np.all(np.isreal(eigenvalues))
             assert min(eigenvalues.real) < 0.0 < max(eigenvalues.real)
             assert min(eigenvalues.real) == pytest.approx(saddle_stable_rate(p), rel=1e-6)
+
+    @pytest.mark.parametrize("pe", [1e-3, 0.5, 1.5])
+    @pytest.mark.parametrize("q_e,da", [(0.7, 0.1), (0.99993, 0.007)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_library_saddle_rate_matches_oracle(self, n, q_e, da, pe):
+        # the leg's seed and tail read lambda_s from the bound rate law
+        p = params_for(q_e=q_e, da=da, pe=pe, n=n)
+        assert _clean_stable_rate(p) == pytest.approx(saddle_stable_rate(p), rel=1e-12)
 
     @pytest.mark.parametrize("da", [0.1, 0.5])
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])

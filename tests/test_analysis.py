@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,6 +199,44 @@ class TestRunSweep:
         assert np.isnan(recs[2].e_bt)
         assert recs[:2] + recs[3:] == clean[:2] + clean[3:]
         assert all(rec.error is None for rec in clean)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3)])
+    def test_records_equal_per_pe_calls_bit_for_bit(self, m, n):
+        # the sweep samples the leading front on the L2 grid once
+        p = params_for(m=m, n=n)
+        leading = solve_leading_order(p)
+        t_0 = breakthrough_window_time(leading)
+        recs = run_sweep(p, SweepGrid((0.0, 0.1, 0.5, 1.5)))
+        for rec in recs[1:]:
+            full = solve_full_wave(replace(p, pe=rec.pe))
+            t_pe = breakthrough_window_time(full)
+            assert rec == SweepRecord(pe=rec.pe, l2_error=l2_profile_error(full, leading),
+                                      t_window=t_pe, e_bt=breakthrough_error(t_pe, t_0),
+                                      stats=full.stats)
+
+    @pytest.mark.parametrize("short_full", [False, True])
+    def test_a_short_front_marks_every_positive_pe(self, monkeypatch, short_full):
+        # (1, 1) sides sampled with eta_span 1 end near |eta| = 25 for
+        # Pe <= 0.05, short of the window [-26, 26]; the full front is checked
+        # first
+        p = params_for()
+        short = WaveSolverSettings(eta_span=1.0)
+        leading = solve_leading_order(p, short)
+        monkeypatch.setattr("adsorb.analysis.solve_leading_order",
+                            lambda params, settings: leading)
+        if short_full:
+            monkeypatch.setattr("adsorb.analysis.solve_full_wave",
+                                lambda params, settings: solve_full_wave(params, short))
+        recs = run_sweep(p, SweepGrid((0.0, 0.01, 0.05)), eta_star=26.0)
+        assert recs[0].error is None
+        for rec in recs[1:]:
+            full = solve_full_wave(replace(p, pe=rec.pe), short if short_full
+                                   else WaveSolverSettings(eta_span=26.0))
+            with pytest.raises(CoverageError) as err:
+                l2_profile_error(full, leading, eta_star=26.0)
+            assert rec.error == f"CoverageError: {err.value}"
+            assert ("full" if short_full else "leading") in rec.error
+            assert rec.stats is None and np.isnan(rec.l2_error)
 
     def test_nonpositive_eta_star_is_refused_before_any_solve(self, monkeypatch):
         def solve(*args, **kwargs):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import adsorb
 from adsorb import cli
-from adsorb.analysis import l2_profile_error
+from adsorb.analysis import SweepGrid, l2_profile_error
 from adsorb.cli import (
     CELL_FORMAT,
     _format_cells,
@@ -141,6 +141,15 @@ WRONG_TYPES = [
     # and integers that no double holds
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 10 ** 400, "pe": 0.1, "m": 1, "n": 1}},
      "dimensionless.da"),
+    # the reaction orders take JSON integers only
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": "1", "n": 1}},
+     "dimensionless.m must be an integer, got '1'"),
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": True, "n": 1}},
+     "dimensionless.m must be an integer, got True"),
+    ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1.5}},
+     "dimensionless.n must be an integer, got 1.5"),
+    ({"mode": "nondim", "physical": {**PHYSICAL, "n": 1.0}, "pe": 0.1},
+     "physical.n must be an integer, got 1.0"),
 ]
 
 
@@ -398,8 +407,14 @@ class TestRunners:
         assert lines[0] == "pe,l2_error,t_window,e_bt"
         assert len(lines) - 1 == 16
         meta = json.loads((tmp_path / "sweep_meta.json").read_text())
-        assert set(meta) == {"meta", "failures", "n_records"}
+        assert set(meta) == {"meta", "failures", "n_records", "counters"}
         assert meta["failures"] == {} and meta["n_records"] == 16
+        # the leg counters of every solved Pe > 0, keyed like the failures
+        positive = [str(pe) for pe in SweepGrid.paper_default().pe_values if pe > 0.0]
+        assert sorted(meta["counters"]) == sorted(positive)
+        for work in meta["counters"].values():
+            assert set(work) == {"nfev", "njev", "nlu", "steps"}
+            assert work["nfev"] > work["steps"] > 0 and work["nlu"] >= work["njev"] >= 1
 
     def test_pde_artifacts(self, tmp_path):
         doc = {"mode": "pde",
@@ -596,7 +611,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("doc,message", [
         (json.loads(wave_doc(q_e=1.5)), "q_e must lie in (0, 1)"),
-        (json.loads(wave_doc(m="1")), "reaction order m must be an integer"),
+        (json.loads(wave_doc(m=0)), "reaction order m must be >= 1"),
         ({"mode": "pde", "physical": {**PHYSICAL, "epsilon": -0.3357}, "pe": 0.1}, "epsilon"),
     ])
     def test_out_of_domain_value_exit_code(self, tmp_path, capsys, doc, message):

@@ -27,7 +27,7 @@ from adsorb.wave import (
     solve_full_wave,
     solve_leading_order,
 )
-from adsorb.wave import Z_STEP, Z_STOP, _leg_field, _radau_leg
+from adsorb.wave import Z_STEP, Z_STOP, _clean_stable_rate, _leg_field, _radau_leg
 
 from conftest import ADMISSIBLE_FAMILIES, equilibrium_polynomial_direct, params_for
 
@@ -321,6 +321,22 @@ class TestScalarRadauLeg:
         with pytest.raises(ConvergenceError):
             _radau_leg(lambda t, y: y * y, lambda t, y, f: 2.0 * y, 0.0, 1.0, 2.0, 1e-8, 1e-10)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_non_finite_stage_stops_its_own_iteration(self, stage, bad):
+        # the first step's collocation calls fun three times per Newton
+        # iteration; a bad value at any stage of iteration 2 raises once its
+        # three calls are made, before a fourth
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return bad if len(calls) == 2 + 3 + stage + 1 else -y
+
+        with pytest.raises(ConvergenceError, match="non-finite stage value"):
+            _radau_leg(fun, lambda t, y, f: -1.0, 0.0, 1.0, 1.0, 1e-8, 1e-10)
+        assert len(calls) == 2 + 3 * 2
+
     def test_overflow_on_the_leg_is_a_convergence_error(self, monkeypatch):
         def overflow(z, w, *dw):
             raise OverflowError("math range error")
@@ -329,7 +345,7 @@ class TestScalarRadauLeg:
         with pytest.raises(ConvergenceError):
             solve_full_wave(params_for(pe=0.1))
 
-    @pytest.mark.parametrize("m,n,work", [(1, 1, (1359, 21, 126, 178)),
+    @pytest.mark.parametrize("m,n,work", [(1, 1, (1125, 17, 102, 145)),
                                           (2, 3, (2734, 139, 492, 191))])
     def test_leg_work_is_pinned(self, m, n, work):
         # counters of the exact step sequence: a change that moves any step fails here
@@ -441,6 +457,28 @@ class TestInterpolation:
         assert w.window[0] > -20.0 and 1.0 - w.f[0] < 1e-13
         assert w.f_at(np.array([-1e3, -20.0])).tolist() == [1.0, 1.0]
         assert np.isnan(w.f_at(w.window[1] + 1.0))
+
+
+class TestCleanSaddleTail:
+    """For m = 1 the leg seeds on the clean saddle's stable eigendirection."""
+
+    @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tail_follows_the_eigendirection(self, n, pe):
+        # eta_span 60 samples the tail well below the default seed F = 1e-6
+        p = params_for(pe=pe, n=n)
+        w = solve_full_wave(p, WaveSolverSettings(eta_span=60.0))
+        rate = _clean_stable_rate(p)
+        delta = WaveSolverSettings().seed_delta
+        below = np.log(w.f) - np.log1p(-w.f) < math.log(delta / (1.0 - delta))
+        decay = (1.0 - w.f) / w.deta_dz  # F' / F, with d eta / dz = F (1 - F) / F'
+        assert below.sum() > 10
+        assert_allclose(decay[below], rate, rtol=1e-12)
+        # F' / F at the last sample on the leg: off lambda_s by O(F), where
+        # the reduced flow h0 is off by O(Pe)
+        last_on_leg = decay[np.argmax(below) - 1]
+        assert last_on_leg == pytest.approx(rate, rel=1e-5)
+        assert abs(leading_order_rhs(delta, p) / delta / rate - 1.0) > 5e-3
 
 
 class TestLegsJoinUp:
