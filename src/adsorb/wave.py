@@ -329,12 +329,18 @@ def _front(settings: WaveSolverSettings, f_prime):
 
 # ---------------------------------------------------------------------------
 # Radau IIA of order 5 for one equation (Hairer & Wanner, Solving Ordinary
-# Differential Equations II, Sec. IV.8), step for step the scheme of scipy's
-# Radau: its tableau, the T/TI transforms of the simplified Newton iteration,
-# its embedded error estimate and its step and Jacobian-refresh rules.  As in
-# Hairer's RADAU5, and unlike scipy, an error estimate above one is refined
-# on the first step as well as after a rejection.  For a scalar the two linear
-# systems of each Newton iteration are one real and one complex division.
+# Differential Equations II, Sec. IV.8), the scheme of scipy's Radau: its
+# tableau, the T/TI transforms of the simplified Newton iteration, its
+# embedded error estimate and its Jacobian-refresh rule.  The step rule is
+# scipy's with two departures.  As in Hairer's RADAU5, an error estimate above
+# one is refined on the first step as well as after a rejection.  And after a
+# step whose Newton iteration took more than two iterations, growth is capped
+# at max(1, THETA_REF / rate), with rate the iteration's last contraction rate
+# (Gustafsson & Soderlind, SIAM J. Sci. Comput. 18, 1997).  On the clean side
+# of an m >= 2 front the Jacobian scales like F^(1-m), so a step grown by the
+# error estimate alone outruns the reused Jacobian and its Newton iteration
+# fails.  For a scalar the two linear systems of each Newton iteration are one
+# real and one complex division.
 
 _S6 = 6.0 ** 0.5
 _C1, _C2, _C3 = (4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0
@@ -357,6 +363,7 @@ _P21, _P22, _P23 = (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0
                     10.0 / 3.0 - 5.0 * _S6)
 _P31, _P32, _P33 = 1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0
 _NEWTON_MAXITER = 6
+THETA_REF = 0.1  # Newton contraction rate that step growth aims at
 
 
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old) -> float:
@@ -413,7 +420,10 @@ def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
 
     ``jac(t, y, f)`` is d fun / dy at (t, y), where f = fun(t, y).  Returns the
     dense output as a vectorized function of t in [t, t_end] and the work
-    counters.  A step below ten ulps of t, or a non-finite value, raises
+    counters.  Steps follow scipy's Radau but for the two departures named
+    above: RADAU5's first-step refinement of the error estimate, and the
+    contraction-rate cap on growth after more than two Newton iterations.  A
+    step below ten ulps of t, or a non-finite value, raises
     ``ConvergenceError``.
     """
     f = fun(t, y)
@@ -487,6 +497,8 @@ def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
         recompute_jac = n_iter > 2 and rate > 1e-3
         factor = min(_MAX_FACTOR,
                      safety * _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old))
+        if recompute_jac:  # below rate 1e-3 the cap would exceed _MAX_FACTOR
+            factor = min(factor, max(1.0, THETA_REF / rate))
         if not recompute_jac and factor < 1.2:
             factor = 1.0
         else:

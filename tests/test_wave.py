@@ -27,7 +27,9 @@ from adsorb.wave import (
     solve_full_wave,
     solve_leading_order,
 )
-from adsorb.wave import Z_STEP, Z_STOP, _clean_stable_rate, _leg_field, _radau_leg
+from adsorb.wave import (
+    Z_STEP, Z_STOP, _clean_stable_rate, _collocation, _leg_field, _radau_leg,
+)
 
 from conftest import ADMISSIBLE_FAMILIES, equilibrium_polynomial_direct, params_for
 
@@ -346,11 +348,29 @@ class TestScalarRadauLeg:
             solve_full_wave(params_for(pe=0.1))
 
     @pytest.mark.parametrize("m,n,work", [(1, 1, (1125, 17, 102, 145)),
-                                          (2, 3, (2734, 139, 492, 191))])
+                                          (2, 3, (2167, 127, 306, 176)),
+                                          (1, 3, (1287, 65, 176, 148)),
+                                          (3, 4, (2858, 182, 430, 201))])
     def test_leg_work_is_pinned(self, m, n, work):
         # counters of the exact step sequence: a change that moves any step fails here
         stats = solve_full_wave(params_for(pe=0.1, m=m, n=n)).stats
         assert (stats.nfev, stats.njev, stats.nlu, stats.steps) == work
+
+    @pytest.mark.parametrize("m,n,most", [(2, 2, 15), (2, 3, 17), (3, 4, 31)])
+    def test_step_growth_does_not_outrun_newton(self, monkeypatch, m, n, most):
+        # on the m >= 2 clean side the Jacobian goes stale within a step; growth
+        # read from the error estimate alone failed Newton 77, 85 and 156 times
+        # on these legs, halving the step after each failure
+        failures = []
+
+        def counted(*args):
+            out = _collocation(*args)
+            failures.append(not out[0])
+            return out
+
+        monkeypatch.setattr("adsorb.wave._collocation", counted)
+        solve_full_wave(params_for(pe=0.1, m=m, n=n))
+        assert sum(failures) <= most
 
     def test_profile_carries_the_leg_counters(self, full_11_pe01, lead_11):
         stats = full_11_pe01.stats
