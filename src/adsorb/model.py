@@ -330,12 +330,12 @@ def analyze_equilibria(params: DimensionlessParameters) -> EquilibriumReport:
     m, n = params.m, params.n
     a = 1.0 / params.q_e
     roots = [PolynomialRoot(0.0, min(m, n))]
-    if m <= n:
+    if params.orders.admissible:
         roots.append(PolynomialRoot(1.0, 1))
         return EquilibriumReport(True, tuple(roots), None, REASON_ADMISSIBLE)
     threshold = m / (m - n)
     # at the threshold x = 1 is a double root; within 1e-9 of it the interior
-    # root is reported as merged with x = 1
+    # root, which the deflated quotient can lose, is reported merged with x = 1
     at_threshold = math.isclose(a, threshold)
     if a < threshold and not at_threshold:
         c_star = _interior_root(m, n, a)

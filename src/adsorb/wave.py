@@ -24,14 +24,12 @@ For Pe = 0, F' = h0(F) and the integral is a plain quadrature.  For Pe > 0,
 F' comes from one scalar leg that integrates w = ln(-F') over z from a seed
 next to the clean state up to 1 - F = F_STOP.  Increasing z is backward eta,
 the only stable direction: in forward eta the layer dynamics repel
-trajectories from the slow manifold at rate q_e v / Pe.  For m = 1 the clean
-state is a hyperbolic saddle, and the leg seeds on its stable eigendirection
-F' = lambda_s F; for m >= 2 it is degenerate, and the leg seeds on the slow
-set F' = h0(F), the reduced flow that approximates the manifold to O(Pe).
-Below the seed F' keeps the seed's law, and past the leg's end F' = h0(F).
-The leg stays stiff at any Pe once the clean state is degenerate (layer rate
-O(1) against an unbounded slow crawl), so it is integrated implicitly, by the
-Radau IIA scheme of order 5 written out for one equation in Python floats.
+trajectories from the slow manifold at rate q_e v / Pe.  The clean state's
+linearisation sets the seed and F' below it, in ``_leg_field``; past the
+leg's end F' = h0(F).  The leg stays stiff at any Pe once the clean state is
+degenerate (layer rate O(1) against an unbounded slow crawl), so it is
+integrated implicitly, by the Radau IIA scheme of order 5 written out for one
+equation in Python floats.
 """
 
 from __future__ import annotations
@@ -533,17 +531,24 @@ def _radau_leg(fun, jac, t, y, t_end: float, rtol: float, atol: float):
 
 
 def _leg_field(params: DimensionlessParameters):
-    """Right-hand side dw/dz of the backward leg in w = ln(-F'), and its d/dw.
+    """The Pe > 0 front's field, bound once: (rhs, jac, tail).
 
-    With y = F' = -e^w, s = F (1 - F) and Y' = dy/deta from
-    ``full_system_rhs``, dw/dz = Y' s / y^2 and d/dw = s / y dY'/dy - 2 dw/dz,
-    where dY'/dy = q_e / ((q_e + Da) Pe) - (q_e + Da) dr/dq at
-    G = q_e F - Pe (q_e + Da) y.  The Jacobian takes the right-hand side value
-    at the same point as its third argument.  The rate law and the constants
-    are bound once per leg, so no evaluation reads ``params``; ``params.pe``
-    must be positive.
+    ``rhs`` is dw/dz on the backward leg in w = ln(-F').  With y = F' = -e^w,
+    s = F (1 - F) and Y' = dy/deta from ``full_system_rhs``, dw/dz = Y' s / y^2
+    and ``jac(z, w, dw)`` = s / y dY'/dy - 2 dw, where dY'/dy =
+    q_e / ((q_e + Da) Pe) - (q_e + Da) dr/dq at G = q_e F - Pe (q_e + Da) y.
+
+    ``tail(F)``, on floats or arrays, is F' at and below the seed.  The clean
+    state (0, 0) linearizes to Pe l^2 - b l - k = 0 with b = q_e/(q_e + Da)
+    - Pe (q_e + Da) dr/dq and k = dr/dc + q_e dr/dq, partials at (0, 0).  For
+    m = 1, k > 0: the state is a saddle and the tail is the exact linear
+    F' = lambda_s F, lambda_s the negative root written without cancellation.
+    For m >= 2, k = 0: the state is degenerate and the tail is the reduced flow
+    h0(F) of ``leading_order_rhs``, within O(Pe) of the attracting manifold.
+    No evaluation of ``rhs`` or ``jac`` reads ``params``; ``params.pe`` must be
+    positive.
     """
-    r, r_q, _ = _rate_law(params)
+    r, r_q, r_c = _rate_law(params)
     q_e, pe = params.q_e, params.pe
     q_e_da = q_e + params.da
     lift, drift, lift_dy = q_e / q_e_da, pe * q_e_da, q_e / (q_e_da * pe)
@@ -559,26 +564,19 @@ def _leg_field(params: DimensionlessParameters):
         y = -exp(w)
         return f * (1.0 - f) / y * (lift_dy - q_e_da * r_q(f, q_e * f - drift * y)) - 2.0 * dw
 
-    return rhs, jac
-
-
-def _clean_stable_rate(params: DimensionlessParameters) -> float:
-    """Stable eigenvalue lambda_s of the clean state (0, 0) of ``full_system_rhs``, for m = 1.
-
-    Linearizing the field at (0, 0) gives Pe l^2 - b l - k = 0 with
-    b = q_e/(q_e + Da) - Pe (q_e + Da) dr/dq and k = dr/dc + q_e dr/dq, the
-    partials of the rate law at (0, 0).  For m = 1, k > 0, so the clean state
-    is a saddle and F' = lambda_s F is the front's exact linear tail.  The
-    negative root is written without cancellation; Pe = 0 gives the reduced
-    rate -k/b.
-    """
-    _, r_q, r_c = _rate_law(params)
-    q_e, pe = params.q_e, params.pe
-    q_e_da = q_e + params.da
     dr_dq = r_q(0.0, 0.0)
-    b = q_e / q_e_da - pe * q_e_da * dr_dq
+    b = lift - drift * dr_dq
     k = r_c(0.0, 0.0) + q_e * dr_dq
-    return -2.0 * k / (b + math.sqrt(b * b + 4.0 * pe * k))
+    if k > 0.0:
+        rate = -2.0 * k / (b + math.sqrt(b * b + 4.0 * pe * k))
+
+        def tail(f):
+            return rate * f
+    else:
+        def tail(f):
+            return leading_order_rhs(f, params)
+
+    return rhs, jac, tail
 
 
 def solve_leading_order(params: DimensionlessParameters,
@@ -603,15 +601,12 @@ def solve_full_wave(params: DimensionlessParameters,
     The solver seeds at F = seed_delta next to the clean state and integrates
     w = ln(-F') with Radau over increasing z, which is backward eta, up to
     1 - F = F_STOP; in reverse eta the saturated state attracts along both
-    eigendirections, so the connection is recovered without shooting.  For
-    m = 1 the seed lies on the clean saddle's stable eigendirection
-    F' = lambda_s F, and below the seed F' = lambda_s F, the exact linear
-    tail.  For m >= 2 the seed lies on the critical slow set, and below the
-    seed F' follows the reduced slow-manifold flow h0(F), which approximates
-    the attracting manifold to O(Pe) there.  Above the leg F' = h0(F).  eta
-    is the quadrature of F (1 - F) / F' from the anchor z = 0, never a state
-    of the leg, so the anchor keeps full precision however far the seed lies
-    from it.  The profile carries the leg's counters.
+    eigendirections, so the connection is recovered without shooting.  F'
+    has one law in each of three regions: below the seed the clean-side law
+    ``tail`` of ``_leg_field``, which also sets the seed; the leg in between;
+    and h0(F) above the leg.  eta is the quadrature of F (1 - F) / F' from the
+    anchor z = 0, never a state of the leg, so the anchor keeps full precision
+    however far the seed lies from it.  The profile carries the leg's counters.
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
@@ -619,23 +614,20 @@ def solve_full_wave(params: DimensionlessParameters,
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
     delta = settings.seed_delta
     z_seed = math.log(delta / (1.0 - delta))
-    rate = _clean_stable_rate(params) if params.m == 1 else None
-    slope_seed = leading_order_rhs(delta, params) if rate is None else rate * delta
+    rhs, jac, tail = _leg_field(params)
     try:
-        w_at, stats = _radau_leg(*_leg_field(params), z_seed, math.log(-slope_seed), Z_STOP,
+        w_at, stats = _radau_leg(rhs, jac, z_seed, math.log(-tail(delta)), Z_STOP,
                                  settings.rel_tol, settings.abs_tol)
     except OverflowError as exc:
         raise ConvergenceError(f"backward leg from the seed overflowed: {exc}") from exc
 
     def f_prime(z):
-        leg = (z >= z_seed) & (z <= Z_STOP)
-        reduced = ~leg if rate is None else z > Z_STOP
+        below, above = z < z_seed, z > Z_STOP
+        leg = ~(below | above)
         out = np.empty_like(z)
+        out[below] = tail(_expit(z[below]))
         out[leg] = -np.exp(w_at(z[leg]))
-        out[reduced] = leading_order_rhs(_expit(z[reduced]), params)
-        if rate is not None:
-            tail = z < z_seed
-            out[tail] = rate * _expit(z[tail])
+        out[above] = leading_order_rhs(_expit(z[above]), params)
         return out
 
     eta, f, fp, slope = _front(settings, f_prime)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -364,6 +366,14 @@ class TestAnalyzeEquilibria:
         report = analyze_equilibria(params_for(q_e, da=0.1, pe=0.0, m=2, n=1))
         assert report.reason == REASON_INTERIOR
         assert abs(report.interior_equilibrium - (1.0 / q_e - 1.0)) <= 1e-12
+
+    # one ulp inside the threshold the deflated quotient of model._interior_root
+    # finds no root on (0, 1) for these families; the 1e-9 band answers there
+    @pytest.mark.parametrize("m,n", [(4, 1), (5, 4), (7, 5), (8, 6)])
+    def test_band_answers_where_the_quotient_loses_the_root(self, m, n):
+        q_e = math.nextafter((m - n) / m, 1.0)
+        report = analyze_equilibria(params_for(q_e, da=0.1, pe=0.0, m=m, n=n))
+        assert report.reason == REASON_INCREASING and report.interior_equilibrium is None
 
     def test_zero_root_multiplicity(self):
         report = analyze_equilibria(params_for(0.7, da=0.1, pe=0.0, m=2, n=3))

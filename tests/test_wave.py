@@ -28,7 +28,7 @@ from adsorb.wave import (
     solve_leading_order,
 )
 from adsorb.wave import (
-    Z_STEP, Z_STOP, _clean_stable_rate, _collocation, _leg_field, _radau_leg,
+    Z_STEP, Z_STOP, _collocation, _leg_field, _radau_leg,
 )
 
 from conftest import ADMISSIBLE_FAMILIES, equilibrium_polynomial_direct, params_for
@@ -277,7 +277,7 @@ class TestScalarRadauLeg:
         settings = WaveSolverSettings()
         z_seed = math.log(settings.seed_delta / (1.0 - settings.seed_delta))
         w_seed = math.log(-leading_order_rhs(settings.seed_delta, p))
-        rhs, jac = _leg_field(p)
+        rhs, jac, _ = _leg_field(p)
         w_at, _ = _radau_leg(rhs, jac, z_seed, w_seed, Z_STOP,
                              settings.rel_tol, settings.abs_tol)
         oracle = solve_ivp(lambda z, w: [rhs(z, w[0])], (z_seed, Z_STOP), [w_seed],
@@ -295,7 +295,7 @@ class TestScalarRadauLeg:
         # near the slow set dw/dz is a difference of terms of order 1/Pe, so
         # the differences carry roundoff of the size of dw/dz, not of d/dw
         p = params_for(pe=pe, m=m, n=n)
-        rhs, jac = _leg_field(p)
+        rhs, jac, _ = _leg_field(p)
         h = 1e-4
         for z in np.linspace(-12.0, 12.0, 9):
             on_slow_set = math.log(-leading_order_rhs(1.0 / (1.0 + math.exp(-z)), p))
@@ -343,7 +343,9 @@ class TestScalarRadauLeg:
         def overflow(z, w, *dw):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr("adsorb.wave._leg_field", lambda params: (overflow, overflow))
+        # a negative tail keeps the seed finite, so the overflow comes from the leg
+        monkeypatch.setattr("adsorb.wave._leg_field",
+                            lambda params: (overflow, overflow, lambda f: -f))
         with pytest.raises(ConvergenceError):
             solve_full_wave(params_for(pe=0.1))
 
@@ -405,7 +407,7 @@ class TestBoundField:
     @pytest.mark.parametrize("m,n,q_e", BOUND_FIELD_CASES)
     def test_leg_field_is_bit_identical_to_the_field_read_per_call(self, m, n, q_e, pe):
         p = params_for(q_e=q_e, pe=pe, m=m, n=n)
-        rhs, jac = _leg_field(p)
+        rhs, jac, _ = _leg_field(p)
         r_q_bound = _rate_law(p)[1]
         rng = np.random.default_rng(1000 * m + 10 * n + round(100 * pe))
         for z, w in zip(rng.uniform(-14.0, 14.0, 200).tolist(),
@@ -488,7 +490,7 @@ class TestCleanSaddleTail:
         # eta_span 60 samples the tail well below the default seed F = 1e-6
         p = params_for(pe=pe, n=n)
         w = solve_full_wave(p, WaveSolverSettings(eta_span=60.0))
-        rate = _clean_stable_rate(p)
+        rate = _leg_field(p)[2](1.0)
         delta = WaveSolverSettings().seed_delta
         below = np.log(w.f) - np.log1p(-w.f) < math.log(delta / (1.0 - delta))
         decay = (1.0 - w.f) / w.deta_dz  # F' / F, with d eta / dz = F (1 - F) / F'
@@ -499,6 +501,39 @@ class TestCleanSaddleTail:
         last_on_leg = decay[np.argmax(below) - 1]
         assert last_on_leg == pytest.approx(rate, rel=1e-5)
         assert abs(leading_order_rhs(delta, p) / delta / rate - 1.0) > 5e-3
+
+
+class TestCleanSideLaw:
+    """The clean state's linearisation sets F' at and below the seed."""
+
+    @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 4)])
+    def test_degenerate_tail_follows_the_slow_set(self, m, n, pe):
+        # at the default seed F = 1e-6 the side ends within a sample of it,
+        # since -Z_STOP is its log-odds; a seed at 1e-3 leaves samples below
+        p = params_for(pe=pe, m=m, n=n)
+        delta = 1e-3
+        w = solve_full_wave(p, WaveSolverSettings(seed_delta=delta))
+        below = np.log(w.f) - np.log1p(-w.f) < math.log(delta / (1.0 - delta))
+        assert below.sum() > 100
+        f = w.f[below]
+        assert_allclose(f * (1.0 - f) / w.deta_dz[below], leading_order_rhs(f, p), rtol=1e-12)
+
+    def test_every_degenerate_family_takes_the_reduced_flow(self):
+        # k is exactly 0 for m >= 2, so the binding picks h0 and not a zero rate
+        for m, n in [(m, n) for n in range(2, 9) for m in range(2, n + 1)]:
+            p = params_for(pe=0.1, m=m, n=n)
+            assert _leg_field(p)[2](1e-3) == leading_order_rhs(1e-3, p) < 0.0
+
+    @pytest.mark.parametrize("q_e", [0.7, 0.99993])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_saddle_tail_is_the_eigendirection(self, n, q_e):
+        p = params_for(q_e=q_e, pe=0.1, n=n)
+        tail = _leg_field(p)[2]
+        rate = tail(1.0)
+        assert rate < 0.0
+        f = np.geomspace(1e-300, 0.5, 400)
+        assert np.array_equal(tail(f), rate * f)
 
 
 class TestLegsJoinUp:
