@@ -105,7 +105,6 @@ class FrontTrack:
     level: float
     positions: tuple[tuple[float, float], ...]  # (t, x/ell)
     fitted_speed: float
-    fit_window: tuple[float, float]
 
 
 class _Column:
@@ -516,9 +515,16 @@ def track_front(sol: PdeSolution, level: float,
         )
     ts = np.array([t for t, _ in in_window])
     xs = np.array([p for _, p in in_window]) * sol.grid.ell
-    speed = float(np.polyfit(ts, xs, 1)[0])
-    return FrontTrack(level=level, positions=tuple(positions),
-                      fitted_speed=speed, fit_window=(float(t_lo), float(t_hi)))
+    try:
+        # sample times so small that t^2 underflows leave polyfit's column scale 0
+        with np.errstate(divide="raise", invalid="raise"):
+            speed = float(np.polyfit(ts, xs, 1)[0])
+    except FloatingPointError as exc:
+        raise CoverageError(
+            f"level {level!r}: the least-squares speed fit over {fit_window!r} "
+            f"failed ({exc})"
+        ) from None
+    return FrontTrack(level=level, positions=tuple(positions), fitted_speed=speed)
 
 
 def _running_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:

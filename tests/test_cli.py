@@ -688,18 +688,25 @@ class TestMainEntry:
         assert err["error"] == "DomainError" and message in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
-    def test_uncrossed_level_exit_code(self, tmp_path, capsys):
-        # valid values whose solution never crosses level 0.75 in the fit
-        # window: the result falls short, exit 4, and no artifact is written
+    @pytest.mark.parametrize("solver,message", [
+        # the solution never crosses level 0.75 in the fit window
+        ({"n_cells": 64, "t_end": 0.01, "n_snapshots": 11}, "level 0.75"),
+        # level 0.25 is crossed at every snapshot (the inlet closure sets
+        # c_0 = 1/(1+3w) at once), but t^2 underflows and the speed fit fails
+        ({"n_cells": 64, "t_end": 1e-300}, "level 0.25: the least-squares speed fit over "
+                                           "(5e-301, 1e-300)"),
+    ], ids=["uncrossed", "underflowing-horizon"])
+    def test_unfittable_level_exit_code(self, tmp_path, capsys, solver, message):
+        # valid values whose result falls short: exit 4, one JSON line, no artifact
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1, ell=5.0)), "mode": "pde",
-                                   "solver": {"n_cells": 64, "t_end": 0.01, "n_snapshots": 11}}))
+                                   "solver": solver}))
         out = tmp_path / "o"
         assert main(["pde", "--config", str(cfg), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         err = json.loads(err)
-        assert err["error"] == "CoverageError" and "level 0.75" in err["message"]
+        assert err["error"] == "CoverageError" and message in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("error,code", [

@@ -188,26 +188,21 @@ class TestIsothermInversion:
 
 
 class TestDimensionlessParameters:
-    def test_alpha_rounding_to_one_is_named(self):
+    def test_alpha_rounding_to_one_is_accepted(self):
         # R = (q_e / (1 - q_e))^4 is about 4e16 > 2^53, so R / (1 + R) is 1.0
-        with pytest.raises(DomainError, match=r"rounds to 1 .*q_e = 0\.99993, n = 4"):
-            DimensionlessParameters.from_qe(0.99993, da=0.007, pe=0.1,
+        p = DimensionlessParameters.from_qe(0.99993, da=0.007, pe=0.1,
                                             orders=ReactionOrders(1, 4))
-        # R = 1e350 leaves the doubles
-        with pytest.raises(DomainError, match=r"rounds to 1 .*q_e = 0\.9999999, n = 50"):
-            alpha_from_qe(0.9999999, 50)
-
-    def test_rejects_inconsistent_alpha_qe(self):
-        with pytest.raises(DomainError):
-            DimensionlessParameters(da=0.1, pe=0.0, alpha=0.6, q_e=0.7,
-                                    orders=ReactionOrders(1, 1))
+        assert p.alpha == 1.0
+        # R = 1e350 leaves the doubles, for a numpy scalar q_e too
+        assert alpha_from_qe(0.9999999, 50) == 1.0
+        assert alpha_from_qe(np.float64(0.9999999), 50) == 1.0
 
     def test_velocity(self):
         p = params_for(0.7, da=0.1, pe=0.0, m=1, n=1)
         assert p.velocity == pytest.approx(1.25, rel=1e-14)
 
     def test_extreme_qe_still_consistent(self):
-        # q_e -> 1 squeezes 1 - q_e; the alpha-space link must still validate
+        # q_e -> 1 squeezes 1 - q_e; for n = 1 alpha still stays below 1
         p = params_for(0.999932173600748, da=0.007, pe=0.5, m=1, n=1)
         assert 0.0 < p.alpha < 1.0
 
@@ -231,8 +226,8 @@ class TestDimensionlessParameters:
         epsilon=0.3357, u_in=0.13, k_ad=1.13, k_de=2.173e-4, c_in=2.835, q_max=1.0,
         rho_b=377.25, column_length=5.4e-3, orders=ReactionOrders(1, 1)),
      r"q_max must lie in \(0, 1\)"),
-    (lambda: DimensionlessParameters(da=0.1, pe=0.0, alpha=1.2, q_e=0.7,
-                                     orders=ReactionOrders(1, 1)),
+    (lambda: DimensionlessParameters.from_alpha(1.2, da=0.1, pe=0.0,
+                                                orders=ReactionOrders(1, 1)),
      r"alpha must lie in \(0, 1\)"),
     (lambda: qe_from_alpha(0.3, 0), "order n must be >= 1"),
     (lambda: alpha_from_qe(0.7, 0), "order n must be >= 1"),

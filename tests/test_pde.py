@@ -513,6 +513,15 @@ class TestLongHorizonBehaviour:
         assert sol.q.min() >= -1e-6 and sol.q.max() <= p.q_e + 1e-6
         assert sol.breakthrough[-1] > 0.5
 
+    def test_near_saturation_corner_where_alpha_rounds_to_one(self):
+        # the reference corner q_e 0.99993 with n = 4: alpha is 1.0 in double
+        # precision, and the factored rate law never forms 1 - alpha
+        p = params_for(q_e=0.99993, da=0.007, pe=0.1, m=1, n=4, ell=19.0)
+        assert p.alpha == 1.0
+        grid = SpatialGrid(ell=p.ell, n_cells=400)
+        sol = solve_pde(p, grid, t_end=10.0, sample_times=np.linspace(0.0, 10.0, 101))
+        assert mass_balance_residual(sol).max() < 1e-3
+
 
 class TestFrontTracking:
     def synthetic_ramp_solution(self, v=1.25, ell=20.0, n_cells=201):
