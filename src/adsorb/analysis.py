@@ -119,12 +119,12 @@ def breakthrough_error(t_pe: float, t_0: float) -> float:
 
 def _record(params: DimensionlessParameters, settings: WaveSolverSettings,
             leading: WaveProfile, f_leading: np.ndarray, grid: np.ndarray, t_0: float,
-            eta_star: float, hi: float, lo: float) -> SweepRecord:
+            eta_star: float) -> SweepRecord:
     pe = params.pe
     try:
         full = solve_full_wave(params, settings)
         err = _l2_distance(full, leading, f_leading, grid, eta_star)
-        t_pe = breakthrough_window_time(full, hi, lo)
+        t_pe = breakthrough_window_time(full)
         return SweepRecord(pe=pe, l2_error=err, t_window=t_pe,
                            e_bt=breakthrough_error(t_pe, t_0), stats=full.stats)
     except AdsorptionError as exc:  # record and keep sweeping
@@ -134,16 +134,15 @@ def _record(params: DimensionlessParameters, settings: WaveSolverSettings,
 
 def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
               settings: WaveSolverSettings | None = None,
-              eta_star: float = DEFAULT_ETA_STAR,
-              hi: float = THRESHOLD_HI, lo: float = THRESHOLD_LO) -> list[SweepRecord]:
+              eta_star: float = DEFAULT_ETA_STAR) -> list[SweepRecord]:
     """Solve the front for every grid Pe and compare against the Pe = 0 front.
 
     The leading-order profile is computed, and sampled on the L2 grid, once;
     every positive Pe gets its own ``solve_full_wave`` and contributes the L2
-    distance, the breakthrough window time, its signed relative error and the
-    leg's counters.  Failures are recorded with an
-    error marker instead of aborting the sweep, and mark only the Pe that
-    failed.  Records are returned in grid order.  An ``eta_star`` that is not
+    distance, the breakthrough window time over F = THRESHOLD_LO to
+    THRESHOLD_HI, its signed relative error and the leg's counters.  Failures
+    are recorded with an error marker instead of aborting the sweep, and mark
+    only the Pe that failed.  Records are returned in grid order.  An ``eta_star`` that is not
     positive and finite is refused before any front is solved; one beyond
     ``settings.eta_span`` widens the span to it, so every front covers the
     L2 window.
@@ -153,9 +152,9 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
     if settings.eta_span < eta_star:
         settings = replace(settings, eta_span=eta_star)
     leading = solve_leading_order(params, settings)
-    t_0 = breakthrough_window_time(leading, hi, lo)
+    t_0 = breakthrough_window_time(leading)
     f_leading = leading.f_at(eta)
     return [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0) if pe == 0.0
             else _record(replace(params, pe=pe), settings, leading, f_leading, eta, t_0,
-                         eta_star, hi, lo)
+                         eta_star)
             for pe in grid.pe_values]

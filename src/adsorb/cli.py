@@ -1,9 +1,9 @@
 """Command-line front end: JSON config in, deterministic CSV/JSON artifacts out.
 
-``adsorb <mode> --config <path> [--out <dir>] [--seed-delta <float>]``, where the
-mode is one of ``nondim``, ``wave``, ``pde``, ``sweep``, ``isotherm`` and the flags
-may come before or after it.  ``parse_config`` is the only reader of the config
-document; the two flags override ``output.dir`` and ``solver.seed_delta``.  A CSV
+``adsorb <mode> --config <path> [--out <dir>]``, where the mode is one of
+``nondim``, ``wave``, ``pde``, ``sweep``, ``isotherm`` and the flags may come
+before or after it.  ``parse_config`` is the only reader of the config
+document; ``--out`` overrides ``output.dir``.  A CSV
 file starts with a comment carrying the toolkit version and a hash of the fully
 resolved configuration, a JSON file carries both as its ``"meta"`` object, and
 floats are written with 17 significant digits, so identical configs produce
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_ETA_STAR, THRESHOLD_HI, THRESHOLD_LO, SweepGrid, run_sweep
+from .analysis import DEFAULT_ETA_STAR, SweepGrid, run_sweep
 from .errors import AdsorptionError, ConfigError, DomainError, ExistenceError
 from .model import (
     DimensionlessParameters,
@@ -45,13 +45,11 @@ _PHYSICAL_FIELDS = [f for f in dataclasses.fields(PhysicalParameters) if f.name 
 _PHYSICAL_KEYS = {f.name for f in _PHYSICAL_FIELDS} | {"m", "n"}
 _DIMENSIONLESS_KEYS = {"da", "pe", "q_e", "alpha", "m", "n", "ell"}
 _SOLVER_DEFAULTS = {
-    **dataclasses.asdict(WaveSolverSettings()),  # rel_tol, abs_tol, seed_delta, eta_span
+    **dataclasses.asdict(WaveSolverSettings()),  # rel_tol, abs_tol, eta_span
     # pde_rel_tol, pde_abs_tol
     **{f"pde_{k}": v for k, v in dataclasses.asdict(PdeSolverSettings()).items()},
     "n_cells": 400,
     "eta_star": DEFAULT_ETA_STAR,
-    "threshold_hi": THRESHOLD_HI,
-    "threshold_lo": THRESHOLD_LO,
     "t_end": None,            # pde horizon; default 1.4 * ell * (q_e + Da)
     "n_snapshots": 101,
     "front_levels": [0.25, 0.5, 0.75],
@@ -185,7 +183,7 @@ def _build_dimensionless(section: dict, pe_override: float | None) -> Dimensionl
 
 
 def parse_config(document: str, mode_override: str | None = None, *,
-                 out: str | None = None, seed_delta: float | None = None) -> RunConfig:
+                 out: str | None = None) -> RunConfig:
     """Parse and validate a JSON config document, applying all defaults.
 
     Unknown keys and values of the wrong JSON type, NaN and Infinity among
@@ -193,8 +191,8 @@ def parse_config(document: str, mode_override: str | None = None, *,
     jointly given alpha and q_e that violate the isotherm; a model parameter
     outside its domain is the parameter types' ``DomainError``.  Solver
     values are left to the solvers, which also refuse orders with m > n in
-    wave and sweep modes.  ``out`` and ``seed_delta``, when given, replace
-    ``output.dir`` and ``solver.seed_delta`` and are checked as those keys are.
+    wave and sweep modes.  ``out``, when given, replaces ``output.dir`` and is
+    checked as that key is.
     """
     try:
         raw = json.loads(document)
@@ -231,8 +229,6 @@ def parse_config(document: str, mode_override: str | None = None, *,
 
     solver = dict(_SOLVER_DEFAULTS)
     given_solver = _section(raw, "solver", set(_SOLVER_DEFAULTS))
-    if seed_delta is not None:
-        given_solver = {**given_solver, "seed_delta": seed_delta}
     _check_types("solver", given_solver,
                  nullable={k for k, v in _SOLVER_DEFAULTS.items() if v is None})
     solver.update(given_solver)
@@ -511,8 +507,7 @@ def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
     s = config.solver
     grid = SweepGrid(tuple(float(v) for v in s["pe_values"]))
     records = run_sweep(config.params, grid, settings=_wave_settings(config),
-                        eta_star=float(s["eta_star"]), hi=float(s["threshold_hi"]),
-                        lo=float(s["threshold_lo"]))
+                        eta_star=float(s["eta_star"]))
     rows = [(r.pe, r.l2_error, r.t_window, r.e_bt) for r in records]
     failures = {str(r.pe): r.error for r in records if r.error}
     counters = {str(r.pe): {k: getattr(r.stats, k) for k in ("nfev", "njev", "nlu", "steps")}
@@ -555,8 +550,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True, help="path to the JSON config document")
     parser.add_argument("--out", help="output directory (overrides output.dir)")
-    parser.add_argument("--seed-delta", type=float,
-                        help="backward-integration seed for wave solves")
     args = parser.parse_args(argv)
 
     try:
@@ -564,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
             document = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
-        paths = run(parse_config(document, args.mode, out=args.out, seed_delta=args.seed_delta))
+        paths = run(parse_config(document, args.mode, out=args.out))
     except AdsorptionError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return (2 if isinstance(exc, (ConfigError, DomainError))

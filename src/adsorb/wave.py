@@ -21,15 +21,15 @@ by z = Z_HEAD, where 1 - F is about 1e-13 and finer steps in 1 - F no longer
 differ in double precision.
 
 For Pe = 0, F' = h0(F) and the integral is a plain quadrature.  For Pe > 0,
-F' comes from one scalar leg that integrates w = ln(-F') over z from a seed
-next to the clean state up to 1 - F = F_STOP.  Increasing z is backward eta,
-the only stable direction: in forward eta the layer dynamics repel
-trajectories from the slow manifold at rate q_e v / Pe.  The clean state's
-linearisation sets the seed and F' below it, in ``_leg_field``; past the
-leg's end F' = h0(F).  The leg stays stiff at any Pe once the clean state is
-degenerate (layer rate O(1) against an unbounded slow crawl), so it is
-integrated implicitly, by the Radau IIA scheme of order 5 written out for one
-equation in Python floats.
+F' comes from one scalar leg that integrates w = ln(-F') over z from the seed
+F = F_STOP next to the clean state up to 1 - F = F_STOP, so over [-Z_STOP,
+Z_STOP].  Increasing z is backward eta, the only stable direction: in forward
+eta the layer dynamics repel trajectories from the slow manifold at rate
+q_e v / Pe.  The clean state's linearisation sets the seed slope and F' below
+the seed, in ``_leg_field``; past the leg's end F' = h0(F).  The leg stays
+stiff at any Pe once the clean state is degenerate (layer rate O(1) against an
+unbounded slow crawl), so it is integrated implicitly, by the Radau IIA scheme
+of order 5 written out for one equation in Python floats.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .stats import (
 F_ENDPOINT_TOL = 1e-4      # far-field closeness required of a returned profile
 NORMALIZATION_TOL = 1e-8   # largest |F(0) - 1/2| of a profile
 
-F_STOP = 1e-6              # distance from a far-field state where a front may end
+F_STOP = 1e-6              # distance from a far-field state where a front may end; the leg's seed
 Z_STOP = math.log((1.0 - F_STOP) / F_STOP)  # |z| where F is within F_STOP of a far field
 Z_STEP = 0.01              # sample spacing in z; eta spacing 0.018 on the q_e = 0.7 logistic
 # z limits of the saturated and clean sides: past z = 30 samples 1% apart in
@@ -70,21 +70,18 @@ class WaveSolverSettings:
 
     The tolerances apply to the Radau leg of the Pe > 0 front, with the
     meaning of scipy's ``rtol`` and ``atol``; the Pe = 0 front is a
-    fixed-step quadrature.  Construction refuses a tolerance that is not
-    finite, a ``rel_tol`` <= 0, an ``abs_tol`` < 0, a ``seed_delta`` outside
-    (0, 1/2), where a seed is not on the clean side of the front, and an
-    ``eta_span`` that is not finite.
+    fixed-step quadrature.  The leg's seed is not a setting: it is F =
+    F_STOP, the distance from the clean state at which the front may end.
+    Construction refuses a tolerance that is not finite, a ``rel_tol`` <= 0,
+    an ``abs_tol`` < 0 and an ``eta_span`` that is not finite.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    seed_delta: float = 1e-6       # F value of the backward-integration seed, in (0, 1/2)
     eta_span: float = 22.0         # half-window around F(0) = 1/2, short only at z = Z_HEAD
 
     def __post_init__(self):
         _check_tolerances(self.rel_tol, self.abs_tol)
-        if not 0.0 < self.seed_delta < 0.5:
-            raise DomainError(f"seed_delta must lie in (0, 1/2), got {self.seed_delta!r}")
         if not math.isfinite(self.eta_span):
             raise DomainError(f"eta_span must be finite, got {self.eta_span!r}")
 
@@ -367,7 +364,7 @@ THETA_REF = 0.1  # Newton contraction rate that step growth aims at
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old) -> float:
     if error_norm == 0.0:
         return math.inf
-    if error_norm_old is None or h_abs_old is None:
+    if error_norm_old is None or not h_abs_old:  # no history, or a first step of 0
         multiplier = 1.0
     else:
         multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
@@ -598,31 +595,35 @@ def solve_full_wave(params: DimensionlessParameters,
                     settings: WaveSolverSettings | None = None) -> WaveProfile:
     """Heteroclinic front of the full equation for Pe > 0, normalized to F(0) = 1/2.
 
-    The solver seeds at F = seed_delta next to the clean state and integrates
-    w = ln(-F') with Radau over increasing z, which is backward eta, up to
-    1 - F = F_STOP; in reverse eta the saturated state attracts along both
-    eigendirections, so the connection is recovered without shooting.  F'
-    has one law in each of three regions: below the seed the clean-side law
-    ``tail`` of ``_leg_field``, which also sets the seed; the leg in between;
-    and h0(F) above the leg.  eta is the quadrature of F (1 - F) / F' from the
-    anchor z = 0, never a state of the leg, so the anchor keeps full precision
-    however far the seed lies from it.  The profile carries the leg's counters.
+    The solver seeds at F = F_STOP next to the clean state, z = -Z_STOP, and
+    integrates w = ln(-F') with Radau over increasing z, which is backward
+    eta, up to 1 - F = F_STOP, z = Z_STOP; in reverse eta the saturated state
+    attracts along both eigendirections, so the connection is recovered
+    without shooting.  F' has one law in each of three regions: below the seed
+    the clean-side law ``tail`` of ``_leg_field``, which also sets the seed;
+    the leg in between; and h0(F) above the leg.  eta is the quadrature of
+    F (1 - F) / F' from the anchor z = 0, never a state of the leg, so the
+    anchor keeps full precision.  A seed slope that is not negative, or a leg
+    whose arithmetic overflows or divides by an underflowed zero, raises
+    ``ConvergenceError``.  The profile carries the leg's counters.
     """
     settings = settings or WaveSolverSettings()
     _require_front(params)
     if params.pe == 0.0:
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
-    delta = settings.seed_delta
-    z_seed = math.log(delta / (1.0 - delta))
     rhs, jac, tail = _leg_field(params)
+    seed_slope = tail(F_STOP)
+    if not seed_slope < 0.0:  # -0.0 once b * b overflows at an extreme Pe
+        raise ConvergenceError(f"seed slope F' = {seed_slope!r} at F = {F_STOP!r} "
+                               "is not negative")
     try:
-        w_at, stats = _radau_leg(rhs, jac, z_seed, math.log(-tail(delta)), Z_STOP,
+        w_at, stats = _radau_leg(rhs, jac, -Z_STOP, math.log(-seed_slope), Z_STOP,
                                  settings.rel_tol, settings.abs_tol)
-    except OverflowError as exc:
-        raise ConvergenceError(f"backward leg from the seed overflowed: {exc}") from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConvergenceError(f"backward leg from the seed failed: {exc}") from exc
 
     def f_prime(z):
-        below, above = z < z_seed, z > Z_STOP
+        below, above = z < -Z_STOP, z > Z_STOP
         leg = ~(below | above)
         out = np.empty_like(z)
         out[below] = tail(_expit(z[below]))

@@ -157,7 +157,7 @@ class TestParseConfig:
     def test_default_hash_is_pinned(self):
         # the resolved defaults of a minimal wave document; a drift in any
         # default value moves every artifact's provenance header
-        pinned = "5a80fc2a0ce3c162e0c60bb356ba5bd28b43d7e48e9557e323361195055531f2"
+        pinned = "4e419f381c82e7201a7b8027e215400a2b6f0fb7efcc39214ebada902d31e83b"
         assert parse_config(wave_doc()).config_hash == pinned
         nulls = {**json.loads(wave_doc()), "solver": None, "isotherm": None, "output": None}
         assert parse_config(json.dumps(nulls)).config_hash == pinned
@@ -284,6 +284,21 @@ class TestParseConfig:
             parse_config(json.dumps({"mode": "sweep", "solver": {"n_quad": 2001},
                                      "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0,
                                                        "m": 1, "n": 1}}))
+        # the leg's seed and the breakthrough window are constants, not settings
+        removed = {"seed_delta": 1e-6, "threshold_hi": 1e-2, "threshold_lo": 1e-4}
+        with pytest.raises(ConfigError,
+                           match="unknown keys in solver: seed_delta, threshold_hi, threshold_lo"):
+            parse_config(json.dumps({**json.loads(wave_doc()), "solver": removed}))
+
+    def test_removed_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(wave_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["wave", "--seed-delta", "1e-6", "--config", str(cfg),
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--seed-delta" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_exactly_one_parameter_section(self):
         with pytest.raises(ConfigError):
@@ -652,36 +667,34 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().err)["error"] == "ExistenceError"
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("mode,solver,flags,message", [
-        ("wave", {}, ["--seed-delta=-1e-6"], "seed_delta"),
-        ("wave", {"seed_delta": 0.5}, [], "seed_delta"),
-        ("wave", {"rel_tol": 0}, [], "rel_tol"),
-        ("wave", {"rel_tol": -1}, [], "rel_tol"),
-        ("sweep", {"rel_tol": -1}, [], "rel_tol"),
-        ("sweep", {"eta_star": -1.0, "pe_values": [0.0, 0.1]}, [], "eta_star"),
-        ("sweep", {"pe_values": [0.1, 0.0]}, [], "increase strictly"),
-        ("pde", {"n_cells": 8}, [], "16 nodes"),
-        ("pde", {"pde_rel_tol": 0}, [], "rel_tol"),
-        ("pde", {"pde_rel_tol": 1e-15}, [], "rel_tol"),
-        ("pde", {"pde_abs_tol": -1e-9}, [], "abs_tol"),
-        ("pde", {"pde_abs_tol": 0}, [], "abs_tol"),
-        ("pde", {"t_end": 0}, [], "t_end"),
-        ("pde", {"n_snapshots": 0}, [], "n_snapshots"),
-        ("pde", {"n_snapshots": -3}, [], "n_snapshots"),
-        ("pde", {"n_snapshots": 1}, [], "n_snapshots"),
-        ("pde", {"front_levels": [0.5, 1.0]}, [], "level"),
-        ("pde", {"front_levels": [0.0]}, [], "level"),
-        ("pde", {"fit_start": 3.0, "fit_end": 3.0}, [], "fit window"),
-        ("pde", {"fit_start": 3.0, "fit_end": 2.0}, [], "fit window"),
+    @pytest.mark.parametrize("mode,solver,message", [
+        ("wave", {"rel_tol": 0}, "rel_tol"),
+        ("wave", {"rel_tol": -1}, "rel_tol"),
+        ("sweep", {"rel_tol": -1}, "rel_tol"),
+        ("sweep", {"eta_star": -1.0, "pe_values": [0.0, 0.1]}, "eta_star"),
+        ("sweep", {"pe_values": [0.1, 0.0]}, "increase strictly"),
+        ("pde", {"n_cells": 8}, "16 nodes"),
+        ("pde", {"pde_rel_tol": 0}, "rel_tol"),
+        ("pde", {"pde_rel_tol": 1e-15}, "rel_tol"),
+        ("pde", {"pde_abs_tol": -1e-9}, "abs_tol"),
+        ("pde", {"pde_abs_tol": 0}, "abs_tol"),
+        ("pde", {"t_end": 0}, "t_end"),
+        ("pde", {"n_snapshots": 0}, "n_snapshots"),
+        ("pde", {"n_snapshots": -3}, "n_snapshots"),
+        ("pde", {"n_snapshots": 1}, "n_snapshots"),
+        ("pde", {"front_levels": [0.5, 1.0]}, "level"),
+        ("pde", {"front_levels": [0.0]}, "level"),
+        ("pde", {"fit_start": 3.0, "fit_end": 3.0}, "fit window"),
+        ("pde", {"fit_start": 3.0, "fit_end": 2.0}, "fit window"),
     ])
-    def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, flags, message):
+    def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, message):
         # a solver-section value outside its domain is the solvers' DomainError:
         # exit 2, one JSON line, no artifact
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1, ell=5.0)), "mode": mode,
                                    "solver": solver}))
         out = tmp_path / "o"
-        assert main([mode, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         err = json.loads(err)
@@ -709,6 +722,19 @@ class TestMainEntry:
         assert err["error"] == "CoverageError" and message in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("pe", [1e-300, 1e300])
+    def test_extreme_pe_exit_code(self, tmp_path, capsys, pe):
+        # at Pe = 1e-300 F'^2 underflows to 0 on the leg; at Pe = 1e300 the
+        # saddle's b^2 overflows and the seed slope rounds to -0.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(wave_doc(pe=pe))
+        out = tmp_path / "o"
+        assert main(["wave", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ConvergenceError"
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("error,code", [
         (ConfigError, 2), (DomainError, 2), (ExistenceError, 3),
         (ConvergenceError, 4), (CoverageError, 4),
@@ -730,17 +756,15 @@ class TestMainEntry:
         doc = json.loads(wave_doc(pe=0.1))
         flagged, written = tmp_path / "flagged.json", tmp_path / "written.json"
         flagged.write_text(json.dumps(doc))
-        written.write_text(json.dumps({**doc, "solver": {"seed_delta": 2e-6},
-                                       "output": {"dir": str(tmp_path / "b")}}))
+        written.write_text(json.dumps({**doc, "output": {"dir": str(tmp_path / "b")}}))
         # the flags may come before or after the mode
-        assert main(["--seed-delta", "2e-6", "--out", str(tmp_path / "a"), "wave",
-                     "--config", str(flagged)]) == 0
+        assert main(["--out", str(tmp_path / "a"), "wave", "--config", str(flagged)]) == 0
         assert main(["wave", "--config", str(written)]) == 0
         for name in ("wave_profile.csv", "wave_meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        config = parse_config(flagged.read_text(), "wave", out="x", seed_delta=2e-6)
+        config = parse_config(flagged.read_text(), "wave", out="x")
         assert config.config_hash == parse_config(written.read_text()).config_hash
-        assert config.solver["seed_delta"] == 2e-6 and config.output["dir"] == "x"
+        assert config.output["dir"] == "x"
 
     def test_console_entry_point(self, tmp_path, child_env):
         cfg = tmp_path / "cfg.json"

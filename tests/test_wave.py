@@ -28,7 +28,7 @@ from adsorb.wave import (
     solve_leading_order,
 )
 from adsorb.wave import (
-    Z_STEP, Z_STOP, _collocation, _leg_field, _radau_leg,
+    F_STOP, Z_STEP, Z_STOP, _collocation, _leg_field, _predict_factor, _radau_leg,
 )
 
 from conftest import ADMISSIBLE_FAMILIES, equilibrium_polynomial_direct, params_for
@@ -214,28 +214,34 @@ class TestFullWaveSolver:
         with pytest.raises(ExistenceError):
             solve_full_wave(params_for(pe=0.1, m=3, n=2))
 
+    @pytest.mark.parametrize("pe", [1e-300, 1e300])
+    @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES + [(4, 8)])
+    def test_extreme_pe_solves_or_raises_convergence_error(self, m, n, pe):
+        # an underflowed first step or F'^2, or an overflowed seed slope, is a
+        # ConvergenceError; a front that does solve at Pe = 1e-300 is the
+        # reduced front
+        p = params_for(pe=pe, m=m, n=n)
+        try:
+            w = solve_full_wave(p)
+        except ConvergenceError:
+            return
+        assert pe < 1.0
+        lead = solve_leading_order(p)
+        for level in (1e-2, 0.5, 0.99):
+            assert w.eta_at(level) == pytest.approx(lead.eta_at(level), abs=1e-4)
+
+    def test_zero_previous_step_counts_as_no_history(self):
+        # a first step that underflowed to 0 leaves h_abs_old = 0.0
+        assert _predict_factor(1e-3, 0.0, 0.5, 0.8) == _predict_factor(1e-3, None, 0.5, 0.8)
+
     @pytest.mark.parametrize("tolerances", [
         {"rel_tol": 0.0}, {"rel_tol": -1e-8}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
         {"abs_tol": -1e-10}, {"abs_tol": math.inf}, {"abs_tol": math.nan},
         {"eta_span": math.inf}, {"eta_span": math.nan},
-        # a seed off the clean side of the front
-        {"seed_delta": -1e-6}, {"seed_delta": 0.0}, {"seed_delta": 0.5}, {"seed_delta": math.nan},
     ])
     def test_settings_refuse_bad_tolerances(self, tolerances):
         with pytest.raises(DomainError, match=next(iter(tolerances))):
             WaveSolverSettings(**tolerances)
-
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2)])
-    def test_seed_beyond_anchor_split(self, m, n):
-        # a seed at F = 2e-2 hands more of the tail to the reduced flow, but
-        # the anchor and the head must not move
-        p = params_for(pe=0.5, m=m, n=n)
-        settings = WaveSolverSettings(seed_delta=2e-2)
-        w = solve_full_wave(p, settings)
-        assert np.all(np.diff(w.f) < 0.0)
-        assert abs(float(w.f_at(0.0)) - 0.5) < 1e-8
-        assert w.window[0] <= -settings.eta_span and w.window[1] >= settings.eta_span
-        assert w.eta_at(0.9) == pytest.approx(solve_full_wave(p).eta_at(0.9), abs=1e-4)
 
     def test_slow_manifold_attraction_improves_with_small_pe(self):
         def manifold_distance(pe):
@@ -265,8 +271,8 @@ class TestScalarRadauLeg:
         # scipy's Radau at rtol 1e-12 is the oracle for the default-tolerance leg
         p = params_for(pe=pe, m=m, n=n)
         settings = WaveSolverSettings()
-        z_seed = math.log(settings.seed_delta / (1.0 - settings.seed_delta))
-        w_seed = math.log(-leading_order_rhs(settings.seed_delta, p))
+        z_seed = -Z_STOP
+        w_seed = math.log(-leading_order_rhs(F_STOP, p))
         rhs, jac, _ = _leg_field(p)
         w_at, _ = _radau_leg(rhs, jac, z_seed, w_seed, Z_STOP,
                              settings.rel_tol, settings.abs_tol)
@@ -478,12 +484,11 @@ class TestCleanSaddleTail:
     @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tail_follows_the_eigendirection(self, n, pe):
-        # eta_span 60 samples the tail well below the default seed F = 1e-6
+        # eta_span 60 samples the tail well below the seed F = F_STOP
         p = params_for(pe=pe, n=n)
         w = solve_full_wave(p, WaveSolverSettings(eta_span=60.0))
         rate = _leg_field(p)[2](1.0)
-        delta = WaveSolverSettings().seed_delta
-        below = np.log(w.f) - np.log1p(-w.f) < math.log(delta / (1.0 - delta))
+        below = np.log(w.f) - np.log1p(-w.f) < -Z_STOP
         decay = (1.0 - w.f) / w.deta_dz  # F' / F, with d eta / dz = F (1 - F) / F'
         assert below.sum() > 10
         assert_allclose(decay[below], rate, rtol=1e-12)
@@ -491,7 +496,7 @@ class TestCleanSaddleTail:
         # the reduced flow h0 is off by O(Pe)
         last_on_leg = decay[np.argmax(below) - 1]
         assert last_on_leg == pytest.approx(rate, rel=1e-5)
-        assert abs(leading_order_rhs(delta, p) / delta / rate - 1.0) > 5e-3
+        assert abs(leading_order_rhs(F_STOP, p) / F_STOP / rate - 1.0) > 5e-3
 
 
 class TestCleanSideLaw:
@@ -500,12 +505,11 @@ class TestCleanSideLaw:
     @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 4)])
     def test_degenerate_tail_follows_the_slow_set(self, m, n, pe):
-        # at the default seed F = 1e-6 the side ends within a sample of it,
-        # since -Z_STOP is its log-odds; a seed at 1e-3 leaves samples below
+        # at the default eta_span the side ends within a sample of the seed,
+        # since -Z_STOP is its log-odds; ten times the window leaves samples below
         p = params_for(pe=pe, m=m, n=n)
-        delta = 1e-3
-        w = solve_full_wave(p, WaveSolverSettings(seed_delta=delta))
-        below = np.log(w.f) - np.log1p(-w.f) < math.log(delta / (1.0 - delta))
+        w = solve_full_wave(p, WaveSolverSettings(eta_span=10.0 * solve_full_wave(p).window[1]))
+        below = np.log(w.f) - np.log1p(-w.f) < -Z_STOP
         assert below.sum() > 100
         f = w.f[below]
         assert_allclose(f * (1.0 - f) / w.deta_dz[below], leading_order_rhs(f, p), rtol=1e-12)
