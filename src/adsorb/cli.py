@@ -1,13 +1,13 @@
-"""Command-line front end: JSON config in, deterministic CSV/JSON artifacts out.
+"""Command-line front end: JSON config in, deterministic artifacts out.
 
 ``adsorb <mode> --config <path> [--out <dir>]``, where the mode is one of
 ``nondim``, ``wave``, ``pde``, ``sweep``, ``isotherm`` and the flags may come
 before or after it.  ``parse_config`` is the only reader of the config
-document; ``--out`` overrides ``output.dir``.  A CSV
-file starts with a comment carrying the toolkit version and a hash of the fully
-resolved configuration, a JSON file carries both as its ``"meta"`` object, and
-floats are written with 17 significant digits, so identical configs produce
-byte-identical artifacts.
+document; ``--out`` overrides ``output.dir``, its one output setting.  Tables
+are CSV files, which start with a comment carrying the toolkit version and a
+hash of the fully resolved configuration; metadata documents are JSON files,
+which carry both as their ``"meta"`` object.  Floats are written with 17
+significant digits, so identical configs produce byte-identical artifacts.
 Table cells are the bytes of ``CELL_FORMAT % v``, written in blocks of rows by
 a numpy formatter that computes the digits exactly (``_format_cells``).
 """
@@ -60,7 +60,7 @@ _SOLVER_DEFAULTS = {
 _ISOTHERM_KEYS = {"c_in_values"}
 _INTEGER_KEYS = {"n_cells", "n_snapshots"}
 _LIST_KEYS = {"pe_values", "front_levels", "c_in_values"}
-_OUTPUT_DEFAULTS = {"dir": "out", "format": "csv"}
+_OUTPUT_DEFAULTS = {"dir": "out"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,12 +249,9 @@ def parse_config(document: str, mode_override: str | None = None, *,
         if "c_in_values" not in isotherm:
             isotherm["c_in_values"] = list(physical.c_in * np.logspace(-2.0, 2.0, 41))
 
-    output = dict(_OUTPUT_DEFAULTS)
-    output.update(_section(raw, "output", set(_OUTPUT_DEFAULTS)))
+    output = {**_OUTPUT_DEFAULTS, **_section(raw, "output", set(_OUTPUT_DEFAULTS))}
     if out is not None:
         output["dir"] = out
-    if output["format"] not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {output['format']!r}")
     if not isinstance(output["dir"], str):
         raise ConfigError(f"output.dir must be a string, got {output['dir']!r}")
 
@@ -273,7 +270,6 @@ def parse_config(document: str, mode_override: str | None = None, *,
         },
         "solver": solver,
         "isotherm": isotherm,
-        "output": {"format": output["format"]},
         "version": __version__,
     }
     return RunConfig(mode=mode, params=params, physical=physical, solver=solver,
@@ -373,35 +369,18 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def _text_blocks(table: np.ndarray):
-    """Yield the formatted cells of each block of rows, shaped (rows, columns, bytes)."""
-    for start in range(0, table.shape[0], _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        yield _format_cells(block).reshape(block.shape[0], block.shape[1], _CELL_BYTES)
-
-
 def _header(config: RunConfig) -> str:
     return f"# adsorb version={__version__} config_sha256={config.config_hash}\n"
 
 
 def _write_table(path: Path, config: RunConfig, names: list[str], columns) -> Path:
-    """Write equal-length float columns as a CSV table, or as JSON if configured.
-
-    Returns the path written: ``path``, or ``path`` with the suffix ``.json``.
-    """
+    """Write equal-length float columns to the CSV table ``path``, a block of rows at a time."""
     table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
-    if config.output["format"] == "json":
-        cells = []
-        for text in _text_blocks(table):
-            text[..., -1] = ord("\n")
-            cells += text[text != 0].tobytes().decode("ascii").splitlines()
-        return _write_json(path.with_suffix(".json"), config, {
-            "columns": names,
-            "rows": [cells[i:i + len(names)] for i in range(0, len(cells), len(names))],
-        })
     with path.open("wb") as out:
         out.write((_header(config) + ",".join(names) + "\n").encode("utf-8"))
-        for text in _text_blocks(table):
+        for start in range(0, table.shape[0], _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS]
+            text = _format_cells(block).reshape(block.shape[0], block.shape[1], _CELL_BYTES)
             text[:, :-1, -1] = ord(",")
             text[:, -1, -1] = ord("\n")
             out.write(text[text != 0].tobytes())
@@ -429,24 +408,28 @@ def write_wave_profile(table_path: Path, meta_path: Path, profile: WaveProfile,
 
 
 def read_wave_profile(table_path: Path, meta_path: Path) -> WaveProfile:
-    """Rebuild a WaveProfile from the wave-mode artifacts, whose window must match.
+    """Rebuild a WaveProfile from the wave-mode CSV table and meta document.
 
-    The table is read by its suffix: a ``.json`` table's rows hold the cell
-    text of the CSV table.
+    A missing file is an ``OSError``.  A malformed file, or a meta window that
+    is not the table's eta range, is a ``DomainError`` naming what is wrong.
     """
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    text = table_path.read_text(encoding="utf-8")
-    if table_path.suffix == ".json":
-        rows = json.loads(text)["rows"]
-    else:
-        rows = [line.split(",") for line in text.splitlines()
-                if line and not line.startswith("#")][1:]
-    data = np.array([[float(v) for v in row] for row in rows])
-    profile = WaveProfile(eta=data[:, 0], f=data[:, 1], g=data[:, 2],
-                          velocity=float(meta["velocity"]), pe=float(meta["pe"]))
-    window = tuple(float(v) for v in meta["window"])
+    rows = [line.split(",") for line in table_path.read_text(encoding="utf-8").splitlines()
+            if line and not line.startswith("#")][1:]
+    if not rows or any(len(row) != 3 for row in rows):
+        raise DomainError(f"{table_path} must hold data rows of 3 cells each")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise DomainError(f"{table_path} holds a cell that is not a number: {exc}") from exc
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        velocity, pe = float(meta["velocity"]), float(meta["pe"])
+        window = tuple(float(v) for v in meta["window"])
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise DomainError(f"{meta_path} is not a wave meta document: {exc!r}") from exc
+    profile = WaveProfile(eta=data[:, 0], f=data[:, 1], g=data[:, 2], velocity=velocity, pe=pe)
     if window != profile.window:
-        raise DomainError(f"meta window {window} does not match the sampled eta range "
+        raise DomainError(f"{meta_path}: window {window} does not match the sampled eta range "
                           f"{profile.window}")
     return profile
 
@@ -478,13 +461,16 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     grid = SpatialGrid(ell=config.params.ell, n_cells=int(s["n_cells"]))
     if int(s["n_snapshots"]) < 2:  # the snapshot count is this mode's own setting
         raise DomainError(f"n_snapshots must be at least 2, got {s['n_snapshots']!r}")
+    levels = s["front_levels"]  # one fitted speed and one block of front rows per level
+    if not levels or len(set(levels)) < len(levels):
+        raise DomainError(f"front_levels must be distinct and not empty, got {levels!r}")
     t_end, window = float(s["t_end"]), (float(s["fit_start"]), float(s["fit_end"]))
     times = np.linspace(0.0, t_end, int(s["n_snapshots"]))
     sol = solve_pde(config.params, grid, t_end, sample_times=times,
                     settings=PdeSolverSettings(rel_tol=float(s["pde_rel_tol"]),
                                                abs_tol=float(s["pde_abs_tol"])))
     # every result exists before the first file is written, so a refusal leaves none
-    tracks = [track_front(sol, float(level), window) for level in s["front_levels"]]
+    tracks = [track_front(sol, float(level), window) for level in levels]
     mass_residual_max = float(mass_balance_residual(sol).max())
     front_rows = [(track.level, t, pos) for track in tracks for t, pos in track.positions]
     return [
@@ -497,7 +483,7 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
                      np.reshape(front_rows, (-1, 3)).T),
         _write_json(out / "pde_meta.json", config, {
             "fitted_speeds": {str(level): track.fitted_speed
-                              for level, track in zip(s["front_levels"], tracks)},
+                              for level, track in zip(levels, tracks)},
             "fit_window": list(window), "velocity": config.params.velocity,
             "mass_residual_max": mass_residual_max, **dataclasses.asdict(sol.stats)}),
     ]
@@ -523,6 +509,8 @@ def _run_isotherm(config: RunConfig, out: Path) -> list[Path]:
     phys = config.physical
     k_l = phys.k_ad / phys.k_de
     c_in = [float(c) for c in config.isotherm["c_in_values"]]
+    if not c_in:
+        raise DomainError("c_in_values must not be empty")
     return [_write_table(out / "isotherm.csv", config, ["c_in", "q_e"],
                          [c_in, [float(sips_isotherm(c, k_l, phys.q_max, phys.orders))
                                  for c in c_in]])]

@@ -157,7 +157,7 @@ class TestParseConfig:
     def test_default_hash_is_pinned(self):
         # the resolved defaults of a minimal wave document; a drift in any
         # default value moves every artifact's provenance header
-        pinned = "4e419f381c82e7201a7b8027e215400a2b6f0fb7efcc39214ebada902d31e83b"
+        pinned = "9a8e4d8d131429c3151ee196899f9b374fc7b9198638bfd9d0a0e43fcdc73d8c"
         assert parse_config(wave_doc()).config_hash == pinned
         nulls = {**json.loads(wave_doc()), "solver": None, "isotherm": None, "output": None}
         assert parse_config(json.dumps(nulls)).config_hash == pinned
@@ -244,8 +244,6 @@ class TestParseConfig:
          "dimensionless must specify q_e or alpha"),
         ({**json.loads(wave_doc()), "mode": "isotherm"},
          "isotherm mode requires the physical section"),
-        ({**json.loads(wave_doc()), "output": {"format": "xml"}},
-         "output format must be csv or json"),
     ])
     def test_incomplete_documents_name_what_is_missing(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -289,6 +287,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError,
                            match="unknown keys in solver: seed_delta, threshold_hi, threshold_lo"):
             parse_config(json.dumps({**json.loads(wave_doc()), "solver": removed}))
+        # every table is CSV, so the output section holds the directory alone
+        with pytest.raises(ConfigError, match="unknown keys in output: format"):
+            parse_config(json.dumps({**json.loads(wave_doc()), "output": {"format": "json"}}))
 
     def test_removed_seed_flag_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -332,7 +333,7 @@ class TestParseConfig:
 
 
 # one small run of every mode, and of wave mode on both solvers
-JSON_RUNS = [
+MODE_RUNS = [
     pytest.param({"mode": "nondim", "physical": PHYSICAL, "pe": 0.1}, id="nondim"),
     pytest.param(json.loads(wave_doc(pe=0.0)), id="wave-pe0"),
     pytest.param(json.loads(wave_doc(pe=0.1)), id="wave-pe0.1"),
@@ -389,17 +390,16 @@ class TestRunners:
         assert abs(e_memory - e_file) <= 1e-12
 
     @pytest.mark.parametrize("pe", [0.0, 0.1])
-    def test_wave_rereads_both_formats_bit_identically(self, tmp_path, pe):
-        back = {}
-        for fmt in ("csv", "json"):
-            doc = {**json.loads(wave_doc(pe=pe)), "output": {"dir": str(tmp_path / fmt),
-                                                              "format": fmt}}
-            table, meta = run(parse_config(json.dumps(doc)))
-            assert table.suffix == f".{fmt}"
-            back[fmt] = read_wave_profile(table, meta)
+    def test_wave_reread_is_the_solved_profile_bit_for_bit(self, tmp_path, pe):
+        # 17 significant digits give every double back exactly
+        doc = {**json.loads(wave_doc(pe=pe)), "output": {"dir": str(tmp_path)}}
+        config = parse_config(json.dumps(doc))
+        back = read_wave_profile(*run(config))
+        solve = solve_leading_order if pe == 0.0 else solve_full_wave
+        memory = solve(config.params)
         for name in ("eta", "f", "g"):
-            assert np.array_equal(getattr(back["csv"], name), getattr(back["json"], name))
-        assert back["csv"].window == back["json"].window
+            assert np.array_equal(getattr(back, name), getattr(memory, name))
+        assert back.window == memory.window
 
     def test_wave_reread_refuses_a_window_off_the_table(self, tmp_path):
         doc = json.loads(wave_doc(pe=0.1))
@@ -411,6 +411,33 @@ class TestRunners:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(DomainError, match="does not match the sampled eta range"):
             read_wave_profile(tmp_path / "wave_profile.csv", meta_path)
+
+    @pytest.mark.parametrize("table_edit,meta_edit,bad,message", [
+        (lambda rows: rows[:3] + ["0.1,abc,0.5"] + rows[4:], None, "table",
+         "not a number"),
+        (lambda rows: rows[:3] + ["0.1,0.5"] + rows[4:], None, "table", "rows of 3 cells"),
+        (lambda rows: rows[:2], None, "table", "rows of 3 cells"),
+        (None, lambda meta: json.dumps({k: v for k, v in json.loads(meta).items()
+                                        if k != "velocity"}), "meta", "KeyError('velocity')"),
+        (None, lambda meta: meta[:-3], "meta", "JSONDecodeError"),
+    ], ids=["non-numeric-cell", "ragged-row", "no-data-rows", "no-velocity", "not-json"])
+    def test_wave_reread_refuses_malformed_artifacts(self, tmp_path, table_edit, meta_edit,
+                                                     bad, message):
+        # each is a DomainError naming the file, so a caller catches one type
+        doc = {**json.loads(wave_doc(pe=0.0)), "output": {"dir": str(tmp_path)}}
+        paths = dict(zip(("table", "meta"), run(parse_config(json.dumps(doc)))))
+        if table_edit is not None:
+            rows = paths["table"].read_text().splitlines()
+            paths["table"].write_text("\n".join(table_edit(rows)) + "\n")
+        if meta_edit is not None:
+            paths["meta"].write_text(meta_edit(paths["meta"].read_text()))
+        with pytest.raises(DomainError, match=re.escape(message)) as exc:
+            read_wave_profile(paths["table"], paths["meta"])
+        assert str(paths[bad]) in str(exc.value)
+
+    def test_wave_reread_of_a_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            read_wave_profile(tmp_path / "wave_profile.csv", tmp_path / "wave_meta.json")
 
     def test_sweep_paper_grid_row_count(self, tmp_path):
         doc = {"mode": "sweep",
@@ -469,10 +496,10 @@ class TestRunners:
         expected = sips_isotherm(2.835, 1.13 / 2.173e-4, 0.358, ReactionOrders(1, 1))
         assert c_in == 2.835 and q_e == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize("doc", JSON_RUNS)
-    def test_json_output_format(self, tmp_path, capsys, doc):
-        # main prints exactly the files it wrote, each a JSON document with its meta
-        doc = {**doc, "output": {"format": "json"}}
+    @pytest.mark.parametrize("doc", MODE_RUNS)
+    def test_main_prints_the_files_it_wrote(self, tmp_path, capsys, doc):
+        # each file carries the run's hash: a CSV table in its header line,
+        # a JSON metadata document in its meta
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -480,13 +507,14 @@ class TestRunners:
         printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
         assert all(path.is_file() for path in printed)
         assert set(printed) == set(out.iterdir())
-        config_hash = parse_config(json.dumps(doc)).config_hash
+        config = parse_config(json.dumps(doc))
         for path in printed:
-            assert path.suffix == ".json"
-            assert json.loads(path.read_text())["meta"]["config_sha256"] == config_hash
-        if doc["mode"] == "wave":
-            payload = json.loads((out / "wave_profile.json").read_text())
-            assert payload["columns"] == ["eta", "F", "G"]
+            if path.suffix == ".csv":
+                assert path.read_text().splitlines()[0] == _header(config).rstrip("\n")
+            else:
+                assert path.suffix == ".json"
+                meta = json.loads(path.read_text())["meta"]
+                assert meta["config_sha256"] == config.config_hash
 
 
 def formatted(values) -> list[str]:
@@ -535,17 +563,6 @@ class TestTableText:
         rows = "".join(",".join([CELL_FORMAT] * 4) % row + "\n" for row in zip(*columns.tolist()))
         assert (tmp_path / "table.csv").read_bytes() == \
             (_header(config) + "a,b,c,d\n" + rows).encode()
-
-    def test_json_rows_are_the_cell_format(self, tmp_path):
-        columns = [[float("nan"), -0.0, 5e-324, 1e-6, -1e17, 0.1],
-                   [float("inf"), 0.0, -2.5e-7, 9.999999999999999e16, 1.0, 1e300],
-                   [-float("inf"), 1e-300, 123.456, -1e-5, 2.0 ** 60, 1.0 / 3.0]]
-        doc = json.loads(wave_doc())
-        doc["output"] = {"dir": str(tmp_path), "format": "json"}
-        config = parse_config(json.dumps(doc))
-        _write_table(tmp_path / "table.csv", config, ["a", "b", "c"], columns)
-        payload = json.loads((tmp_path / "table.json").read_text())
-        assert payload["rows"] == [[CELL_FORMAT % v for v in row] for row in zip(*columns)]
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(2024)
@@ -684,6 +701,9 @@ class TestMainEntry:
         ("pde", {"n_snapshots": 1}, "n_snapshots"),
         ("pde", {"front_levels": [0.5, 1.0]}, "level"),
         ("pde", {"front_levels": [0.0]}, "level"),
+        # each level is one key of fitted_speeds and one block of pde_front.csv
+        ("pde", {"front_levels": [0.5, 0.5]}, "front_levels must be distinct and not empty"),
+        ("pde", {"front_levels": []}, "front_levels must be distinct and not empty"),
         ("pde", {"fit_start": 3.0, "fit_end": 3.0}, "fit window"),
         ("pde", {"fit_start": 3.0, "fit_end": 2.0}, "fit window"),
     ])
@@ -700,6 +720,16 @@ class TestMainEntry:
         err = json.loads(err)
         assert err["error"] == "DomainError" and message in err["message"]
         assert not out.exists() or not any(out.iterdir())
+
+    def test_empty_inlet_grid_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "isotherm", "physical": PHYSICAL,
+                                   "isotherm": {"c_in_values": []}}))
+        out = tmp_path / "o"
+        assert main(["isotherm", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DomainError", "message": "c_in_values must not be empty"}
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("solver,message", [
         # the solution never crosses level 0.75 in the fit window
