@@ -413,8 +413,11 @@ def read_wave_profile(table_path: Path, meta_path: Path) -> WaveProfile:
     A missing file is an ``OSError``.  A malformed file, or a meta window that
     is not the table's eta range, is a ``DomainError`` naming what is wrong.
     """
-    rows = [line.split(",") for line in table_path.read_text(encoding="utf-8").splitlines()
-            if line and not line.startswith("#")][1:]
+    lines = [line for line in table_path.read_text(encoding="utf-8").splitlines()
+             if line and not line.startswith("#")]
+    if not lines or lines[0] != "eta,F,G":
+        raise DomainError(f"{table_path} must begin with the column header line eta,F,G")
+    rows = [line.split(",") for line in lines[1:]]
     if not rows or any(len(row) != 3 for row in rows):
         raise DomainError(f"{table_path} must hold data rows of 3 cells each")
     try:
@@ -427,7 +430,11 @@ def read_wave_profile(table_path: Path, meta_path: Path) -> WaveProfile:
         window = tuple(float(v) for v in meta["window"])
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise DomainError(f"{meta_path} is not a wave meta document: {exc!r}") from exc
-    profile = WaveProfile(eta=data[:, 0], f=data[:, 1], g=data[:, 2], velocity=velocity, pe=pe)
+    try:
+        profile = WaveProfile(eta=data[:, 0], f=data[:, 1], g=data[:, 2], velocity=velocity,
+                              pe=pe)
+    except DomainError as exc:
+        raise DomainError(f"{table_path} is not a wave profile: {exc}") from exc
     if window != profile.window:
         raise DomainError(f"{meta_path}: window {window} does not match the sampled eta range "
                           f"{profile.window}")
@@ -454,7 +461,7 @@ def _run_wave(config: RunConfig, out: Path) -> list[Path]:
 
 
 def _run_pde(config: RunConfig, out: Path) -> list[Path]:
-    # imported here so that no other mode loads scipy
+    # imported here: only this mode needs the column solver and its LAPACK binding
     from .pde import SpatialGrid, mass_balance_residual, solve_pde, track_front
 
     s = config.solver

@@ -22,18 +22,21 @@ acts on the full field through the closure map from the interior
 concentrations, and the rate law's partials r_c and r_q enter at every node.
 Each Newton matrix is solved through that structure: its q block is
 diagonal, so eliminating q leaves a tridiagonal system in the interior
-concentrations, which LAPACK's dgttrf factors.  ``scipy.linalg.lapack`` is
-the only scipy module this solver loads.
+concentrations, which LAPACK's dgttrf factors.  The solver calls dgttrf and
+dgttrs in the OpenBLAS that numpy's wheels bundle, so it loads no scipy
+module; where numpy's build does not export them, it takes them from
+``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import CellPecletWarning, ConvergenceError, CoverageError, DomainError
 from .model import DimensionlessParameters, _rate_law, _require_positive
@@ -107,6 +110,30 @@ class FrontTrack:
     fitted_speed: float
 
 
+@functools.cache
+def _numpy_tridiagonal_lapack():
+    """LAPACK's dgttrf and dgttrs in the OpenBLAS that numpy loads, or None.
+
+    numpy's pip wheels bundle an ILP64 OpenBLAS, whose integers are int64,
+    and it exports the two as ``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_``.
+    dlsym on the handle of numpy's own extension searches the libraries that
+    extension links, so the bundled library's file name is not needed.  Other
+    numpy builds (conda with MKL, Accelerate, distribution packages) need not
+    export them; they give None.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        dgttrf, dgttrs = lib.scipy_dgttrf_64_, lib.scipy_dgttrs_64_
+    except (OSError, AttributeError):  # not loadable as a library, or no such symbol
+        return None
+    # Fortran passes every argument by reference; dgttrs takes the length of
+    # its character argument TRANS as a trailing hidden argument by value
+    dgttrf.argtypes = [ctypes.c_void_p] * 7
+    dgttrs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+    dgttrf.restype = dgttrs.restype = None
+    return dgttrf, dgttrs
+
+
 class _Column:
     """The boundary closure, transport stencil and rate law of one solve's column.
 
@@ -139,7 +166,9 @@ class _Column:
 
     tridiagonal and strictly diagonally dominant while spacing/Pe < 2.
     ``factor`` runs LAPACK's dgttrf on S; ``solve`` runs dgttrs and
-    back-substitutes q.
+    back-substitutes q.  Both work in buffers bound to LAPACK once per
+    column, so the factors of S live there, and each ``factor`` replaces the
+    last one's: only the latest factorisation can be solved with.
     """
 
     def __init__(self, params: DimensionlessParameters, grid: SpatialGrid):
@@ -159,6 +188,37 @@ class _Column:
         self.band = (lower, main, upper)
         self.da = da
         self.rate, self.rate_q, self.rate_c = _rate_law(params)
+        # the Schur system's diagonals, factors, pivots and right-hand side, and
+        # LAPACK's integers n (= ldb), nrhs and info
+        self._dl, self._d, self._du = np.empty(k - 1), np.empty(k), np.empty(k - 1)
+        self._du2, self._ipiv, self._b = np.empty(k - 2), np.empty(k, dtype=np.int64), np.empty(k)
+        self._ints = np.array([k, 1, 0], dtype=np.int64)
+        self._dgttrf, self._dgttrs = self._bind_lapack()
+
+    def _bind_lapack(self):
+        """dgttrf and dgttrs on the Schur buffers, in place, as calls without arguments."""
+        buffers = self._dl, self._d, self._du, self._du2, self._ipiv, self._b
+        routines = _numpy_tridiagonal_lapack()
+        if routines is None:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+
+            dl, d, du, du2, ipiv, b = buffers
+
+            def factor():
+                dl[...], d[...], du[...], du2[...], ipiv[...], _ = dgttrf(dl, d, du)
+
+            def solve():
+                b[...], _ = dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+
+            return factor, solve
+        # the pointers hold no reference, so the column keeps every buffer alive
+        ints = self._ints
+        n, nrhs, info = (ctypes.c_void_p(ints.ctypes.data + i * ints.itemsize) for i in range(3))
+        dl, d, du, du2, ipiv, b = (ctypes.c_void_p(a.ctypes.data) for a in buffers)
+        dgttrf, dgttrs = routines
+        return (functools.partial(dgttrf, n, dl, d, du, du2, ipiv, info),
+                functools.partial(dgttrs, ctypes.c_char_p(b"N"), n, nrhs, dl, d, du, du2, ipiv,
+                                  b, n, info, 1))
 
     def full_field(self, c_interior: np.ndarray) -> np.ndarray:
         """The concentrations at every node, the boundaries from the closure.
@@ -186,19 +246,23 @@ class _Column:
         lower, main, upper = self.band
         q_diag = 1.0 - g * r_q
         take = g / (self.da * q_diag[1:-1])  # what the c rows take of the eliminated q, per r
-        dl, d, du, du2, ipiv, _ = dgttrf(-g * lower, 1.0 - g * main + take * r_c[1:-1],
-                                         -g * upper)
-        return (dl, d, du, du2, ipiv), q_diag, g * r_c, take * r_q[1:-1]
+        np.multiply(lower, -g, out=self._dl)
+        self._d[...] = 1.0 - g * main + take * r_c[1:-1]
+        np.multiply(upper, -g, out=self._du)
+        self._dgttrf()
+        return q_diag, g * r_c, take * r_q[1:-1]
 
     def solve(self, lu, b: np.ndarray) -> np.ndarray:
         """The solution x of M x = b for the factored M."""
-        schur, q_diag, g_r_c, q_weight = lu
+        q_diag, g_r_c, q_weight = lu
         k = self.k
         x = np.empty(b.size)
         x_c, x_q = x[:k], x[k:]
-        np.multiply(q_weight, b[k + 1:-1], out=x_c)
-        np.subtract(b[:k], x_c, out=x_c)
-        x_c[...], _ = dgttrs(*schur, x_c, overwrite_b=1)
+        schur_b = self._b
+        np.multiply(q_weight, b[k + 1:-1], out=schur_b)
+        np.subtract(b[:k], schur_b, out=schur_b)
+        self._dgttrs()
+        x_c[...] = schur_b
         # x_q = (b_q + g r_c E x_c) / (1 - g r_q), E x_c the change of the full field
         np.multiply(g_r_c[1:-1], x_c, out=x_q[1:-1])
         x_q[0] = g_r_c[0] * (self.inlet @ x_c[:2])

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import math
@@ -72,8 +73,9 @@ class TestImportIsolation:
         assert scipy_modules(code, child_env) == []
         assert (tmp_path / "out" / "wave_profile.csv").exists()
 
-    def test_pde_run_loads_no_integrate_or_sparse(self, tmp_path, child_env):
-        # the column's BDF needs LAPACK's tridiagonal routines and nothing more
+    def test_pde_run_loads_no_scipy(self, tmp_path, child_env):
+        # the column's BDF needs LAPACK's tridiagonal routines and nothing more:
+        # those in numpy's OpenBLAS where numpy exports them, else scipy's
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "pde", "dimensionless": {
             "q_e": 0.7, "da": 0.1, "pe": 0.5, "m": 1, "n": 1, "ell": 5.0},
@@ -81,8 +83,12 @@ class TestImportIsolation:
         argv = ["pde", "--config", str(cfg), "--out", str(tmp_path / "out")]
         code = f"from adsorb.cli import main\nassert main({argv!r}) == 0"
         loaded = scipy_modules(code, child_env)
-        assert "scipy.linalg.lapack" in loaded
-        assert [m for m in loaded if m.startswith(("scipy.integrate", "scipy.sparse"))] == []
+        if hasattr(ctypes.CDLL(np._core._multiarray_umath.__file__), "scipy_dgttrf_64_"):
+            assert loaded == []
+        else:
+            assert "scipy.linalg.lapack" in loaded
+            assert [m for m in loaded
+                    if m.startswith(("scipy.integrate", "scipy.sparse"))] == []
         assert (tmp_path / "out" / "pde_meta.json").exists()
 
 
@@ -420,7 +426,11 @@ class TestRunners:
         (None, lambda meta: json.dumps({k: v for k, v in json.loads(meta).items()
                                         if k != "velocity"}), "meta", "KeyError('velocity')"),
         (None, lambda meta: meta[:-3], "meta", "JSONDecodeError"),
-    ], ids=["non-numeric-cell", "ragged-row", "no-data-rows", "no-velocity", "not-json"])
+        (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], None, "table",
+         "eta samples must increase strictly"),
+        (lambda rows: rows[:1] + rows[2:], None, "table", "header line eta,F,G"),
+    ], ids=["non-numeric-cell", "ragged-row", "no-data-rows", "no-velocity", "not-json",
+            "rows-out-of-order", "no-header-line"])
     def test_wave_reread_refuses_malformed_artifacts(self, tmp_path, table_edit, meta_edit,
                                                      bad, message):
         # each is a DomainError naming the file, so a caller catches one type

@@ -1,6 +1,8 @@
+import ctypes
 import gc
 import math
 import sys
+import types
 
 import hypothesis
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.linalg.lapack import dgttrf, dgttrs
 
+from adsorb import pde
 from adsorb.errors import CellPecletWarning, ConvergenceError, CoverageError, DomainError
 from adsorb.model import _rate_law, nondimensionalize
 from adsorb.pde import (
@@ -286,6 +290,50 @@ def test_bdf_matches_scipy_step_for_step(m, n, n_cells, da, jac_format, q_e, abs
     k = n_cells - 2
     assert_allclose(sol.c[:, 1:-1], ref.y[:k].T, rtol=1e-10, atol=1e-14)
     assert_allclose(sol.q, ref.y[k:].T, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.skipif(pde._numpy_tridiagonal_lapack() is None,
+                    reason="numpy's build exports no dgttrf, so scipy's is the only route")
+@pytest.mark.parametrize("pivots", [False, True], ids=["dominant", "row-interchanges"])
+def test_numpy_lapack_binding_is_scipys_bit_for_bit(pivots):
+    # the column's buffers bound to numpy's OpenBLAS give scipy's factors,
+    # pivots and solution exactly; a small diagonal forces row interchanges
+    column = _Column(params_for(ell=5.0, pe=0.5), SpatialGrid(ell=5.0, n_cells=40))
+    rng = np.random.default_rng(3)
+    k = column.k
+    dl, du = rng.uniform(-1.0, 1.0, k - 1), rng.uniform(-1.0, 1.0, k - 1)
+    b = rng.uniform(-1.0, 1.0, k)
+    d = rng.uniform(-1.0, 1.0, k) * 1e-3 if pivots else 3.0 + rng.uniform(0.0, 1.0, k)
+    column._dl[...], column._d[...], column._du[...] = dl, d, du
+    column._dgttrf()
+    *factors, info = dgttrf(dl, d, du)
+    assert info == 0 == column._ints[2]
+    for bound, reference in zip((column._dl, column._d, column._du, column._du2, column._ipiv),
+                                factors):
+        assert np.array_equal(bound, reference)
+    assert np.any(column._ipiv != np.arange(1, k + 1)) == pivots
+    column._b[...] = b
+    column._dgttrs()
+    x, info = dgttrs(*factors, b)
+    assert info == 0 == column._ints[2]
+    assert np.array_equal(column._b, x)
+
+
+def test_scipy_fallback_solves_the_column_bit_for_bit(monkeypatch):
+    # where numpy exports no dgttrf the column takes scipy's: same fields, same work
+    p = params_for(m=2, n=3, ell=5.0, pe=0.5)
+    grid = SpatialGrid(ell=5.0, n_cells=32)
+    default = solve_pde(p, grid, t_end=2.0)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    pde._numpy_tridiagonal_lapack.cache_clear()
+    try:
+        assert pde._numpy_tridiagonal_lapack() is None
+        fallback = solve_pde(p, grid, t_end=2.0)
+    finally:
+        pde._numpy_tridiagonal_lapack.cache_clear()
+    assert np.array_equal(fallback.c, default.c)
+    assert np.array_equal(fallback.q, default.q)
+    assert fallback.stats == default.stats
 
 
 @pytest.mark.parametrize("pe, da", [(0.5, 0.1), (0.1, 0.007)])
