@@ -73,7 +73,7 @@ def l2_profile_error(full: WaveProfile, leading: WaveProfile,
     a head that reached saturation.
     """
     grid = _l2_grid(eta_star, n_points)
-    return _l2_distance(full, leading, leading.f_at(grid), grid, eta_star)
+    return _l2_distance(full, leading, leading.f_at(grid), grid)
 
 
 def _l2_grid(eta_star: float, n_points: int) -> np.ndarray:
@@ -84,7 +84,7 @@ def _l2_grid(eta_star: float, n_points: int) -> np.ndarray:
 
 
 def _l2_distance(full: WaveProfile, leading: WaveProfile, f_leading: np.ndarray,
-                 grid: np.ndarray, eta_star: float) -> float:
+                 grid: np.ndarray) -> float:
     """``l2_profile_error`` with the leading front already sampled on ``grid``.
 
     The full profile's coverage is checked first, then the leading one's.
@@ -92,9 +92,8 @@ def _l2_distance(full: WaveProfile, leading: WaveProfile, f_leading: np.ndarray,
     f_full = full.f_at(grid)
     for name, prof, values in (("full", full, f_full), ("leading", leading, f_leading)):
         if np.isnan(values).any():
-            raise CoverageError(
-                f"{name} profile window {prof.window} does not cover [-{eta_star}, {eta_star}]"
-            )
+            raise CoverageError(f"{name} profile window {prof.window} does not cover "
+                                f"[{float(grid[0])}, {float(grid[-1])}]")
     diff = f_full - f_leading
     return float(np.sqrt(np.trapezoid(diff * diff, grid)))
 
@@ -117,13 +116,13 @@ def breakthrough_error(t_pe: float, t_0: float) -> float:
     return (t_pe - t_0) / t_0
 
 
-def _record(params: DimensionlessParameters, settings: WaveSolverSettings,
-            leading: WaveProfile, f_leading: np.ndarray, grid: np.ndarray, t_0: float,
-            eta_star: float) -> SweepRecord:
+def _record(params: DimensionlessParameters, settings: WaveSolverSettings | None,
+            leading: WaveProfile, f_leading: np.ndarray, grid: np.ndarray,
+            t_0: float) -> SweepRecord:
     pe = params.pe
     try:
         full = solve_full_wave(params, settings)
-        err = _l2_distance(full, leading, f_leading, grid, eta_star)
+        err = _l2_distance(full, leading, f_leading, grid)
         t_pe = breakthrough_window_time(full)
         return SweepRecord(pe=pe, l2_error=err, t_window=t_pe,
                            e_bt=breakthrough_error(t_pe, t_0), stats=full.stats)
@@ -133,28 +132,22 @@ def _record(params: DimensionlessParameters, settings: WaveSolverSettings,
 
 
 def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
-              settings: WaveSolverSettings | None = None,
-              eta_star: float = DEFAULT_ETA_STAR) -> list[SweepRecord]:
+              settings: WaveSolverSettings | None = None) -> list[SweepRecord]:
     """Solve the front for every grid Pe and compare against the Pe = 0 front.
 
-    The leading-order profile is computed, and sampled on the L2 grid, once;
-    every positive Pe gets its own ``solve_full_wave`` and contributes the L2
-    distance, the breakthrough window time over F = THRESHOLD_LO to
-    THRESHOLD_HI, its signed relative error and the leg's counters.  Failures
-    are recorded with an error marker instead of aborting the sweep, and mark
-    only the Pe that failed.  Records are returned in grid order.  An ``eta_star`` that is not
-    positive and finite is refused before any front is solved; one beyond
-    ``settings.eta_span`` widens the span to it, so every front covers the
-    L2 window.
+    The leading-order profile is computed, and sampled on the L2 grid over
+    [-DEFAULT_ETA_STAR, DEFAULT_ETA_STAR], once; the fronts' sampled window,
+    ``wave.ETA_SPAN``, reaches past it.  Every positive Pe gets its own
+    ``solve_full_wave`` and contributes the L2 distance, the breakthrough
+    window time over F = THRESHOLD_LO to THRESHOLD_HI, its signed relative
+    error and the leg's counters.  Failures are recorded with an error
+    marker instead of aborting the sweep, and mark only the Pe that failed.
+    Records are returned in grid order.
     """
-    eta = _l2_grid(eta_star, DEFAULT_QUAD_POINTS)
-    settings = settings or WaveSolverSettings()
-    if settings.eta_span < eta_star:
-        settings = replace(settings, eta_span=eta_star)
-    leading = solve_leading_order(params, settings)
+    eta = _l2_grid(DEFAULT_ETA_STAR, DEFAULT_QUAD_POINTS)
+    leading = solve_leading_order(params)
     t_0 = breakthrough_window_time(leading)
     f_leading = leading.f_at(eta)
     return [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0) if pe == 0.0
-            else _record(replace(params, pe=pe), settings, leading, f_leading, eta, t_0,
-                         eta_star)
+            else _record(replace(params, pe=pe), settings, leading, f_leading, eta, t_0)
             for pe in grid.pe_values]

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_ETA_STAR, SweepGrid, run_sweep
+from .analysis import SweepGrid, run_sweep
 from .errors import AdsorptionError, ConfigError, DomainError, ExistenceError
 from .model import (
     DimensionlessParameters,
@@ -45,16 +45,13 @@ _PHYSICAL_FIELDS = [f for f in dataclasses.fields(PhysicalParameters) if f.name 
 _PHYSICAL_KEYS = {f.name for f in _PHYSICAL_FIELDS} | {"m", "n"}
 _DIMENSIONLESS_KEYS = {"da", "pe", "q_e", "alpha", "m", "n", "ell"}
 _SOLVER_DEFAULTS = {
-    **dataclasses.asdict(WaveSolverSettings()),  # rel_tol, abs_tol, eta_span
+    **dataclasses.asdict(WaveSolverSettings()),  # rel_tol, abs_tol
     # pde_rel_tol, pde_abs_tol
     **{f"pde_{k}": v for k, v in dataclasses.asdict(PdeSolverSettings()).items()},
     "n_cells": 400,
-    "eta_star": DEFAULT_ETA_STAR,
     "t_end": None,            # pde horizon; default 1.4 * ell * (q_e + Da)
     "n_snapshots": 101,
     "front_levels": [0.25, 0.5, 0.75],
-    "fit_start": None,        # default t_end / 2
-    "fit_end": None,          # default t_end
     "pe_values": None,        # default: the standard sweep grid
 }
 _ISOTHERM_KEYS = {"c_in_values"}
@@ -234,10 +231,6 @@ def parse_config(document: str, mode_override: str | None = None, *,
     solver.update(given_solver)
     if solver["t_end"] is None:
         solver["t_end"] = 1.4 * params.ell * (params.q_e + params.da)
-    if solver["fit_start"] is None:
-        solver["fit_start"] = 0.5 * solver["t_end"]
-    if solver["fit_end"] is None:
-        solver["fit_end"] = solver["t_end"]
     if solver["pe_values"] is None:
         solver["pe_values"] = list(SweepGrid.paper_default().pe_values)
 
@@ -452,9 +445,9 @@ def _run_nondim(config: RunConfig, out: Path) -> list[Path]:
 
 
 def _run_wave(config: RunConfig, out: Path) -> list[Path]:
-    settings = _wave_settings(config)
+    settings = _wave_settings(config)  # refused at any Pe, though only the leg reads them
     if config.params.pe == 0.0:
-        profile = solve_leading_order(config.params, settings)
+        profile = solve_leading_order(config.params)
     else:
         profile = solve_full_wave(config.params, settings)
     return write_wave_profile(out / "wave_profile.csv", out / "wave_meta.json", profile, config)
@@ -471,7 +464,8 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     levels = s["front_levels"]  # one fitted speed and one block of front rows per level
     if not levels or len(set(levels)) < len(levels):
         raise DomainError(f"front_levels must be distinct and not empty, got {levels!r}")
-    t_end, window = float(s["t_end"]), (float(s["fit_start"]), float(s["fit_end"]))
+    t_end = float(s["t_end"])
+    window = (0.5 * t_end, t_end)  # the speed is fitted once the front has formed
     times = np.linspace(0.0, t_end, int(s["n_snapshots"]))
     sol = solve_pde(config.params, grid, t_end, sample_times=times,
                     settings=PdeSolverSettings(rel_tol=float(s["pde_rel_tol"]),
@@ -499,8 +493,7 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
 def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
     s = config.solver
     grid = SweepGrid(tuple(float(v) for v in s["pe_values"]))
-    records = run_sweep(config.params, grid, settings=_wave_settings(config),
-                        eta_star=float(s["eta_star"]))
+    records = run_sweep(config.params, grid, settings=_wave_settings(config))
     rows = [(r.pe, r.l2_error, r.t_window, r.e_bt) for r in records]
     failures = {str(r.pe): r.error for r in records if r.error}
     counters = {str(r.pe): {k: getattr(r.stats, k) for k in ("nfev", "njev", "nlu", "steps")}

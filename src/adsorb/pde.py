@@ -11,8 +11,9 @@ the semi-discretisation: the boundary closure, the transport stencil and the
 bound rate law.  The ``c`` rows are the transport in difference form,
 west (c[i-1] - c[i]) + east (c[i+1] - c[i]), minus the rate over Da: the
 central-difference (Pe c_xx - c_x)/Da, exactly zero on a constant field.
-The right-hand side ``assemble_rhs``, the Jacobian's band, the solution's
-boundary values and the mass audit all read that one column.
+The right-hand side ``assemble_rhs``, the Jacobian's band and the
+solution's boundary values all read that one column; the boundary closure
+is the function ``_full_field``, which the mass audit calls without a column.
 
 The ``c`` rows are divided by Da, which makes the system stiff for small Da,
 so time integration is implicit: the variable-order BDF of scipy's ``BDF``,
@@ -62,6 +63,8 @@ class SpatialGrid:
 
     def __post_init__(self):
         _require_positive(ell=self.ell)
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, (int, np.integer)):
+            raise DomainError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 16:
             raise DomainError(f"need at least 16 nodes, got {self.n_cells}")
 
@@ -134,6 +137,22 @@ def _numpy_tridiagonal_lapack():
     return dgttrf, dgttrs
 
 
+def _full_field(c_interior: np.ndarray, w: float) -> np.ndarray:
+    """The concentrations at every node, the boundaries from the closure.
+
+    ``w`` = Pe/(2h) weighs the inlet's one-sided stencil (see ``_Column``).
+    The last axis of ``c_interior`` runs over the interior nodes; leading
+    axes (for example sample times) carry through.  The solver and the mass
+    audit both close the field here, so the audit needs no ``_Column``.
+    """
+    c = np.empty(c_interior.shape[:-1] + (c_interior.shape[-1] + 2,))
+    by_node, inner = c.T, c_interior.T
+    by_node[1:-1] = inner
+    by_node[0] = (1.0 + w * (4.0 * inner[0] - inner[1])) / (1.0 + 3.0 * w)
+    by_node[-1] = (4.0 * inner[-1] - inner[-2]) / 3.0
+    return c
+
+
 class _Column:
     """The boundary closure, transport stencil and rate law of one solve's column.
 
@@ -141,7 +160,7 @@ class _Column:
     nodes, q at every node].  The eliminated boundary conditions, inlet
     c_0 - Pe (-3 c_0 + 4 c_1 - c_2)/(2h) = 1 and outlet
     (3 c_N - 4 c_{N-1} + c_{N-2})/(2h) = 0, both one-sided and second order,
-    close the full field c = E c_interior + const (``full_field``).
+    close the full field c = E c_interior + const (``_full_field``).
     The closure map E is the identity on the interior nodes plus the
     boundaries' weights, ``inlet`` = (4w, -w)/(1+3w) on (c_1, c_2) with
     w = Pe/(2h) and ``outlet`` = (-1/3, 4/3) on (c_{N-2}, c_{N-1}).
@@ -220,23 +239,9 @@ class _Column:
                 functools.partial(dgttrs, ctypes.c_char_p(b"N"), n, nrhs, dl, d, du, du2, ipiv,
                                   b, n, info, 1))
 
-    def full_field(self, c_interior: np.ndarray) -> np.ndarray:
-        """The concentrations at every node, the boundaries from the closure.
-
-        The last axis of ``c_interior`` runs over the interior nodes; leading
-        axes (for example sample times) carry through.
-        """
-        c = np.empty(c_interior.shape[:-1] + (self.k + 2,))
-        by_node, inner = c.T, c_interior.T
-        by_node[1:-1] = inner
-        w = self.w
-        by_node[0] = (1.0 + w * (4.0 * inner[0] - inner[1])) / (1.0 + 3.0 * w)
-        by_node[-1] = (4.0 * inner[-1] - inner[-2]) / 3.0
-        return c
-
     def jacobian(self, state: np.ndarray):
         """The state-dependent part of J: (r_c, r_q) at every node."""
-        c = self.full_field(state[:self.k])
+        c = _full_field(state[:self.k], self.w)
         q = state[self.k:]
         return self.rate_c(c, q), self.rate_q(c, q)
 
@@ -279,7 +284,7 @@ def assemble_rhs(state: np.ndarray, column: _Column) -> np.ndarray:
     column's full field, with dq/dt the column's rate law at every node.
     """
     k = column.k
-    c = column.full_field(state[:k])
+    c = _full_field(state[:k], column.w)
     out = np.empty(state.size)
     dq = out[k:]
     dq[...] = column.rate(c, state[k:])
@@ -523,7 +528,7 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
     column = _Column(params, grid)
     samples, stats = _bdf(column, state0, t_end, sample_times, settings.rel_tol,
                           settings.abs_tol)
-    c = column.full_field(samples[:, : n - 2])
+    c = _full_field(samples[:, : n - 2], column.w)
     if sample_times[0] == 0.0:
         c[0] = c0_full
     return PdeSolution(grid=grid, times=sample_times, c=c, q=samples[:, n - 2:],
@@ -610,7 +615,7 @@ def mass_balance_residual(sol: PdeSolution) -> np.ndarray:
     x = sol.grid.nodes
     pe = sol.params.pe
     h = sol.grid.spacing
-    c = _Column(sol.params, sol.grid).full_field(sol.c[:, 1:-1]).T
+    c = _full_field(sol.c[:, 1:-1], pe / (2.0 * h)).T
     inlet = c[0] - pe * (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * h)
     outlet = c[-1] - pe * (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * h)
     storage = sol.params.da * np.trapezoid(c, x, axis=0) + np.trapezoid(sol.q, x, axis=1)

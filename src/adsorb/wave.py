@@ -16,7 +16,7 @@ solvers compute it on the log-odds axis z = ln(F / (1 - F)) as
 which anchors F(0) = 1/2 exactly and is sampled on a uniform z grid: uniform
 in eta across the logistic core, geometric in F (or 1 - F) in algebraic
 tails.  Each side runs outward from z = 0 until F is within F_STOP of its
-far-field state and |eta| >= eta_span, except that the saturated side stops
+far-field state and |eta| >= ETA_SPAN, except that the saturated side stops
 by z = Z_HEAD, where 1 - F is about 1e-13 and finer steps in 1 - F no longer
 differ in double precision.
 
@@ -58,6 +58,7 @@ NORMALIZATION_TOL = 1e-8   # largest |F(0) - 1/2| of a profile
 F_STOP = 1e-6              # distance from a far-field state where a front may end; the leg's seed
 Z_STOP = math.log((1.0 - F_STOP) / F_STOP)  # |z| where F is within F_STOP of a far field
 Z_STEP = 0.01              # sample spacing in z; eta spacing 0.018 on the q_e = 0.7 logistic
+ETA_SPAN = 22.0            # half-window around F(0) = 1/2, short only at z = Z_HEAD
 # z limits of the saturated and clean sides: past z = 30 samples 1% apart in
 # 1 - F round to the same double; past z = -708, F = e^z leaves the normal doubles
 Z_HEAD = 30.0
@@ -66,24 +67,21 @@ Z_TAIL = -690.0
 
 @dataclass(frozen=True)
 class WaveSolverSettings:
-    """Numerical settings shared by the front solvers.
+    """Tolerances of the Pe > 0 front's Radau leg.
 
-    The tolerances apply to the Radau leg of the Pe > 0 front, with the
-    meaning of scipy's ``rtol`` and ``atol``; the Pe = 0 front is a
-    fixed-step quadrature.  The leg's seed is not a setting: it is F =
-    F_STOP, the distance from the clean state at which the front may end.
-    Construction refuses a tolerance that is not finite, a ``rel_tol`` <= 0,
-    an ``abs_tol`` < 0 and an ``eta_span`` that is not finite.
+    They have the meaning of scipy's ``rtol`` and ``atol``; the Pe = 0
+    front is a fixed-step quadrature and takes no settings.  The leg's seed
+    and the sampled window are constants, not settings: the seed is F =
+    F_STOP, the distance from the clean state at which the front may end,
+    and each side reaches |eta| >= ETA_SPAN.  Construction refuses a
+    tolerance that is not finite, a ``rel_tol`` <= 0 and an ``abs_tol`` < 0.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    eta_span: float = 22.0         # half-window around F(0) = 1/2, short only at z = Z_HEAD
 
     def __post_init__(self):
         _check_tolerances(self.rel_tol, self.abs_tol)
-        if not math.isfinite(self.eta_span):
-            raise DomainError(f"eta_span must be finite, got {self.eta_span!r}")
 
 
 @dataclass(frozen=True)
@@ -291,12 +289,12 @@ def _require_front(params: DimensionlessParameters) -> None:
         )
 
 
-def _side(f_prime, sign: float, eta_span: float):
+def _side(f_prime, sign: float):
     """Samples (z, eta, F', d eta / dz) of one side of the front, outward from z = 0.
 
     The samples sit at z = 0, sign Z_STEP, 2 sign Z_STEP, ... and eta is the
     integral of F (1 - F) / F' from 0 by Simpson's rule on half steps.  The
-    side ends at the first sample past |z| = Z_STOP with |eta| >= eta_span, or
+    side ends at the first sample past |z| = Z_STOP with |eta| >= ETA_SPAN, or
     at its z limit; the sampled range doubles until one of them is reached.
     """
     cap = round((Z_HEAD if sign > 0.0 else -Z_TAIL) / Z_STEP)
@@ -308,16 +306,16 @@ def _side(f_prime, sign: float, eta_span: float):
         step = sign * Z_STEP / 6.0 * (slope[:-2:2] + 4.0 * slope[1::2] + slope[2::2])
         eta = np.concatenate(([0.0], np.cumsum(step)))
         z = z_half[::2]
-        done = (np.abs(z) >= Z_STOP) & (np.abs(eta) >= eta_span)
+        done = (np.abs(z) >= Z_STOP) & (np.abs(eta) >= ETA_SPAN)
         if done.any() or steps == cap:
             end = int(np.argmax(done)) + 1 if done.any() else z.size
             return z[:end], eta[:end], fp[::2][:end], slope[::2][:end]
         steps = min(2 * steps, cap)
 
 
-def _front(settings: WaveSolverSettings, f_prime):
+def _front(f_prime):
     """Samples (eta, F, F', d eta / dz) of the front whose slope at z is ``f_prime(z)``."""
-    head, tail = (_side(f_prime, sign, settings.eta_span) for sign in (1.0, -1.0))
+    head, tail = (_side(f_prime, sign) for sign in (1.0, -1.0))
     z, eta, fp, slope = (np.concatenate((h[::-1], t[1:])) for h, t in zip(head, tail))
     return eta, _expit(z), fp, slope
 
@@ -576,17 +574,15 @@ def _leg_field(params: DimensionlessParameters):
     return rhs, jac, tail
 
 
-def solve_leading_order(params: DimensionlessParameters,
-                        settings: WaveSolverSettings | None = None) -> WaveProfile:
+def solve_leading_order(params: DimensionlessParameters) -> WaveProfile:
     """Front profile of the reduced (Pe = 0) equation, normalized to F(0) = 1/2.
 
     ``params.pe`` is not read: the profile is labelled Pe = 0 with G = q_e F.
     eta(z) is the quadrature of F (1 - F) / h0(F) outward from z = 0 on each
-    side; no ODE is integrated.
+    side; no ODE is integrated, so no tolerance applies.
     """
-    settings = settings or WaveSolverSettings()
     _require_front(params)
-    eta, f, _, slope = _front(settings, lambda z: leading_order_rhs(_expit(z), params))
+    eta, f, _, slope = _front(lambda z: leading_order_rhs(_expit(z), params))
     return WaveProfile(eta=eta, f=f, g=params.q_e * f, velocity=params.velocity, pe=0.0,
                        deta_dz=slope)
 
@@ -631,6 +627,6 @@ def solve_full_wave(params: DimensionlessParameters,
         out[above] = leading_order_rhs(_expit(z[above]), params)
         return out
 
-    eta, f, fp, slope = _front(settings, f_prime)
+    eta, f, fp, slope = _front(f_prime)
     return WaveProfile(eta=eta, f=f, g=g_from_f(f, fp, params), velocity=params.velocity,
                        pe=params.pe, stats=stats, deta_dz=slope)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adsorb import analysis, wave
 from adsorb.analysis import (
     SweepGrid,
     SweepRecord,
@@ -216,41 +217,28 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("short_full", [False, True])
     def test_a_short_front_marks_every_positive_pe(self, monkeypatch, short_full):
-        # (1, 1) sides sampled with eta_span 1 end near |eta| = 25 for
+        # (1, 1) sides sampled to a span of 1 end near |eta| = 25 for
         # Pe <= 0.05, short of the window [-26, 26]; the full front is checked
         # first
         p = params_for()
-        short = WaveSolverSettings(eta_span=1.0)
-        leading = solve_leading_order(p, short)
-        monkeypatch.setattr("adsorb.analysis.solve_leading_order",
-                            lambda params, settings: leading)
-        if short_full:
-            monkeypatch.setattr("adsorb.analysis.solve_full_wave",
-                                lambda params, settings: solve_full_wave(params, short))
-        recs = run_sweep(p, SweepGrid((0.0, 0.01, 0.05)), eta_star=26.0)
+        monkeypatch.setattr("adsorb.wave.ETA_SPAN", 1.0)
+        leading = solve_leading_order(p)
+        monkeypatch.setattr("adsorb.analysis.solve_leading_order", lambda params: leading)
+        monkeypatch.setattr("adsorb.analysis.DEFAULT_ETA_STAR", 26.0)
+        if not short_full:
+            monkeypatch.setattr("adsorb.wave.ETA_SPAN", 26.0)
+        recs = run_sweep(p, SweepGrid((0.0, 0.01, 0.05)))
         assert recs[0].error is None
         for rec in recs[1:]:
-            full = solve_full_wave(replace(p, pe=rec.pe), short if short_full
-                                   else WaveSolverSettings(eta_span=26.0))
+            full = solve_full_wave(replace(p, pe=rec.pe))  # at the span the sweep had
             with pytest.raises(CoverageError) as err:
                 l2_profile_error(full, leading, eta_star=26.0)
             assert rec.error == f"CoverageError: {err.value}"
             assert ("full" if short_full else "leading") in rec.error
             assert rec.stats is None and np.isnan(rec.l2_error)
 
-    def test_nonpositive_eta_star_is_refused_before_any_solve(self, monkeypatch):
-        def solve(*args, **kwargs):
-            raise AssertionError("a front was solved")
-
-        monkeypatch.setattr("adsorb.analysis.solve_leading_order", solve)
-        monkeypatch.setattr("adsorb.analysis.solve_full_wave", solve)
-        with pytest.raises(DomainError, match="eta_star must be positive and finite, got -1.0"):
-            run_sweep(params_for(), SweepGrid((0.0, 0.1)), eta_star=-1.0)
-
-    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3)])
-    def test_eta_star_beyond_the_span_widens_it(self, m, n):
-        # fronts sampled to the default eta_span = 22 would not cover [-30, 30]
-        recs = run_sweep(params_for(m=m, n=n), SweepGrid((0.0, 0.1, 1.5)), eta_star=30.0)
-        assert all(r.error is None for r in recs)
-        assert all(r.l2_error > 0.0 for r in recs[1:])
+    def test_the_front_window_covers_the_l2_window(self):
+        # the sweep never widens a front: every side reaches |eta| >= ETA_SPAN
+        # unless its head saturates first, where f_at reads 1 upstream
+        assert wave.ETA_SPAN >= analysis.DEFAULT_ETA_STAR
 

@@ -130,13 +130,13 @@ WRONG_TYPES = [
       "solver": {"pe_values": 5}}, "solver.pe_values"),
     # json.loads reads NaN and Infinity, which no config number may be
     ({"mode": "sweep", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
-      "solver": {"eta_star": math.nan, "pe_values": [0.0, 0.1]}}, "solver.eta_star"),
+      "solver": {"abs_tol": math.nan, "pe_values": [0.0, 0.1]}}, "solver.abs_tol"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-      "solver": {"eta_span": math.nan}}, "solver.eta_span"),
+      "solver": {"rel_tol": math.nan}}, "solver.rel_tol"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-      "solver": {"eta_span": math.inf}}, "solver.eta_span"),
+      "solver": {"rel_tol": math.inf}}, "solver.rel_tol"),
     ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-      "solver": {"fit_end": math.nan}}, "solver.fit_end"),
+      "solver": {"t_end": math.nan}}, "solver.t_end"),
     ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
       "solver": {"front_levels": [0.5, -math.inf]}}, "solver.front_levels"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1,
@@ -163,7 +163,7 @@ class TestParseConfig:
     def test_default_hash_is_pinned(self):
         # the resolved defaults of a minimal wave document; a drift in any
         # default value moves every artifact's provenance header
-        pinned = "9a8e4d8d131429c3151ee196899f9b374fc7b9198638bfd9d0a0e43fcdc73d8c"
+        pinned = "e5374a9a57744a633c3f1313eaa6a752301bee318af73608df2c91bb559b5894"
         assert parse_config(wave_doc()).config_hash == pinned
         nulls = {**json.loads(wave_doc()), "solver": None, "isotherm": None, "output": None}
         assert parse_config(json.dumps(nulls)).config_hash == pinned
@@ -204,7 +204,10 @@ class TestParseConfig:
         assert config.mode == "wave"
         assert config.params.q_e == pytest.approx(0.7)
         assert config.solver["n_cells"] == 400
-        assert config.solver["eta_star"] == 20.0
+        # every settable solver value; a knob added later shows up here
+        assert sorted(config.resolved["solver"]) == [
+            "abs_tol", "front_levels", "n_cells", "n_snapshots", "pde_abs_tol", "pde_rel_tol",
+            "pe_values", "rel_tol", "t_end"]
 
     def test_mode_from_subcommand(self):
         doc = json.dumps({"dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1}})
@@ -292,6 +295,12 @@ class TestParseConfig:
         removed = {"seed_delta": 1e-6, "threshold_hi": 1e-2, "threshold_lo": 1e-4}
         with pytest.raises(ConfigError,
                            match="unknown keys in solver: seed_delta, threshold_hi, threshold_lo"):
+            parse_config(json.dumps({**json.loads(wave_doc()), "solver": removed}))
+        # and so are the front's sampled window, the sweep's L2 window and the
+        # pde speed-fit window
+        removed = {"eta_span": 22.0, "eta_star": 20.0, "fit_start": 1.0, "fit_end": 2.0}
+        with pytest.raises(ConfigError,
+                           match="unknown keys in solver: eta_span, eta_star, fit_end, fit_start"):
             parse_config(json.dumps({**json.loads(wave_doc()), "solver": removed}))
         # every table is CSV, so the output section holds the directory alone
         with pytest.raises(ConfigError, match="unknown keys in output: format"):
@@ -472,7 +481,7 @@ class TestRunners:
         doc = {"mode": "pde",
                "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.2, "m": 1, "n": 1, "ell": 8.0},
                "solver": {"n_cells": 64, "t_end": 5.0, "n_snapshots": 11,
-                          "front_levels": [0.5], "fit_start": 3.0, "fit_end": 5.0},
+                          "front_levels": [0.5]},
                "output": {"dir": str(tmp_path)}}
         paths = run(parse_config(json.dumps(doc)))
         names = {p.name for p in paths}
@@ -481,6 +490,7 @@ class TestRunners:
         meta = json.loads((tmp_path / "pde_meta.json").read_text())
         v = 1.0 / (0.7 + 0.1)
         assert meta["fitted_speeds"]["0.5"] == pytest.approx(v, rel=0.1)
+        assert meta["fit_window"] == [2.5, 5.0]  # the second half of the horizon
         # deterministic solver diagnostics only: no wall times in hashed artifacts
         assert set(meta) == {"meta", "fitted_speeds", "fit_window", "velocity",
                              "time_method", "nfev", "njev", "nlu", "steps",
@@ -698,7 +708,6 @@ class TestMainEntry:
         ("wave", {"rel_tol": 0}, "rel_tol"),
         ("wave", {"rel_tol": -1}, "rel_tol"),
         ("sweep", {"rel_tol": -1}, "rel_tol"),
-        ("sweep", {"eta_star": -1.0, "pe_values": [0.0, 0.1]}, "eta_star"),
         ("sweep", {"pe_values": [0.1, 0.0]}, "increase strictly"),
         ("pde", {"n_cells": 8}, "16 nodes"),
         ("pde", {"pde_rel_tol": 0}, "rel_tol"),
@@ -714,8 +723,6 @@ class TestMainEntry:
         # each level is one key of fitted_speeds and one block of pde_front.csv
         ("pde", {"front_levels": [0.5, 0.5]}, "front_levels must be distinct and not empty"),
         ("pde", {"front_levels": []}, "front_levels must be distinct and not empty"),
-        ("pde", {"fit_start": 3.0, "fit_end": 3.0}, "fit window"),
-        ("pde", {"fit_start": 3.0, "fit_end": 2.0}, "fit window"),
     ])
     def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, message):
         # a solver-section value outside its domain is the solvers' DomainError:

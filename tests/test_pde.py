@@ -20,6 +20,7 @@ from adsorb.pde import (
     PdeSolution,
     SpatialGrid,
     _Column,
+    _full_field,
     assemble_rhs,
     breakthrough_time,
     mass_balance_residual,
@@ -42,8 +43,17 @@ class TestSpatialGrid:
     def test_validation(self):
         with pytest.raises(DomainError):
             SpatialGrid(ell=0.0, n_cells=32)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need at least 16 nodes, got 8"):
             SpatialGrid(ell=1.0, n_cells=8)
+
+    @pytest.mark.parametrize("n_cells", [20.5, 20.0, True, "20", None])
+    def test_non_integer_node_count_is_refused(self, n_cells):
+        # refused at construction, not later by linspace or numpy's shapes
+        with pytest.raises(DomainError, match=f"n_cells must be an integer, got {n_cells!r}"):
+            SpatialGrid(ell=8.0, n_cells=n_cells)
+
+    def test_numpy_integer_node_count_is_taken(self):
+        assert SpatialGrid(ell=8.0, n_cells=np.int64(20)).nodes.size == 20
 
 
 class TestKinetics:
@@ -73,7 +83,7 @@ class TestAssembleRhs:
         state = np.concatenate([np.ones(grid.n_cells - 2), np.full(grid.n_cells, p.q_e)])
         rhs = assemble_rhs(state, _Column(p, grid))
         assert np.max(np.abs(rhs)) < 1e-12
-        c0, c_out = _Column(p, grid).full_field(np.ones(grid.n_cells - 2))[[0, -1]]
+        c0, c_out = _full_field(np.ones(grid.n_cells - 2), _Column(p, grid).w)[[0, -1]]
         assert c0 == 1.0 and c_out == pytest.approx(1.0, rel=1e-15)
 
     def test_saturated_reference_column_is_exactly_stationary(self, eq_column_params):
@@ -112,7 +122,7 @@ class TestAssembleRhs:
         p, grid = self.make()
         rng = np.random.default_rng(3)
         c_int = rng.uniform(0.0, 1.0, grid.n_cells - 2)
-        c0, c_out = _Column(p, grid).full_field(c_int)[[0, -1]]
+        c0, c_out = _full_field(c_int, _Column(p, grid).w)[[0, -1]]
         h = grid.spacing
         inlet_residual = c0 - p.pe * (-3.0 * c0 + 4.0 * c_int[0] - c_int[1]) / (2.0 * h) - 1.0
         outlet_gradient = 3.0 * c_out - 4.0 * c_int[-1] + c_int[-2]
@@ -121,7 +131,7 @@ class TestAssembleRhs:
 
     def test_dirichlet_limit_without_diffusion(self):
         p, grid = self.make(pe=1e-300)
-        c0 = _Column(p, grid).full_field(np.linspace(0.9, 0.0, grid.n_cells - 2))[0]
+        c0 = _full_field(np.linspace(0.9, 0.0, grid.n_cells - 2), _Column(p, grid).w)[0]
         assert c0 == pytest.approx(1.0, rel=1e-12)
 
 
@@ -442,7 +452,7 @@ class TestSolvePde:
         inlet, outlet, storage = [], [], []
         for k in range(sol.times.size):
             c = sol.c[k].copy()
-            c0, c_out = _Column(p, grid).full_field(c[1:-1])[[0, -1]]
+            c0, c_out = _full_field(c[1:-1], _Column(p, grid).w)[[0, -1]]
             assert c_out == sol.breakthrough[k]
             if k > 0:
                 assert c0 == c[0] and c_out == c[-1]
@@ -492,6 +502,18 @@ class TestReferenceColumnRun:
         audit = mass_balance_residual(sol)
         monkeypatch.setattr("adsorb.pde._running_trapezoid",
                             lambda y, t: cumulative_trapezoid(y, t, initial=0.0))
+        assert np.array_equal(mass_balance_residual(sol), audit)
+
+    def test_mass_audit_binds_no_lapack(self, front_speed_run, monkeypatch):
+        # the audit reads the solver's closure without building a column, so it
+        # binds no LAPACK routine it would never call (nor imports scipy for one)
+        sol, _ = front_speed_run
+        audit = mass_balance_residual(sol)
+
+        def refuse(self):
+            raise AssertionError("the mass audit bound LAPACK")
+
+        monkeypatch.setattr(_Column, "_bind_lapack", refuse)
         assert np.array_equal(mass_balance_residual(sol), audit)
 
     def test_mass_balance_audit(self, front_speed_run):

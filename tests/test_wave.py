@@ -28,7 +28,7 @@ from adsorb.wave import (
     solve_leading_order,
 )
 from adsorb.wave import (
-    F_STOP, Z_STEP, Z_STOP, _collocation, _leg_field, _predict_factor, _radau_leg,
+    ETA_SPAN, F_STOP, Z_STEP, Z_STOP, _collocation, _leg_field, _predict_factor, _radau_leg,
 )
 
 from conftest import ADMISSIBLE_FAMILIES, equilibrium_polynomial_direct, params_for
@@ -237,7 +237,6 @@ class TestFullWaveSolver:
     @pytest.mark.parametrize("tolerances", [
         {"rel_tol": 0.0}, {"rel_tol": -1e-8}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
         {"abs_tol": -1e-10}, {"abs_tol": math.inf}, {"abs_tol": math.nan},
-        {"eta_span": math.inf}, {"eta_span": math.nan},
     ])
     def test_settings_refuse_bad_tolerances(self, tolerances):
         with pytest.raises(DomainError, match=next(iter(tolerances))):
@@ -438,13 +437,12 @@ class TestFrontProperties:
     @hypothesis.example(params_for(q_e=0.9805, da=1.4255, pe=0.0054))  # head stops at z limit
     @hypothesis.example(params_for(q_e=0.9999, da=0.1, pe=0.0, m=3, n=4))  # h0 < 0 up to F = 1
     def test_every_admissible_front_is_well_formed(self, p):
-        span = WaveSolverSettings().eta_span
         w = solve_leading_order(p) if p.pe == 0.0 else solve_full_wave(p)
         assert w.velocity == pytest.approx(1.0 / (p.q_e + p.da), rel=1e-14)
         assert np.all(np.diff(w.f) < 0.0)
         assert abs(float(w.f_at(0.0)) - 0.5) <= 1e-8
-        assert w.window[1] >= span
-        assert w.window[0] <= -span or 1.0 - w.f[0] <= 1e-12
+        assert w.window[1] >= ETA_SPAN
+        assert w.window[0] <= -ETA_SPAN or 1.0 - w.f[0] <= 1e-12
 
 
 class TestInterpolation:
@@ -455,7 +453,8 @@ class TestInterpolation:
         p = params_for(pe=pe, m=m, n=n)
         front = solve(p)
         monkeypatch.setattr("adsorb.wave.Z_STEP", Z_STEP / 8)
-        oracle = solve(p, WaveSolverSettings(rel_tol=1e-12, abs_tol=1e-14))
+        oracle = solve(p) if pe == 0.0 else solve(p, WaveSolverSettings(rel_tol=1e-12,
+                                                                         abs_tol=1e-14))
         for level in (1e-4, 1e-2):
             assert front.eta_at(level) == pytest.approx(oracle.eta_at(level), rel=1e-9)
 
@@ -483,10 +482,11 @@ class TestCleanSaddleTail:
 
     @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_tail_follows_the_eigendirection(self, n, pe):
-        # eta_span 60 samples the tail well below the seed F = F_STOP
+    def test_tail_follows_the_eigendirection(self, n, pe, monkeypatch):
+        # a span of 60 samples the tail well below the seed F = F_STOP
         p = params_for(pe=pe, n=n)
-        w = solve_full_wave(p, WaveSolverSettings(eta_span=60.0))
+        monkeypatch.setattr("adsorb.wave.ETA_SPAN", 60.0)
+        w = solve_full_wave(p)
         rate = _leg_field(p)[2](1.0)
         below = np.log(w.f) - np.log1p(-w.f) < -Z_STOP
         decay = (1.0 - w.f) / w.deta_dz  # F' / F, with d eta / dz = F (1 - F) / F'
@@ -504,11 +504,12 @@ class TestCleanSideLaw:
 
     @pytest.mark.parametrize("pe", [0.01, 0.5, 1.5])
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 4)])
-    def test_degenerate_tail_follows_the_slow_set(self, m, n, pe):
-        # at the default eta_span the side ends within a sample of the seed,
-        # since -Z_STOP is its log-odds; ten times the window leaves samples below
+    def test_degenerate_tail_follows_the_slow_set(self, m, n, pe, monkeypatch):
+        # at ETA_SPAN the side ends within a sample of the seed, since -Z_STOP
+        # is its log-odds; ten times the window leaves samples below
         p = params_for(pe=pe, m=m, n=n)
-        w = solve_full_wave(p, WaveSolverSettings(eta_span=10.0 * solve_full_wave(p).window[1]))
+        monkeypatch.setattr("adsorb.wave.ETA_SPAN", 10.0 * solve_full_wave(p).window[1])
+        w = solve_full_wave(p)
         below = np.log(w.f) - np.log1p(-w.f) < -Z_STOP
         assert below.sum() > 100
         f = w.f[below]
