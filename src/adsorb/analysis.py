@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from .errors import AdsorptionError, CoverageError, DomainError
-from .model import DimensionlessParameters, _require_positive
+from .model import DimensionlessParameters, _require_integer, _require_positive
 from .stats import IntegratorStats
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
@@ -78,6 +78,7 @@ def l2_profile_error(full: WaveProfile, leading: WaveProfile,
 
 def _l2_grid(eta_star: float, n_points: int) -> np.ndarray:
     _require_positive(eta_star=eta_star)
+    _require_integer("n_points", n_points)
     if n_points < 2000:
         raise DomainError(f"common grid needs >= 2000 points, got {n_points}")
     return np.linspace(-eta_star, eta_star, n_points)

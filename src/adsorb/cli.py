@@ -38,12 +38,10 @@ from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leadin
 
 MODES = ("nondim", "wave", "pde", "sweep", "isotherm")
 
-ALPHA_QE_CONSISTENCY_TOL = 1e-8
-
 # the physical section spells out PhysicalParameters, with the orders as m and n
 _PHYSICAL_FIELDS = [f for f in dataclasses.fields(PhysicalParameters) if f.name != "orders"]
 _PHYSICAL_KEYS = {f.name for f in _PHYSICAL_FIELDS} | {"m", "n"}
-_DIMENSIONLESS_KEYS = {"da", "pe", "q_e", "alpha", "m", "n", "ell"}
+_DIMENSIONLESS_KEYS = {"da", "pe", "q_e", "m", "n", "ell"}
 _SOLVER_DEFAULTS = {
     **dataclasses.asdict(WaveSolverSettings()),  # rel_tol, abs_tol
     # pde_rel_tol, pde_abs_tol
@@ -154,29 +152,17 @@ def _build_dimensionless(section: dict, pe_override: float | None) -> Dimensionl
     _fail_unknown("dimensionless", section, _DIMENSIONLESS_KEYS)
     _check_types("dimensionless", section, nullable={"pe", "ell"})
     orders = _orders_from(section, "dimensionless")
-    if "da" not in section:
-        raise ConfigError("dimensionless must specify da")
+    for key in ("da", "q_e"):
+        if key not in section:
+            raise ConfigError(f"dimensionless must specify {key}")
     pe = pe_override if pe_override is not None else section.get("pe")
     if pe is None:
         raise ConfigError("dimensionless must specify pe (or use the top-level override)")
     extra = {}
     if section.get("ell") is not None:
         extra["ell"] = float(section["ell"])
-    if "q_e" not in section:
-        if "alpha" not in section:
-            raise ConfigError("dimensionless must specify q_e or alpha")
-        return DimensionlessParameters.from_alpha(float(section["alpha"]), da=float(section["da"]),
-                                                  pe=float(pe), orders=orders, **extra)
-    params = DimensionlessParameters.from_qe(float(section["q_e"]), da=float(section["da"]),
-                                             pe=float(pe), orders=orders, **extra)
-    if "alpha" in section:
-        alpha = float(section["alpha"])
-        if abs(params.alpha - alpha) > ALPHA_QE_CONSISTENCY_TOL * max(1.0, abs(alpha)):
-            raise ConfigError(
-                f"alpha={alpha!r} and q_e={params.q_e!r} violate the isotherm for n={orders.n}: "
-                f"q_e implies alpha={params.alpha!r}"
-            )
-    return params
+    return DimensionlessParameters(da=float(section["da"]), pe=float(pe),
+                                   q_e=float(section["q_e"]), orders=orders, **extra)
 
 
 def parse_config(document: str, mode_override: str | None = None, *,
@@ -184,8 +170,7 @@ def parse_config(document: str, mode_override: str | None = None, *,
     """Parse and validate a JSON config document, applying all defaults.
 
     Unknown keys and values of the wrong JSON type, NaN and Infinity among
-    them, are rejected with their names as a ``ConfigError``, and so are
-    jointly given alpha and q_e that violate the isotherm; a model parameter
+    them, are rejected with their names as a ``ConfigError``; a model parameter
     outside its domain is the parameter types' ``DomainError``.  Solver
     values are left to the solvers, which also refuse orders with m > n in
     wave and sweep modes.  ``out``, when given, replaces ``output.dir`` and is

@@ -27,6 +27,18 @@ def _require_positive(**values: float) -> None:
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_fraction(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < 1.0:
+            raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def _require_integer(name: str, value) -> None:
+    """Refuse anything but a Python or numpy integer; bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ReactionOrders:
     """Global reaction orders: m for the fluid phase, n for the adsorbed one."""
@@ -36,8 +48,7 @@ class ReactionOrders:
 
     def __post_init__(self):
         for name, value in (("m", self.m), ("n", self.n)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"reaction order {name} must be an integer, got {value!r}")
+            _require_integer(f"reaction order {name}", value)
             if value < 1:
                 raise DomainError(f"reaction order {name} must be >= 1, got {value}")
 
@@ -85,10 +96,7 @@ class PhysicalParameters:
             u_in=self.u_in, k_ad=self.k_ad, k_de=self.k_de, c_in=self.c_in,
             rho_b=self.rho_b, column_length=self.column_length,
         )
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not 0.0 < self.q_max < 1.0:
-            raise DomainError(f"q_max must lie in (0, 1), got {self.q_max!r}")
+        _require_fraction(epsilon=self.epsilon, q_max=self.q_max)
         if self.diffusion is not None:
             _require_positive(diffusion=self.diffusion)
 
@@ -99,7 +107,8 @@ class DimensionlessParameters:
 
     ``q_e`` is the one stored isotherm constant; ``alpha`` is derived from it
     once, through the nondimensional isotherm alpha/(1-alpha) = (q_e/(1-q_e))^n,
-    so the two cannot disagree.  alpha may round to 1 as q_e -> 1; nothing
+    so the two cannot disagree; a caller holding alpha passes
+    ``qe_from_alpha(alpha, n)``.  alpha may round to 1 as q_e -> 1; nothing
     downstream forms 1 - alpha.
     """
 
@@ -118,16 +127,6 @@ class DimensionlessParameters:
         if not np.isfinite(self.pe) or self.pe < 0.0:
             raise DomainError(f"pe must be >= 0, got {self.pe!r}")
         object.__setattr__(self, "alpha", alpha_from_qe(self.q_e, self.orders.n))
-
-    @classmethod
-    def from_qe(cls, q_e: float, da: float, pe: float, orders: ReactionOrders,
-                **extra) -> "DimensionlessParameters":
-        return cls(da=da, pe=pe, q_e=q_e, orders=orders, **extra)
-
-    @classmethod
-    def from_alpha(cls, alpha: float, da: float, pe: float, orders: ReactionOrders,
-                   **extra) -> "DimensionlessParameters":
-        return cls(da=da, pe=pe, q_e=qe_from_alpha(alpha, orders.n), orders=orders, **extra)
 
     @property
     def m(self) -> int:
@@ -182,8 +181,7 @@ def convert_raw_rates(raw: RawKinetics, rho_b: float, epsilon: float,
     bed-density rescaling (rho_b/(1-eps))^(n-1).
     """
     _require_positive(rho_b=rho_b)
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _require_fraction(epsilon=epsilon)
     scale = (rho_b / (1.0 - epsilon)) ** (orders.n - 1)
     k_ad = raw.kappa_ad * scale
     k_de = raw.c_sat ** orders.m * raw.kappa_de * scale
@@ -192,8 +190,7 @@ def convert_raw_rates(raw: RawKinetics, rho_b: float, epsilon: float,
 
 def qe_from_alpha(alpha: float, n: int) -> float:
     """Invert the nondimensional isotherm: q_e = r/(1+r) with r = (alpha/(1-alpha))^(1/n)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _require_fraction(alpha=alpha)
     if n < 1:
         raise DomainError(f"order n must be >= 1, got {n!r}")
     r = (alpha / (1.0 - alpha)) ** (1.0 / n)
@@ -205,8 +202,7 @@ def alpha_from_qe(q_e: float, n: int) -> float:
 
     alpha is 1.0 where R/(1+R) rounds to 1 or R overflows.
     """
-    if not 0.0 < q_e < 1.0:
-        raise DomainError(f"q_e must lie in (0, 1), got {q_e!r}")
+    _require_fraction(q_e=q_e)
     if n < 1:
         raise DomainError(f"order n must be >= 1, got {n!r}")
     try:

@@ -40,7 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CellPecletWarning, ConvergenceError, CoverageError, DomainError
-from .model import DimensionlessParameters, _rate_law, _require_positive
+from .model import (
+    DimensionlessParameters,
+    _rate_law,
+    _require_fraction,
+    _require_integer,
+    _require_positive,
+)
 from .stats import (
     _MAX_FACTOR,
     _MIN_FACTOR,
@@ -63,8 +69,7 @@ class SpatialGrid:
 
     def __post_init__(self):
         _require_positive(ell=self.ell)
-        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, (int, np.integer)):
-            raise DomainError(f"n_cells must be an integer, got {self.n_cells!r}")
+        _require_integer("n_cells", self.n_cells)
         if self.n_cells < 16:
             raise DomainError(f"need at least 16 nodes, got {self.n_cells}")
 
@@ -537,8 +542,7 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
 
 def breakthrough_time(sol: PdeSolution, threshold: float) -> float:
     """First time the outlet concentration reaches ``threshold`` (linear in t)."""
-    if not 0.0 < threshold < 1.0:
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold!r}")
+    _require_fraction(threshold=threshold)
     b = sol.breakthrough
     above = np.nonzero(b >= threshold)[0]
     if above.size == 0:
@@ -559,8 +563,7 @@ def track_front(sol: PdeSolution, level: float,
     speed is the least-squares slope of x(t) over ``fit_window`` (divide by
     ell for the column-proportion speed).
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level!r}")
+    _require_fraction(level=level)
     t_lo, t_hi = fit_window
     if not t_lo < t_hi:
         raise DomainError(f"empty fit window {fit_window!r}")

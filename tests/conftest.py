@@ -29,8 +29,7 @@ def column_physical(m: int = 1, n: int = 1) -> PhysicalParameters:
 
 def params_for(q_e=0.7, da=0.1, pe=0.0, m=1, n=1, **extra) -> DimensionlessParameters:
     """Nondimensional parameters from q_e; ``extra`` passes ell and the scales through."""
-    return DimensionlessParameters.from_qe(q_e, da=da, pe=pe, orders=ReactionOrders(m, n),
-                                           **extra)
+    return DimensionlessParameters(da=da, pe=pe, q_e=q_e, orders=ReactionOrders(m, n), **extra)
 
 
 def equilibrium_polynomial_direct(x, params: DimensionlessParameters):

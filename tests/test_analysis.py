@@ -78,8 +78,12 @@ class TestL2ProfileError:
         assert abs(e_coarse - e_fine) < 1e-6
 
     def test_rejects_low_resolution(self, lead_11):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="common grid needs >= 2000 points, got 500"):
             l2_profile_error(lead_11, lead_11, n_points=500)
+        # a count that is not an integer is refused here, not later by numpy's linspace
+        for n_points in (2500.5, 2500.0, True):
+            with pytest.raises(DomainError, match=f"n_points must be an integer, got {n_points!r}"):
+                l2_profile_error(lead_11, lead_11, n_points=n_points)
 
 
 class TestBreakthroughWindow:

@@ -250,19 +250,13 @@ class TestParseConfig:
         ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "m": 1, "n": 1}},
          "dimensionless must specify pe"),
         ({"mode": "wave", "dimensionless": {"da": 0.1, "pe": 0.1, "m": 1, "n": 1}},
-         "dimensionless must specify q_e or alpha"),
+         "dimensionless must specify q_e$"),
         ({**json.loads(wave_doc()), "mode": "isotherm"},
          "isotherm mode requires the physical section"),
     ])
     def test_incomplete_documents_name_what_is_missing(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps(doc))
-
-    def test_alpha_alone_gives_the_matching_q_e(self):
-        by_qe = parse_config(wave_doc())
-        doc = json.loads(wave_doc(alpha=by_qe.params.alpha))
-        del doc["dimensionless"]["q_e"]
-        assert parse_config(json.dumps(doc)).params == by_qe.params
 
     def test_isotherm_default_inlet_grid(self):
         # 41 inlet concentrations, log-spaced over four decades around c_in
@@ -272,13 +266,9 @@ class TestParseConfig:
         for i, scale in ((0, 1e-2), (20, 1.0), (40, 1e2)):
             assert c_in[i] == pytest.approx(scale * PHYSICAL["c_in"], rel=1e-15)
 
-    def test_consistent_alpha_and_qe_accepted(self):
-        config = parse_config(wave_doc(alpha=0.7))
-        assert config.params.alpha == pytest.approx(0.7, rel=1e-12)
-
-    def test_inconsistent_alpha_and_qe_rejected(self):
-        with pytest.raises(ConfigError, match="violate the isotherm"):
-            parse_config(wave_doc(alpha=0.62))
+    def test_dimensionless_key_set_is_pinned(self):
+        # q_e is the one isotherm input: alpha is derived from it, not read
+        assert cli._DIMENSIONLESS_KEYS == {"da", "pe", "q_e", "m", "n", "ell"}
 
     def test_unknown_keys_rejected_with_names(self):
         with pytest.raises(ConfigError, match="typo_key"):
@@ -398,7 +388,7 @@ class TestRunners:
         doc["output"] = {"dir": str(tmp_path)}
         run(parse_config(json.dumps(doc)))
         profile = read_wave_profile(tmp_path / "wave_profile.csv", tmp_path / "wave_meta.json")
-        p = DimensionlessParameters.from_qe(0.7, da=0.1, pe=0.1, orders=ReactionOrders(1, 1))
+        p = DimensionlessParameters(da=0.1, pe=0.1, q_e=0.7, orders=ReactionOrders(1, 1))
         lead = solve_leading_order(p)
         e_memory = l2_profile_error(solve_full_wave(p), lead)
         e_file = l2_profile_error(profile, lead)
@@ -677,6 +667,21 @@ class TestMainEntry:
         assert err["error"] == "DomainError" and message in err["message"]
         with pytest.raises(DomainError, match=re.escape(message)):
             parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("dimensionless", [
+        {"alpha": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+        {"alpha": 0.7, "q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+    ], ids=["alpha-alone", "alpha-beside-q_e"])
+    def test_alpha_key_is_refused(self, tmp_path, capsys, dimensionless):
+        # alpha is derived from q_e, so the config does not take it, even when
+        # it matches the isotherm
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "wave", "dimensionless": dimensionless}))
+        assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == "unknown keys in dimensionless: alpha"
+        assert not (tmp_path / "o").exists()
 
     def test_out_flag_needs_an_output_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -189,9 +189,12 @@ class TestIsothermInversion:
 
 class TestDimensionlessParameters:
     def test_alpha_rounding_to_one_is_accepted(self):
-        # R = (q_e / (1 - q_e))^4 is about 4e16 > 2^53, so R / (1 + R) is 1.0
-        p = DimensionlessParameters.from_qe(0.99993, da=0.007, pe=0.1,
-                                            orders=ReactionOrders(1, 4))
+        # the reference corner q_e = 0.99993, from its first-order alpha (n = 1 maps
+        # alpha to q_e unchanged); with n = 4, R = (q_e / (1 - q_e))^4 is about
+        # 4e16 > 2^53, so R / (1 + R) is 1.0
+        q_e = qe_from_alpha(0.99993, 1)
+        assert q_e == 0.99993
+        p = DimensionlessParameters(da=0.007, pe=0.1, q_e=q_e, orders=ReactionOrders(1, 4))
         assert p.alpha == 1.0
         # R = 1e350 leaves the doubles, for a numpy scalar q_e too
         assert alpha_from_qe(0.9999999, 50) == 1.0
@@ -213,11 +216,13 @@ class TestDimensionlessParameters:
         with pytest.raises(DomainError):
             params_for(0.7, m=1, n=1, **kwargs)
 
-    def test_from_alpha_matches_from_qe(self):
-        a = DimensionlessParameters.from_alpha(0.844827, da=0.1, pe=0.2,
-                                               orders=ReactionOrders(2, 2))
-        b = params_for(a.q_e, da=0.1, pe=0.2, m=2, n=2)
-        assert b.alpha == pytest.approx(a.alpha, rel=1e-12)
+    def test_q_e_is_the_one_isotherm_input(self):
+        # alpha is derived; a caller holding alpha converts it with qe_from_alpha
+        assert not hasattr(DimensionlessParameters, "from_qe")
+        assert not hasattr(DimensionlessParameters, "from_alpha")
+        with pytest.raises(TypeError):
+            DimensionlessParameters(da=0.1, pe=0.0, q_e=0.7, alpha=0.7,
+                                    orders=ReactionOrders(1, 1))
 
 
 @pytest.mark.parametrize("refused,message", [
@@ -226,14 +231,20 @@ class TestDimensionlessParameters:
         epsilon=0.3357, u_in=0.13, k_ad=1.13, k_de=2.173e-4, c_in=2.835, q_max=1.0,
         rho_b=377.25, column_length=5.4e-3, orders=ReactionOrders(1, 1)),
      r"q_max must lie in \(0, 1\)"),
-    (lambda: DimensionlessParameters.from_alpha(1.2, da=0.1, pe=0.0,
-                                                orders=ReactionOrders(1, 1)),
-     r"alpha must lie in \(0, 1\)"),
+    (lambda: PhysicalParameters(
+        epsilon=0.0, u_in=0.13, k_ad=1.13, k_de=2.173e-4, c_in=2.835, q_max=0.358,
+        rho_b=377.25, column_length=5.4e-3, orders=ReactionOrders(1, 1)),
+     r"^epsilon must lie in \(0, 1\), got 0\.0$"),
+    (lambda: convert_raw_rates(RawKinetics(kappa_ad=1.0, kappa_de=1.0, c_sat=1.0), rho_b=100.0,
+                               epsilon=float("nan"), orders=ReactionOrders(1, 1)),
+     r"^epsilon must lie in \(0, 1\), got nan$"),
+    (lambda: qe_from_alpha(1.2, 1), r"^alpha must lie in \(0, 1\), got 1\.2$"),
+    (lambda: alpha_from_qe(-0.5, 2), r"^q_e must lie in \(0, 1\), got -0\.5$"),
     (lambda: qe_from_alpha(0.3, 0), "order n must be >= 1"),
     (lambda: alpha_from_qe(0.7, 0), "order n must be >= 1"),
     (lambda: nondimensionalize(column_physical(), pe=-0.1), "pe must be >= 0"),
-], ids=["kappa_de", "q_max", "alpha", "qe_from_alpha-n", "alpha_from_qe-n",
-        "nondimensionalize-pe"])
+], ids=["kappa_de", "q_max", "epsilon", "convert_raw_rates-epsilon", "alpha", "q_e",
+        "qe_from_alpha-n", "alpha_from_qe-n", "nondimensionalize-pe"])
 def test_refusal_names_the_value(refused, message):
     with pytest.raises(DomainError, match=message):
         refused()

@@ -641,9 +641,10 @@ def _solution(times=(0.0, 1.0), c=None):
                        initial=(np.zeros(31), np.zeros(32))), "initial fields must have shape"),
     (lambda: breakthrough_time(_solution(), 0.0), "threshold must lie in"),
     (lambda: breakthrough_time(_solution(), 1.0), "threshold must lie in"),
+    (lambda: track_front(_solution(), 1.5, (0.0, 1.0)), r"^level must lie in \(0, 1\), got 1\.5$"),
     (lambda: mass_balance_residual(_solution(times=(1.0,))), "at least two sample instants"),
 ], ids=["field-shape", "times-order", "initial-shape", "threshold-zero", "threshold-one",
-        "single-instant"])
+        "level-outside", "single-instant"])
 def test_refusal_names_the_value(refused, message):
     with pytest.raises(DomainError, match=message):
         refused()
