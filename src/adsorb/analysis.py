@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from .errors import AdsorptionError, CoverageError, DomainError
-from .model import DimensionlessParameters, _require_integer, _require_positive
+from .model import DimensionlessParameters, _require_positive
 from .stats import IntegratorStats
 from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
 
@@ -62,26 +62,16 @@ class SweepRecord:
     stats: IntegratorStats | None = None
 
 
-def l2_profile_error(full: WaveProfile, leading: WaveProfile,
-                     eta_star: float = DEFAULT_ETA_STAR,
-                     n_points: int = DEFAULT_QUAD_POINTS) -> float:
-    """L2 distance between two normalized fronts over [-eta_star, eta_star].
+def l2_profile_error(full: WaveProfile, leading: WaveProfile) -> float:
+    """L2 distance between two normalized fronts over [-DEFAULT_ETA_STAR, DEFAULT_ETA_STAR].
 
-    Both profiles are interpolated onto a common uniform grid and the squared
-    difference is integrated by the trapezoidal rule.  A profile covers the
-    grid where ``f_at`` has a value there: inside its window, or upstream of
-    a head that reached saturation.
+    Both profiles are interpolated onto a common uniform grid of
+    DEFAULT_QUAD_POINTS points and the squared difference is integrated by the
+    trapezoidal rule.  A profile covers the grid where ``f_at`` has a value
+    there: inside its window, or upstream of a head that reached saturation.
     """
-    grid = _l2_grid(eta_star, n_points)
+    grid = np.linspace(-DEFAULT_ETA_STAR, DEFAULT_ETA_STAR, DEFAULT_QUAD_POINTS)
     return _l2_distance(full, leading, leading.f_at(grid), grid)
-
-
-def _l2_grid(eta_star: float, n_points: int) -> np.ndarray:
-    _require_positive(eta_star=eta_star)
-    _require_integer("n_points", n_points)
-    if n_points < 2000:
-        raise DomainError(f"common grid needs >= 2000 points, got {n_points}")
-    return np.linspace(-eta_star, eta_star, n_points)
 
 
 def _l2_distance(full: WaveProfile, leading: WaveProfile, f_leading: np.ndarray,
@@ -99,16 +89,13 @@ def _l2_distance(full: WaveProfile, leading: WaveProfile, f_leading: np.ndarray,
     return float(np.sqrt(np.trapezoid(diff * diff, grid)))
 
 
-def breakthrough_window_time(profile: WaveProfile, hi: float = THRESHOLD_HI,
-                             lo: float = THRESHOLD_LO) -> float:
-    """Time for the moving front to sweep the outlet from F = lo up to F = hi.
+def breakthrough_window_time(profile: WaveProfile) -> float:
+    """Time for the moving front to sweep the outlet from F = THRESHOLD_LO up to THRESHOLD_HI.
 
-    The front decreases in eta, so the lo level sits downstream of the hi
-    level and the window is (eta(lo) - eta(hi)) / v.
+    The front decreases in eta, so the low level sits downstream of the high
+    level and the window is (eta(THRESHOLD_LO) - eta(THRESHOLD_HI)) / v.
     """
-    if not 0.0 < lo <= hi < 1.0:
-        raise DomainError(f"need 0 < lo <= hi < 1, got lo={lo!r}, hi={hi!r}")
-    return (profile.eta_at(lo) - profile.eta_at(hi)) / profile.velocity
+    return (profile.eta_at(THRESHOLD_LO) - profile.eta_at(THRESHOLD_HI)) / profile.velocity
 
 
 def breakthrough_error(t_pe: float, t_0: float) -> float:
@@ -145,7 +132,7 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
     marker instead of aborting the sweep, and mark only the Pe that failed.
     Records are returned in grid order.
     """
-    eta = _l2_grid(DEFAULT_ETA_STAR, DEFAULT_QUAD_POINTS)
+    eta = np.linspace(-DEFAULT_ETA_STAR, DEFAULT_ETA_STAR, DEFAULT_QUAD_POINTS)
     leading = solve_leading_order(params)
     t_0 = breakthrough_window_time(leading)
     f_leading = leading.f_at(eta)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -70,7 +71,7 @@ class RunConfig:
     output: dict
     resolved: dict
 
-    @property
+    @functools.cached_property  # read once per artifact; bound on the first read
     def config_hash(self) -> str:
         payload = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()

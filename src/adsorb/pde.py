@@ -342,7 +342,7 @@ def _step_collapse(t: float, min_step: float) -> ConvergenceError:
     """The error for a BDF step below ``min_step`` at time ``t``."""
     return ConvergenceError(
         f"time integration failed at t = {float(t)!r}: the implicit step fell below "
-        f"{float(min_step):.3g}; check that the initial fields are physical, or refine the grid")
+        f"{float(min_step):.3g}; check the parameters' range, or refine the grid")
 
 
 def _newton(column: _Column, y_predict, c, psi, lu, scale, tol):
@@ -380,7 +380,7 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
     Returns the states at ``sample_times``, one per row, read from the
     interpolating polynomial of the step that reaches each, and the work
     counters.  A non-finite initial rate raises ``DomainError``; a step
-    below ten ulps of t raises ``ConvergenceError``.
+    below ten ulps of t, the first one included, raises ``ConvergenceError``.
     """
     t = 0.0
     # an overflow in the initial rate or its norm raises a typed error below
@@ -391,13 +391,14 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
     if not np.isfinite(f).all():
         raise DomainError(
             f"the initial rate is not finite in {np.count_nonzero(~np.isfinite(f))} of "
-            f"{f.size} state entries; check that the initial fields are physical")
+            f"{f.size} state entries; check the parameters' range")
     # initial step of Hairer, Norsett & Wanner I, Sec. II.4, for error order 1
     h0 = _probe_step(_rms(y / scale), d1, t_end)
-    if h0 == 0.0:  # the initial rate overflows the error norm
-        raise _step_collapse(t, 10 * math.nextafter(t, math.inf))
-    d2 = _rms((assemble_rhs(y + h0 * f, column) - f) / scale) / h0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = _rms((assemble_rhs(y + h0 * f, column) - f) / scale) / h0
     h_abs = _initial_step(h0, d1, d2, t_end, 1)
+    if h_abs == 0.0:  # the rate or its change over h0 overflows the error norm
+        raise _step_collapse(t, 10 * math.nextafter(t, math.inf))
     newton_tol = _newton_tol(rtol)
     jac = column.jacobian(y)
     nfev, njev, nlu, steps = 2, 1, 0, 0
@@ -492,14 +493,11 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
 
 def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
               sample_times: np.ndarray | None = None,
-              initial: tuple[np.ndarray, np.ndarray] | None = None,
               settings: PdeSolverSettings | None = None) -> PdeSolution:
-    """Integrate the column model to ``t_end`` with snapshots at ``sample_times``.
+    """Integrate the column model from the clean column (c = q = 0) to ``t_end``.
 
-    The default initial state is a clean column (c = q = 0); a custom
-    ``initial`` supplies full-length (c, q) node values.  Snapshots are taken
-    from the integrator's dense output; the first stored instant keeps the
-    initial data verbatim.
+    Snapshots at ``sample_times`` are taken from the integrator's dense
+    output; a snapshot at t = 0 is the exact zero field, inlet node included.
     """
     settings = settings or PdeSolverSettings()
     _require_positive(t_end=t_end)
@@ -518,24 +516,12 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
         raise DomainError("sample times must be given and increase strictly within [0, t_end]")
 
     n = grid.n_cells
-    if initial is None:
-        c0_full = np.zeros(n)
-        q0_full = np.zeros(n)
-    else:
-        c0_full = np.asarray(initial[0], dtype=float).copy()
-        q0_full = np.asarray(initial[1], dtype=float).copy()
-        if c0_full.shape != (n,) or q0_full.shape != (n,):
-            raise DomainError(f"initial fields must have shape ({n},)")
-        if not (np.all(np.isfinite(c0_full)) and np.all(np.isfinite(q0_full))):
-            raise DomainError("initial fields must be finite")
-    state0 = np.concatenate([c0_full[1:-1], q0_full])
-
     column = _Column(params, grid)
-    samples, stats = _bdf(column, state0, t_end, sample_times, settings.rel_tol,
+    samples, stats = _bdf(column, np.zeros(2 * n - 2), t_end, sample_times, settings.rel_tol,
                           settings.abs_tol)
     c = _full_field(samples[:, : n - 2], column.w)
     if sample_times[0] == 0.0:
-        c[0] = c0_full
+        c[0] = 0.0
     return PdeSolution(grid=grid, times=sample_times, c=c, q=samples[:, n - 2:],
                        breakthrough=c[:, -1].copy(), params=params, stats=stats)
 

@@ -15,6 +15,7 @@ from adsorb.analysis import (
     run_sweep,
 )
 from adsorb.errors import ConvergenceError, CoverageError, DomainError, ExistenceError
+from adsorb.pde import SpatialGrid, solve_pde
 from adsorb.wave import (
     WaveProfile,
     WaveSolverSettings,
@@ -65,7 +66,7 @@ class TestL2ProfileError:
     def test_coverage_error_when_window_short(self):
         narrow = logistic_profile(k=1.0, span=15.0)
         with pytest.raises(CoverageError):
-            l2_profile_error(narrow, narrow, eta_star=20.0)
+            l2_profile_error(narrow, narrow)
 
     def test_monotone_growth_with_pe(self, lead_11):
         e_small = l2_profile_error(solve_full_wave(params_for(pe=0.01)), lead_11)
@@ -73,17 +74,10 @@ class TestL2ProfileError:
         assert 0.0 < e_small < e_large
 
     def test_quadrature_resolution_stability(self, lead_11, full_11_pe01):
-        e_coarse = l2_profile_error(full_11_pe01, lead_11, n_points=2001)
-        e_fine = l2_profile_error(full_11_pe01, lead_11, n_points=4001)
-        assert abs(e_coarse - e_fine) < 1e-6
-
-    def test_rejects_low_resolution(self, lead_11):
-        with pytest.raises(DomainError, match="common grid needs >= 2000 points, got 500"):
-            l2_profile_error(lead_11, lead_11, n_points=500)
-        # a count that is not an integer is refused here, not later by numpy's linspace
-        for n_points in (2500.5, 2500.0, True):
-            with pytest.raises(DomainError, match=f"n_points must be an integer, got {n_points!r}"):
-                l2_profile_error(lead_11, lead_11, n_points=n_points)
+        # the DEFAULT_QUAD_POINTS-point rule against one on twice as many intervals
+        fine = np.linspace(-analysis.DEFAULT_ETA_STAR, analysis.DEFAULT_ETA_STAR, 4001)
+        e_fine = analysis._l2_distance(full_11_pe01, lead_11, lead_11.f_at(fine), fine)
+        assert abs(l2_profile_error(full_11_pe01, lead_11) - e_fine) < 1e-6
 
 
 class TestBreakthroughWindow:
@@ -96,20 +90,18 @@ class TestBreakthroughWindow:
         analytic = (np.log(9999.0) - np.log(99.0)) / 0.56 / 1.25
         assert breakthrough_window_time(prof) == pytest.approx(analytic, rel=1e-6)
 
-    def test_equal_thresholds_give_zero(self, lead_11):
-        assert breakthrough_window_time(lead_11, hi=1e-3, lo=1e-3) == 0.0
-
     def test_positive_for_decreasing_fronts(self, lead_11, full_11_pe01):
         assert breakthrough_window_time(lead_11) > 0.0
         assert breakthrough_window_time(full_11_pe01) > 0.0
 
     def test_threshold_not_bracketed(self):
+        # a profile spans (F_ENDPOINT_TOL, 1 - F_ENDPOINT_TOL) by construction,
+        # which holds both window levels; a level below its tail is not covered
+        assert wave.F_ENDPOINT_TOL <= analysis.THRESHOLD_LO < analysis.THRESHOLD_HI < 0.5
         prof = logistic_profile(k=1.0, span=15.0)  # tail bottoms out near 3e-7
-        with pytest.raises(CoverageError):
-            breakthrough_window_time(prof, hi=1e-2, lo=1e-8)
-        # equal levels give no window only where the profile spans them
-        with pytest.raises(CoverageError):
-            breakthrough_window_time(prof, hi=1e-8, lo=1e-8)
+        assert breakthrough_window_time(prof) > 0.0
+        with pytest.raises(CoverageError, match="level 1e-08 outside the profile range"):
+            prof.eta_at(1e-8)
 
     @pytest.mark.parametrize("da", [0.1, 0.5])
     @pytest.mark.parametrize("m,n", ADMISSIBLE_FAMILIES)
@@ -135,9 +127,22 @@ class TestBreakthroughWindow:
         assert len(swept) == 1 and swept[0].error is None
         assert swept[0].t_window == pytest.approx(reference, rel=1e-7)
 
-    def test_rejects_swapped_thresholds(self, lead_11):
-        with pytest.raises(DomainError):
-            breakthrough_window_time(lead_11, hi=1e-4, lo=1e-2)
+
+@pytest.mark.parametrize("function, keyword, value", [
+    ("solve_pde", "initial", (np.zeros(20), np.zeros(20))),
+    ("l2_profile_error", "eta_star", 20.0),
+    ("l2_profile_error", "n_points", 2001),
+    ("breakthrough_window_time", "hi", 1e-2),
+    ("breakthrough_window_time", "lo", 1e-4),
+])
+def test_removed_keywords_are_type_errors(lead_11, function, keyword, value):
+    # the column starts clean, and the L2 and breakthrough windows are constants
+    args = {"solve_pde": (params_for(ell=5.0, pe=0.5), SpatialGrid(ell=5.0, n_cells=20), 1.0),
+            "l2_profile_error": (lead_11, lead_11),
+            "breakthrough_window_time": (lead_11,)}[function]
+    call = solve_pde if function == "solve_pde" else getattr(analysis, function)
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        call(*args, **{keyword: value})
 
 
 class TestBreakthroughError:
@@ -236,7 +241,7 @@ class TestRunSweep:
         for rec in recs[1:]:
             full = solve_full_wave(replace(p, pe=rec.pe))  # at the span the sweep had
             with pytest.raises(CoverageError) as err:
-                l2_profile_error(full, leading, eta_star=26.0)
+                l2_profile_error(full, leading)  # over the patched window
             assert rec.error == f"CoverageError: {err.value}"
             assert ("full" if short_full else "leading") in rec.error
             assert rec.stats is None and np.isnan(rec.l2_error)

@@ -336,6 +336,14 @@ class TestParseConfig:
         assert h1 != h2
         assert parse_config(wave_doc()).config_hash == h1
 
+    def test_hash_is_computed_once_per_config(self, monkeypatch):
+        # every artifact of a run reads the same hash; it is serialised and hashed once
+        config = parse_config(wave_doc())
+        calls, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(cli.hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+        assert config.config_hash == config.config_hash == parse_config(wave_doc()).config_hash
+        assert len(calls) == 2  # one per RunConfig
+
 
 # one small run of every mode, and of wave mode on both solvers
 MODE_RUNS = [
@@ -785,6 +793,21 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "ConvergenceError"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_extreme_da_pde_exit_code(self, tmp_path, capsys):
+        # at Da = 1e-300 the rate's change over the probe step overflows the
+        # error norm, so the first implicit step is zero
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dimensionless": {"q_e": 0.7, "da": 1e-300, "pe": 0.5, "m": 1, "n": 1, "ell": 5.0},
+            "solver": {"n_cells": 20, "t_end": 1.0}}))
+        out = tmp_path / "o"
+        assert main(["pde", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == "ConvergenceError" and "step fell below" in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("error,code", [

@@ -1,8 +1,10 @@
 import ctypes
 import gc
+import itertools
 import math
 import sys
 import types
+import warnings
 
 import hypothesis
 import numpy as np
@@ -14,7 +16,13 @@ from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from adsorb import pde
-from adsorb.errors import CellPecletWarning, ConvergenceError, CoverageError, DomainError
+from adsorb.errors import (
+    AdsorptionError,
+    CellPecletWarning,
+    ConvergenceError,
+    CoverageError,
+    DomainError,
+)
 from adsorb.model import _rate_law, nondimensionalize
 from adsorb.pde import (
     PdeSolution,
@@ -367,6 +375,24 @@ def test_implicit_matches_explicit_reference(m, n, pe, da):
     assert sol.stats.nfev > 0 and sol.stats.nlu > 0
 
 
+def saturated_solution(t_end, sample_times):
+    """The BDF integration of a saturated (1, 1) column (c = 1, q = q_e), as a PdeSolution.
+
+    ``solve_pde`` starts from the clean column, so the saturated state is
+    integrated by the solver's own ``_bdf``.
+    """
+    p = params_for(ell=10.0, pe=0.2)
+    grid = SpatialGrid(ell=10.0, n_cells=64)
+    column = _Column(p, grid)
+    state = np.concatenate([np.ones(62), np.full(64, p.q_e)])
+    settings = PdeSolverSettings()
+    samples, stats = pde._bdf(column, state, t_end, sample_times, settings.rel_tol,
+                              settings.abs_tol)
+    c = _full_field(samples[:, :62], column.w)
+    return PdeSolution(grid=grid, times=sample_times, c=c, q=samples[:, 62:],
+                       breakthrough=c[:, -1], params=p, stats=stats)
+
+
 class TestSolvePde:
     def test_vanishing_horizon_returns_initial_data(self):
         p = params_for(ell=5.0, pe=0.5)
@@ -379,11 +405,8 @@ class TestSolvePde:
         assert np.all(sol.c[0] == 0.0) and np.all(sol.q[0] == 0.0)
 
     def test_saturated_fixed_point_is_preserved(self):
-        p = params_for(ell=10.0, pe=0.2)
-        grid = SpatialGrid(ell=10.0, n_cells=64)
-        ones = np.ones(64)
-        sol = solve_pde(p, grid, t_end=50.0, sample_times=np.array([0.0, 25.0, 50.0]),
-                        initial=(ones, np.full(64, p.q_e)))
+        sol = saturated_solution(t_end=50.0, sample_times=np.array([0.0, 25.0, 50.0]))
+        p = sol.params
         assert np.max(np.abs(sol.c - 1.0)) <= 1e-9
         assert np.max(np.abs(sol.q - p.q_e)) <= 1e-9
 
@@ -405,41 +428,52 @@ class TestSolvePde:
         with pytest.raises(DomainError, match="sample times"):
             solve_pde(p, grid, t_end=1.0, sample_times=np.array([]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_initial_fields(self, bad):
-        p = params_for(ell=5.0, pe=0.5)
-        grid = SpatialGrid(ell=5.0, n_cells=32)
-        fields = (np.full(32, bad), np.zeros(32))
-        with pytest.raises(DomainError, match="finite"):
-            solve_pde(p, grid, t_end=1.0, initial=fields)
-        with pytest.raises(DomainError, match="finite"):
-            solve_pde(p, grid, t_end=1.0, initial=fields[::-1])
-
     def test_breakthrough_is_the_stored_outlet_column(self):
-        # a custom initial field keeps its outlet value in c[0], and so in breakthrough[0]
+        # the clean column's outlet is exactly zero in c[0], and so in breakthrough[0]
         p = params_for(m=2, n=2, q_e=0.7, da=0.1, pe=0.5, ell=5.0)
         grid = SpatialGrid(ell=5.0, n_cells=32)
-        rng = np.random.default_rng(1)
-        initial = (rng.uniform(size=32), rng.uniform(size=32))
-        sol = solve_pde(p, grid, t_end=0.5, sample_times=np.linspace(0.0, 0.5, 3),
-                        initial=initial)
-        assert sol.c[0, -1] == initial[0][-1]
+        sol = solve_pde(p, grid, t_end=0.5, sample_times=np.linspace(0.0, 0.5, 3))
+        assert sol.c[0, -1] == 0.0 and sol.breakthrough[-1] > 0.0
         assert np.array_equal(sol.breakthrough, sol.c[:, -1])
 
     def test_collapsing_step_is_a_convergence_error(self):
-        # c = 1e100 gives a finite rate whose error norm overflows, so the
-        # initial step is zero and never reaches ten ulps of t
-        p = params_for(m=2, n=2, ell=5.0, pe=0.5)
+        # at Da = 1e-300 the c rows' rate is finite, but its change over the
+        # probe step overflows the error norm, so the first step is zero and
+        # never reaches ten ulps of t
+        p = params_for(m=2, n=2, da=1e-300, ell=5.0, pe=0.5)
         grid = SpatialGrid(ell=5.0, n_cells=20)
         with pytest.raises(ConvergenceError, match="step fell below"):
-            solve_pde(p, grid, t_end=1.0, initial=(np.full(20, 1e100), np.zeros(20)))
+            solve_pde(p, grid, t_end=1.0)
 
     def test_non_finite_initial_rate_is_a_domain_error(self):
-        # c = 1e160 is finite but overflows the rate law
-        p = params_for(m=2, n=2, ell=5.0, pe=0.5)
-        grid = SpatialGrid(ell=5.0, n_cells=20)
+        # at q_e = 1 - 1e-10 the (40, 40) rate law overflows on the clean column
+        p = params_for(m=40, n=40, q_e=1.0 - 1e-10, ell=5.0, pe=0.5)
+        grid = SpatialGrid(ell=5.0, n_cells=40)
         with pytest.raises(DomainError, match="initial rate is not finite"):
-            solve_pde(p, grid, t_end=1.0, initial=(np.full(20, 1e160), np.zeros(20)))
+            solve_pde(p, grid, t_end=1.0)
+
+    def test_extreme_parameters_solve_or_raise_a_typed_error(self):
+        # Da and Pe over 600 decades, q_e 0.7, 20 nodes: every column solves or
+        # raises an AdsorptionError.  Floating-point reports are silenced here,
+        # as the outcome, not numpy's overflow warnings, is under test; the
+        # cases left out take seconds each to integrate.
+        extremes = (1e-300, 1e-150, 1e-30, 1e-8, 0.1, 1e8, 1e30, 1e150, 1e300)
+        grid = SpatialGrid(ell=5.0, n_cells=20)
+        outcomes = {}
+        for (m, n), da, pe in itertools.product([(1, 1), (2, 3)], extremes, extremes):
+            if pe in (1e8, 1e30) or m == 2 and da in (1e-30, 1e-8) and pe < 1e8:
+                continue
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", CellPecletWarning)
+                try:
+                    solve_pde(params_for(m=m, n=n, da=da, pe=pe, ell=5.0), grid, t_end=1.0)
+                    outcomes[m, n, da, pe] = "solved"
+                except AdsorptionError as exc:
+                    outcomes[m, n, da, pe] = type(exc).__name__
+        assert len(outcomes) == 116
+        # the first step of these collapses to zero: a typed error, not a ZeroDivisionError
+        assert all(outcomes[m, n, 1e-300, pe] == "ConvergenceError"
+                   for m, n in [(1, 1), (2, 3)] for pe in extremes[:5])
 
     def test_array_closure_matches_per_snapshot_loop(self):
         # the boundary closure runs on all snapshots at once; a loop over
@@ -637,13 +671,11 @@ def _solution(times=(0.0, 1.0), c=None):
 @pytest.mark.parametrize("refused,message", [
     (lambda: _solution(c=np.zeros((2, 15))), "field shapes must be"),
     (lambda: _solution(times=(1.0, 0.5)), "sample times must increase strictly"),
-    (lambda: solve_pde(params_for(ell=5.0, pe=0.5), SpatialGrid(ell=5.0, n_cells=32), 1.0,
-                       initial=(np.zeros(31), np.zeros(32))), "initial fields must have shape"),
     (lambda: breakthrough_time(_solution(), 0.0), "threshold must lie in"),
     (lambda: breakthrough_time(_solution(), 1.0), "threshold must lie in"),
     (lambda: track_front(_solution(), 1.5, (0.0, 1.0)), r"^level must lie in \(0, 1\), got 1\.5$"),
     (lambda: mass_balance_residual(_solution(times=(1.0,))), "at least two sample instants"),
-], ids=["field-shape", "times-order", "initial-shape", "threshold-zero", "threshold-one",
+], ids=["field-shape", "times-order", "threshold-zero", "threshold-one",
         "level-outside", "single-instant"])
 def test_refusal_names_the_value(refused, message):
     with pytest.raises(DomainError, match=message):
@@ -661,11 +693,7 @@ class TestBreakthroughTime:
             breakthrough_time(sol, 0.9)
 
     def test_saturated_steady_state_audit(self):
-        p = params_for(ell=10.0, pe=0.2)
-        grid = SpatialGrid(ell=10.0, n_cells=64)
-        ones = np.ones(64)
-        sol = solve_pde(p, grid, t_end=20.0, sample_times=np.linspace(0.0, 20.0, 11),
-                        initial=(ones, np.full(64, p.q_e)))
+        sol = saturated_solution(t_end=20.0, sample_times=np.linspace(0.0, 20.0, 11))
         assert mass_balance_residual(sol).max() < 1e-6
 
 
