@@ -26,7 +26,6 @@ from .model import (
 )
 from .wave import (
     WaveProfile,
-    WaveSolverSettings,
     closed_form_wave_11,
     full_system_rhs,
     g_from_f,

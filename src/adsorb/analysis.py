@@ -14,7 +14,7 @@ import numpy as np
 from .errors import AdsorptionError, CoverageError, DomainError
 from .model import DimensionlessParameters, _require_positive
 from .stats import IntegratorStats
-from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
+from .wave import WaveProfile, solve_full_wave, solve_leading_order
 
 DEFAULT_ETA_STAR = 20.0
 DEFAULT_QUAD_POINTS = 2001
@@ -104,12 +104,11 @@ def breakthrough_error(t_pe: float, t_0: float) -> float:
     return (t_pe - t_0) / t_0
 
 
-def _record(params: DimensionlessParameters, settings: WaveSolverSettings | None,
-            leading: WaveProfile, f_leading: np.ndarray, grid: np.ndarray,
-            t_0: float) -> SweepRecord:
+def _record(params: DimensionlessParameters, leading: WaveProfile, f_leading: np.ndarray,
+            grid: np.ndarray, t_0: float) -> SweepRecord:
     pe = params.pe
     try:
-        full = solve_full_wave(params, settings)
+        full = solve_full_wave(params)
         err = _l2_distance(full, leading, f_leading, grid)
         t_pe = breakthrough_window_time(full)
         return SweepRecord(pe=pe, l2_error=err, t_window=t_pe,
@@ -119,8 +118,7 @@ def _record(params: DimensionlessParameters, settings: WaveSolverSettings | None
                            e_bt=float("nan"), error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
-              settings: WaveSolverSettings | None = None) -> list[SweepRecord]:
+def run_sweep(params: DimensionlessParameters, grid: SweepGrid) -> list[SweepRecord]:
     """Solve the front for every grid Pe and compare against the Pe = 0 front.
 
     The leading-order profile is computed, and sampled on the L2 grid over
@@ -137,5 +135,5 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid,
     t_0 = breakthrough_window_time(leading)
     f_leading = leading.f_at(eta)
     return [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0) if pe == 0.0
-            else _record(replace(params, pe=pe), settings, leading, f_leading, eta, t_0)
+            else _record(replace(params, pe=pe), leading, f_leading, eta, t_0)
             for pe in grid.pe_values]

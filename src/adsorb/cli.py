@@ -34,8 +34,7 @@ from .model import (
     nondimensionalize,
     sips_isotherm,
 )
-from .stats import PdeSolverSettings
-from .wave import WaveProfile, WaveSolverSettings, solve_full_wave, solve_leading_order
+from .wave import WaveProfile, solve_full_wave, solve_leading_order
 
 MODES = ("nondim", "wave", "pde", "sweep", "isotherm")
 
@@ -44,9 +43,6 @@ _PHYSICAL_FIELDS = [f for f in dataclasses.fields(PhysicalParameters) if f.name 
 _PHYSICAL_KEYS = {f.name for f in _PHYSICAL_FIELDS} | {"m", "n"}
 _DIMENSIONLESS_KEYS = {"da", "pe", "q_e", "m", "n", "ell"}
 _SOLVER_DEFAULTS = {
-    **dataclasses.asdict(WaveSolverSettings()),  # rel_tol, abs_tol
-    # pde_rel_tol, pde_abs_tol
-    **{f"pde_{k}": v for k, v in dataclasses.asdict(PdeSolverSettings()).items()},
     "n_cells": 400,
     "t_end": None,            # pde horizon; default 1.4 * ell * (q_e + Da)
     "n_snapshots": 101,
@@ -108,7 +104,8 @@ def _check_types(section: str, given: dict, nullable=frozenset()) -> None:
     Integer and list keys take what their names in ``_INTEGER_KEYS`` and
     ``_LIST_KEYS`` say, the orders m and n take a JSON integer, as
     ``ReactionOrders`` does, and every other key takes a number; keys in
-    ``nullable`` may be null.  No number may be NaN or infinite.
+    ``nullable`` may be null.  No number may be NaN or infinite, and no value
+    of an integer key may fall outside int64.
     """
     for key, value in given.items():
         if value is None and key in nullable:
@@ -118,9 +115,10 @@ def _check_types(section: str, given: dict, nullable=frozenset()) -> None:
             kind = "a list of finite numbers"
         elif key in ("m", "n"):
             ok, kind = _is_number(value) and isinstance(value, int), "an integer"
-        elif key in _INTEGER_KEYS:
-            ok = _is_number(value) and (isinstance(value, int) or value.is_integer())
-            kind = "an integer"
+        elif key in _INTEGER_KEYS:  # numpy sizes its arrays in int64
+            ok = (_is_number(value) and (isinstance(value, int) or value.is_integer())
+                  and -2 ** 63 <= value < 2 ** 63)
+            kind = "a 64-bit integer"
         else:
             ok, kind = _is_number(value), "a finite number"
         if not ok:
@@ -420,22 +418,16 @@ def read_wave_profile(table_path: Path, meta_path: Path) -> WaveProfile:
     return profile
 
 
-def _wave_settings(config: RunConfig) -> WaveSolverSettings:
-    return WaveSolverSettings(**{field.name: float(config.solver[field.name])
-                                 for field in dataclasses.fields(WaveSolverSettings)})
-
-
 def _run_nondim(config: RunConfig, out: Path) -> list[Path]:
     return [_write_json(out / "nondim.json", config,
                         {"dimensionless": config.resolved["dimensionless"]})]
 
 
 def _run_wave(config: RunConfig, out: Path) -> list[Path]:
-    settings = _wave_settings(config)  # refused at any Pe, though only the leg reads them
     if config.params.pe == 0.0:
         profile = solve_leading_order(config.params)
     else:
-        profile = solve_full_wave(config.params, settings)
+        profile = solve_full_wave(config.params)
     return write_wave_profile(out / "wave_profile.csv", out / "wave_meta.json", profile, config)
 
 
@@ -453,9 +445,7 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     t_end = float(s["t_end"])
     window = (0.5 * t_end, t_end)  # the speed is fitted once the front has formed
     times = np.linspace(0.0, t_end, int(s["n_snapshots"]))
-    sol = solve_pde(config.params, grid, t_end, sample_times=times,
-                    settings=PdeSolverSettings(rel_tol=float(s["pde_rel_tol"]),
-                                               abs_tol=float(s["pde_abs_tol"])))
+    sol = solve_pde(config.params, grid, t_end, sample_times=times)
     # every result exists before the first file is written, so a refusal leaves none
     tracks = [track_front(sol, float(level), window) for level in levels]
     mass_residual_max = float(mass_balance_residual(sol).max())
@@ -479,7 +469,7 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
 def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
     s = config.solver
     grid = SweepGrid(tuple(float(v) for v in s["pe_values"]))
-    records = run_sweep(config.params, grid, settings=_wave_settings(config))
+    records = run_sweep(config.params, grid)
     rows = [(r.pe, r.l2_error, r.t_window, r.e_bt) for r in records]
     failures = {str(r.pe): r.error for r in records if r.error}
     counters = {str(r.pe): {k: getattr(r.stats, k) for k in ("nfev", "njev", "nlu", "steps")}

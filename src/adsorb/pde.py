@@ -51,13 +51,17 @@ from .stats import (
     _MAX_FACTOR,
     _MIN_FACTOR,
     IntegratorStats,
-    PdeSolverSettings,
     _initial_step,
     _newton_tol,
     _probe_step,
 )
 
 TIME_METHOD = "BDF"  # implicit variable-order BDF; the Da-scaled c rows are stiff
+# the BDF's tolerances, scipy's rtol and atol, read at each solve.  REL_TOL stays at
+# least 100 ulps of 1, below which the BDF error estimate is roundoff, and
+# ABS_TOL positive: the entries of a clean column are exactly zero, and without
+# ABS_TOL their error scale would be zero too
+REL_TOL, ABS_TOL = 1e-6, 1e-9
 
 
 @dataclass(frozen=True)
@@ -203,6 +207,9 @@ class _Column:
         self.outlet = np.array([-1.0, 4.0]) / 3.0              # d c_N / d (c_{N-2}, c_{N-1})
         self.west = west = (pe / h + 0.5) / (h * da)
         self.east = east = (pe / h - 0.5) / (h * da)
+        if not (math.isfinite(west) and math.isfinite(east)):  # the band would hold inf - inf
+            raise DomainError(f"the transport weights overflow at spacing {h!r}, Pe {pe!r} "
+                              f"and Da {da!r}; check the parameters' range")
         # L / Da: west, -(west + east), east on the nodes i - 1, i, i + 1 of interior node i
         lower, main, upper = np.full(k - 1, west), np.full(k, -(west + east)), np.full(k - 1, east)
         main[0] += west * self.inlet[0]  # the first row reads c_0 through the closure
@@ -376,7 +383,7 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
     """Integrate the column's y' = assemble_rhs(y, column) from t = 0 to t_end > 0.
 
     ``column`` evaluates the Jacobian and solves the Newton matrices.
-    ``rtol`` is at least 100 ulps of 1, as ``PdeSolverSettings`` ensures.
+    ``rtol`` is at least 100 ulps of 1, as REL_TOL is.
     Returns the states at ``sample_times``, one per row, read from the
     interpolating polynomial of the step that reaches each, and the work
     counters.  A non-finite initial rate raises ``DomainError``; a step
@@ -492,14 +499,13 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
 
 
 def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
-              sample_times: np.ndarray | None = None,
-              settings: PdeSolverSettings | None = None) -> PdeSolution:
+              sample_times: np.ndarray | None = None) -> PdeSolution:
     """Integrate the column model from the clean column (c = q = 0) to ``t_end``.
 
     Snapshots at ``sample_times`` are taken from the integrator's dense
     output; a snapshot at t = 0 is the exact zero field, inlet node included.
+    The integrator runs at the tolerances REL_TOL and ABS_TOL.
     """
-    settings = settings or PdeSolverSettings()
     _require_positive(t_end=t_end)
     if params.pe == 0.0 or grid.spacing / params.pe >= 2.0:
         warnings.warn(
@@ -517,8 +523,7 @@ def solve_pde(params: DimensionlessParameters, grid: SpatialGrid, t_end: float,
 
     n = grid.n_cells
     column = _Column(params, grid)
-    samples, stats = _bdf(column, np.zeros(2 * n - 2), t_end, sample_times, settings.rel_tol,
-                          settings.abs_tol)
+    samples, stats = _bdf(column, np.zeros(2 * n - 2), t_end, sample_times, REL_TOL, ABS_TOL)
     c = _full_field(samples[:, : n - 2], column.w)
     if sample_times[0] == 0.0:
         c[0] = 0.0

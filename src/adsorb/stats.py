@@ -1,34 +1,19 @@
-"""Work counters that the time integrators report, the column solver's
-tolerances, and the step-control rules the two integrators share.
+"""Work counters that the time integrators report, and the step-control rules
+the two integrators share.
 
-All live in this scipy-free module: the wave layer reports ``IntegratorStats``
-and the config layer reads ``PdeSolverSettings``'s defaults without loading
-the PDE solver.  The wave and column settings share one tolerance check, and
-the wave's Radau leg and the column's BDF, both ports of scipy's steppers,
-share its bounds on a change of step, its initial step and its Newton
-tolerance.
+The wave layer reports ``IntegratorStats`` without loading the PDE solver.
+The wave's Radau leg and the column's BDF, both ports of scipy's steppers,
+share this module's bounds on a change of step, its initial step and its
+Newton tolerance.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .model import _require_positive
-
-
-def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
-    """Refuse a tolerance that is not finite, a ``rel_tol`` <= 0 and an ``abs_tol`` < 0."""
-    _require_positive(rel_tol=rel_tol)
-    if not (math.isfinite(abs_tol) and abs_tol >= 0.0):
-        raise DomainError(f"abs_tol must be >= 0 and finite, got {abs_tol!r}")
-
-
 _EPS = sys.float_info.epsilon
 _MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0  # bounds on one change of step size
-_BDF_MIN_RTOL = 100 * _EPS  # below it the BDF error estimate is roundoff
 
 
 def _probe_step(d0: float, d1: float, span: float) -> float:
@@ -63,26 +48,3 @@ class IntegratorStats:
     njev: int  # Jacobian evaluations
     nlu: int   # LU factorisations
     steps: int  # accepted steps
-
-
-@dataclass(frozen=True)
-class PdeSolverSettings:
-    """Tolerances of the column PDE's time integrator.
-
-    They mean scipy's ``rtol`` and ``atol``.  Construction refuses a tolerance
-    that is not finite, a ``rel_tol`` below 100 ulps of 1 (where scipy's BDF
-    would raise it to that floor) and an ``abs_tol`` <= 0: the entries of a
-    clean column are exactly zero, and with no ``abs_tol`` their error scale
-    would be zero too.
-    """
-
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        _check_tolerances(self.rel_tol, self.abs_tol)
-        if self.rel_tol < _BDF_MIN_RTOL:
-            raise DomainError(
-                f"rel_tol must be at least {_BDF_MIN_RTOL!r} for the column, got {self.rel_tol!r}")
-        if self.abs_tol == 0.0:
-            raise DomainError("abs_tol must be positive for the column, got 0.0")

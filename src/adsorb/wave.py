@@ -46,7 +46,6 @@ from .stats import (
     _MAX_FACTOR,
     _MIN_FACTOR,
     IntegratorStats,
-    _check_tolerances,
     _initial_step,
     _newton_tol,
     _probe_step,
@@ -63,25 +62,8 @@ ETA_SPAN = 22.0            # half-window around F(0) = 1/2, short only at z = Z_
 # 1 - F round to the same double; past z = -708, F = e^z leaves the normal doubles
 Z_HEAD = 30.0
 Z_TAIL = -690.0
-
-
-@dataclass(frozen=True)
-class WaveSolverSettings:
-    """Tolerances of the Pe > 0 front's Radau leg.
-
-    They have the meaning of scipy's ``rtol`` and ``atol``; the Pe = 0
-    front is a fixed-step quadrature and takes no settings.  The leg's seed
-    and the sampled window are constants, not settings: the seed is F =
-    F_STOP, the distance from the clean state at which the front may end,
-    and each side reaches |eta| >= ETA_SPAN.  Construction refuses a
-    tolerance that is not finite, a ``rel_tol`` <= 0 and an ``abs_tol`` < 0.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        _check_tolerances(self.rel_tol, self.abs_tol)
+# the Pe > 0 leg's tolerances, scipy's rtol and atol; read at each solve
+REL_TOL, ABS_TOL = 1e-8, 1e-10
 
 
 @dataclass(frozen=True)
@@ -587,8 +569,7 @@ def solve_leading_order(params: DimensionlessParameters) -> WaveProfile:
                        deta_dz=slope)
 
 
-def solve_full_wave(params: DimensionlessParameters,
-                    settings: WaveSolverSettings | None = None) -> WaveProfile:
+def solve_full_wave(params: DimensionlessParameters) -> WaveProfile:
     """Heteroclinic front of the full equation for Pe > 0, normalized to F(0) = 1/2.
 
     The solver seeds at F = F_STOP next to the clean state, z = -Z_STOP, and
@@ -601,9 +582,9 @@ def solve_full_wave(params: DimensionlessParameters,
     F (1 - F) / F' from the anchor z = 0, never a state of the leg, so the
     anchor keeps full precision.  A seed slope that is not negative, or a leg
     whose arithmetic overflows or divides by an underflowed zero, raises
-    ``ConvergenceError``.  The profile carries the leg's counters.
+    ``ConvergenceError``.  The leg runs at the tolerances REL_TOL and ABS_TOL.
+    The profile carries the leg's counters.
     """
-    settings = settings or WaveSolverSettings()
     _require_front(params)
     if params.pe == 0.0:
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
@@ -614,7 +595,7 @@ def solve_full_wave(params: DimensionlessParameters,
                                "is not negative")
     try:
         w_at, stats = _radau_leg(rhs, jac, -Z_STOP, math.log(-seed_slope), Z_STOP,
-                                 settings.rel_tol, settings.abs_tol)
+                                 REL_TOL, ABS_TOL)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ConvergenceError(f"backward leg from the seed failed: {exc}") from exc
 

@@ -18,7 +18,6 @@ from adsorb.errors import ConvergenceError, CoverageError, DomainError, Existenc
 from adsorb.pde import SpatialGrid, solve_pde
 from adsorb.wave import (
     WaveProfile,
-    WaveSolverSettings,
     leading_order_rhs,
     solve_full_wave,
     solve_leading_order,
@@ -114,16 +113,17 @@ class TestBreakthroughWindow:
         assert window == pytest.approx(integral / p.velocity, rel=1e-5)
 
     @pytest.mark.parametrize("m,n,da", [(2, 3, 0.1), (2, 2, 0.5)])
-    def test_window_does_not_depend_on_tolerance(self, m, n, da):
+    def test_window_does_not_depend_on_tolerance(self, m, n, da, monkeypatch):
         # the window error of these families is about 1e-4 of the window, so
         # the solver and the profile read-out must hold it far more tightly
         p = params_for(pe=0.05, da=da, m=m, n=n)
-        tight = WaveSolverSettings(rel_tol=1e-11, abs_tol=1e-13)
         window = breakthrough_window_time(solve_full_wave(p))
-        reference = breakthrough_window_time(solve_full_wave(p, tight))
-        assert window == pytest.approx(reference, rel=1e-7)
         # a sweep solves each positive Pe of its grid by its own leg
         swept = [r for r in run_sweep(p, SweepGrid.paper_default()) if r.pe == 0.05]
+        monkeypatch.setattr("adsorb.wave.REL_TOL", 1e-11)
+        monkeypatch.setattr("adsorb.wave.ABS_TOL", 1e-13)
+        reference = breakthrough_window_time(solve_full_wave(p))
+        assert window == pytest.approx(reference, rel=1e-7)
         assert len(swept) == 1 and swept[0].error is None
         assert swept[0].t_window == pytest.approx(reference, rel=1e-7)
 
@@ -134,13 +134,21 @@ class TestBreakthroughWindow:
     ("l2_profile_error", "n_points", 2001),
     ("breakthrough_window_time", "hi", 1e-2),
     ("breakthrough_window_time", "lo", 1e-4),
+    ("solve_full_wave", "settings", None),
+    ("run_sweep", "settings", None),
+    ("solve_pde", "settings", None),
 ])
 def test_removed_keywords_are_type_errors(lead_11, function, keyword, value):
-    # the column starts clean, and the L2 and breakthrough windows are constants
-    args = {"solve_pde": (params_for(ell=5.0, pe=0.5), SpatialGrid(ell=5.0, n_cells=20), 1.0),
-            "l2_profile_error": (lead_11, lead_11),
-            "breakthrough_window_time": (lead_11,)}[function]
-    call = solve_pde if function == "solve_pde" else getattr(analysis, function)
+    # the column starts clean, the L2 and breakthrough windows are constants,
+    # and so are both integrators' tolerances
+    call, args = {
+        "solve_pde": (solve_pde,
+                      (params_for(ell=5.0, pe=0.5), SpatialGrid(ell=5.0, n_cells=20), 1.0)),
+        "l2_profile_error": (l2_profile_error, (lead_11, lead_11)),
+        "breakthrough_window_time": (breakthrough_window_time, (lead_11,)),
+        "solve_full_wave": (solve_full_wave, (params_for(pe=0.1),)),
+        "run_sweep": (run_sweep, (params_for(), SweepGrid((0.0, 0.1)))),
+    }[function]
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         call(*args, **{keyword: value})
 
@@ -196,10 +204,10 @@ class TestRunSweep:
         grid = SweepGrid((0.0, 0.1, 0.2, 0.3))
         clean = run_sweep(params_for(), grid)
 
-        def solve(params, settings=None):
+        def solve(params):
             if params.pe == 0.2:
                 raise ConvergenceError("leg step fell below the minimum")
-            return solve_full_wave(params, settings)
+            return solve_full_wave(params)
 
         monkeypatch.setattr("adsorb.analysis.solve_full_wave", solve)
         recs = run_sweep(params_for(), grid)

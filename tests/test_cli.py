@@ -112,7 +112,7 @@ class TestPublicSurface:
             "AdsorptionError", "CellPecletWarning", "ConfigError", "ConvergenceError",
             "CoverageError", "DimensionlessParameters", "DomainError", "EquilibriumReport",
             "ExistenceError", "PhysicalParameters", "RawKinetics", "ReactionOrders",
-            "WaveProfile", "WaveSolverSettings", "alpha_from_qe", "analyze_equilibria",
+            "WaveProfile", "alpha_from_qe", "analyze_equilibria",
             "closed_form_wave_11", "convert_raw_rates", "equilibrium_fraction_from_masses",
             "equilibrium_polynomial", "full_system_rhs", "g_from_f", "leading_order_rhs",
             "nondimensionalize", "qe_from_alpha", "sips_isotherm", "solve_full_wave",
@@ -123,18 +123,18 @@ class TestPublicSurface:
 # documents whose values have the wrong JSON type, with the key the error names
 WRONG_TYPES = [
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-      "solver": {"rel_tol": "tight"}}, "solver.rel_tol"),
+      "solver": {"t_end": "long"}}, "solver.t_end"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": "x", "pe": 0.1, "m": 1, "n": 1}},
      "dimensionless.da"),
     ({"mode": "sweep", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
       "solver": {"pe_values": 5}}, "solver.pe_values"),
     # json.loads reads NaN and Infinity, which no config number may be
     ({"mode": "sweep", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
-      "solver": {"abs_tol": math.nan, "pe_values": [0.0, 0.1]}}, "solver.abs_tol"),
+      "solver": {"n_cells": math.nan, "pe_values": [0.0, 0.1]}}, "solver.n_cells"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-      "solver": {"rel_tol": math.nan}}, "solver.rel_tol"),
+      "solver": {"n_cells": math.inf}}, "solver.n_cells"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-      "solver": {"rel_tol": math.inf}}, "solver.rel_tol"),
+      "solver": {"t_end": math.inf}}, "solver.t_end"),
     ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
       "solver": {"t_end": math.nan}}, "solver.t_end"),
     ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
@@ -163,7 +163,7 @@ class TestParseConfig:
     def test_default_hash_is_pinned(self):
         # the resolved defaults of a minimal wave document; a drift in any
         # default value moves every artifact's provenance header
-        pinned = "e5374a9a57744a633c3f1313eaa6a752301bee318af73608df2c91bb559b5894"
+        pinned = "68ead91a0b2d37396b07cf8814bb5836444ba6826883f86e8ff26d1c743049a5"
         assert parse_config(wave_doc()).config_hash == pinned
         nulls = {**json.loads(wave_doc()), "solver": None, "isotherm": None, "output": None}
         assert parse_config(json.dumps(nulls)).config_hash == pinned
@@ -171,6 +171,13 @@ class TestParseConfig:
     @pytest.mark.parametrize("doc,key", WRONG_TYPES + [
         ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
           "solver": {"n_cells": 64.5}}, "solver.n_cells"),
+        # numpy sizes arrays in int64, so a count past it is refused by name
+        ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+          "solver": {"n_cells": 1e300}}, "solver.n_cells must be a 64-bit integer"),
+        ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+          "solver": {"n_snapshots": 1e300}}, "solver.n_snapshots must be a 64-bit integer"),
+        ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
+          "solver": {"n_snapshots": 2 ** 63}}, "solver.n_snapshots must be a 64-bit integer"),
         ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
           "solver": {"front_levels": [0.5, None]}}, "solver.front_levels"),
         ({"mode": "isotherm", "physical": dict(PHYSICAL),
@@ -206,8 +213,7 @@ class TestParseConfig:
         assert config.solver["n_cells"] == 400
         # every settable solver value; a knob added later shows up here
         assert sorted(config.resolved["solver"]) == [
-            "abs_tol", "front_levels", "n_cells", "n_snapshots", "pde_abs_tol", "pde_rel_tol",
-            "pe_values", "rel_tol", "t_end"]
+            "front_levels", "n_cells", "n_snapshots", "pe_values", "t_end"]
 
     def test_mode_from_subcommand(self):
         doc = json.dumps({"dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1}})
@@ -291,6 +297,11 @@ class TestParseConfig:
         removed = {"eta_span": 22.0, "eta_star": 20.0, "fit_start": 1.0, "fit_end": 2.0}
         with pytest.raises(ConfigError,
                            match="unknown keys in solver: eta_span, eta_star, fit_end, fit_start"):
+            parse_config(json.dumps({**json.loads(wave_doc()), "solver": removed}))
+        # and so are the wave leg's and the column integrator's tolerances
+        removed = {"rel_tol": 1e-8, "abs_tol": 1e-10, "pde_rel_tol": 1e-6, "pde_abs_tol": 1e-9}
+        with pytest.raises(ConfigError, match="unknown keys in solver: abs_tol, pde_abs_tol, "
+                                              "pde_rel_tol, rel_tol"):
             parse_config(json.dumps({**json.loads(wave_doc()), "solver": removed}))
         # every table is CSV, so the output section holds the directory alone
         with pytest.raises(ConfigError, match="unknown keys in output: format"):
@@ -717,29 +728,33 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().err)["error"] == "ExistenceError"
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("mode,solver,message", [
-        ("wave", {"rel_tol": 0}, "rel_tol"),
-        ("wave", {"rel_tol": -1}, "rel_tol"),
-        ("sweep", {"rel_tol": -1}, "rel_tol"),
-        ("sweep", {"pe_values": [0.1, 0.0]}, "increase strictly"),
-        ("pde", {"n_cells": 8}, "16 nodes"),
-        ("pde", {"pde_rel_tol": 0}, "rel_tol"),
-        ("pde", {"pde_rel_tol": 1e-15}, "rel_tol"),
-        ("pde", {"pde_abs_tol": -1e-9}, "abs_tol"),
-        ("pde", {"pde_abs_tol": 0}, "abs_tol"),
-        ("pde", {"t_end": 0}, "t_end"),
-        ("pde", {"n_snapshots": 0}, "n_snapshots"),
-        ("pde", {"n_snapshots": -3}, "n_snapshots"),
-        ("pde", {"n_snapshots": 1}, "n_snapshots"),
-        ("pde", {"front_levels": [0.5, 1.0]}, "level"),
-        ("pde", {"front_levels": [0.0]}, "level"),
+    @pytest.mark.parametrize("mode,solver,error,message", [
+        # the tolerances are constants now; a config that still sets one, even to
+        # a value the old check refused, is refused as an unknown key
+        ("wave", {"rel_tol": 0}, "ConfigError", "unknown keys in solver: rel_tol"),
+        ("wave", {"rel_tol": -1}, "ConfigError", "unknown keys in solver: rel_tol"),
+        ("sweep", {"rel_tol": -1}, "ConfigError", "unknown keys in solver: rel_tol"),
+        ("sweep", {"pe_values": [0.1, 0.0]}, "DomainError", "increase strictly"),
+        ("pde", {"n_cells": 8}, "DomainError", "16 nodes"),
+        ("pde", {"pde_rel_tol": 0}, "ConfigError", "unknown keys in solver: pde_rel_tol"),
+        ("pde", {"pde_rel_tol": 1e-15}, "ConfigError", "unknown keys in solver: pde_rel_tol"),
+        ("pde", {"pde_abs_tol": -1e-9}, "ConfigError", "unknown keys in solver: pde_abs_tol"),
+        ("pde", {"pde_abs_tol": 0}, "ConfigError", "unknown keys in solver: pde_abs_tol"),
+        ("pde", {"t_end": 0}, "DomainError", "t_end"),
+        ("pde", {"n_snapshots": 0}, "DomainError", "n_snapshots"),
+        ("pde", {"n_snapshots": -3}, "DomainError", "n_snapshots"),
+        ("pde", {"n_snapshots": 1}, "DomainError", "n_snapshots"),
+        ("pde", {"front_levels": [0.5, 1.0]}, "DomainError", "level"),
+        ("pde", {"front_levels": [0.0]}, "DomainError", "level"),
         # each level is one key of fitted_speeds and one block of pde_front.csv
-        ("pde", {"front_levels": [0.5, 0.5]}, "front_levels must be distinct and not empty"),
-        ("pde", {"front_levels": []}, "front_levels must be distinct and not empty"),
+        ("pde", {"front_levels": [0.5, 0.5]}, "DomainError",
+         "front_levels must be distinct and not empty"),
+        ("pde", {"front_levels": []}, "DomainError",
+         "front_levels must be distinct and not empty"),
     ])
-    def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, message):
-        # a solver-section value outside its domain is the solvers' DomainError:
-        # exit 2, one JSON line, no artifact
+    def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, error, message):
+        # a solver-section value outside its domain is the solvers' DomainError,
+        # a removed key the parser's ConfigError: exit 2, one JSON line, no artifact
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**json.loads(wave_doc(pe=0.1, ell=5.0)), "mode": mode,
                                    "solver": solver}))
@@ -748,7 +763,7 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         err = json.loads(err)
-        assert err["error"] == "DomainError" and message in err["message"]
+        assert err["error"] == error and message in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
     def test_empty_inlet_grid_exit_code(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import ctypes
 import gc
 import itertools
 import math
+import re
 import sys
 import types
 import warnings
@@ -36,7 +37,6 @@ from adsorb.pde import (
     track_front,
 )
 from adsorb.analysis import breakthrough_window_time
-from adsorb.stats import PdeSolverSettings
 from adsorb.wave import solve_full_wave
 
 from conftest import ADMISSIBLE_FAMILIES, column_physical, params_for
@@ -284,14 +284,18 @@ def test_rate_law_is_bound_once_per_solve(monkeypatch):
     # steps halved after Newton fails at a fresh Jacobian (18 steps, 6 Jacobians)
     (2, 2, 20, 0.1, "dense", 0.99, 0.1, 5.0),
 ])
-def test_bdf_matches_scipy_step_for_step(m, n, n_cells, da, jac_format, q_e, abs_tol, t_end):
+def test_bdf_matches_scipy_step_for_step(m, n, n_cells, da, jac_format, q_e, abs_tol, t_end,
+                                         monkeypatch):
     # scipy's BDF with the same analytic Jacobian takes the same steps, makes
-    # the same evaluations and factorisations, and samples the same fields
+    # the same evaluations and factorisations, and samples the same fields.
+    # scipy raises an rtol below 100 ulps of 1 to that floor, and a clean
+    # column's zero entries need a positive atol for an error scale
+    assert pde.REL_TOL >= 100 * sys.float_info.epsilon and pde.ABS_TOL > 0.0
     p = params_for(m=m, n=n, q_e=q_e, pe=0.5, da=da, ell=5.0)
     grid = SpatialGrid(ell=5.0, n_cells=n_cells)
     times = np.linspace(0.0, t_end, 9)
-    sol = solve_pde(p, grid, t_end=t_end, sample_times=times,
-                    settings=PdeSolverSettings(abs_tol=abs_tol))
+    monkeypatch.setattr("adsorb.pde.ABS_TOL", abs_tol)
+    sol = solve_pde(p, grid, t_end=t_end, sample_times=times)
 
     def jac(_t, z):
         dense = dense_jacobian(p, grid, z)
@@ -299,8 +303,8 @@ def test_bdf_matches_scipy_step_for_step(m, n, n_cells, da, jac_format, q_e, abs
 
     column = _Column(p, grid)
     ref = solve_ivp(lambda _t, z: assemble_rhs(z, column), (0.0, t_end),
-                    np.zeros(2 * n_cells - 2), method="BDF", jac=jac, rtol=1e-6, atol=abs_tol,
-                    t_eval=times, dense_output=True)
+                    np.zeros(2 * n_cells - 2), method="BDF", jac=jac, rtol=pde.REL_TOL,
+                    atol=abs_tol, t_eval=times, dense_output=True)
     assert ref.success
     steps = ref.sol.ts.size - 1
     assert (sol.stats.steps, sol.stats.nfev, sol.stats.njev, sol.stats.nlu) == \
@@ -385,9 +389,7 @@ def saturated_solution(t_end, sample_times):
     grid = SpatialGrid(ell=10.0, n_cells=64)
     column = _Column(p, grid)
     state = np.concatenate([np.ones(62), np.full(64, p.q_e)])
-    settings = PdeSolverSettings()
-    samples, stats = pde._bdf(column, state, t_end, sample_times, settings.rel_tol,
-                              settings.abs_tol)
+    samples, stats = pde._bdf(column, state, t_end, sample_times, pde.REL_TOL, pde.ABS_TOL)
     c = _full_field(samples[:, :62], column.w)
     return PdeSolution(grid=grid, times=sample_times, c=c, q=samples[:, 62:],
                        breakthrough=c[:, -1], params=p, stats=stats)
@@ -474,6 +476,18 @@ class TestSolvePde:
         # the first step of these collapses to zero: a typed error, not a ZeroDivisionError
         assert all(outcomes[m, n, 1e-300, pe] == "ConvergenceError"
                    for m, n in [(1, 1), (2, 3)] for pe in extremes[:5])
+
+    @pytest.mark.parametrize("m, n, da, pe", [
+        (1, 1, 1e-300, 1e8), (2, 3, 1e-300, 1e300), (1, 1, 1e-8, 1e300)])
+    def test_overflowing_transport_weights_are_refused(self, m, n, da, pe):
+        # Pe / (h^2 Da) past the largest double: refused before the band would
+        # form inf - inf, so with no errstate numpy has nothing to report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="transport weights overflow at spacing .*, "
+                                                  + re.escape(f"Pe {pe!r} and Da {da!r}")):
+                solve_pde(params_for(m=m, n=n, da=da, pe=pe, ell=5.0),
+                          SpatialGrid(ell=5.0, n_cells=20), t_end=1.0)
 
     def test_array_closure_matches_per_snapshot_loop(self):
         # the boundary closure runs on all snapshots at once; a loop over
