@@ -31,6 +31,7 @@ from .model import (
     DimensionlessParameters,
     PhysicalParameters,
     ReactionOrders,
+    _require_sizable,
     nondimensionalize,
     sips_isotherm,
 )
@@ -258,9 +259,9 @@ def parse_config(document: str, mode_override: str | None = None, *,
 
 
 CELL_FORMAT = "%.16e"  # 17 significant digits
-# Rows per formatted block: one block's cell text and temporaries take a few
-# hundred kB, where a whole 20k-row snapshot table at once raised the peak
-# memory of repeated pde runs
+# Rows per formatted block: the writer holds one block, never the table.  A
+# block's floats, cell text and temporaries take a few hundred kB, where a
+# whole 20k-row snapshot table at once raised the peak memory of pde runs
 _BLOCK_ROWS = 1024
 
 
@@ -352,11 +353,11 @@ def _header(config: RunConfig) -> str:
 
 def _write_table(path: Path, config: RunConfig, names: list[str], columns) -> Path:
     """Write equal-length float columns to the CSV table ``path``, a block of rows at a time."""
-    table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+    columns = [np.asarray(col, dtype=float) for col in columns]
     with path.open("wb") as out:
         out.write((_header(config) + ",".join(names) + "\n").encode("utf-8"))
-        for start in range(0, table.shape[0], _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
+        for start in range(0, columns[0].size, _BLOCK_ROWS):
+            block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
             text = _format_cells(block).reshape(block.shape[0], block.shape[1], _CELL_BYTES)
             text[:, :-1, -1] = ord(",")
             text[:, -1, -1] = ord("\n")
@@ -437,14 +438,17 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
 
     s = config.solver
     grid = SpatialGrid(ell=config.params.ell, n_cells=int(s["n_cells"]))
-    if int(s["n_snapshots"]) < 2:  # the snapshot count is this mode's own setting
+    n_snapshots = int(s["n_snapshots"])
+    if n_snapshots < 2:  # the snapshot count is this mode's own setting
         raise DomainError(f"n_snapshots must be at least 2, got {s['n_snapshots']!r}")
+    # the solver keeps one state per snapshot
+    _require_sizable("n_snapshots", n_snapshots, n_snapshots * (2 * grid.n_cells - 2))
     levels = s["front_levels"]  # one fitted speed and one block of front rows per level
     if not levels or len(set(levels)) < len(levels):
         raise DomainError(f"front_levels must be distinct and not empty, got {levels!r}")
     t_end = float(s["t_end"])
     window = (0.5 * t_end, t_end)  # the speed is fitted once the front has formed
-    times = np.linspace(0.0, t_end, int(s["n_snapshots"]))
+    times = np.linspace(0.0, t_end, n_snapshots)
     sol = solve_pde(config.params, grid, t_end, sample_times=times)
     # every result exists before the first file is written, so a refusal leaves none
     tracks = [track_front(sol, float(level), window) for level in levels]

@@ -39,6 +39,14 @@ def _require_integer(name: str, value) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_sizable(name: str, value: int, n_floats: int) -> None:
+    """Refuse a count ``value`` whose array of ``n_floats`` doubles numpy cannot size."""
+    n_bytes = 8 * n_floats
+    if n_bytes > np.iinfo(np.intp).max:
+        raise DomainError(f"{name} = {value!r} asks for an array of {n_bytes} bytes, more than "
+                          f"numpy can size ({np.iinfo(np.intp).max})")
+
+
 @dataclass(frozen=True)
 class ReactionOrders:
     """Global reaction orders: m for the fluid phase, n for the adsorbed one."""

@@ -46,6 +46,7 @@ from .model import (
     _require_fraction,
     _require_integer,
     _require_positive,
+    _require_sizable,
 )
 from .stats import (
     _MAX_FACTOR,
@@ -76,6 +77,8 @@ class SpatialGrid:
         _require_integer("n_cells", self.n_cells)
         if self.n_cells < 16:
             raise DomainError(f"need at least 16 nodes, got {self.n_cells}")
+        # the state, 2 n_cells - 2 floats: c at the interior nodes, q at every node
+        _require_sizable("n_cells", self.n_cells, 2 * int(self.n_cells) - 2)
 
     @property
     def spacing(self) -> float:
@@ -355,26 +358,28 @@ def _step_collapse(t: float, min_step: float) -> ConvergenceError:
 def _newton(column: _Column, y_predict, c, psi, lu, scale, tol):
     """Simplified Newton iteration for the BDF step's correction d.
 
-    Returns (converged, iterations, y, d).
+    Returns (converged, iterations, y, d).  An iterate that overflows leaves
+    a non-finite rate, which ends the iteration unconverged.
     """
     d = 0
     y = y_predict.copy()
     dy_norm_old = None
-    for k in range(_NEWTON_MAXITER):
-        f = assemble_rhs(y, column)
-        if not np.isfinite(f).all():
-            break
-        dy = column.solve(lu, c * f - psi - d)
-        dy_norm = _rms(dy / scale)
-        rate = None if dy_norm_old is None else dy_norm / dy_norm_old
-        if rate is not None and (rate >= 1
-                                 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol):
-            break
-        y += dy
-        d += dy
-        if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
-            return True, k + 1, y, d
-        dy_norm_old = dy_norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_NEWTON_MAXITER):
+            f = assemble_rhs(y, column)
+            if not np.isfinite(f).all():
+                break
+            dy = column.solve(lu, c * f - psi - d)
+            dy_norm = _rms(dy / scale)
+            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+            if rate is not None and (
+                    rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol):
+                break
+            y += dy
+            d += dy
+            if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
+                return True, k + 1, y, d
+            dy_norm_old = dy_norm
     return False, k + 1, y, d
 
 
@@ -551,8 +556,9 @@ def track_front(sol: PdeSolution, level: float,
     """Follow the x-position where c crosses ``level`` and fit its speed.
 
     Crossings are located by linear interpolation between adjacent nodes; the
-    speed is the least-squares slope of x(t) over ``fit_window`` (divide by
-    ell for the column-proportion speed).
+    speed is the least-squares slope of x(t) over ``fit_window``, in closed
+    form from the centred samples, sum (t - mean t)(x - mean x) over
+    sum (t - mean t)^2 (divide by ell for the column-proportion speed).
     """
     _require_fraction(level=level)
     t_lo, t_hi = fit_window
@@ -578,15 +584,17 @@ def track_front(sol: PdeSolution, level: float,
         )
     ts = np.array([t for t, _ in in_window])
     xs = np.array([p for _, p in in_window]) * sol.grid.ell
-    try:
-        # sample times so small that t^2 underflows leave polyfit's column scale 0
-        with np.errstate(divide="raise", invalid="raise"):
-            speed = float(np.polyfit(ts, xs, 1)[0])
-    except FloatingPointError as exc:
+    dt = ts - ts.mean()
+    # sample times so small that t^2 underflows leave no spread to divide by
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        spread = float(np.dot(dt, dt))
+        covariance = float(np.dot(dt, xs - xs.mean()))
+    speed = covariance / spread if 0.0 < spread < math.inf else math.nan
+    if not math.isfinite(speed):
         raise CoverageError(
             f"level {level!r}: the least-squares speed fit over {fit_window!r} "
-            f"failed ({exc})"
-        ) from None
+            f"failed (the sum of squared time offsets is {spread!r})"
+        )
     return FrontTrack(level=level, positions=tuple(positions), fitted_speed=speed)
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -593,6 +594,20 @@ class TestTableText:
         assert (tmp_path / "table.csv").read_bytes() == \
             (_header(config) + "a,b,c,d\n" + rows).encode()
 
+    def test_writer_holds_one_block_not_the_table(self, tmp_path):
+        # 100,000 rows of 4 columns are 3.2 MB of floats; stacking the table
+        # whole before formatting it peaked at 3.8 MB of traced memory
+        columns = np.random.default_rng(3).standard_normal((4, 100_000))
+        config = parse_config(wave_doc())
+        _header(config)  # the hash is bound before tracing starts
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / "table.csv", config, ["a", "b", "c", "d"], columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(2024)
         for _ in range(10):
@@ -744,6 +759,10 @@ class TestMainEntry:
         ("pde", {"n_snapshots": 0}, "DomainError", "n_snapshots"),
         ("pde", {"n_snapshots": -3}, "DomainError", "n_snapshots"),
         ("pde", {"n_snapshots": 1}, "DomainError", "n_snapshots"),
+        # past the arrays numpy can size: refused before any is asked for
+        ("pde", {"n_cells": 2 ** 62}, "DomainError", "n_cells = 4611686018427387904 asks for"),
+        ("pde", {"n_snapshots": 2 ** 62}, "DomainError",
+         "n_snapshots = 4611686018427387904 asks for"),
         ("pde", {"front_levels": [0.5, 1.0]}, "DomainError", "level"),
         ("pde", {"front_levels": [0.0]}, "DomainError", "level"),
         # each level is one key of fitted_speeds and one block of pde_front.csv

@@ -63,6 +63,14 @@ class TestSpatialGrid:
     def test_numpy_integer_node_count_is_taken(self):
         assert SpatialGrid(ell=8.0, n_cells=np.int64(20)).nodes.size == 20
 
+    @pytest.mark.parametrize("n_cells", [2 ** 62, np.int64(2 ** 62)])
+    def test_unsizable_node_count_is_refused(self, n_cells):
+        # a state of 2 n_cells - 2 doubles is past what numpy can size, so the
+        # grid refuses it before any array is asked for
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"n_cells = {n_cells!r} asks for an array of {8 * (2 * 2 ** 62 - 2)} bytes")):
+            SpatialGrid(ell=8.0, n_cells=n_cells)
+
 
 class TestKinetics:
     def test_equilibrium_at_saturation(self):
@@ -456,16 +464,17 @@ class TestSolvePde:
 
     def test_extreme_parameters_solve_or_raise_a_typed_error(self):
         # Da and Pe over 600 decades, q_e 0.7, 20 nodes: every column solves or
-        # raises an AdsorptionError.  Floating-point reports are silenced here,
-        # as the outcome, not numpy's overflow warnings, is under test; the
-        # cases left out take seconds each to integrate.
+        # raises an AdsorptionError, and none lets a numpy warning out: every
+        # warning but the cell-Peclet one is an error here.  The cases left out
+        # take seconds each to integrate.
         extremes = (1e-300, 1e-150, 1e-30, 1e-8, 0.1, 1e8, 1e30, 1e150, 1e300)
         grid = SpatialGrid(ell=5.0, n_cells=20)
         outcomes = {}
         for (m, n), da, pe in itertools.product([(1, 1), (2, 3)], extremes, extremes):
             if pe in (1e8, 1e30) or m == 2 and da in (1e-30, 1e-8) and pe < 1e8:
                 continue
-            with np.errstate(all="ignore"), warnings.catch_warnings():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 warnings.simplefilter("ignore", CellPecletWarning)
                 try:
                     solve_pde(params_for(m=m, n=n, da=da, pe=pe, ell=5.0), grid, t_end=1.0)
@@ -476,6 +485,9 @@ class TestSolvePde:
         # the first step of these collapses to zero: a typed error, not a ZeroDivisionError
         assert all(outcomes[m, n, 1e-300, pe] == "ConvergenceError"
                    for m, n in [(1, 1), (2, 3)] for pe in extremes[:5])
+        # Newton's iterates overflow in these, which ends each attempt unconverged
+        # until the step collapses, with no "invalid value" report on the way
+        assert outcomes[1, 1, 1e8, 1e150] == outcomes[2, 3, 1e8, 1e150] == "ConvergenceError"
 
     @pytest.mark.parametrize("m, n, da, pe", [
         (1, 1, 1e-300, 1e8), (2, 3, 1e-300, 1e300), (1, 1, 1e-8, 1e300)])
@@ -543,6 +555,12 @@ class TestReferenceColumnRun:
         speeds = [track_front(sol, level, (8.0, 16.0)).fitted_speed
                   for level in (0.25, 0.5, 0.75)]
         assert (max(speeds) - min(speeds)) / min(speeds) < 0.02
+
+    def test_fitted_speeds_are_the_least_squares_slopes(self, front_speed_run):
+        sol, _ = front_speed_run
+        for level in (0.25, 0.5, 0.75):
+            track = track_front(sol, level, (8.0, 16.0))
+            assert_slope_is_polyfits(track, (8.0, 16.0), sol.grid.ell)
 
     def test_mass_audit_quadrature_is_scipys(self, front_speed_run, monkeypatch):
         # the numpy running trapezoid is scipy's cumulative_trapezoid, bit for bit
@@ -660,6 +678,20 @@ class TestFrontTracking:
         assert track.fitted_speed == pytest.approx(v, rel=1e-6)
         assert all(0.0 <= pos <= 1.0 for _, pos in track.positions)
 
+    def test_speed_is_the_least_squares_slope_of_random_samples(self):
+        # a ramp whose front sits at a random position at each of 40 random
+        # times, around a drift of random speed
+        rng = np.random.default_rng(17)
+        grid = SpatialGrid(ell=20.0, n_cells=201)
+        for _ in range(20):
+            times = np.sort(rng.uniform(0.0, 10.0, 40))
+            fronts = 2.0 + rng.uniform(0.2, 1.5) * times + rng.normal(0.0, 0.3, times.size)
+            c = np.clip(1.0 - 0.5 * (grid.nodes[None, :] - fronts[:, None]), 0.0, 1.0)
+            sol = PdeSolution(grid=grid, times=times, c=c, q=np.zeros_like(c),
+                              breakthrough=c[:, -1], params=params_for(pe=0.1, ell=20.0))
+            window = (rng.uniform(0.0, 4.0), rng.uniform(6.0, 10.0))
+            assert_slope_is_polyfits(track_front(sol, 0.5, window), window, grid.ell)
+
     def test_level_never_crossed(self):
         sol, _ = self.synthetic_ramp_solution()
         with pytest.raises(CoverageError, match="cannot fit a speed"):
@@ -671,6 +703,14 @@ class TestFrontTracking:
             track_front(sol, 1.5, (1.0, 9.0))
         with pytest.raises(DomainError):
             track_front(sol, 0.5, (9.0, 1.0))
+
+
+def assert_slope_is_polyfits(track, window, ell):
+    """The track's speed is numpy's least-squares line through its in-window samples."""
+    ts, xs = np.array([(t, pos * ell) for t, pos in track.positions
+                       if window[0] <= t <= window[1]]).T
+    assert ts.size >= 10
+    assert track.fitted_speed == pytest.approx(np.polyfit(ts, xs, 1)[0], rel=1e-13, abs=0.0)
 
 
 def _solution(times=(0.0, 1.0), c=None):
