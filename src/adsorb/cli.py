@@ -361,7 +361,7 @@ def _write_table(path: Path, config: RunConfig, names: list[str], columns) -> Pa
             text = _format_cells(block).reshape(block.shape[0], block.shape[1], _CELL_BYTES)
             text[:, :-1, -1] = ord(",")
             text[:, -1, -1] = ord("\n")
-            out.write(text[text != 0].tobytes())
+            out.write(text.tobytes().translate(None, b"\0"))  # drop the cells' NUL padding
     return path
 
 

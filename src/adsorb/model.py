@@ -252,7 +252,10 @@ def _rate_law(params: DimensionlessParameters):
     r(c, q) = alpha c^m (1-q)^n - (1-alpha) q^n, written with
     1 - alpha = alpha ((1-q_e)/q_e)^n from the isotherm: both factors are
     exactly one at (1, q_e), so the rate is exactly zero there and at (0, 0).
-    The three closures (r, dr/dq, dr/dc) take floats or arrays.
+    The three closures (r, dr/dq, dr/dc) take floats or arrays of one shape.
+    For (m, n) = (1, 1) they are written without the powers x^1 = x and
+    x^0 = 1, which are exact, so they give the same doubles with fewer
+    operations.
     """
     q_e, m, n = params.q_e, params.m, params.n
     one_minus_qe = 1.0 - q_e
@@ -261,6 +264,19 @@ def _rate_law(params: DimensionlessParameters):
     amp_c = m * amp
     n_q = n - 1
     m_c = m - 1
+    if m == n == 1:
+        inv_qe = 1.0 / q_e
+
+        def r(c, q):
+            return amp * (c * ((1.0 - q) / one_minus_qe) - q / q_e)
+
+        def r_q(c, q):
+            return amp_q * (c / one_minus_qe + inv_qe)
+
+        def r_c(c, q):
+            return amp_c * ((1.0 - q) / one_minus_qe)
+
+        return r, r_q, r_c
 
     def r(c, q):
         return amp * (c ** m * ((1.0 - q) / one_minus_qe) ** n - (q / q_e) ** n)

@@ -149,20 +149,29 @@ def _numpy_tridiagonal_lapack():
     return dgttrf, dgttrs
 
 
-def _full_field(c_interior: np.ndarray, w: float) -> np.ndarray:
-    """The concentrations at every node, the boundaries from the closure.
+def _close(c: np.ndarray, c_interior: np.ndarray, w: float) -> np.ndarray:
+    """Write the concentrations at every node into ``c`` and return it.
 
     ``w`` = Pe/(2h) weighs the inlet's one-sided stencil (see ``_Column``).
-    The last axis of ``c_interior`` runs over the interior nodes; leading
-    axes (for example sample times) carry through.  The solver and the mass
-    audit both close the field here, so the audit needs no ``_Column``.
+    The last axis of ``c_interior`` runs over the interior nodes, and that
+    of ``c`` over every node; leading axes (for example sample times) carry
+    through.  Every closed field, the solver's and the mass audit's, is
+    written here.
     """
-    c = np.empty(c_interior.shape[:-1] + (c_interior.shape[-1] + 2,))
     by_node, inner = c.T, c_interior.T
     by_node[1:-1] = inner
     by_node[0] = (1.0 + w * (4.0 * inner[0] - inner[1])) / (1.0 + 3.0 * w)
     by_node[-1] = (4.0 * inner[-1] - inner[-2]) / 3.0
     return c
+
+
+def _full_field(c_interior: np.ndarray, w: float) -> np.ndarray:
+    """The concentrations at every node in a new array, the boundaries from the closure.
+
+    ``solve_pde`` and the mass audit close their snapshots here, so the
+    audit needs no ``_Column``.
+    """
+    return _close(np.empty(c_interior.shape[:-1] + (c_interior.shape[-1] + 2,)), c_interior, w)
 
 
 class _Column:
@@ -200,6 +209,11 @@ class _Column:
     back-substitutes q.  Both work in buffers bound to LAPACK once per
     column, so the factors of S live there, and each ``factor`` replaces the
     last one's: only the latest factorisation can be solved with.
+
+    The Newton iteration allocates no state-sized array for the field or the
+    solution either: ``assemble_rhs`` closes the field into the column's
+    ``field`` and ``solve`` writes x into a buffer of its own, so each holds
+    until the next call that writes it.
     """
 
     def __init__(self, params: DimensionlessParameters, grid: SpatialGrid):
@@ -222,10 +236,15 @@ class _Column:
         self.band = (lower, main, upper)
         self.da = da
         self.rate, self.rate_q, self.rate_c = _rate_law(params)
-        # the Schur system's diagonals, factors, pivots and right-hand side, and
-        # LAPACK's integers n (= ldb), nrhs and info
+        # solve's x, whose c part _b is the Schur system's right-hand side and
+        # solution; the closed field and a stencil temporary of assemble_rhs
+        self._x = np.empty(2 * k + 2)
+        self._b, self._x_q = self._x[:k], self._x[k:]
+        self.field, self.stencil = np.empty(k + 2), np.empty(k)
+        # the Schur system's diagonals, factors and pivots, and LAPACK's
+        # integers n (= ldb), nrhs and info
         self._dl, self._d, self._du = np.empty(k - 1), np.empty(k), np.empty(k - 1)
-        self._du2, self._ipiv, self._b = np.empty(k - 2), np.empty(k, dtype=np.int64), np.empty(k)
+        self._du2, self._ipiv = np.empty(k - 2), np.empty(k, dtype=np.int64)
         self._ints = np.array([k, 1, 0], dtype=np.int64)
         self._dgttrf, self._dgttrs = self._bind_lapack()
 
@@ -256,7 +275,7 @@ class _Column:
 
     def jacobian(self, state: np.ndarray):
         """The state-dependent part of J: (r_c, r_q) at every node."""
-        c = _full_field(state[:self.k], self.w)
+        c = _close(self.field, state[:self.k], self.w)
         q = state[self.k:]
         return self.rate_c(c, q), self.rate_q(c, q)
 
@@ -270,23 +289,25 @@ class _Column:
         self._d[...] = 1.0 - g * main + take * r_c[1:-1]
         np.multiply(upper, -g, out=self._du)
         self._dgttrf()
-        return q_diag, g * r_c, take * r_q[1:-1]
+        g_r_c = g * r_c
+        return q_diag, g_r_c[0], g_r_c[1:-1], g_r_c[-1], take * r_q[1:-1]
 
     def solve(self, lu, b: np.ndarray) -> np.ndarray:
-        """The solution x of M x = b for the factored M."""
-        q_diag, g_r_c, q_weight = lu
+        """The solution x of M x = b for the factored M, in the column's buffer.
+
+        The buffer holds x until the next ``solve``.
+        """
+        q_diag, g_r_c_inlet, g_r_c, g_r_c_outlet, q_weight = lu
         k = self.k
-        x = np.empty(b.size)
-        x_c, x_q = x[:k], x[k:]
-        schur_b = self._b
-        np.multiply(q_weight, b[k + 1:-1], out=schur_b)
-        np.subtract(b[:k], schur_b, out=schur_b)
+        x, x_c, x_q = self._x, self._b, self._x_q
+        # the Schur right-hand side b_c - (what the c rows take of b_q), solved in place
+        np.multiply(q_weight, b[k + 1:-1], out=x_c)
+        np.subtract(b[:k], x_c, out=x_c)
         self._dgttrs()
-        x_c[...] = schur_b
         # x_q = (b_q + g r_c E x_c) / (1 - g r_q), E x_c the change of the full field
-        np.multiply(g_r_c[1:-1], x_c, out=x_q[1:-1])
-        x_q[0] = g_r_c[0] * (self.inlet @ x_c[:2])
-        x_q[-1] = g_r_c[-1] * (self.outlet @ x_c[-2:])
+        np.multiply(g_r_c, x_c, out=x_q[1:-1])
+        x_q[0] = g_r_c_inlet * (self.inlet @ x_c[:2])
+        x_q[-1] = g_r_c_outlet * (self.outlet @ x_c[-2:])
         x_q += b[k:]
         x_q /= q_diag
         return x
@@ -299,7 +320,7 @@ def assemble_rhs(state: np.ndarray, column: _Column) -> np.ndarray:
     column's full field, with dq/dt the column's rate law at every node.
     """
     k = column.k
-    c = _full_field(state[:k], column.w)
+    c = _close(column.field, state[:k], column.w)
     out = np.empty(state.size)
     dq = out[k:]
     dq[...] = column.rate(c, state[k:])
@@ -307,10 +328,10 @@ def assemble_rhs(state: np.ndarray, column: _Column) -> np.ndarray:
     centre = c[1:-1]
     np.subtract(c[:-2], centre, out=dc)
     dc *= column.west
-    downstream = c[2:] - centre
+    downstream = np.subtract(c[2:], centre, out=column.stencil)
     downstream *= column.east
     dc += downstream
-    dc -= dq[1:-1] / column.da
+    dc -= np.divide(dq[1:-1], column.da, out=downstream)
     return out
 
 
@@ -332,6 +353,20 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5  # np.linalg.norm of a real vector, bit for bit
 
 
+def _error_scale(y: np.ndarray, rtol: float, atol: float, out: np.ndarray) -> None:
+    """atol + rtol |y|, the BDF's error scale at ``y``, into ``out``."""
+    np.abs(y, out=out)
+    out *= rtol
+    out += atol
+
+
+def _scaled_rms(const: float, x: np.ndarray, scale: np.ndarray, out: np.ndarray) -> float:
+    """The RMS norm of const x / scale, formed in ``out``."""
+    np.multiply(x, const, out=out)
+    out /= scale
+    return _rms(out)
+
+
 def _step_map(order: int, factor: float) -> np.ndarray:
     """The map of the first order + 1 backward differences to step ratio ``factor``."""
     i = np.arange(1, order + 1)[:, None]
@@ -342,9 +377,12 @@ def _step_map(order: int, factor: float) -> np.ndarray:
     return np.cumprod(m, axis=0)
 
 
+_UNIT_STEP_MAPS = tuple(_step_map(order, 1) for order in range(_MAX_ORDER + 1))  # by order
+
+
 def _rescale(diffs: np.ndarray, order: int, factor: float) -> None:
     """Change the step of the backward differences ``diffs`` by ``factor``, in place."""
-    ru = _step_map(order, factor).dot(_step_map(order, 1))
+    ru = _step_map(order, factor).dot(_UNIT_STEP_MAPS[order])
     diffs[:order + 1] = np.dot(ru.T, diffs[:order + 1])
 
 
@@ -369,8 +407,12 @@ def _newton(column: _Column, y_predict, c, psi, lu, scale, tol):
             f = assemble_rhs(y, column)
             if not np.isfinite(f).all():
                 break
-            dy = column.solve(lu, c * f - psi - d)
-            dy_norm = _rms(dy / scale)
+            # f is the residual c f - psi - d, then dy / scale: solve reads it first
+            f *= c
+            f -= psi
+            f -= d
+            dy = column.solve(lu, f)
+            dy_norm = _rms(np.divide(dy, scale, out=f))
             rate = None if dy_norm_old is None else dy_norm / dy_norm_old
             if rate is not None and (
                     rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol):
@@ -418,6 +460,8 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
     diffs[0] = y
     diffs[1] = f * h_abs
     order, n_equal_steps, lu = 1, 0, None
+    # the predictor, the error scale and the scaled error of each step
+    y_predict, scale, error = np.empty(y.size), np.empty(y.size), np.empty(y.size)
     samples = np.empty((sample_times.size, y.size))
     sampled = 0
     while t < t_end:
@@ -435,9 +479,10 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
                 _rescale(diffs, order, (t_new - t) / h_abs)
                 n_equal_steps, lu = 0, None
             h_abs = t_new - t
-            y_predict = np.sum(diffs[:order + 1], axis=0)
-            scale = atol + rtol * np.abs(y_predict)
-            psi = np.dot(diffs[1:order + 1].T, _GAMMA[1:order + 1]) / _ALPHA[order]
+            np.add.reduce(diffs[:order + 1], axis=0, out=y_predict)
+            _error_scale(y_predict, rtol, atol, scale)
+            psi = np.dot(diffs[1:order + 1].T, _GAMMA[1:order + 1])
+            psi /= _ALPHA[order]
             c = h_abs / _ALPHA[order]
             while True:
                 if lu is None:
@@ -457,8 +502,8 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
                 n_equal_steps, lu = 0, None
                 continue
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
-            scale = atol + rtol * np.abs(y_new)
-            error_norm = _rms(_ERROR_CONST[order] * d / scale)
+            _error_scale(y_new, rtol, atol, scale)
+            error_norm = _scaled_rms(_ERROR_CONST[order], d, scale, error)
             if error_norm <= 1:
                 break
             factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
@@ -471,14 +516,14 @@ def _bdf(column: _Column, y: np.ndarray, t_end: float, sample_times: np.ndarray,
         t, y = t_new, y_new
         # d is the (order + 1)-th difference of the new point, so the
         # differences of the new polynomial follow by summation
-        diffs[order + 2] = d - diffs[order + 1]
+        np.subtract(d, diffs[order + 1], out=diffs[order + 2])
         diffs[order + 1] = d
         for i in reversed(range(order + 1)):
             diffs[i] += diffs[i + 1]
         if n_equal_steps >= order + 1:  # time to try the neighbouring orders
-            error_m_norm = (_rms(_ERROR_CONST[order - 1] * diffs[order] / scale)
+            error_m_norm = (_scaled_rms(_ERROR_CONST[order - 1], diffs[order], scale, error)
                             if order > 1 else np.inf)
-            error_p_norm = (_rms(_ERROR_CONST[order + 1] * diffs[order + 2] / scale)
+            error_p_norm = (_scaled_rms(_ERROR_CONST[order + 1], diffs[order + 2], scale, error)
                             if order < _MAX_ORDER else np.inf)
             error_norms = np.array([error_m_norm, error_norm, error_p_norm])
             with np.errstate(divide="ignore"):

@@ -315,6 +315,44 @@ class TestRateLawPartial:
         assert_allclose(r_c(c, q), central, rtol=1e-7, atol=1e-9)
 
 
+# r, dr/dq and dr/dc of the generic closures of model._rate_law, their
+# constants and powers written out for (m, n) = (1, 1)
+def _rate_11_with_powers(c, q, p):
+    one_minus_qe = 1.0 - p.q_e
+    amp = p.alpha * one_minus_qe ** 1
+    return (amp * (c ** 1 * ((1.0 - q) / one_minus_qe) ** 1 - (q / p.q_e) ** 1),
+            -1 * p.alpha * one_minus_qe ** 1 * (c ** 1 * ((1.0 - q) / one_minus_qe) ** 0
+                                                / one_minus_qe + (q / p.q_e) ** 0 / p.q_e),
+            1 * amp * c ** 0 * ((1.0 - q) / one_minus_qe) ** 1)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestPowerFreeRateLaw:
+    """The (1,1) closures drop x^1 = x and x^0 = 1 and keep every double."""
+
+    @pytest.mark.parametrize("q_e", [0.7, 0.99993])
+    def test_floats_at_the_corner_values(self, q_e):
+        p = params_for(q_e=q_e)
+        for c in (0.0, 1.0, q_e):
+            for q in (0.0, 1.0, q_e):
+                bound = [f(c, q) for f in _rate_law(p)]
+                assert all(isinstance(value, float) for value in bound)
+                assert list(map(_bits, bound)) == list(map(_bits, _rate_11_with_powers(c, q, p)))
+
+    @pytest.mark.parametrize("q_e", [0.7, 0.99993])
+    def test_arrays_at_corner_and_random_points(self, q_e):
+        p = params_for(q_e=q_e)
+        corner = np.array([0.0, 1.0, q_e])
+        c_corner, q_corner = (a.ravel() for a in np.meshgrid(corner, corner))
+        c_random, q_random = np.random.default_rng(11).uniform(0.0, 1.0, (2, 1000))
+        for c, q in ((c_corner, q_corner), (c_random, q_random)):
+            bound = [f(c, q) for f in _rate_law(p)]
+            assert list(map(_bits, bound)) == list(map(_bits, _rate_11_with_powers(c, q, p)))
+
+
 class TestAnalyzeEquilibria:
     def test_physisorption_is_admissible(self):
         report = analyze_equilibria(params_for(0.7, da=0.1, pe=0.0, m=1, n=1))

@@ -366,6 +366,33 @@ def test_scipy_fallback_solves_the_column_bit_for_bit(monkeypatch):
     assert fallback.stats == default.stats
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3)])
+def test_bound_buffers_change_no_bit(m, n, monkeypatch):
+    # the Newton iteration closes the field and solves into buffers bound to
+    # the column; a result that a later call overwrote through a shared
+    # buffer would change the fields or the work against fresh copies
+    p = params_for(m=m, n=n, ell=5.0, pe=0.5, da=0.007)
+    grid = SpatialGrid(ell=5.0, n_cells=48)
+    bound = solve_pde(p, grid, t_end=2.0)
+    rhs, solve, calls = pde.assemble_rhs, _Column.solve, []
+
+    def rhs_copy(state, column):
+        calls.append("rhs")
+        return rhs(state, column).copy()
+
+    def solve_copy(column, lu, b):
+        calls.append("solve")
+        return solve(column, lu, b).copy()
+
+    monkeypatch.setattr(pde, "assemble_rhs", rhs_copy)
+    monkeypatch.setattr(_Column, "solve", solve_copy)
+    copied = solve_pde(p, grid, t_end=2.0)
+    assert calls.count("rhs") == copied.stats.nfev and calls.count("solve") > 0
+    for name in ("c", "q", "breakthrough"):
+        assert getattr(copied, name).tobytes() == getattr(bound, name).tobytes()
+    assert copied.stats == bound.stats
+
+
 @pytest.mark.parametrize("pe, da", [(0.5, 0.1), (0.1, 0.007)])
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 3)])
 def test_implicit_matches_explicit_reference(m, n, pe, da):
