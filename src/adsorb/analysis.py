@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from .errors import AdsorptionError, CoverageError, DomainError
+from .errors import AdsorptionError, CoverageError
 from .model import DimensionlessParameters, _require_positive
 from .stats import IntegratorStats
 from .wave import WaveProfile, solve_full_wave, solve_leading_order
@@ -20,30 +20,10 @@ DEFAULT_ETA_STAR = 20.0
 DEFAULT_QUAD_POINTS = 2001
 THRESHOLD_HI = 1e-2
 THRESHOLD_LO = 1e-4
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Ordered inverse-Peclet values for a sensitivity sweep."""
-
-    pe_values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.pe_values)
-        if len(values) == 0:
-            raise DomainError("sweep grid must contain at least one value")
-        if any(v < 0.0 or not np.isfinite(v) for v in values):
-            raise DomainError("sweep grid values must be finite and >= 0")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise DomainError("sweep grid values must increase strictly")
-        object.__setattr__(self, "pe_values", values)
-
-    @classmethod
-    def paper_default(cls) -> "SweepGrid":
-        """Pe = 0 plus 10 equispaced values on (0, 0.5] and 5 on (0.5, 1.5]."""
-        low = np.linspace(0.0, 0.5, 11)
-        high = np.linspace(0.5, 1.5, 6)[1:]
-        return cls(tuple(np.concatenate([low, high])))
+# the paper's inverse-Peclet grid: Pe = 0, 10 equispaced values on (0, 0.5]
+# and 5 on (0.5, 1.5]
+PE_VALUES = tuple(np.concatenate([np.linspace(0.0, 0.5, 11),
+                                  np.linspace(0.5, 1.5, 6)[1:]]).tolist())
 
 
 @dataclass(frozen=True)
@@ -118,8 +98,8 @@ def _record(params: DimensionlessParameters, leading: WaveProfile, f_leading: np
                            e_bt=float("nan"), error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(params: DimensionlessParameters, grid: SweepGrid) -> list[SweepRecord]:
-    """Solve the front for every grid Pe and compare against the Pe = 0 front.
+def run_sweep(params: DimensionlessParameters) -> list[SweepRecord]:
+    """Solve the front for every Pe of ``PE_VALUES`` and compare against the Pe = 0 front.
 
     The leading-order profile is computed, and sampled on the L2 grid over
     [-DEFAULT_ETA_STAR, DEFAULT_ETA_STAR], once; the fronts' sampled window,
@@ -128,7 +108,7 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid) -> list[SweepRec
     window time over F = THRESHOLD_LO to THRESHOLD_HI, its signed relative
     error and the leg's counters.  Failures are recorded with an error
     marker instead of aborting the sweep, and mark only the Pe that failed.
-    Records are returned in grid order.
+    Records are returned in ``PE_VALUES`` order.
     """
     eta = np.linspace(-DEFAULT_ETA_STAR, DEFAULT_ETA_STAR, DEFAULT_QUAD_POINTS)
     leading = solve_leading_order(params)
@@ -136,4 +116,4 @@ def run_sweep(params: DimensionlessParameters, grid: SweepGrid) -> list[SweepRec
     f_leading = leading.f_at(eta)
     return [SweepRecord(pe=0.0, l2_error=0.0, t_window=t_0, e_bt=0.0) if pe == 0.0
             else _record(replace(params, pe=pe), leading, f_leading, eta, t_0)
-            for pe in grid.pe_values]
+            for pe in PE_VALUES]

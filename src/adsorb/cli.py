@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import SweepGrid, run_sweep
+from .analysis import run_sweep
 from .errors import AdsorptionError, ConfigError, DomainError, ExistenceError
 from .model import (
     DimensionlessParameters,
@@ -47,13 +47,11 @@ _SOLVER_DEFAULTS = {
     "n_cells": 400,
     "t_end": None,            # pde horizon; default 1.4 * ell * (q_e + Da)
     "n_snapshots": 101,
-    "front_levels": [0.25, 0.5, 0.75],
-    "pe_values": None,        # default: the standard sweep grid
 }
-_ISOTHERM_KEYS = {"c_in_values"}
 _INTEGER_KEYS = {"n_cells", "n_snapshots"}
-_LIST_KEYS = {"pe_values", "front_levels", "c_in_values"}
 _OUTPUT_DEFAULTS = {"dir": "out"}
+# pde mode fits one front speed per level and writes one block of front rows
+FRONT_LEVELS = (0.25, 0.5, 0.75)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,7 +62,6 @@ class RunConfig:
     params: DimensionlessParameters
     physical: PhysicalParameters | None
     solver: dict
-    isotherm: dict
     output: dict
     resolved: dict
 
@@ -102,19 +99,15 @@ def _is_number(value) -> bool:
 def _check_types(section: str, given: dict, nullable=frozenset()) -> None:
     """Reject a value of the wrong JSON type with a ConfigError naming its key.
 
-    Integer and list keys take what their names in ``_INTEGER_KEYS`` and
-    ``_LIST_KEYS`` say, the orders m and n take a JSON integer, as
-    ``ReactionOrders`` does, and every other key takes a number; keys in
-    ``nullable`` may be null.  No number may be NaN or infinite, and no value
-    of an integer key may fall outside int64.
+    The orders m and n take a JSON integer, as ``ReactionOrders`` does, the
+    counts in ``_INTEGER_KEYS`` an integral number, and every other key a
+    number; keys in ``nullable`` may be null.  No number may be NaN or
+    infinite, and no value of an integer key may fall outside int64.
     """
     for key, value in given.items():
         if value is None and key in nullable:
             continue
-        if key in _LIST_KEYS:
-            ok = isinstance(value, list) and all(map(_is_number, value))
-            kind = "a list of finite numbers"
-        elif key in ("m", "n"):
+        if key in ("m", "n"):
             ok, kind = _is_number(value) and isinstance(value, int), "an integer"
         elif key in _INTEGER_KEYS:  # numpy sizes its arrays in int64
             ok = (_is_number(value) and (isinstance(value, int) or value.is_integer())
@@ -183,7 +176,7 @@ def parse_config(document: str, mode_override: str | None = None, *,
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _fail_unknown("config", raw, {"mode", "physical", "dimensionless", "pe", "solver",
-                                  "isotherm", "output"})
+                                  "output"})
 
     mode = raw.get("mode")  # null, like an absent key, defers to the mode argument
     if mode is None:
@@ -216,16 +209,8 @@ def parse_config(document: str, mode_override: str | None = None, *,
     solver.update(given_solver)
     if solver["t_end"] is None:
         solver["t_end"] = 1.4 * params.ell * (params.q_e + params.da)
-    if solver["pe_values"] is None:
-        solver["pe_values"] = list(SweepGrid.paper_default().pe_values)
-
-    isotherm = dict(_section(raw, "isotherm", _ISOTHERM_KEYS))
-    _check_types("isotherm", isotherm)
-    if mode == "isotherm":
-        if physical is None:
-            raise ConfigError("isotherm mode requires the physical section")
-        if "c_in_values" not in isotherm:
-            isotherm["c_in_values"] = list(physical.c_in * np.logspace(-2.0, 2.0, 41))
+    if mode == "isotherm" and physical is None:
+        raise ConfigError("isotherm mode requires the physical section")
 
     output = {**_OUTPUT_DEFAULTS, **_section(raw, "output", set(_OUTPUT_DEFAULTS))}
     if out is not None:
@@ -247,11 +232,10 @@ def parse_config(document: str, mode_override: str | None = None, *,
             "time_scale": params.time_scale, "m": params.m, "n": params.n,
         },
         "solver": solver,
-        "isotherm": isotherm,
         "version": __version__,
     }
     return RunConfig(mode=mode, params=params, physical=physical, solver=solver,
-                     isotherm=isotherm, output=output, resolved=resolved)
+                     output=output, resolved=resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +427,12 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
         raise DomainError(f"n_snapshots must be at least 2, got {s['n_snapshots']!r}")
     # the solver keeps one state per snapshot
     _require_sizable("n_snapshots", n_snapshots, n_snapshots * (2 * grid.n_cells - 2))
-    levels = s["front_levels"]  # one fitted speed and one block of front rows per level
-    if not levels or len(set(levels)) < len(levels):
-        raise DomainError(f"front_levels must be distinct and not empty, got {levels!r}")
     t_end = float(s["t_end"])
     window = (0.5 * t_end, t_end)  # the speed is fitted once the front has formed
     times = np.linspace(0.0, t_end, n_snapshots)
     sol = solve_pde(config.params, grid, t_end, sample_times=times)
     # every result exists before the first file is written, so a refusal leaves none
-    tracks = [track_front(sol, float(level), window) for level in levels]
+    tracks = [track_front(sol, level, window) for level in FRONT_LEVELS]
     mass_residual_max = float(mass_balance_residual(sol).max())
     front_rows = [(track.level, t, pos) for track in tracks for t, pos in track.positions]
     return [
@@ -464,16 +445,14 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
                      np.reshape(front_rows, (-1, 3)).T),
         _write_json(out / "pde_meta.json", config, {
             "fitted_speeds": {str(level): track.fitted_speed
-                              for level, track in zip(levels, tracks)},
+                              for level, track in zip(FRONT_LEVELS, tracks)},
             "fit_window": list(window), "velocity": config.params.velocity,
             "mass_residual_max": mass_residual_max, **dataclasses.asdict(sol.stats)}),
     ]
 
 
 def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
-    s = config.solver
-    grid = SweepGrid(tuple(float(v) for v in s["pe_values"]))
-    records = run_sweep(config.params, grid)
+    records = run_sweep(config.params)
     rows = [(r.pe, r.l2_error, r.t_window, r.e_bt) for r in records]
     failures = {str(r.pe): r.error for r in records if r.error}
     counters = {str(r.pe): {k: getattr(r.stats, k) for k in ("nfev", "njev", "nlu", "steps")}
@@ -488,9 +467,7 @@ def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
 def _run_isotherm(config: RunConfig, out: Path) -> list[Path]:
     phys = config.physical
     k_l = phys.k_ad / phys.k_de
-    c_in = [float(c) for c in config.isotherm["c_in_values"]]
-    if not c_in:
-        raise DomainError("c_in_values must not be empty")
+    c_in = (phys.c_in * np.logspace(-2.0, 2.0, 41)).tolist()  # four decades around c_in
     return [_write_table(out / "isotherm.csv", config, ["c_in", "q_e"],
                          [c_in, [float(sips_isotherm(c, k_l, phys.q_max, phys.orders))
                                  for c in c_in]])]
@@ -501,13 +478,19 @@ _RUNNERS = {"nondim": _run_nondim, "wave": _run_wave, "pde": _run_pde,
 
 
 def run(config: RunConfig) -> list[Path]:
-    """Execute a validated config and return the written artifact paths."""
+    """Execute a validated config and return the written artifact paths.
+
+    An output directory or artifact that cannot be written is a ``ConfigError``.
+    """
     out = Path(config.output["dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the output directory {str(out)!r}: {exc}") from exc
-    return _RUNNERS[config.mode](config, out)
+    try:
+        return _RUNNERS[config.mode](config, out)
+    except OSError as exc:  # an artifact path taken by a directory, or not writable
+        raise ConfigError(f"cannot write an artifact in {str(out)!r}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

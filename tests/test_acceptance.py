@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adsorb.analysis import SweepGrid, l2_profile_error, run_sweep
+from adsorb.analysis import l2_profile_error, run_sweep
 from adsorb.errors import ExistenceError
 from adsorb.model import REASON_INCREASING, analyze_equilibria
 from adsorb.pde import mass_balance_residual, track_front
@@ -187,11 +187,10 @@ class TestCriterion4BreakthroughRobustness:
     MANIFOLD_TOL = 0.04     # on |e_BT / (S Pe) - 1| / Pe
 
     def test_window_error_positive_and_small(self):
-        grid = SweepGrid.paper_default()
         failures = []
         lines = []
         for da, m, n in self.CASES:
-            records = run_sweep(params_for(da=da, m=m, n=n), grid)
+            records = run_sweep(params_for(da=da, m=m, n=n))
             positive = [r for r in records if r.pe > 0]
             assert all(r.error is None for r in positive)
             e_range = (f"e_bt in [{min(r.e_bt for r in positive):.4f}, "
@@ -332,8 +331,7 @@ class TestCriterion8Determinism:
         # dgttrf, must repeat itself bit for bit
         "pde": ({"dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.2, "m": 1, "n": 1,
                                    "ell": 8.0},
-                 "solver": {"n_cells": 64, "t_end": 5.0, "n_snapshots": 11,
-                            "front_levels": [0.5]}},
+                 "solver": {"n_cells": 64, "t_end": 5.0, "n_snapshots": 11}},
                 ("pde_snapshots.csv", "pde_breakthrough.csv", "pde_front.csv",
                  "pde_meta.json")),
     }

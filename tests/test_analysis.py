@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from adsorb import analysis, wave
 from adsorb.analysis import (
-    SweepGrid,
+    PE_VALUES,
     SweepRecord,
     breakthrough_error,
     breakthrough_window_time,
@@ -32,23 +32,19 @@ def logistic_profile(k=0.56, span=30.0, n=3001, lift=0.0):
     return WaveProfile(eta=eta, f=f, g=0.7 * f, velocity=1.25, pe=0.0)
 
 
-class TestSweepGrid:
-    def test_paper_default_shape(self):
-        grid = SweepGrid.paper_default()
-        assert len(grid.pe_values) == 16
-        assert grid.pe_values[0] == 0.0
-        assert sum(1 for v in grid.pe_values if v > 0) == 15
-        assert grid.pe_values[-1] == pytest.approx(1.5)
-        positive = np.array([v for v in grid.pe_values if v > 0])
+class TestPeValues:
+    def test_paper_grid_shape(self):
+        assert len(PE_VALUES) == 16
+        assert PE_VALUES[0] == 0.0
+        assert sum(1 for v in PE_VALUES if v > 0) == 15
+        assert PE_VALUES[-1] == pytest.approx(1.5)
+        positive = np.array([v for v in PE_VALUES if v > 0])
         assert np.sum(positive <= 0.5) == 10 and np.sum(positive > 0.5) == 5
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SweepGrid((0.1, 0.1))
-        with pytest.raises(DomainError):
-            SweepGrid((-0.1, 0.2))
-        with pytest.raises(DomainError):
-            SweepGrid(())
+        assert all(b > a for a, b in zip(PE_VALUES, PE_VALUES[1:]))
+        # plain floats, bit for bit the two linspaces the grid was always built from
+        assert all(type(v) is float for v in PE_VALUES)
+        assert np.array_equal(PE_VALUES, np.concatenate([np.linspace(0.0, 0.5, 11),
+                                                         np.linspace(0.5, 1.5, 6)[1:]]))
 
 
 class TestL2ProfileError:
@@ -119,7 +115,7 @@ class TestBreakthroughWindow:
         p = params_for(pe=0.05, da=da, m=m, n=n)
         window = breakthrough_window_time(solve_full_wave(p))
         # a sweep solves each positive Pe of its grid by its own leg
-        swept = [r for r in run_sweep(p, SweepGrid.paper_default()) if r.pe == 0.05]
+        swept = [r for r in run_sweep(p) if r.pe == 0.05]
         monkeypatch.setattr("adsorb.wave.REL_TOL", 1e-11)
         monkeypatch.setattr("adsorb.wave.ABS_TOL", 1e-13)
         reference = breakthrough_window_time(solve_full_wave(p))
@@ -136,21 +132,28 @@ class TestBreakthroughWindow:
     ("breakthrough_window_time", "lo", 1e-4),
     ("solve_full_wave", "settings", None),
     ("run_sweep", "settings", None),
+    ("run_sweep", "grid", (0.0, 0.1)),
     ("solve_pde", "settings", None),
 ])
 def test_removed_keywords_are_type_errors(lead_11, function, keyword, value):
     # the column starts clean, the L2 and breakthrough windows are constants,
-    # and so are both integrators' tolerances
+    # and so are both integrators' tolerances and the sweep's Pe grid
     call, args = {
         "solve_pde": (solve_pde,
                       (params_for(ell=5.0, pe=0.5), SpatialGrid(ell=5.0, n_cells=20), 1.0)),
         "l2_profile_error": (l2_profile_error, (lead_11, lead_11)),
         "breakthrough_window_time": (breakthrough_window_time, (lead_11,)),
         "solve_full_wave": (solve_full_wave, (params_for(pe=0.1),)),
-        "run_sweep": (run_sweep, (params_for(), SweepGrid((0.0, 0.1)))),
+        "run_sweep": (run_sweep, (params_for(),)),
     }[function]
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
         call(*args, **{keyword: value})
+
+
+def test_run_sweep_takes_no_grid():
+    # the sweep's Pe grid is the constant PE_VALUES
+    with pytest.raises(TypeError, match="1 positional argument but 2 were given"):
+        run_sweep(params_for(), (0.0, 0.1))
 
 
 class TestBreakthroughError:
@@ -165,14 +168,15 @@ class TestBreakthroughError:
 
 
 class TestRunSweep:
-    def test_zero_only_grid(self):
-        recs = run_sweep(params_for(), SweepGrid((0.0,)))
+    def test_zero_only_grid(self, monkeypatch):
+        monkeypatch.setattr(analysis, "PE_VALUES", (0.0,))
+        recs = run_sweep(params_for())
         assert len(recs) == 1
         assert recs[0] == SweepRecord(pe=0.0, l2_error=0.0,
                                       t_window=pytest.approx(6.593029, rel=1e-5), e_bt=0.0)
 
     def test_profile_error_grows_along_paper_grid(self):
-        recs = run_sweep(params_for(), SweepGrid.paper_default())
+        recs = run_sweep(params_for())
         errors = [r.l2_error for r in recs]
         assert errors[0] == 0.0
         assert all(b > a for a, b in zip(errors, errors[1:]))
@@ -180,29 +184,32 @@ class TestRunSweep:
         assert all(r.error is None for r in recs)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 4)])
-    def test_distance_decreases_toward_zero_pe(self, m, n):
-        recs = run_sweep(params_for(m=m, n=n), SweepGrid((0.01, 0.1, 0.5, 1.0, 1.5)))
+    def test_distance_decreases_toward_zero_pe(self, m, n, monkeypatch):
+        monkeypatch.setattr(analysis, "PE_VALUES", (0.01, 0.1, 0.5, 1.0, 1.5))
+        recs = run_sweep(params_for(m=m, n=n))
         errors = [r.l2_error for r in recs]
         assert all(b > a for a, b in zip(errors, errors[1:]))
 
-    def test_fast_front_sweeps(self):
+    def test_fast_front_sweeps(self, monkeypatch):
         # head rate alpha (q_e + Da) = 2.36: every saturated side stops at
         # z = Z_HEAD short of eta = -20, where F equals 1 to 13 digits
-        recs = run_sweep(params_for(q_e=0.9805, da=1.4255), SweepGrid((0.0, 0.0054, 0.1, 0.5)))
+        monkeypatch.setattr(analysis, "PE_VALUES", (0.0, 0.0054, 0.1, 0.5))
+        recs = run_sweep(params_for(q_e=0.9805, da=1.4255))
         assert all(r.error is None for r in recs)
         assert all(r.l2_error > 0.0 and r.e_bt > 0.0 for r in recs[1:])
 
-    def test_refuses_inadmissible_orders_with_report(self):
+    def test_refuses_inadmissible_orders_with_report(self, monkeypatch):
+        monkeypatch.setattr(analysis, "PE_VALUES", (0.0, 0.1))
         with pytest.raises(ExistenceError) as err:
-            run_sweep(params_for(m=2, n=1), SweepGrid((0.0, 0.1)))
+            run_sweep(params_for(m=2, n=1))
         report = err.value.report
         assert report is not None and not report.admissible
         assert report.interior_equilibrium == pytest.approx(1.0 / 0.7 - 1.0, abs=1e-10)
 
     def test_a_failed_solve_marks_only_its_own_pe(self, monkeypatch):
         # the other records are those of a sweep in which nothing fails
-        grid = SweepGrid((0.0, 0.1, 0.2, 0.3))
-        clean = run_sweep(params_for(), grid)
+        monkeypatch.setattr(analysis, "PE_VALUES", (0.0, 0.1, 0.2, 0.3))
+        clean = run_sweep(params_for())
 
         def solve(params):
             if params.pe == 0.2:
@@ -210,7 +217,7 @@ class TestRunSweep:
             return solve_full_wave(params)
 
         monkeypatch.setattr("adsorb.analysis.solve_full_wave", solve)
-        recs = run_sweep(params_for(), grid)
+        recs = run_sweep(params_for())
         assert [r.pe for r in recs] == [0.0, 0.1, 0.2, 0.3]
         assert recs[2].error == "ConvergenceError: leg step fell below the minimum"
         assert np.isnan(recs[2].l2_error) and np.isnan(recs[2].t_window)
@@ -219,12 +226,13 @@ class TestRunSweep:
         assert all(rec.error is None for rec in clean)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 3)])
-    def test_records_equal_per_pe_calls_bit_for_bit(self, m, n):
+    def test_records_equal_per_pe_calls_bit_for_bit(self, m, n, monkeypatch):
         # the sweep samples the leading front on the L2 grid once
+        monkeypatch.setattr(analysis, "PE_VALUES", (0.0, 0.1, 0.5, 1.5))
         p = params_for(m=m, n=n)
         leading = solve_leading_order(p)
         t_0 = breakthrough_window_time(leading)
-        recs = run_sweep(p, SweepGrid((0.0, 0.1, 0.5, 1.5)))
+        recs = run_sweep(p)
         for rec in recs[1:]:
             full = solve_full_wave(replace(p, pe=rec.pe))
             t_pe = breakthrough_window_time(full)
@@ -244,7 +252,8 @@ class TestRunSweep:
         monkeypatch.setattr("adsorb.analysis.DEFAULT_ETA_STAR", 26.0)
         if not short_full:
             monkeypatch.setattr("adsorb.wave.ETA_SPAN", 26.0)
-        recs = run_sweep(p, SweepGrid((0.0, 0.01, 0.05)))
+        monkeypatch.setattr(analysis, "PE_VALUES", (0.0, 0.01, 0.05))
+        recs = run_sweep(p)
         assert recs[0].error is None
         for rec in recs[1:]:
             full = solve_full_wave(replace(p, pe=rec.pe))  # at the span the sweep had

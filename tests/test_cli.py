@@ -15,8 +15,8 @@ import pytest
 from hypothesis import strategies as st
 
 import adsorb
-from adsorb import cli
-from adsorb.analysis import SweepGrid, l2_profile_error
+from adsorb import analysis, cli
+from adsorb.analysis import l2_profile_error
 from adsorb.cli import (
     CELL_FORMAT,
     _format_cells,
@@ -127,11 +127,13 @@ WRONG_TYPES = [
       "solver": {"t_end": "long"}}, "solver.t_end"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": "x", "pe": 0.1, "m": 1, "n": 1}},
      "dimensionless.da"),
+    # the sweep's Pe grid is a constant: a config that still sets it, even
+    # to a value of the wrong type, is refused as an unknown key
     ({"mode": "sweep", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
-      "solver": {"pe_values": 5}}, "solver.pe_values"),
+      "solver": {"pe_values": 5}}, "unknown keys in solver: pe_values"),
     # json.loads reads NaN and Infinity, which no config number may be
     ({"mode": "sweep", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1},
-      "solver": {"n_cells": math.nan, "pe_values": [0.0, 0.1]}}, "solver.n_cells"),
+      "solver": {"n_cells": math.nan}}, "solver.n_cells"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
       "solver": {"n_cells": math.inf}}, "solver.n_cells"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
@@ -139,7 +141,7 @@ WRONG_TYPES = [
     ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
       "solver": {"t_end": math.nan}}, "solver.t_end"),
     ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-      "solver": {"front_levels": [0.5, -math.inf]}}, "solver.front_levels"),
+      "solver": {"front_levels": [0.5, -math.inf]}}, "unknown keys in solver: front_levels"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1,
                                        "ell": math.inf}}, "dimensionless.ell"),
     ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "m": 1, "n": 1},
@@ -164,9 +166,9 @@ class TestParseConfig:
     def test_default_hash_is_pinned(self):
         # the resolved defaults of a minimal wave document; a drift in any
         # default value moves every artifact's provenance header
-        pinned = "68ead91a0b2d37396b07cf8814bb5836444ba6826883f86e8ff26d1c743049a5"
+        pinned = "1039f0d2def1f2ae7cd7ac2df3843e7da500afb4b420088a624cf6a36d8c3b97"
         assert parse_config(wave_doc()).config_hash == pinned
-        nulls = {**json.loads(wave_doc()), "solver": None, "isotherm": None, "output": None}
+        nulls = {**json.loads(wave_doc()), "solver": None, "output": None}
         assert parse_config(json.dumps(nulls)).config_hash == pinned
 
     @pytest.mark.parametrize("doc,key", WRONG_TYPES + [
@@ -180,9 +182,10 @@ class TestParseConfig:
         ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
           "solver": {"n_snapshots": 2 ** 63}}, "solver.n_snapshots must be a 64-bit integer"),
         ({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
-          "solver": {"front_levels": [0.5, None]}}, "solver.front_levels"),
+          "solver": {"front_levels": [0.5, None]}}, "unknown keys in solver: front_levels"),
+        # the isotherm's inlet grid is a constant, and its section is gone
         ({"mode": "isotherm", "physical": dict(PHYSICAL),
-          "isotherm": {"c_in_values": "1,2"}}, "isotherm.c_in_values"),
+          "isotherm": {"c_in_values": "1,2"}}, "unknown keys in config: isotherm"),
         ({"mode": "nondim", "physical": {**PHYSICAL, "epsilon": True}, "pe": 0.1},
          "physical.epsilon"),
         ({"mode": "wave", "dimensionless": {"q_e": 0.7, "da": 0.1, "m": 1, "n": 1},
@@ -194,8 +197,9 @@ class TestParseConfig:
     ] + [
         # only an absent or null section means "use the defaults"
         ({**json.loads(wave_doc()), section: value}, f"{section} must be a JSON object")
-        for section, value in (("solver", []), ("solver", 0), ("output", ""),
-                               ("isotherm", False))
+        for section, value in (("solver", []), ("solver", 0), ("output", ""))
+    ] + [
+        ({**json.loads(wave_doc()), "isotherm": False}, "unknown keys in config: isotherm"),
     ])
     def test_wrong_value_types_name_the_key(self, doc, key):
         with pytest.raises(ConfigError, match=key):
@@ -213,8 +217,7 @@ class TestParseConfig:
         assert config.params.q_e == pytest.approx(0.7)
         assert config.solver["n_cells"] == 400
         # every settable solver value; a knob added later shows up here
-        assert sorted(config.resolved["solver"]) == [
-            "front_levels", "n_cells", "n_snapshots", "pe_values", "t_end"]
+        assert sorted(config.resolved["solver"]) == ["n_cells", "n_snapshots", "t_end"]
 
     def test_mode_from_subcommand(self):
         doc = json.dumps({"dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.0, "m": 1, "n": 1}})
@@ -265,14 +268,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps(doc))
 
-    def test_isotherm_default_inlet_grid(self):
-        # 41 inlet concentrations, log-spaced over four decades around c_in
-        config = parse_config(json.dumps({"mode": "isotherm", "physical": dict(PHYSICAL)}))
-        c_in = config.isotherm["c_in_values"]
-        assert len(c_in) == 41
-        for i, scale in ((0, 1e-2), (20, 1.0), (40, 1e2)):
-            assert c_in[i] == pytest.approx(scale * PHYSICAL["c_in"], rel=1e-15)
-
     def test_dimensionless_key_set_is_pinned(self):
         # q_e is the one isotherm input: alpha is derived from it, not read
         assert cli._DIMENSIONLESS_KEYS == {"da", "pe", "q_e", "m", "n", "ell"}
@@ -304,6 +299,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown keys in solver: abs_tol, pde_abs_tol, "
                                               "pde_rel_tol, rel_tol"):
             parse_config(json.dumps({**json.loads(wave_doc()), "solver": removed}))
+        # and so are the sweep's Pe grid, the pde front levels and the
+        # isotherm's inlet grid, whose section is gone with it
+        removed = {"pe_values": [0.0, 0.1], "front_levels": [0.5]}
+        with pytest.raises(ConfigError, match="unknown keys in solver: front_levels, pe_values"):
+            parse_config(json.dumps({**json.loads(wave_doc()), "solver": removed}))
+        with pytest.raises(ConfigError, match="unknown keys in config: isotherm$"):
+            parse_config(json.dumps({"mode": "isotherm", "physical": PHYSICAL,
+                                     "isotherm": {"c_in_values": [1.0, 2.835]}}))
         # every table is CSV, so the output section holds the directory alone
         with pytest.raises(ConfigError, match="unknown keys in output: format"):
             parse_config(json.dumps({**json.loads(wave_doc()), "output": {"format": "json"}}))
@@ -365,10 +368,8 @@ MODE_RUNS = [
     pytest.param({"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.5, "m": 1,
                                                    "n": 1, "ell": 5.0},
                   "solver": {"n_cells": 32, "t_end": 2.0, "n_snapshots": 5}}, id="pde"),
-    pytest.param({**json.loads(wave_doc(pe=0.0)), "mode": "sweep",
-                  "solver": {"pe_values": [0.0, 0.1]}}, id="sweep"),
-    pytest.param({"mode": "isotherm", "physical": PHYSICAL,
-                  "isotherm": {"c_in_values": [1.0, 2.835]}}, id="isotherm"),
+    pytest.param({**json.loads(wave_doc(pe=0.0)), "mode": "sweep"}, id="sweep"),
+    pytest.param({"mode": "isotherm", "physical": PHYSICAL}, id="isotherm"),
 ]
 
 
@@ -481,7 +482,7 @@ class TestRunners:
         assert set(meta) == {"meta", "failures", "n_records", "counters"}
         assert meta["failures"] == {} and meta["n_records"] == 16
         # the leg counters of every solved Pe > 0, keyed like the failures
-        positive = [str(pe) for pe in SweepGrid.paper_default().pe_values if pe > 0.0]
+        positive = [str(pe) for pe in analysis.PE_VALUES if pe > 0.0]
         assert sorted(meta["counters"]) == sorted(positive)
         for work in meta["counters"].values():
             assert set(work) == {"nfev", "njev", "nlu", "steps"}
@@ -490,8 +491,7 @@ class TestRunners:
     def test_pde_artifacts(self, tmp_path):
         doc = {"mode": "pde",
                "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.2, "m": 1, "n": 1, "ell": 8.0},
-               "solver": {"n_cells": 64, "t_end": 5.0, "n_snapshots": 11,
-                          "front_levels": [0.5]},
+               "solver": {"n_cells": 64, "t_end": 5.0, "n_snapshots": 11},
                "output": {"dir": str(tmp_path)}}
         paths = run(parse_config(json.dumps(doc)))
         names = {p.name for p in paths}
@@ -499,6 +499,8 @@ class TestRunners:
                          "pde_meta.json"}
         meta = json.loads((tmp_path / "pde_meta.json").read_text())
         v = 1.0 / (0.7 + 0.1)
+        # one fitted speed per level of cli.FRONT_LEVELS
+        assert list(meta["fitted_speeds"]) == ["0.25", "0.5", "0.75"]
         assert meta["fitted_speeds"]["0.5"] == pytest.approx(v, rel=0.1)
         assert meta["fit_window"] == [2.5, 5.0]  # the second half of the horizon
         # deterministic solver diagnostics only: no wall times in hashed artifacts
@@ -515,21 +517,28 @@ class TestRunners:
         assert len(rows) - 1 == 11 * 64
 
     def test_isotherm_artifacts(self, tmp_path):
+        # 41 inlet concentrations, log-spaced over four decades around c_in,
+        # read back bit for bit from their 17 significant digits
         doc = {"mode": "isotherm", "physical": dict(PHYSICAL),
-               "isotherm": {"c_in_values": [1.0, 2.835, 10.0]},
                "output": {"dir": str(tmp_path)}}
         run(parse_config(json.dumps(doc)))
         lines = [l for l in (tmp_path / "isotherm.csv").read_text().splitlines()
                  if l and not l.startswith("#")]
-        assert len(lines) - 1 == 3
-        c_in, q_e = (float(v) for v in lines[2].split(","))
-        expected = sips_isotherm(2.835, 1.13 / 2.173e-4, 0.358, ReactionOrders(1, 1))
-        assert c_in == 2.835 and q_e == pytest.approx(expected, rel=1e-14)
+        assert lines[0] == "c_in,q_e"
+        assert len(lines) - 1 == 41
+        c_in, q_e = np.array([[float(v) for v in l.split(",")] for l in lines[1:]]).T
+        assert np.array_equal(c_in, PHYSICAL["c_in"] * np.logspace(-2.0, 2.0, 41))
+        for i, scale in ((0, 1e-2), (20, 1.0), (40, 1e2)):
+            assert c_in[i] == pytest.approx(scale * PHYSICAL["c_in"], rel=1e-15)
+        k_l = PHYSICAL["k_ad"] / PHYSICAL["k_de"]
+        assert q_e.tolist() == [sips_isotherm(c, k_l, PHYSICAL["q_max"], ReactionOrders(1, 1))
+                                for c in c_in.tolist()]
 
     @pytest.mark.parametrize("doc", MODE_RUNS)
-    def test_main_prints_the_files_it_wrote(self, tmp_path, capsys, doc):
+    def test_main_prints_the_files_it_wrote(self, tmp_path, capsys, monkeypatch, doc):
         # each file carries the run's hash: a CSV table in its header line,
         # a JSON metadata document in its meta
+        monkeypatch.setattr(analysis, "PE_VALUES", (0.0, 0.1))  # a short sweep
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -734,6 +743,18 @@ class TestMainEntry:
         err = json.loads(err)
         assert err["error"] == "ConfigError" and str(taken) in err["message"]
 
+    def test_artifact_path_taken_by_a_directory_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(wave_doc())
+        out = tmp_path / "o"
+        (out / "wave_profile.csv").mkdir(parents=True)
+        assert main(["wave", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one JSON line, no traceback
+        err = json.loads(err)
+        assert err["error"] == "ConfigError"
+        assert str(out / "wave_profile.csv") in err["message"]
+
     @pytest.mark.parametrize("mode", ["wave", "sweep"])
     def test_existence_refusal_exit_code(self, tmp_path, capsys, mode):
         cfg = tmp_path / "cfg.json"
@@ -744,12 +765,13 @@ class TestMainEntry:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("mode,solver,error,message", [
-        # the tolerances are constants now; a config that still sets one, even to
-        # a value the old check refused, is refused as an unknown key
+        # the tolerances, the sweep's Pe grid and the pde front levels are
+        # constants now; a config that still sets one, even to a value the old
+        # check refused, is refused as an unknown key
         ("wave", {"rel_tol": 0}, "ConfigError", "unknown keys in solver: rel_tol"),
         ("wave", {"rel_tol": -1}, "ConfigError", "unknown keys in solver: rel_tol"),
         ("sweep", {"rel_tol": -1}, "ConfigError", "unknown keys in solver: rel_tol"),
-        ("sweep", {"pe_values": [0.1, 0.0]}, "DomainError", "increase strictly"),
+        ("sweep", {"pe_values": [0.1, 0.0]}, "ConfigError", "unknown keys in solver: pe_values"),
         ("pde", {"n_cells": 8}, "DomainError", "16 nodes"),
         ("pde", {"pde_rel_tol": 0}, "ConfigError", "unknown keys in solver: pde_rel_tol"),
         ("pde", {"pde_rel_tol": 1e-15}, "ConfigError", "unknown keys in solver: pde_rel_tol"),
@@ -763,13 +785,12 @@ class TestMainEntry:
         ("pde", {"n_cells": 2 ** 62}, "DomainError", "n_cells = 4611686018427387904 asks for"),
         ("pde", {"n_snapshots": 2 ** 62}, "DomainError",
          "n_snapshots = 4611686018427387904 asks for"),
-        ("pde", {"front_levels": [0.5, 1.0]}, "DomainError", "level"),
-        ("pde", {"front_levels": [0.0]}, "DomainError", "level"),
-        # each level is one key of fitted_speeds and one block of pde_front.csv
-        ("pde", {"front_levels": [0.5, 0.5]}, "DomainError",
-         "front_levels must be distinct and not empty"),
-        ("pde", {"front_levels": []}, "DomainError",
-         "front_levels must be distinct and not empty"),
+        ("pde", {"front_levels": [0.5, 1.0]}, "ConfigError",
+         "unknown keys in solver: front_levels"),
+        ("pde", {"front_levels": [0.0]}, "ConfigError", "unknown keys in solver: front_levels"),
+        ("pde", {"front_levels": [0.5, 0.5]}, "ConfigError",
+         "unknown keys in solver: front_levels"),
+        ("pde", {"front_levels": []}, "ConfigError", "unknown keys in solver: front_levels"),
     ])
     def test_solver_value_exit_code(self, tmp_path, capsys, mode, solver, error, message):
         # a solver-section value outside its domain is the solvers' DomainError,
@@ -786,14 +807,16 @@ class TestMainEntry:
         assert not out.exists() or not any(out.iterdir())
 
     def test_empty_inlet_grid_exit_code(self, tmp_path, capsys):
+        # the inlet grid is a constant: an isotherm section, even an empty
+        # grid, is refused as an unknown key before anything is written
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "isotherm", "physical": PHYSICAL,
                                    "isotherm": {"c_in_values": []}}))
         out = tmp_path / "o"
         assert main(["isotherm", "--config", str(cfg), "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "DomainError", "message": "c_in_values must not be empty"}
-        assert not any(out.iterdir())
+        assert err == {"error": "ConfigError", "message": "unknown keys in config: isotherm"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("solver,message", [
         # the solution never crosses level 0.75 in the fit window
