@@ -9,17 +9,22 @@ hash of the fully resolved configuration; metadata documents are JSON files,
 which carry both as their ``"meta"`` object.  Floats are written with 17
 significant digits, so identical configs produce byte-identical artifacts.
 Table cells are the bytes of ``CELL_FORMAT % v``, written in blocks of rows by
-a numpy formatter that computes the digits exactly (``_format_cells``).
+a numpy formatter that computes the digits of zeros and of 1e-28 < |v| < 1e17
+exactly (``_format_cells``); nan, +-inf and the magnitudes outside that range
+take ``%`` per cell.  A run whose artifact cannot be written removes the
+artifacts it wrote before the failure.  ``main`` builds its argument parser at
+its first call and reuses it.
 """
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -250,30 +255,44 @@ _BLOCK_ROWS = 1024
 
 
 # _format_cells writes the bytes of CELL_FORMAT % x without a Python string
-# per cell.  For |x| in [1e-6, 1e17) the decimal exponent e lies in [-6, 16],
-# so x * 10**(16 - e) takes a power of ten that is an exact double
-# (5**22 < 2**53).  Veltkamp's split and Dekker's TwoProduct give that product
-# exactly as p + err; the 17 digits are its integer part, rounded half to even.
-# The rounding never carries into an 18th digit: the largest double below each
-# power of ten in the range scales to at least 4.5 below 10**17.
+# per cell.  The 17 digits of x are the integer nearest N = |x| * 10**k,
+# rounded half to even, where k = 16 - e for the decimal exponent e of x.
+# - For 10**-6 < |x| < 1e17, e lies in [-6, 16] and k in [0, 22], where 10**k
+#   is an exact double (5**22 < 2**53).  Veltkamp's split and Dekker's
+#   TwoProduct give N exactly as p + err.  The rounding never carries into an
+#   18th digit here: the largest double below each power of ten in this range
+#   scales to at least 4.5 below 10**17.
+# - For 10**-28 < |x| < 10**-6, k lies in [23, 44].  TwoProduct gives
+#   x * 10**22 exactly as p1 + e1, TwoProduct again each part times
+#   10**(k - 22), and Knuth's TwoSum adds the two small parts, so that
+#   N = p + s + r exactly, with p an integer, |s| < 20 and r a remainder below
+#   the lowest set bit of s whose float sign is exact (_small_cells).  Here the
+#   rounding can carry: the double 1e-14 is 9.99999999999999998819e-15, whose
+#   17 digits round to 10**17, so that cell becomes 10**16 with its exponent
+#   raised by one.
+# - Zeros of either sign are 17 zero digits with exponent 0.  The sign comes
+#   from np.signbit, since -0.0 < 0.0 is false.
 # A cell is 7 native uint32 words: [0, sign, lead digit, '.'], four words of
 # 4 digits, ['e', sign, d, d] and a word of zeros whose last byte is free for a
-# separator; zero bytes are padding.  All other values, and any cell whose
-# exponent leaves [-6, 16] once its decade is settled, go through CELL_FORMAT.
+# separator; zero bytes are padding.  nan, +-inf, |x| from 1e17 up and nonzero
+# |x| up to 10**-28 (subnormals included, and the double 1e-28, which lies
+# below 10**-28) go through CELL_FORMAT.
 _CELL_BYTES = 28
 _SPLIT = 134217729.0  # 2**27 + 1
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
+# the least doubles above 10**-28 and 10**-6: the doubles 1e-28 and 1e-6 lie below them
+_TINY, _SMALL = np.nextafter([1e-28, 1e-6], 1.0).tolist()
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 _QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 _LEAD = np.frombuffer("".join(f"\0{sign}{d}." for sign in "\0-" for d in range(10)).encode(),
                       dtype=np.uint32)
-_EXPONENTS = np.frombuffer("".join(f"e{e:+03d}" for e in range(-6, 17)).encode(),
+_EXPONENTS = np.frombuffer("".join(f"e{e:+03d}" for e in range(-28, 17)).encode(),
                            dtype=np.uint32)
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled(a: np.ndarray, k: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
     """a * 10**k exactly, as p + err with p = fl(a * 10**k) (Dekker's TwoProduct)."""
     p = a * _POW10[k]
     c = _SPLIT * a
@@ -283,9 +302,56 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
+def _scaled_small(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """a * 10**k for k in [23, 44] exactly, as p + s + r with p = fl(a * 10**k).
+
+    s is fl(u + q) for the two small parts u and q, and r is the exact sum of
+    its TwoSum error and the error of q, rounded, so it keeps its sign.
+    """
+    p1, e1 = _scaled(a, 22)
+    p, u = _scaled(p1, k - 22)
+    q, q_err = _scaled(e1, k - 22)
+    s = u + q
+    v = s - u
+    return p, s, ((u - (s - v)) + (q - v)) + q_err
+
+
 def _below(p: np.ndarray, err: np.ndarray, bound: float) -> np.ndarray:
     """Whether the exact sum p + err lies below ``bound``."""
     return (p < bound) | ((p == bound) & (err < 0.0))
+
+
+def _small_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k, the 17 digits and whether the vectorised digits hold, for magnitudes a < 10**-6.
+
+    With N = p + s + r from _scaled_small, n = p + floor(s) is floor(N), or
+    one above it where N lies within |r| below the whole number n; next to a
+    power of ten, either decade then gives the same text.  N - n - 1/2 has the
+    sign of t = s - (floor(s) + 1/2) where t is not 0, since t is exact wherever
+    |t| < 1/4 and |r| lies below the lowest set bit of s, and that of r where it is.
+    """
+    zero = a == 0.0
+    ok = zero | (a >= _TINY)
+    b = np.where(ok & ~zero, a, 1e-10)
+    k = np.clip(16 - np.floor(np.log10(b)).astype(np.intp), 23, 44)
+    p, s, r = _scaled_small(b, k)
+    whole = np.floor(s)
+    n = p.astype(np.int64) + whole.astype(np.int64)  # p is whole from 2**53 < 10**16 up
+    low, high = n < 10 ** 16, n >= 10 ** 17
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        k[fix] = k[fix] + low[fix] - high[fix]
+        p[fix], s[fix], r[fix] = _scaled_small(b[fix], k[fix])
+        whole[fix] = np.floor(s[fix])
+        n[fix] = p[fix].astype(np.int64) + whole[fix].astype(np.int64)
+    t = s - (whole + 0.5)
+    n += (t > 0.0) | ((t == 0.0) & ((r > 0.0) | ((r == 0.0) & (n & 1).astype(bool))))
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    k -= carry
+    n[zero] = 0
+    k[zero] = 16
+    return k, n, ok
 
 
 def _format_cells(values: np.ndarray) -> np.ndarray:
@@ -296,32 +362,38 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
     """
     x = np.ravel(values)
     ax = np.abs(x)
-    fast = (ax >= 1e-6) & (ax < 1e17)
+    fast = (ax >= _SMALL) & (ax < 1e17)
     a = np.where(fast, ax, 1.0)
     # log10 can miss the decade by one next to a power of ten (it reads 17.0
-    # just below 1e17): clip to the table, then settle the decade exactly
+    # just below 1e17): clip to the table, then settle the decade exactly,
+    # which for 10**-6 < |x| < 1e17 lands in [0, 22]
     k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
     p, err = _scaled(a, k)
     low, high = _below(p, err, 1e16), ~_below(p, err, 1e17)
     fix = np.flatnonzero(low | high)
     if fix.size:
-        wanted = k[fix] + low[fix] - high[fix]
-        k[fix] = np.clip(wanted, 0, 22)
-        fast[fix] &= k[fix] == wanted
+        k[fix] = k[fix] + low[fix] - high[fix]
         p[fix], err[fix] = _scaled(a[fix], k[fix])
-    whole = np.floor(err)
-    frac = err - whole
-    digits = p.astype(np.int64) + whole.astype(np.int64)
-    digits += (frac > 0.5) | ((frac == 0.5) & (digits & 1).astype(bool))
-    hi, lo = np.divmod(digits, 10 ** 8)  # uint32 halves divide faster than int64
-    lead, hi = np.divmod(hi.astype(np.uint32), 10 ** 8)
+    # p >= 1e16 > 2**53 is an even integer, so N rounds half to even as p + rint(err)
+    digits = p.astype(np.int64)
+    digits += np.rint(err).astype(np.int64)
+    small = np.flatnonzero(ax < _SMALL)  # zeros included, nan not
+    if small.size:
+        k[small], digits[small], fast[small] = _small_cells(ax[small])
+    hi = digits // 10 ** 8  # one int64 division, then uint32 ones
+    lo = (digits - hi * 10 ** 8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    lead = hi // 10 ** 8
+    hi -= lead * np.uint32(10 ** 8)
     quads = np.empty((x.size, 4), dtype=np.uint32)
-    quads[:, 0], quads[:, 1] = np.divmod(hi, 10000)
-    quads[:, 2], quads[:, 3] = np.divmod(lo.astype(np.uint32), 10000)
+    quads[:, 0] = hi // 10000
+    quads[:, 1] = hi - quads[:, 0] * np.uint32(10000)
+    quads[:, 2] = lo // 10000
+    quads[:, 3] = lo - quads[:, 2] * np.uint32(10000)
     words = np.zeros((x.size, _CELL_BYTES // 4), dtype=np.uint32)
-    words[:, 0] = _LEAD[lead + 10 * (x < 0.0)]
-    words[:, 1:5] = _QUADS[quads]
-    words[:, 5] = _EXPONENTS[22 - k]
+    words[:, 0] = _LEAD[lead + 10 * np.signbit(x)]
+    words[:, 1:5] = _QUADS.take(quads)  # take casts the uint32 indices faster than []
+    words[:, 5] = _EXPONENTS[44 - k]
     text = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -356,17 +428,31 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> Path:
     return path
 
 
+def _remove(paths: list[Path]) -> None:
+    """Remove the artifacts of a failed write, as far as the file system allows."""
+    for path in paths:
+        with contextlib.suppress(OSError):
+            path.unlink()
+
+
 def write_wave_profile(table_path: Path, meta_path: Path, profile: WaveProfile,
                        config: RunConfig) -> list[Path]:
-    """Write the profile table and its meta document; returns the two paths written."""
+    """Write the profile table and its meta document; returns the two paths written.
+
+    A meta document that cannot be written takes the table with it.
+    """
     counters = {} if profile.stats is None else dataclasses.asdict(profile.stats)
-    return [_write_table(table_path, config, ["eta", "F", "G"],
-                         [profile.eta, profile.f, profile.g]),
-            _write_json(meta_path, config, {
-                "velocity": profile.velocity, "pe": profile.pe,
-                "window": list(profile.window),
-                "normalized": True, "samples": int(profile.eta.size), **counters,
-            })]
+    table = _write_table(table_path, config, ["eta", "F", "G"],
+                         [profile.eta, profile.f, profile.g])
+    try:
+        meta = _write_json(meta_path, config, {
+            "velocity": profile.velocity, "pe": profile.pe, "window": list(profile.window),
+            "normalized": True, "samples": int(profile.eta.size), **counters,
+        })
+    except OSError:
+        _remove([table])
+        raise
+    return [table, meta]
 
 
 def read_wave_profile(table_path: Path, meta_path: Path) -> WaveProfile:
@@ -403,20 +489,23 @@ def read_wave_profile(table_path: Path, meta_path: Path) -> WaveProfile:
     return profile
 
 
-def _run_nondim(config: RunConfig, out: Path) -> list[Path]:
-    return [_write_json(out / "nondim.json", config,
-                        {"dimensionless": config.resolved["dimensionless"]})]
+# A runner computes its results, then writes its artifacts one by one and
+# yields each path once written, so that run knows what to remove on a failure.
+def _run_nondim(config: RunConfig, out: Path) -> Iterator[Path]:
+    yield _write_json(out / "nondim.json", config,
+                      {"dimensionless": config.resolved["dimensionless"]})
 
 
-def _run_wave(config: RunConfig, out: Path) -> list[Path]:
+def _run_wave(config: RunConfig, out: Path) -> Iterator[Path]:
     if config.params.pe == 0.0:
         profile = solve_leading_order(config.params)
     else:
         profile = solve_full_wave(config.params)
-    return write_wave_profile(out / "wave_profile.csv", out / "wave_meta.json", profile, config)
+    yield from write_wave_profile(out / "wave_profile.csv", out / "wave_meta.json", profile,
+                                  config)
 
 
-def _run_pde(config: RunConfig, out: Path) -> list[Path]:
+def _run_pde(config: RunConfig, out: Path) -> Iterator[Path]:
     # imported here: only this mode needs the column solver and its LAPACK binding
     from .pde import SpatialGrid, mass_balance_residual, solve_pde, track_front
 
@@ -435,42 +524,39 @@ def _run_pde(config: RunConfig, out: Path) -> list[Path]:
     tracks = [track_front(sol, level, window) for level in FRONT_LEVELS]
     mass_residual_max = float(mass_balance_residual(sol).max())
     front_rows = [(track.level, t, pos) for track in tracks for t, pos in track.positions]
-    return [
-        _write_table(out / "pde_snapshots.csv", config, ["t", "x", "c", "q"],
-                     [np.repeat(sol.times, grid.n_cells), np.tile(grid.nodes, sol.times.size),
-                      sol.c.ravel(), sol.q.ravel()]),
-        _write_table(out / "pde_breakthrough.csv", config, ["t", "c_outlet"],
-                     [sol.times, sol.breakthrough]),
-        _write_table(out / "pde_front.csv", config, ["level", "t", "position"],
-                     np.reshape(front_rows, (-1, 3)).T),
-        _write_json(out / "pde_meta.json", config, {
-            "fitted_speeds": {str(level): track.fitted_speed
-                              for level, track in zip(FRONT_LEVELS, tracks)},
-            "fit_window": list(window), "velocity": config.params.velocity,
-            "mass_residual_max": mass_residual_max, **dataclasses.asdict(sol.stats)}),
-    ]
+    yield _write_table(out / "pde_snapshots.csv", config, ["t", "x", "c", "q"],
+                       [np.repeat(sol.times, grid.n_cells), np.tile(grid.nodes, sol.times.size),
+                        sol.c.ravel(), sol.q.ravel()])
+    yield _write_table(out / "pde_breakthrough.csv", config, ["t", "c_outlet"],
+                       [sol.times, sol.breakthrough])
+    yield _write_table(out / "pde_front.csv", config, ["level", "t", "position"],
+                       np.reshape(front_rows, (-1, 3)).T)
+    yield _write_json(out / "pde_meta.json", config, {
+        "fitted_speeds": {str(level): track.fitted_speed
+                          for level, track in zip(FRONT_LEVELS, tracks)},
+        "fit_window": list(window), "velocity": config.params.velocity,
+        "mass_residual_max": mass_residual_max, **dataclasses.asdict(sol.stats)})
 
 
-def _run_sweep(config: RunConfig, out: Path) -> list[Path]:
+def _run_sweep(config: RunConfig, out: Path) -> Iterator[Path]:
     records = run_sweep(config.params)
     rows = [(r.pe, r.l2_error, r.t_window, r.e_bt) for r in records]
     failures = {str(r.pe): r.error for r in records if r.error}
     counters = {str(r.pe): {k: getattr(r.stats, k) for k in ("nfev", "njev", "nlu", "steps")}
                 for r in records if r.stats is not None}
-    return [_write_table(out / "sweep.csv", config, ["pe", "l2_error", "t_window", "e_bt"],
-                         np.reshape(rows, (-1, 4)).T),
-            _write_json(out / "sweep_meta.json", config,
-                        {"failures": failures, "n_records": len(records),
-                         "counters": counters})]
+    yield _write_table(out / "sweep.csv", config, ["pe", "l2_error", "t_window", "e_bt"],
+                       np.reshape(rows, (-1, 4)).T)
+    yield _write_json(out / "sweep_meta.json", config,
+                      {"failures": failures, "n_records": len(records), "counters": counters})
 
 
-def _run_isotherm(config: RunConfig, out: Path) -> list[Path]:
+def _run_isotherm(config: RunConfig, out: Path) -> Iterator[Path]:
     phys = config.physical
     k_l = phys.k_ad / phys.k_de
     c_in = (phys.c_in * np.logspace(-2.0, 2.0, 41)).tolist()  # four decades around c_in
-    return [_write_table(out / "isotherm.csv", config, ["c_in", "q_e"],
-                         [c_in, [float(sips_isotherm(c, k_l, phys.q_max, phys.orders))
-                                 for c in c_in]])]
+    yield _write_table(out / "isotherm.csv", config, ["c_in", "q_e"],
+                       [c_in, [float(sips_isotherm(c, k_l, phys.q_max, phys.orders))
+                               for c in c_in]])
 
 
 _RUNNERS = {"nondim": _run_nondim, "wave": _run_wave, "pde": _run_pde,
@@ -480,20 +566,28 @@ _RUNNERS = {"nondim": _run_nondim, "wave": _run_wave, "pde": _run_pde,
 def run(config: RunConfig) -> list[Path]:
     """Execute a validated config and return the written artifact paths.
 
-    An output directory or artifact that cannot be written is a ``ConfigError``.
+    An output directory or artifact that cannot be written is a ``ConfigError``,
+    and the artifacts this run wrote before it are removed.
     """
     out = Path(config.output["dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the output directory {str(out)!r}: {exc}") from exc
+    written = []
     try:
-        return _RUNNERS[config.mode](config, out)
+        for path in _RUNNERS[config.mode](config, out):
+            written.append(path)
     except OSError as exc:  # an artifact path taken by a directory, or not writable
+        _remove(written)  # so a failed write leaves no partial set
         raise ConfigError(f"cannot write an artifact in {str(out)!r}: {exc}") from exc
+    return written
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache  # built at the first main call, not at import
+def _parser():
+    import argparse  # here, so importing the module and parse_config do without it
+
     parser = argparse.ArgumentParser(
         prog="adsorb",
         description="Fixed-bed adsorption column simulation and sensitivity toolkit.",
@@ -501,7 +595,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True, help="path to the JSON config document")
     parser.add_argument("--out", help="output directory (overrides output.dir)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         try:

@@ -593,10 +593,11 @@ class TestTableText:
             (_header(config) + "a,b,c\n" + rows).encode()
 
     def test_in_domain_table_is_the_per_row_format(self, tmp_path):
-        # magnitudes 1e-7 .. 1e17 of both signs: nearly every cell takes the
-        # vectorized digits, the few below 1e-6 the per-cell format
+        # magnitudes 1e-28 .. 1e17 of both signs and zeros of both signs: every
+        # cell takes the vectorized digits
         rng = np.random.default_rng(11)
-        columns = rng.choice([-1.0, 1.0], (4, 3000)) * 10.0 ** rng.uniform(-7.0, 17.0, (4, 3000))
+        columns = rng.choice([-1.0, 1.0], (4, 3000)) * 10.0 ** rng.uniform(-28.0, 17.0, (4, 3000))
+        columns[:, :2] = [[0.0, -0.0]] * 4
         config = parse_config(wave_doc())
         _write_table(tmp_path / "table.csv", config, ["a", "b", "c", "d"], columns)
         rows = "".join(",".join([CELL_FORMAT] * 4) % row + "\n" for row in zip(*columns.tolist()))
@@ -624,7 +625,10 @@ class TestTableText:
                 rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64))
 
     def test_powers_of_ten_and_their_neighbours(self):
-        powers = np.array([float(f"1e{e}") for e in range(-8, 19)])
+        # the double 1e-14 lies below 10**-14 but its 17 digits round up to
+        # it: the digits carry, and the exponent rises by one
+        assert formatted([1e-14, -1e-14]) == ["1.0000000000000000e-14", "-1.0000000000000000e-14"]
+        powers = np.array([float(f"1e{e}") for e in range(-30, 19)])
         values = np.concatenate([powers, np.nextafter(powers, 0.0),
                                  np.nextafter(powers, np.inf)])
         assert_cells_are_the_format(np.concatenate([values, -values]))
@@ -645,6 +649,50 @@ class TestTableText:
         assert np.count_nonzero((ties >= 1e-6) & (ties < 1e17)) > 30_000
         assert_cells_are_the_format(np.concatenate([ties, -ties]))
 
+    def test_every_exact_tie_below_1e_minus_6(self):
+        # a tie x = a 2**-j with odd a needs an 18-digit a 5**j, so j <= 25,
+        # and x < 1e-6 then needs j >= 24: nine ties in all, which round on
+        # the two-stage exact product, some up and some down
+        ties = [math.ldexp(a, -j) for j in range(20, 30)
+                for a in range(1, min((10 ** 18 - 1) // 5 ** j, int(1e-6 * 2 ** j)) + 1, 2)
+                if a * 5 ** j >= 10 ** 17]
+        assert len(ties) == 9 and 1e-8 < min(ties) and max(ties) < 1e-6
+        last_digits = {(CELL_FORMAT % v)[17] for v in ties}
+        assert len(last_digits) > 1
+        assert_cells_are_the_format(ties + [-v for v in ties])
+
+    def test_near_ties_below_1e_minus_6(self):
+        # x 10**k = X 5**k / 2**f lies d / 2**f from a half-integer where
+        # X 5**k = 2**(f - 1) + d modulo 2**f; past 1e-6 such offsets fall below
+        # the last bit of the two-stage product's middle part and only its
+        # remainder tells which way the cell rounds
+        ties = []
+        for k in range(23, 45):
+            for f in range(round(2.32 * k) - 6, round(2.32 * k) + 2):
+                inverse = pow(5 ** k, -1, 2 ** f)
+                for d in range(-300, 301):
+                    start = ((2 ** (f - 1) + d) * inverse) % 2 ** f
+                    ties += [math.ldexp(x, -(f + k)) for x in range(start, 2 ** 53, 2 ** f)
+                             if x >= 2 ** 52 and 10 ** 16 <= x * 5 ** k >> f < 10 ** 17]
+        assert len(ties) > 5_000 and max(ties) < 1e-6
+        assert_cells_are_the_format(ties + [-v for v in ties])
+
+    def test_zeros_and_1e_minus_28_to_1e17_never_take_the_per_cell_format(self, monkeypatch):
+        class Refused(str):
+            def __mod__(self, value):
+                raise AssertionError(f"{value!r} took the per-cell format")
+
+        rng = np.random.default_rng(12)
+        values = np.concatenate([
+            [0.0, -0.0, np.nextafter(1e-28, 1.0), np.nextafter(1e17, 0.0), 1e-6, 1e-14],
+            rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-28.0, 17.0, 20_000)])
+        expected = formatted(values)
+        monkeypatch.setattr(cli, "CELL_FORMAT", Refused(CELL_FORMAT))
+        assert formatted(values) == expected
+        for outside in (1e-28, 5e-324, 1e17, float("nan")):  # the fallback is still there
+            with pytest.raises(AssertionError, match="per-cell format"):
+                formatted([outside])
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
                                        5e-324, -5e-324])
     def test_special_values(self, value):
@@ -657,6 +705,22 @@ class TestTableText:
 
 
 class TestMainEntry:
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: adsorb")
+
+    def test_usage_error_then_a_valid_run_in_one_process(self, tmp_path, capsys):
+        # the parser is built once per process; an error leaves it usable
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(wave_doc(pe=0.0))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["wave", "--config", str(cfg), "--seed-delta", "1e-6"])
+        assert exit_info.value.code == 2
+        assert main(["wave", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "wave_profile.csv").is_file()
+
     def test_in_process_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(wave_doc(pe=0.0))
@@ -754,6 +818,35 @@ class TestMainEntry:
         err = json.loads(err)
         assert err["error"] == "ConfigError"
         assert str(out / "wave_profile.csv") in err["message"]
+
+    @pytest.mark.parametrize("doc,taken,written", [
+        (json.loads(wave_doc(pe=0.0)), "wave_meta.json", ["wave_profile.csv"]),
+        ({"mode": "pde",
+          "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.2, "m": 1, "n": 1, "ell": 8.0},
+          "solver": {"n_cells": 64, "t_end": 5.0, "n_snapshots": 11}},
+         "pde_meta.json", ["pde_snapshots.csv", "pde_breakthrough.csv", "pde_front.csv"]),
+    ], ids=["wave", "pde"])
+    def test_a_failed_write_leaves_no_partial_set(self, tmp_path, capsys, doc, taken, written):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "d2"
+        (out / taken).mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")  # not this run's file
+        assert main([doc["mode"], "--config", str(cfg), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert sorted(path.name for path in out.iterdir()) == ["notes.txt", taken]
+        (out / taken).rmdir()  # the same run then writes the whole set
+        assert main([doc["mode"], "--config", str(cfg), "--out", str(out)]) == 0
+        assert set(written) < {path.name for path in out.iterdir()}
+
+    def test_a_failed_write_keeps_the_files_it_did_not_write(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(wave_doc(pe=0.0))
+        out = tmp_path / "o"
+        (out / "wave_profile.csv").mkdir(parents=True)
+        (out / "wave_meta.json").write_text("an earlier run's meta")
+        assert main(["wave", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (out / "wave_meta.json").read_text() == "an earlier run's meta"
 
     @pytest.mark.parametrize("mode", ["wave", "sweep"])
     def test_existence_refusal_exit_code(self, tmp_path, capsys, mode):
