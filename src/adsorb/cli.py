@@ -10,10 +10,10 @@ which carry both as their ``"meta"`` object.  Floats are written with 17
 significant digits, so identical configs produce byte-identical artifacts.
 Table cells are the bytes of ``CELL_FORMAT % v``, written in blocks of rows by
 a numpy formatter that computes the digits of zeros and of 1e-28 < |v| < 1e17
-exactly (``_format_cells``); nan, +-inf and the magnitudes outside that range
-take ``%`` per cell.  A run whose artifact cannot be written removes the
-artifacts it wrote before the failure.  ``main`` builds its argument parser at
-its first call and reuses it.
+exactly, on one path for all of them (``_format_cells``); nan, +-inf and the
+other magnitudes take ``%`` per cell.  A run whose artifact cannot be written
+removes the artifacts it wrote before the failure.  ``main`` builds its
+argument parser at its first call and reuses it.
 """
 
 from __future__ import annotations
@@ -255,21 +255,24 @@ _BLOCK_ROWS = 1024
 
 
 # _format_cells writes the bytes of CELL_FORMAT % x without a Python string
-# per cell.  The 17 digits of x are the integer nearest N = |x| * 10**k,
-# rounded half to even, where k = 16 - e for the decimal exponent e of x.
-# - For 10**-6 < |x| < 1e17, e lies in [-6, 16] and k in [0, 22], where 10**k
-#   is an exact double (5**22 < 2**53).  Veltkamp's split and Dekker's
-#   TwoProduct give N exactly as p + err.  The rounding never carries into an
-#   18th digit here: the largest double below each power of ten in this range
-#   scales to at least 4.5 below 10**17.
-# - For 10**-28 < |x| < 10**-6, k lies in [23, 44].  TwoProduct gives
-#   x * 10**22 exactly as p1 + e1, TwoProduct again each part times
-#   10**(k - 22), and Knuth's TwoSum adds the two small parts, so that
-#   N = p + s + r exactly, with p an integer, |s| < 20 and r a remainder below
-#   the lowest set bit of s whose float sign is exact (_small_cells).  Here the
-#   rounding can carry: the double 1e-14 is 9.99999999999999998819e-15, whose
-#   17 digits round to 10**17, so that cell becomes 10**16 with its exponent
-#   raised by one.
+# per cell, for zeros and 10**-28 < |x| < 1e17, on one path.  The 17 digits of
+# x are the integer nearest N = |x| * 10**k, rounded half to even, where
+# k = 16 - e for the decimal exponent e of x, so k lies in [0, 44].
+# - 10**j is an exact double for j <= 22 (5**22 < 2**53).  Veltkamp's split and
+#   Dekker's TwoProduct give |x| * 10**min(k, 22) exactly.  Past k = 22 a second
+#   TwoProduct scales each part by 10**(k - 22) and Knuth's TwoSum adds the two
+#   small parts (_exact).  Either way N = p + s + r exactly, with p a whole
+#   number wherever N >= 2**53, |s| < 20 and r a remainder below the lowest set
+#   bit of s whose float sign is exact; r = 0 up to k = 22.
+# - n = p + floor(s) is floor(N), or one above it where N lies within |r| below
+#   the whole number n; next to a power of ten either decade then gives the
+#   same text, so one check of n against [1e16, 1e17) settles the decade.
+# - N - n - 1/2 has the sign of t = s - (floor(s) + 1/2) where t is not 0,
+#   since t is exact wherever |t| < 1/4 and |r| lies below the lowest set bit
+#   of s, and that of r where it is; at r = 0 too, n rounds to even.
+# - The rounding can carry into an 18th digit: the double 1e-14 is
+#   9.99999999999999998819e-15, whose 17 digits round to 10**17, so that cell
+#   becomes 10**16 with its exponent raised by one.
 # - Zeros of either sign are 17 zero digits with exponent 0.  The sign comes
 #   from np.signbit, since -0.0 < 0.0 is false.
 # A cell is 7 native uint32 words: [0, sign, lead digit, '.'], four words of
@@ -282,8 +285,7 @@ _SPLIT = 134217729.0  # 2**27 + 1
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-# the least doubles above 10**-28 and 10**-6: the doubles 1e-28 and 1e-6 lie below them
-_TINY, _SMALL = np.nextafter([1e-28, 1e-6], 1.0).tolist()
+_TINY = float(np.nextafter(1e-28, 1.0))  # the least double above 10**-28
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 _QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 _LEAD = np.frombuffer("".join(f"\0{sign}{d}." for sign in "\0-" for d in range(10)).encode(),
@@ -302,56 +304,24 @@ def _scaled(a: np.ndarray, k: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _scaled_small(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """a * 10**k for k in [23, 44] exactly, as p + s + r with p = fl(a * 10**k).
+def _exact(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a * 10**k for k in [0, 44] exactly, as p + s + r with p = fl(a * 10**k).
 
-    s is fl(u + q) for the two small parts u and q, and r is the exact sum of
-    its TwoSum error and the error of q, rounded, so it keeps its sign.
+    Up to k = 22 this is one TwoProduct and r is 0.  Past it, s is fl(u + q) for
+    the small parts u and q of two more, and r is the exact sum of its TwoSum
+    error and the error of q, rounded, so it keeps its sign.
     """
-    p1, e1 = _scaled(a, 22)
-    p, u = _scaled(p1, k - 22)
-    q, q_err = _scaled(e1, k - 22)
-    s = u + q
-    v = s - u
-    return p, s, ((u - (s - v)) + (q - v)) + q_err
-
-
-def _below(p: np.ndarray, err: np.ndarray, bound: float) -> np.ndarray:
-    """Whether the exact sum p + err lies below ``bound``."""
-    return (p < bound) | ((p == bound) & (err < 0.0))
-
-
-def _small_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k, the 17 digits and whether the vectorised digits hold, for magnitudes a < 10**-6.
-
-    With N = p + s + r from _scaled_small, n = p + floor(s) is floor(N), or
-    one above it where N lies within |r| below the whole number n; next to a
-    power of ten, either decade then gives the same text.  N - n - 1/2 has the
-    sign of t = s - (floor(s) + 1/2) where t is not 0, since t is exact wherever
-    |t| < 1/4 and |r| lies below the lowest set bit of s, and that of r where it is.
-    """
-    zero = a == 0.0
-    ok = zero | (a >= _TINY)
-    b = np.where(ok & ~zero, a, 1e-10)
-    k = np.clip(16 - np.floor(np.log10(b)).astype(np.intp), 23, 44)
-    p, s, r = _scaled_small(b, k)
-    whole = np.floor(s)
-    n = p.astype(np.int64) + whole.astype(np.int64)  # p is whole from 2**53 < 10**16 up
-    low, high = n < 10 ** 16, n >= 10 ** 17
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        k[fix] = k[fix] + low[fix] - high[fix]
-        p[fix], s[fix], r[fix] = _scaled_small(b[fix], k[fix])
-        whole[fix] = np.floor(s[fix])
-        n[fix] = p[fix].astype(np.int64) + whole[fix].astype(np.int64)
-    t = s - (whole + 0.5)
-    n += (t > 0.0) | ((t == 0.0) & ((r > 0.0) | ((r == 0.0) & (n & 1).astype(bool))))
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    k -= carry
-    n[zero] = 0
-    k[zero] = 16
-    return k, n, ok
+    p, s = _scaled(a, np.minimum(k, 22))
+    r = np.zeros_like(s)
+    deep = np.flatnonzero(k > 22)
+    if deep.size:
+        p[deep], u = _scaled(p[deep], k[deep] - 22)
+        q, q_err = _scaled(s[deep], k[deep] - 22)
+        s_deep = u + q
+        v = s_deep - u
+        s[deep] = s_deep
+        r[deep] = ((u - (s_deep - v)) + (q - v)) + q_err
+    return p, s, r
 
 
 def _format_cells(values: np.ndarray) -> np.ndarray:
@@ -362,26 +332,35 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
     """
     x = np.ravel(values)
     ax = np.abs(x)
-    fast = (ax >= _SMALL) & (ax < 1e17)
-    a = np.where(fast, ax, 1.0)
+    inside = (ax >= _TINY) & (ax < 1e17)
+    a = np.where(inside, ax, 1.0)
     # log10 can miss the decade by one next to a power of ten (it reads 17.0
-    # just below 1e17): clip to the table, then settle the decade exactly,
-    # which for 10**-6 < |x| < 1e17 lands in [0, 22]
-    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
-    p, err = _scaled(a, k)
-    low, high = _below(p, err, 1e16), ~_below(p, err, 1e17)
+    # just below 1e17): clip to the table, then settle the decade exactly
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 44)
+    p, s, r = _exact(a, k)
+    whole = np.floor(s)
+    n = p.astype(np.int64) + whole.astype(np.int64)
+    low, high = n < 10 ** 16, n >= 10 ** 17
     fix = np.flatnonzero(low | high)
     if fix.size:
         k[fix] = k[fix] + low[fix] - high[fix]
-        p[fix], err[fix] = _scaled(a[fix], k[fix])
-    # p >= 1e16 > 2**53 is an even integer, so N rounds half to even as p + rint(err)
-    digits = p.astype(np.int64)
-    digits += np.rint(err).astype(np.int64)
-    small = np.flatnonzero(ax < _SMALL)  # zeros included, nan not
-    if small.size:
-        k[small], digits[small], fast[small] = _small_cells(ax[small])
-    hi = digits // 10 ** 8  # one int64 division, then uint32 ones
-    lo = (digits - hi * 10 ** 8).astype(np.uint32)
+        p[fix], s[fix], r[fix] = _exact(a[fix], k[fix])
+        whole[fix] = np.floor(s[fix])
+        n[fix] = p[fix].astype(np.int64) + whole[fix].astype(np.int64)
+    t = s - (whole + 0.5)
+    up = t > 0.0
+    tie = np.flatnonzero(t == 0.0)
+    if tie.size:
+        up[tie] = (r[tie] > 0.0) | ((r[tie] == 0.0) & (n[tie] % 2 == 1))
+    n += up
+    carry = np.flatnonzero(n == 10 ** 17)
+    n[carry] = 10 ** 16
+    k[carry] -= 1
+    rest = np.flatnonzero(~inside)
+    zero = ax[rest] == 0.0
+    n[rest[zero]] = 0  # k is 16 there, as for a = 1.0
+    hi = n // 10 ** 8  # one int64 division, then uint32 ones
+    lo = (n - hi * 10 ** 8).astype(np.uint32)
     hi = hi.astype(np.uint32)
     lead = hi // 10 ** 8
     hi -= lead * np.uint32(10 ** 8)
@@ -395,7 +374,7 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
     words[:, 1:5] = _QUADS.take(quads)  # take casts the uint32 indices faster than []
     words[:, 5] = _EXPONENTS[44 - k]
     text = words.view(np.uint8)
-    slow = np.flatnonzero(~fast)
+    slow = rest[~zero]
     if slow.size:
         cells = b"".join((CELL_FORMAT % v).encode().ljust(_CELL_BYTES, b"\0")
                          for v in x[slow].tolist())

@@ -228,13 +228,19 @@ def nondimensionalize(p: PhysicalParameters, pe: float | None = None) -> Dimensi
     length scale follows from the adsorption-capacity balance, and Da, Pe and
     alpha are the usual ratios.  ``pe`` overrides the diffusion coefficient
     when supplied (it is the swept free parameter in sensitivity studies).
+    Scales past the doubles, such as c_in^m overflowing, raise ``DomainError``.
     """
     m, n = p.orders.m, p.orders.n
-    rate = p.k_ad * p.c_in ** m + p.k_de
-    tau = p.q_max ** (1 - n) / rate
-    length_scale = p.epsilon * tau * p.u_in * p.c_in / (p.rho_b * p.q_max)
-    da = length_scale / (tau * p.u_in)
-    alpha = p.k_ad * p.c_in ** m / rate
+    try:  # float ** raises on overflow; an infinite rate makes tau zero
+        adsorption = p.k_ad * p.c_in ** m
+        rate = adsorption + p.k_de
+        tau = p.q_max ** (1 - n) / rate
+        length_scale = p.epsilon * tau * p.u_in * p.c_in / (p.rho_b * p.q_max)
+        da = length_scale / (tau * p.u_in)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"the time and length scales overflow at c_in = {p.c_in!r}, m = {m}, "
+                          f"q_max = {p.q_max!r}, n = {n}: {exc}") from exc
+    alpha = adsorption / rate
     if pe is None:
         if p.diffusion is None:
             raise DomainError("either diffusion or an explicit pe is required")

@@ -580,24 +580,24 @@ def solve_full_wave(params: DimensionlessParameters) -> WaveProfile:
     the clean-side law ``tail`` of ``_leg_field``, which also sets the seed;
     the leg in between; and h0(F) above the leg.  eta is the quadrature of
     F (1 - F) / F' from the anchor z = 0, never a state of the leg, so the
-    anchor keeps full precision.  A seed slope that is not negative, or a leg
-    whose arithmetic overflows or divides by an underflowed zero, raises
-    ``ConvergenceError``.  The leg runs at the tolerances REL_TOL and ABS_TOL.
+    anchor keeps full precision.  A seed slope that is not negative, or a
+    field or leg whose arithmetic overflows or divides by an underflowed zero,
+    raises ``ConvergenceError``.  The leg runs at the tolerances REL_TOL and ABS_TOL.
     The profile carries the leg's counters.
     """
     _require_front(params)
     if params.pe == 0.0:
         raise DomainError("pe is zero: the reduced front is computed by solve_leading_order")
-    rhs, jac, tail = _leg_field(params)
-    seed_slope = tail(F_STOP)
-    if not seed_slope < 0.0:  # -0.0 once b * b overflows at an extreme Pe
-        raise ConvergenceError(f"seed slope F' = {seed_slope!r} at F = {F_STOP!r} "
-                               "is not negative")
     try:
+        rhs, jac, tail = _leg_field(params)
+        seed_slope = tail(F_STOP)
+        if not seed_slope < 0.0:  # -0.0 once b * b overflows at an extreme Pe
+            raise ConvergenceError(f"seed slope F' = {seed_slope!r} at F = {F_STOP!r} "
+                                   "is not negative")
         w_at, stats = _radau_leg(rhs, jac, -Z_STOP, math.log(-seed_slope), Z_STOP,
                                  REL_TOL, ABS_TOL)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise ConvergenceError(f"backward leg from the seed failed: {exc}") from exc
+        raise ConvergenceError(f"front field or backward leg failed: {exc}") from exc
 
     def f_prime(z):
         below, above = z < -Z_STOP, z > Z_STOP

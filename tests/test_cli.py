@@ -677,6 +677,22 @@ class TestTableText:
         assert len(ties) > 5_000 and max(ties) < 1e-6
         assert_cells_are_the_format(ties + [-v for v in ties])
 
+    def test_near_ties_from_1e_minus_6_up(self):
+        # the same construction in the decades of one product, k <= 22, which
+        # round by the same rule; a class mod 2**f holds up to 2**(53 - f)
+        # mantissas here, so each gives its four least from 2**52 up
+        ties = []
+        for k in range(23):
+            for f in range(max(round(2.32 * k) - 6, 1), round(2.32 * k) + 2):
+                inverse = pow(5 ** k, -1, 2 ** f)
+                for d in range(-min(300, 2 ** (f - 1)), min(301, 2 ** (f - 1))):
+                    start = ((2 ** (f - 1) + d) * inverse) % 2 ** f
+                    first = 2 ** 52 + (start - 2 ** 52) % 2 ** f
+                    ties += [math.ldexp(x, -(f + k)) for x in range(first, 2 ** 53, 2 ** f)[:4]
+                             if 10 ** 16 <= x * 5 ** k >> f < 10 ** 17]
+        assert len(ties) > 5_000 and min(ties) >= 1e-6
+        assert_cells_are_the_format(ties + [-v for v in ties])
+
     def test_zeros_and_1e_minus_28_to_1e17_never_take_the_per_cell_format(self, monkeypatch):
         class Refused(str):
             def __mod__(self, value):
@@ -762,6 +778,9 @@ class TestMainEntry:
         (json.loads(wave_doc(q_e=1.5)), "q_e must lie in (0, 1)"),
         (json.loads(wave_doc(m=0)), "reaction order m must be >= 1"),
         ({"mode": "pde", "physical": {**PHYSICAL, "epsilon": -0.3357}, "pe": 0.1}, "epsilon"),
+        # c_in^m past the largest double, where float ** raises OverflowError
+        ({"mode": "nondim", "physical": {**PHYSICAL, "c_in": 1e200, "m": 2, "n": 2}, "pe": 0.1},
+         "c_in = 1e+200, m = 2"),
     ])
     def test_out_of_domain_value_exit_code(self, tmp_path, capsys, doc, message):
         # a model value outside its domain is the parameter types' own
@@ -932,12 +951,15 @@ class TestMainEntry:
         assert err["error"] == "CoverageError" and message in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("pe", [1e-300, 1e300])
-    def test_extreme_pe_exit_code(self, tmp_path, capsys, pe):
+    @pytest.mark.parametrize("dimensionless", [{"pe": 1e-300}, {"pe": 1e300}, {"n": 700}],
+                             ids=["1e-300", "1e+300", "n700"])
+    def test_extreme_pe_exit_code(self, tmp_path, capsys, dimensionless):
         # at Pe = 1e-300 F'^2 underflows to 0 on the leg; at Pe = 1e300 the
-        # saddle's b^2 overflows and the seed slope rounds to -0.0
+        # saddle's b^2 overflows and the seed slope rounds to -0.0; at n = 700
+        # the rate's partial at the clean state, (1/(1 - q_e))^(n - 1),
+        # overflows as a float power before the leg starts
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(wave_doc(pe=pe))
+        cfg.write_text(wave_doc(**dimensionless))
         out = tmp_path / "o"
         assert main(["wave", "--config", str(cfg), "--out", str(out)]) == 4
         err = capsys.readouterr().err
