@@ -21,9 +21,17 @@ REASON_INTERIOR = "interior-equilibrium"
 REASON_INCREASING = "increasing-solutions"
 
 
+def _finite(value) -> bool:
+    """math.isfinite, with an int past the doubles (OverflowError) read as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not np.isfinite(value) or value <= 0.0:
+        if not _finite(value) or value <= 0.0:
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -76,7 +84,7 @@ class RawKinetics:
 
     def __post_init__(self):
         _require_positive(kappa_ad=self.kappa_ad, c_sat=self.c_sat)
-        if not np.isfinite(self.kappa_de) or self.kappa_de < 0.0:
+        if not _finite(self.kappa_de) or self.kappa_de < 0.0:
             raise DomainError(f"kappa_de must be >= 0, got {self.kappa_de!r}")
 
 
@@ -132,7 +140,7 @@ class DimensionlessParameters:
     def __post_init__(self):
         _require_positive(da=self.da, ell=self.ell,
                           length_scale=self.length_scale, time_scale=self.time_scale)
-        if not np.isfinite(self.pe) or self.pe < 0.0:
+        if not _finite(self.pe) or self.pe < 0.0:
             raise DomainError(f"pe must be >= 0, got {self.pe!r}")
         object.__setattr__(self, "alpha", alpha_from_qe(self.q_e, self.orders.n))
 
@@ -176,7 +184,7 @@ def sips_isotherm(c_in: float, k_l: float, q_max: float, orders: ReactionOrders)
 def equilibrium_fraction_from_masses(m_final: float, m_initial: float) -> float:
     """Adsorbed fraction measured by weighing the column: (m_final - m_initial)/m_initial."""
     _require_positive(m_initial=m_initial)
-    if not np.isfinite(m_final) or m_final < m_initial:
+    if not _finite(m_final) or m_final < m_initial:
         raise DomainError(f"final mass {m_final!r} must be >= initial mass {m_initial!r}")
     return (m_final - m_initial) / m_initial
 

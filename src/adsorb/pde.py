@@ -24,9 +24,10 @@ concentrations, and the rate law's partials r_c and r_q enter at every node.
 Each Newton matrix is solved through that structure: its q block is
 diagonal, so eliminating q leaves a tridiagonal system in the interior
 concentrations, which LAPACK's dgttrf factors.  The solver calls dgttrf and
-dgttrs in the OpenBLAS that numpy's wheels bundle, so it loads no scipy
-module; where numpy's build does not export them, it takes them from
-``scipy.linalg.lapack``.
+dgttrs in the OpenBLAS that numpy's wheels bundle; where numpy's build does
+not export them, it runs ``_gttrf`` and ``_gtts2``, a port of reference
+LAPACK's two routines that gives the same doubles.  numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ def _numpy_tridiagonal_lapack():
     dlsym on the handle of numpy's own extension searches the libraries that
     extension links, so the bundled library's file name is not needed.  Other
     numpy builds (conda with MKL, Accelerate, distribution packages) need not
-    export them; they give None.
+    export them; they give None, and the column runs the port ``_gttrf`` and
+    ``_gtts2`` in their place.
     """
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
@@ -147,6 +149,64 @@ def _numpy_tridiagonal_lapack():
     dgttrs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
     dgttrf.restype = dgttrs.restype = None
     return dgttrf, dgttrs
+
+
+# Reference LAPACK's dgttrf and dgtts2 (the no-transpose solve that dgttrs
+# runs for one right-hand side), operation for operation, on lists: the
+# fallback where numpy exports no dgttrf.  Pivots are 1-based, as LAPACK's.
+
+def _gttrf(dl, d, du):
+    """LU with partial pivoting of the tridiagonal (dl, d, du), in place.
+
+    Returns (dl, d, du, du2, ipiv): L's multipliers, U's three diagonals and
+    the pivots.  A zero pivot is left in d, as LAPACK leaves it.
+    """
+    n = len(d)
+    du2, ipiv = [0.0] * (n - 2), list(range(1, n + 1))
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):  # no row interchange
+            if d[i] != 0.0:
+                fact = dl[i] = dl[i] / d[i]
+                d[i + 1] = d[i + 1] - fact * du[i]
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], dl[i] = dl[i], fact
+            du[i], d[i + 1] = d[i + 1], du[i] - fact * d[i + 1]
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du[i + 1]
+            ipiv[i] = i + 2
+    return dl, d, du, du2, ipiv
+
+
+def _gtts2(dl, d, du, du2, ipiv, b):
+    """The solution of A x = b from ``_gttrf``'s factors, in place of b."""
+    n = len(d)
+    for i in range(n - 1):  # L x = b, interchanging as the factorisation did
+        if ipiv[i] == i + 1:
+            b[i + 1] = b[i + 1] - dl[i] * b[i]
+        else:
+            b[i], b[i + 1] = b[i + 1], b[i] - dl[i] * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]  # U x = b
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _ieee(routine, *arrays):
+    """``routine`` on the entries of ``arrays``, with LAPACK's IEEE results.
+
+    Python floats round as doubles do, but a division by zero raises where
+    IEEE gives an inf or a nan, and ``_newton`` tells the two apart.  On
+    ``ZeroDivisionError`` the routine runs again from the arrays, on numpy
+    scalars, which divide as IEEE does.
+    """
+    try:
+        return routine(*(a.tolist() for a in arrays))
+    except ZeroDivisionError:
+        with np.errstate(all="ignore"):
+            return routine(*(list(a) for a in arrays))
 
 
 def _close(c: np.ndarray, c_interior: np.ndarray, w: float) -> np.ndarray:
@@ -206,9 +266,10 @@ class _Column:
 
     tridiagonal and strictly diagonally dominant while spacing/Pe < 2.
     ``factor`` runs LAPACK's dgttrf on S; ``solve`` runs dgttrs and
-    back-substitutes q.  Both work in buffers bound to LAPACK once per
-    column, so the factors of S live there, and each ``factor`` replaces the
-    last one's: only the latest factorisation can be solved with.
+    back-substitutes q.  Both work in buffers bound to LAPACK, or to its
+    port, once per column, so the factors of S live there, and each
+    ``factor`` replaces the last one's: only the latest factorisation can be
+    solved with.
 
     The Newton iteration allocates no state-sized array for the field or the
     solution either: ``assemble_rhs`` closes the field into the column's
@@ -249,19 +310,20 @@ class _Column:
         self._dgttrf, self._dgttrs = self._bind_lapack()
 
     def _bind_lapack(self):
-        """dgttrf and dgttrs on the Schur buffers, in place, as calls without arguments."""
+        """dgttrf and dgttrs on the Schur buffers, in place, as calls without arguments.
+
+        numpy's LAPACK where it exports them, else the port.
+        """
         buffers = self._dl, self._d, self._du, self._du2, self._ipiv, self._b
         routines = _numpy_tridiagonal_lapack()
         if routines is None:
-            from scipy.linalg.lapack import dgttrf, dgttrs
-
             dl, d, du, du2, ipiv, b = buffers
 
             def factor():
-                dl[...], d[...], du[...], du2[...], ipiv[...], _ = dgttrf(dl, d, du)
+                dl[...], d[...], du[...], du2[...], ipiv[...] = _ieee(_gttrf, dl, d, du)
 
             def solve():
-                b[...], _ = dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)
+                b[...] = _ieee(_gtts2, dl, d, du, du2, ipiv, b)
 
             return factor, solve
         # the pointers hold no reference, so the column keeps every buffer alive

@@ -278,19 +278,38 @@ def _side(f_prime, sign: float):
     integral of F (1 - F) / F' from 0 by Simpson's rule on half steps.  The
     side ends at the first sample past |z| = Z_STOP with |eta| >= ETA_SPAN, or
     at its z limit; the sampled range doubles until one of them is reached.
+    Two numerical failures raise ``ConvergenceError`` naming z: a sample up
+    to the side's end whose F' is not finite and negative, such as a rate
+    that overflows or rounds to zero at a steep order, and a step that leaves
+    eta where it was: a front whose F' is tiny near z = 0 reaches an |eta|
+    whose doubles are spaced wider than the step.
     """
     cap = round((Z_HEAD if sign > 0.0 else -Z_TAIL) / Z_STEP)
     steps = math.ceil(Z_STOP / Z_STEP)
     while True:
         z_half = sign * 0.5 * Z_STEP * np.arange(2 * steps + 1)
-        fp = f_prime(z_half)
-        slope = _expit(z_half) * _expit(-z_half) / fp  # d eta / dz
-        step = sign * Z_STEP / 6.0 * (slope[:-2:2] + 4.0 * slope[1::2] + slope[2::2])
-        eta = np.concatenate(([0.0], np.cumsum(step)))
+        # a sample past the side's end may overflow unread; one before it raises below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fp = f_prime(z_half)
+            slope = _expit(z_half) * _expit(-z_half) / fp  # d eta / dz
+            step = sign * Z_STEP / 6.0 * (slope[:-2:2] + 4.0 * slope[1::2] + slope[2::2])
+            eta = np.concatenate(([0.0], np.cumsum(step)))
         z = z_half[::2]
         done = (np.abs(z) >= Z_STOP) & (np.abs(eta) >= ETA_SPAN)
         if done.any() or steps == cap:
             end = int(np.argmax(done)) + 1 if done.any() else z.size
+            read = fp[:2 * end - 1]
+            bad = ~(np.isfinite(read) & (read < 0.0))
+            if bad.any():
+                at = int(np.argmax(bad))
+                raise ConvergenceError(f"the front's slope F' = {float(fp[at])!r} at "
+                                       f"z = {float(z_half[at])!r} is not finite and negative")
+            stalled = ~(sign * np.diff(eta[:end]) < 0.0)
+            if stalled.any():
+                at = int(np.argmax(stalled)) + 1
+                raise ConvergenceError(
+                    f"eta stops moving at z = {float(z[at])!r}: its step rounds away at "
+                    f"eta = {float(eta[at])!r}, where the front is too wide for doubles")
             return z[:end], eta[:end], fp[::2][:end], slope[::2][:end]
         steps = min(2 * steps, cap)
 

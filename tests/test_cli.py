@@ -1,4 +1,3 @@
-import ctypes
 import hashlib
 import json
 import math
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 import adsorb
-from adsorb import analysis, cli
+from adsorb import analysis, cli, pde
 from adsorb.analysis import l2_profile_error
 from adsorb.cli import (
     CELL_FORMAT,
@@ -49,48 +48,6 @@ PHYSICAL = {
     "c_in": 2.835, "q_max": 0.358, "rho_b": 377.25, "column_length": 5.4e-3,
     "m": 1, "n": 1,
 }
-
-
-def scipy_modules(code: str, env) -> list[str]:
-    """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
-    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-                    " if m == 'scipy' or m.startswith('scipy.'))))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-class TestImportIsolation:
-    # only pde mode needs scipy; the other modes load numpy and the stdlib
-    def test_cli_import_loads_no_scipy(self, child_env):
-        assert scipy_modules("import adsorb.cli", child_env) == []
-
-    def test_wave_run_loads_no_scipy(self, tmp_path, child_env):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(wave_doc(pe=0.1))
-        argv = ["wave", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        code = f"from adsorb.cli import main\nassert main({argv!r}) == 0"
-        assert scipy_modules(code, child_env) == []
-        assert (tmp_path / "out" / "wave_profile.csv").exists()
-
-    def test_pde_run_loads_no_scipy(self, tmp_path, child_env):
-        # the column's BDF needs LAPACK's tridiagonal routines and nothing more:
-        # those in numpy's OpenBLAS where numpy exports them, else scipy's
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "pde", "dimensionless": {
-            "q_e": 0.7, "da": 0.1, "pe": 0.5, "m": 1, "n": 1, "ell": 5.0},
-            "solver": {"n_cells": 32, "t_end": 2.0, "n_snapshots": 5}}))
-        argv = ["pde", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        code = f"from adsorb.cli import main\nassert main({argv!r}) == 0"
-        loaded = scipy_modules(code, child_env)
-        if hasattr(ctypes.CDLL(np._core._multiarray_umath.__file__), "scipy_dgttrf_64_"):
-            assert loaded == []
-        else:
-            assert "scipy.linalg.lapack" in loaded
-            assert [m for m in loaded
-                    if m.startswith(("scipy.integrate", "scipy.sparse"))] == []
-        assert (tmp_path / "out" / "pde_meta.json").exists()
 
 
 class TestReadme:
@@ -373,6 +330,27 @@ MODE_RUNS = [
 ]
 
 
+class TestImportIsolation:
+    # numpy is the only runtime dependency: with scipy unimportable every mode
+    # runs, on numpy's LAPACK route and on the tridiagonal port alike
+    @pytest.mark.parametrize("route", ["numpy", "port"])
+    @pytest.mark.parametrize("doc", MODE_RUNS)
+    def test_mode_runs_without_scipy(self, tmp_path, child_env, doc, route):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [doc["mode"], "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from adsorb import analysis, cli, pde\n"
+                "analysis.PE_VALUES = (0.0, 0.1)\n"  # a short sweep
+                + ("pde._numpy_tridiagonal_lapack = lambda: None\n" if route == "port" else "")
+                + f"sys.exit(cli.main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        assert any((tmp_path / "out").iterdir())
+
+
 class TestRunners:
     def test_nondim_artifacts(self, tmp_path):
         doc = {"mode": "nondim", "physical": dict(PHYSICAL), "pe": 0.1,
@@ -515,6 +493,22 @@ class TestRunners:
                 if l and not l.startswith("#")]
         assert rows[0] == "t,x,c,q"
         assert len(rows) - 1 == 11 * 64
+
+    def test_pde_port_writes_the_columns_bytes(self, tmp_path, monkeypatch):
+        # the reference column (400 nodes to t = 10) writes the same four files
+        # on the tridiagonal port as on numpy's LAPACK route
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "pde", "physical": PHYSICAL, "pe": 0.1, "solver": {
+            "n_cells": 400, "t_end": 10.0, "n_snapshots": 51}}))
+        digests = []
+        for route in ("numpy", "port"):
+            if route == "port":
+                monkeypatch.setattr(pde, "_numpy_tridiagonal_lapack", lambda: None)
+            out = tmp_path / route
+            assert main(["pde", "--config", str(cfg), "--out", str(out)]) == 0
+            digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in out.iterdir()})
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
 
     def test_isotherm_artifacts(self, tmp_path):
         # 41 inlet concentrations, log-spaced over four decades around c_in,
@@ -951,13 +945,17 @@ class TestMainEntry:
         assert err["error"] == "CoverageError" and message in err["message"]
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("dimensionless", [{"pe": 1e-300}, {"pe": 1e300}, {"n": 700}],
-                             ids=["1e-300", "1e+300", "n700"])
+    @pytest.mark.parametrize("dimensionless", [
+        {"pe": 1e-300}, {"pe": 1e300}, {"n": 700}, {"pe": 0.0, "n": 100}, {"pe": 0.0, "n": 700},
+    ], ids=["1e-300", "1e+300", "n700", "pe0-n100", "pe0-n700"])
     def test_extreme_pe_exit_code(self, tmp_path, capsys, dimensionless):
         # at Pe = 1e-300 F'^2 underflows to 0 on the leg; at Pe = 1e300 the
         # saddle's b^2 overflows and the seed slope rounds to -0.0; at n = 700
         # the rate's partial at the clean state, (1/(1 - q_e))^(n - 1),
-        # overflows as a float power before the leg starts
+        # overflows as a float power before the leg starts.  At Pe = 0 and
+        # n = 100, F' near F = 1/2 is about 1e-19, so eta reaches 1e16 and its
+        # steps round away; at n = 700 the rate's powers overflow and F'(1/2)
+        # rounds to -0.0.  RuntimeWarnings are errors here, so none is raised.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(wave_doc(**dimensionless))
         out = tmp_path / "o"

@@ -211,10 +211,17 @@ class TestDimensionlessParameters:
 
     @pytest.mark.parametrize("kwargs", [
         dict(da=0.0, pe=0.1), dict(da=-1.0, pe=0.1), dict(da=0.1, pe=-0.1),
+        # Python ints past the doubles are not finite
+        dict(da=10 ** 400, pe=0.1), dict(da=0.1, pe=10 ** 400),
+        dict(da=0.1, pe=0.1, ell=10 ** 400),
     ])
     def test_rejects_bad_numbers(self, kwargs):
         with pytest.raises(DomainError):
             params_for(0.7, m=1, n=1, **kwargs)
+
+    def test_accepts_a_python_int_past_int64(self):
+        # numpy's isfinite refuses such ints; math.isfinite reads 10**20 as 1e20
+        assert params_for(0.7, da=10 ** 20, pe=10 ** 20, m=1, n=1).velocity == 1.0 / (0.7 + 1e20)
 
     def test_q_e_is_the_one_isotherm_input(self):
         # alpha is derived; a caller holding alpha converts it with qe_from_alpha
@@ -243,8 +250,13 @@ class TestDimensionlessParameters:
     (lambda: qe_from_alpha(0.3, 0), "order n must be >= 1"),
     (lambda: alpha_from_qe(0.7, 0), "order n must be >= 1"),
     (lambda: nondimensionalize(column_physical(), pe=-0.1), "pe must be >= 0"),
+    (lambda: RawKinetics(kappa_ad=1.0, kappa_de=10 ** 400, c_sat=1.0), "kappa_de must be >= 0"),
+    (lambda: equilibrium_fraction_from_masses(10 ** 400, 10.0), "final mass 1000"),
+    (lambda: sips_isotherm(10 ** 400, 1.0, 0.3, ReactionOrders(1, 1)),
+     "c_in must be positive and finite"),
 ], ids=["kappa_de", "q_max", "epsilon", "convert_raw_rates-epsilon", "alpha", "q_e",
-        "qe_from_alpha-n", "alpha_from_qe-n", "nondimensionalize-pe"])
+        "qe_from_alpha-n", "alpha_from_qe-n", "nondimensionalize-pe", "kappa_de-int",
+        "final-mass-int", "sips-c_in-int"])
 def test_refusal_names_the_value(refused, message):
     with pytest.raises(DomainError, match=message):
         refused()

@@ -349,8 +349,105 @@ def test_numpy_lapack_binding_is_scipys_bit_for_bit(pivots):
     assert np.array_equal(column._b, x)
 
 
-def test_scipy_fallback_solves_the_column_bit_for_bit(monkeypatch):
-    # where numpy exports no dgttrf the column takes scipy's: same fields, same work
+def port_column(monkeypatch, params, grid) -> _Column:
+    """A column bound to the tridiagonal port, as where numpy exports no dgttrf."""
+    monkeypatch.setattr(pde, "_numpy_tridiagonal_lapack", lambda: None)
+    return _Column(params, grid)
+
+
+def assert_same_doubles(got, expected):
+    # nan where nan, and otherwise the same bits, the sign of every zero included
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got[~np.isnan(got)]), np.signbit(expected[~np.isnan(got)]))
+
+
+def port_matches_scipy(column: _Column, dl, d, du, b):
+    """Factor and solve one system on ``column``'s bound routines and on scipy's."""
+    column._dl[...], column._d[...], column._du[...] = dl, d, du
+    column._dgttrf()
+    *factors, _ = dgttrf(dl, d, du)
+    for bound, reference in zip((column._dl, column._d, column._du, column._du2), factors):
+        assert_same_doubles(bound, reference)
+    assert np.array_equal(column._ipiv, factors[4])  # both 1-based
+    column._b[...] = b
+    column._dgttrs()
+    x, _ = dgttrs(*factors, b)
+    assert_same_doubles(column._b, x)
+
+
+def tridiagonal_system(rng, k, pivots):
+    """Random diagonals and right-hand side; a small diagonal forces row interchanges."""
+    dl, du = rng.uniform(-1.0, 1.0, k - 1), rng.uniform(-1.0, 1.0, k - 1)
+    b = rng.uniform(-1.0, 1.0, k)
+    d = rng.uniform(-1.0, 1.0, k) * 1e-3 if pivots else 3.0 + rng.uniform(0.0, 1.0, k)
+    return dl, d, du, b
+
+
+def test_port_is_scipys_dgttrf_and_dgttrs_bit_for_bit(monkeypatch):
+    # reference LAPACK's dgttrf and dgtts2 in Python floats, bound to the
+    # column's buffers, give scipy's factors, 1-based pivots and solutions
+    column = port_column(monkeypatch, params_for(ell=5.0, pe=0.5),
+                         SpatialGrid(ell=5.0, n_cells=400))
+    rng = np.random.default_rng(11)
+    k = column.k
+    for i in range(200):
+        port_matches_scipy(column, *tridiagonal_system(rng, k, pivots=i % 2 == 1))
+        assert np.any(column._ipiv != np.arange(1, k + 1)) == (i % 2 == 1)
+    # where LAPACK divides by zero, the port gives its inf and nan and raises
+    # nothing: an exact zero pivot in the first row (x_0 = inf), in the last
+    # row over a zero right-hand side (0/0, then nan throughout), and a nan
+    # diagonal over a zero subdiagonal, which interchanges rows and divides nan by 0
+    dl, d, du, b = tridiagonal_system(rng, k, pivots=False)
+    d[0] = dl[0] = 0.0
+    port_matches_scipy(column, dl, d, du, b)
+    assert np.isinf(column._b[0]) and np.isfinite(column._b[1:]).all()
+    dl, d, du, b = tridiagonal_system(rng, k, pivots=False)
+    d[-1] = dl[-1] = b[-1] = 0.0
+    port_matches_scipy(column, dl, d, du, b)
+    assert np.isnan(column._b).all()
+    dl, d, du, b = tridiagonal_system(rng, k, pivots=False)
+    d[7], dl[7] = np.nan, 0.0
+    port_matches_scipy(column, dl, d, du, b)
+    assert column._ipiv[7] == 9 and np.isnan(column._b).any()
+
+
+def test_port_solves_the_reference_columns_schur_systems_as_scipy(eq_column_params,
+                                                                  monkeypatch):
+    # every Schur system the reference column (400 nodes to t = 10) factors
+    # and solves is factored and solved by the port as by scipy; and the
+    # column solved on the port has the same fields and the same work
+    grid = SpatialGrid(ell=eq_column_params.ell, n_cells=400)
+    times = np.linspace(0.0, 10.0, 51)
+    factored, solved = [], []
+    bind = _Column._bind_lapack
+
+    def recording(column):
+        factor, solve = bind(column)
+
+        def factor_recorded():
+            factored.append((column._dl.copy(), column._d.copy(), column._du.copy()))
+            factor()
+
+        def solve_recorded():
+            solved.append((len(factored) - 1, column._b.copy()))
+            solve()
+
+        return factor_recorded, solve_recorded
+
+    monkeypatch.setattr(_Column, "_bind_lapack", recording)
+    default = solve_pde(eq_column_params, grid, t_end=10.0, sample_times=times)
+    monkeypatch.setattr(_Column, "_bind_lapack", bind)
+    assert (len(factored), len(solved)) == (default.stats.nlu, default.stats.nfev - 2)
+    column = port_column(monkeypatch, eq_column_params, grid)
+    for i, b in solved:
+        port_matches_scipy(column, *factored[i], b)
+    port = solve_pde(eq_column_params, grid, t_end=10.0, sample_times=times)
+    assert np.array_equal(port.c, default.c) and np.array_equal(port.q, default.q)
+    assert port.stats == default.stats
+
+
+def test_port_solves_the_column_bit_for_bit(monkeypatch):
+    # where numpy exports no dgttrf the column takes the port: same fields, same work
     p = params_for(m=2, n=3, ell=5.0, pe=0.5)
     grid = SpatialGrid(ell=5.0, n_cells=32)
     default = solve_pde(p, grid, t_end=2.0)
@@ -358,12 +455,12 @@ def test_scipy_fallback_solves_the_column_bit_for_bit(monkeypatch):
     pde._numpy_tridiagonal_lapack.cache_clear()
     try:
         assert pde._numpy_tridiagonal_lapack() is None
-        fallback = solve_pde(p, grid, t_end=2.0)
+        port = solve_pde(p, grid, t_end=2.0)
     finally:
         pde._numpy_tridiagonal_lapack.cache_clear()
-    assert np.array_equal(fallback.c, default.c)
-    assert np.array_equal(fallback.q, default.q)
-    assert fallback.stats == default.stats
+    assert np.array_equal(port.c, default.c)
+    assert np.array_equal(port.q, default.q)
+    assert port.stats == default.stats
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 3)])
@@ -489,25 +586,33 @@ class TestSolvePde:
         with pytest.raises(DomainError, match="initial rate is not finite"):
             solve_pde(p, grid, t_end=1.0)
 
-    def test_extreme_parameters_solve_or_raise_a_typed_error(self):
+    def test_extreme_parameters_solve_or_raise_a_typed_error(self, monkeypatch):
         # Da and Pe over 600 decades, q_e 0.7, 20 nodes: every column solves or
         # raises an AdsorptionError, and none lets a numpy warning out: every
         # warning but the cell-Peclet one is an error here.  The cases left out
-        # take seconds each to integrate.
+        # take seconds each to integrate.  The tridiagonal port ends every
+        # column as numpy's LAPACK does, its zero pivots and overflows included.
         extremes = (1e-300, 1e-150, 1e-30, 1e-8, 0.1, 1e8, 1e30, 1e150, 1e300)
         grid = SpatialGrid(ell=5.0, n_cells=20)
-        outcomes = {}
-        for (m, n), da, pe in itertools.product([(1, 1), (2, 3)], extremes, extremes):
-            if pe in (1e8, 1e30) or m == 2 and da in (1e-30, 1e-8) and pe < 1e8:
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                warnings.simplefilter("ignore", CellPecletWarning)
-                try:
-                    solve_pde(params_for(m=m, n=n, da=da, pe=pe, ell=5.0), grid, t_end=1.0)
-                    outcomes[m, n, da, pe] = "solved"
-                except AdsorptionError as exc:
-                    outcomes[m, n, da, pe] = type(exc).__name__
+        by_route = []
+        for route in ("numpy", "port"):
+            if route == "port":
+                monkeypatch.setattr(pde, "_numpy_tridiagonal_lapack", lambda: None)
+            outcomes = {}
+            for (m, n), da, pe in itertools.product([(1, 1), (2, 3)], extremes, extremes):
+                if pe in (1e8, 1e30) or m == 2 and da in (1e-30, 1e-8) and pe < 1e8:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    warnings.simplefilter("ignore", CellPecletWarning)
+                    try:
+                        solve_pde(params_for(m=m, n=n, da=da, pe=pe, ell=5.0), grid, t_end=1.0)
+                        outcomes[m, n, da, pe] = "solved"
+                    except AdsorptionError as exc:
+                        outcomes[m, n, da, pe] = type(exc).__name__
+            by_route.append(outcomes)
+        outcomes = by_route[0]
+        assert by_route[1] == outcomes
         assert len(outcomes) == 116
         # the first step of these collapses to zero: a typed error, not a ZeroDivisionError
         assert all(outcomes[m, n, 1e-300, pe] == "ConvergenceError"
