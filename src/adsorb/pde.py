@@ -26,7 +26,8 @@ diagonal, so eliminating q leaves a tridiagonal system in the interior
 concentrations, which LAPACK's dgttrf factors.  The solver calls dgttrf and
 dgttrs in the OpenBLAS that numpy's wheels bundle; where numpy's build does
 not export them, it runs ``_gttrf`` and ``_gtts2``, a port of reference
-LAPACK's two routines that gives the same doubles.  numpy is the only
+LAPACK's two routines that gives the doubles of a LAPACK built without
+fused multiply-add contraction, more slowly.  numpy is the only
 dependency.
 """
 
@@ -134,9 +135,10 @@ def _numpy_tridiagonal_lapack():
     and it exports the two as ``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_``.
     dlsym on the handle of numpy's own extension searches the libraries that
     extension links, so the bundled library's file name is not needed.  Other
-    numpy builds (conda with MKL, Accelerate, distribution packages) need not
-    export them; they give None, and the column runs the port ``_gttrf`` and
-    ``_gtts2`` in their place.
+    numpy builds (conda with MKL, Accelerate on macOS arm64, distribution
+    packages, and probably Windows, whose OpenBLAS is a DLL of its own) need
+    not export them there; they give None, and the column runs the port
+    ``_gttrf`` and ``_gtts2`` in their place.
     """
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)

@@ -414,8 +414,7 @@ def test_port_is_scipys_dgttrf_and_dgttrs_bit_for_bit(monkeypatch):
 def test_port_solves_the_reference_columns_schur_systems_as_scipy(eq_column_params,
                                                                   monkeypatch):
     # every Schur system the reference column (400 nodes to t = 10) factors
-    # and solves is factored and solved by the port as by scipy; and the
-    # column solved on the port has the same fields and the same work
+    # and solves is factored and solved by the port as by scipy
     grid = SpatialGrid(ell=eq_column_params.ell, n_cells=400)
     times = np.linspace(0.0, 10.0, 51)
     factored, solved = [], []
@@ -441,9 +440,6 @@ def test_port_solves_the_reference_columns_schur_systems_as_scipy(eq_column_para
     column = port_column(monkeypatch, eq_column_params, grid)
     for i, b in solved:
         port_matches_scipy(column, *factored[i], b)
-    port = solve_pde(eq_column_params, grid, t_end=10.0, sample_times=times)
-    assert np.array_equal(port.c, default.c) and np.array_equal(port.q, default.q)
-    assert port.stats == default.stats
 
 
 def test_port_solves_the_column_bit_for_bit(monkeypatch):
