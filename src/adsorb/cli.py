@@ -3,7 +3,8 @@
 ``adsorb <mode> --config <path> [--out <dir>]``, where the mode is one of
 ``nondim``, ``wave``, ``pde``, ``sweep``, ``isotherm`` and the flags may come
 before or after it.  ``parse_config`` is the only reader of the config
-document; ``--out`` overrides ``output.dir``, its one output setting.  Tables
+document, and ``_SCHEMA`` declares its every key, kind and default; ``--out``
+overrides ``output.dir``, its one output setting.  Tables
 are CSV files, which start with a comment carrying the toolkit version and a
 hash of the fully resolved configuration; metadata documents are JSON files,
 which carry both as their ``"meta"`` object.  Floats are written with 17
@@ -42,21 +43,34 @@ from .model import (
 )
 from .wave import WaveProfile, solve_full_wave, solve_leading_order
 
-MODES = ("nondim", "wave", "pde", "sweep", "isotherm")
-
-# the physical section spells out PhysicalParameters, with the orders as m and n
-_PHYSICAL_FIELDS = [f for f in dataclasses.fields(PhysicalParameters) if f.name != "orders"]
-_PHYSICAL_KEYS = {f.name for f in _PHYSICAL_FIELDS} | {"m", "n"}
-_DIMENSIONLESS_KEYS = {"da", "pe", "q_e", "m", "n", "ell"}
-_SOLVER_DEFAULTS = {
-    "n_cells": 400,
-    "t_end": None,            # pde horizon; default 1.4 * ell * (q_e + Da)
-    "n_snapshots": 101,
-}
-_INTEGER_KEYS = {"n_cells", "n_snapshots"}
-_OUTPUT_DEFAULTS = {"dir": "out"}
 # pde mode fits one front speed per level and writes one block of front rows
 FRONT_LEVELS = (0.25, 0.5, 0.75)
+
+# Every key of every config section, as key: (kind, default).  A key whose
+# default is _REQUIRED must be given; one whose default is None may be null,
+# which reads as absent.  The physical section spells out PhysicalParameters,
+# with the orders as m and n; "config" is the top level, where only the pe
+# override is read through this table.
+_REQUIRED = object()
+_ORDERS = {"m": ("an integer", _REQUIRED), "n": ("an integer", _REQUIRED)}
+_SCHEMA = {
+    "config": {"pe": ("a finite number", None)},
+    "physical": {
+        **{f.name: ("a finite number",
+                    _REQUIRED if f.default is dataclasses.MISSING else f.default)
+           for f in dataclasses.fields(PhysicalParameters) if f.name != "orders"},
+        **_ORDERS,
+    },
+    "dimensionless": {"da": ("a finite number", _REQUIRED), "pe": ("a finite number", None),
+                      "q_e": ("a finite number", _REQUIRED), **_ORDERS,
+                      "ell": ("a finite number", None)},
+    "solver": {
+        "n_cells": ("a 64-bit integer", 400),
+        "t_end": ("a finite number", None),  # pde horizon; default 1.4 * ell * (q_e + Da)
+        "n_snapshots": ("a 64-bit integer", 101),
+    },
+    "output": {"dir": ("a string", "out")},
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,91 +90,50 @@ class RunConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _fail_unknown(section: str, given: dict, allowed: set[str]) -> None:
+def _of_kind(value, kind: str) -> bool:
+    """Whether the JSON value ``value`` is of the ``_SCHEMA`` kind ``kind``.
+
+    A number must be a finite double: ``json.loads`` also reads NaN, Infinity
+    and integers past the largest double.
+    """
+    if kind == "a string":
+        return isinstance(value, str)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # false for NaN
+        return False
+    if kind == "an integer":  # as ReactionOrders takes them
+        return isinstance(value, int)
+    if kind == "a 64-bit integer":  # numpy sizes its arrays in int64
+        return (isinstance(value, int) or value.is_integer()) and -2 ** 63 <= value < 2 ** 63
+    return True
+
+
+def _read(section: str, given, **override) -> dict:
+    """The keys of ``section`` checked against ``_SCHEMA``, with its defaults filled in.
+
+    An absent or null section gives no keys.  An ``override`` value that is not
+    None replaces the given one before the kinds are checked.  A required key
+    not given reads ``_REQUIRED``; the orders m and n, which a section that
+    takes them must give, come back as one ``ReactionOrders`` under ``orders``.
+    """
+    schema = _SCHEMA[section]
+    given = {} if given is None else given
     if not isinstance(given, dict):
         raise ConfigError(f"{section} must be a JSON object, got {given!r}")
-    unknown = sorted(set(given) - allowed)
+    unknown = sorted(set(given) - set(schema))
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {', '.join(unknown)}")
-
-
-def _section(raw: dict, name: str, allowed: set[str]) -> dict:
-    """The named top-level section; absent or null means no keys given."""
-    given = {} if raw.get(name) is None else raw[name]
-    _fail_unknown(name, given, allowed)
-    return given
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number that is a finite double.
-
-    ``json.loads`` also reads NaN, Infinity and integers past the largest double.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return abs(value) <= sys.float_info.max  # false for NaN
-
-
-def _check_types(section: str, given: dict, nullable=frozenset()) -> None:
-    """Reject a value of the wrong JSON type with a ConfigError naming its key.
-
-    The orders m and n take a JSON integer, as ``ReactionOrders`` does, the
-    counts in ``_INTEGER_KEYS`` an integral number, and every other key a
-    number; keys in ``nullable`` may be null.  No number may be NaN or
-    infinite, and no value of an integer key may fall outside int64.
-    """
+    given = given | {key: value for key, value in override.items() if value is not None}
     for key, value in given.items():
-        if value is None and key in nullable:
-            continue
-        if key in ("m", "n"):
-            ok, kind = _is_number(value) and isinstance(value, int), "an integer"
-        elif key in _INTEGER_KEYS:  # numpy sizes its arrays in int64
-            ok = (_is_number(value) and (isinstance(value, int) or value.is_integer())
-                  and -2 ** 63 <= value < 2 ** 63)
-            kind = "a 64-bit integer"
-        else:
-            ok, kind = _is_number(value), "a finite number"
-        if not ok:
+        kind, default = schema[key]
+        if not (value is None and default is None or _of_kind(value, kind)):
             raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
-
-
-def _orders_from(section: dict, where: str) -> ReactionOrders:
-    try:
-        m, n = section["m"], section["n"]
-    except KeyError as exc:
-        raise ConfigError(f"{where} must specify the reaction orders m and n") from exc
-    return ReactionOrders(m, n)
-
-
-def _build_physical(section: dict) -> PhysicalParameters:
-    _fail_unknown("physical", section, _PHYSICAL_KEYS)
-    _check_types("physical", section, nullable={"diffusion"})
-    orders = _orders_from(section, "physical")
-    missing = [f.name for f in _PHYSICAL_FIELDS
-               if f.default is dataclasses.MISSING and f.name not in section]
-    if missing:
-        raise ConfigError(f"physical is missing keys: {', '.join(missing)}")
-    return PhysicalParameters(orders=orders, **{
-        f.name: None if section.get(f.name) is None else float(section[f.name])
-        for f in _PHYSICAL_FIELDS
-    })
-
-
-def _build_dimensionless(section: dict, pe_override: float | None) -> DimensionlessParameters:
-    _fail_unknown("dimensionless", section, _DIMENSIONLESS_KEYS)
-    _check_types("dimensionless", section, nullable={"pe", "ell"})
-    orders = _orders_from(section, "dimensionless")
-    for key in ("da", "q_e"):
-        if key not in section:
-            raise ConfigError(f"dimensionless must specify {key}")
-    pe = pe_override if pe_override is not None else section.get("pe")
-    if pe is None:
-        raise ConfigError("dimensionless must specify pe (or use the top-level override)")
-    extra = {}
-    if section.get("ell") is not None:
-        extra["ell"] = float(section["ell"])
-    return DimensionlessParameters(da=float(section["da"]), pe=float(pe),
-                                   q_e=float(section["q_e"]), orders=orders, **extra)
+    values = {key: default for key, (_, default) in schema.items()} | given
+    if "m" in schema:
+        if values["m"] is _REQUIRED or values["n"] is _REQUIRED:
+            raise ConfigError(f"{section} must specify the reaction orders m and n")
+        values["orders"] = ReactionOrders(values.pop("m"), values.pop("n"))
+    return values
 
 
 def parse_config(document: str, mode_override: str | None = None, *,
@@ -180,8 +153,9 @@ def parse_config(document: str, mode_override: str | None = None, *,
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _fail_unknown("config", raw, {"mode", "physical", "dimensionless", "pe", "solver",
-                                  "output"})
+    unknown = sorted(set(raw) - {"mode", "physical", "dimensionless", "pe", "solver", "output"})
+    if unknown:
+        raise ConfigError(f"unknown keys in config: {', '.join(unknown)}")
 
     mode = raw.get("mode")  # null, like an absent key, defers to the mode argument
     if mode is None:
@@ -192,42 +166,45 @@ def parse_config(document: str, mode_override: str | None = None, *,
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
-    _check_types("config", {"pe": raw.get("pe")}, nullable={"pe"})
-    pe_override = float(raw["pe"]) if raw.get("pe") is not None else None
+    pe_override = _read("config", {"pe": raw.get("pe")})["pe"]
+    pe_override = None if pe_override is None else float(pe_override)
     has_phys = raw.get("physical") is not None
-    has_dimless = raw.get("dimensionless") is not None
-    if has_phys == has_dimless:
+    if has_phys == (raw.get("dimensionless") is not None):
         raise ConfigError("exactly one of physical/dimensionless must be given")
 
-    physical = _build_physical(raw["physical"]) if has_phys else None
+    section = "physical" if has_phys else "dimensionless"
+    values = _read(section, raw[section])
+    missing = [key for key, value in values.items() if value is _REQUIRED]
+    if missing and has_phys:
+        raise ConfigError(f"physical is missing keys: {', '.join(missing)}")
+    if missing:
+        raise ConfigError(f"dimensionless must specify {missing[0]}")
+    orders = values.pop("orders")
+    numbers = {key: float(value) for key, value in values.items() if value is not None}
+    physical = None
     if has_phys:
+        physical = PhysicalParameters(orders=orders, **numbers)
         if physical.diffusion is None and pe_override is None and mode == "isotherm":
             pe_override = 0.0  # the isotherm involves no transport
         params = nondimensionalize(physical, pe=pe_override)
     else:
-        params = _build_dimensionless(raw["dimensionless"], pe_override)
+        if pe_override is not None:
+            numbers["pe"] = pe_override
+        if "pe" not in numbers:
+            raise ConfigError("dimensionless must specify pe (or use the top-level override)")
+        params = DimensionlessParameters(orders=orders, **numbers)
 
-    solver = dict(_SOLVER_DEFAULTS)
-    given_solver = _section(raw, "solver", set(_SOLVER_DEFAULTS))
-    _check_types("solver", given_solver,
-                 nullable={k for k, v in _SOLVER_DEFAULTS.items() if v is None})
-    solver.update(given_solver)
+    solver = _read("solver", raw.get("solver"))
     if solver["t_end"] is None:
         solver["t_end"] = 1.4 * params.ell * (params.q_e + params.da)
     if mode == "isotherm" and physical is None:
         raise ConfigError("isotherm mode requires the physical section")
-
-    output = {**_OUTPUT_DEFAULTS, **_section(raw, "output", set(_OUTPUT_DEFAULTS))}
-    if out is not None:
-        output["dir"] = out
-    if not isinstance(output["dir"], str):
-        raise ConfigError(f"output.dir must be a string, got {output['dir']!r}")
+    output = _read("output", raw.get("output"), dir=out)
 
     physical_resolved = None
     if physical is not None:
-        physical_resolved = {f.name: getattr(physical, f.name) for f in _PHYSICAL_FIELDS}
-        physical_resolved["m"] = physical.orders.m
-        physical_resolved["n"] = physical.orders.n
+        physical_resolved = dataclasses.asdict(physical)
+        physical_resolved.update(physical_resolved.pop("orders"))
     resolved = {
         "mode": mode,
         "physical": physical_resolved,
@@ -540,6 +517,7 @@ def _run_isotherm(config: RunConfig, out: Path) -> Iterator[Path]:
 
 _RUNNERS = {"nondim": _run_nondim, "wave": _run_wave, "pde": _run_pde,
             "sweep": _run_sweep, "isotherm": _run_isotherm}
+MODES = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> list[Path]:

@@ -21,6 +21,14 @@ REASON_INTERIOR = "interior-equilibrium"
 REASON_INCREASING = "increasing-solutions"
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an int too long for repr (past 4,300 digits by default)."""
+    try:
+        return repr(value)
+    except ValueError:  # Python's limit on int-to-string conversion
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+
+
 def _finite(value) -> bool:
     """math.isfinite, with an int past the doubles (OverflowError) read as not finite."""
     try:
@@ -32,27 +40,27 @@ def _finite(value) -> bool:
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
         if not _finite(value) or value <= 0.0:
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+            raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 def _require_fraction(**values: float) -> None:
     for name, value in values.items():
         if not 0.0 < value < 1.0:
-            raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+            raise DomainError(f"{name} must lie in (0, 1), got {_shown(value)}")
 
 
 def _require_integer(name: str, value) -> None:
     """Refuse anything but a Python or numpy integer; bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
 
 
 def _require_sizable(name: str, value: int, n_floats: int) -> None:
     """Refuse a count ``value`` whose array of ``n_floats`` doubles numpy cannot size."""
     n_bytes = 8 * n_floats
     if n_bytes > np.iinfo(np.intp).max:
-        raise DomainError(f"{name} = {value!r} asks for an array of {n_bytes} bytes, more than "
-                          f"numpy can size ({np.iinfo(np.intp).max})")
+        raise DomainError(f"{name} = {_shown(value)} asks for an array of {_shown(n_bytes)} "
+                          f"bytes, more than numpy can size ({np.iinfo(np.intp).max})")
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class ReactionOrders:
         for name, value in (("m", self.m), ("n", self.n)):
             _require_integer(f"reaction order {name}", value)
             if value < 1:
-                raise DomainError(f"reaction order {name} must be >= 1, got {value}")
+                raise DomainError(f"reaction order {name} must be >= 1, got {_shown(value)}")
 
     @property
     def admissible(self) -> bool:
@@ -85,7 +93,7 @@ class RawKinetics:
     def __post_init__(self):
         _require_positive(kappa_ad=self.kappa_ad, c_sat=self.c_sat)
         if not _finite(self.kappa_de) or self.kappa_de < 0.0:
-            raise DomainError(f"kappa_de must be >= 0, got {self.kappa_de!r}")
+            raise DomainError(f"kappa_de must be >= 0, got {_shown(self.kappa_de)}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,7 @@ class DimensionlessParameters:
         _require_positive(da=self.da, ell=self.ell,
                           length_scale=self.length_scale, time_scale=self.time_scale)
         if not _finite(self.pe) or self.pe < 0.0:
-            raise DomainError(f"pe must be >= 0, got {self.pe!r}")
+            raise DomainError(f"pe must be >= 0, got {_shown(self.pe)}")
         object.__setattr__(self, "alpha", alpha_from_qe(self.q_e, self.orders.n))
 
     @property
@@ -177,7 +185,13 @@ class EquilibriumReport:
 def sips_isotherm(c_in: float, k_l: float, q_max: float, orders: ReactionOrders) -> float:
     """Equilibrium adsorbed fraction q_e = q_max (k_l c^m)^(1/n) / (1 + (k_l c^m)^(1/n))."""
     _require_positive(c_in=c_in, k_l=k_l, q_max=q_max)
-    x = (k_l * c_in ** orders.m) ** (1.0 / orders.n)
+    try:  # float ** and int * float raise on overflow; a float product turns inf
+        x = (k_l * c_in ** orders.m) ** (1.0 / orders.n)
+        if math.isinf(x):
+            raise OverflowError("k_l c_in^m is past the largest double")
+    except OverflowError as exc:
+        raise DomainError(f"the isotherm overflows at c_in = {_shown(c_in)}, m = {orders.m}: "
+                          f"{exc}") from exc
     return q_max * x / (1.0 + x)
 
 
@@ -185,7 +199,8 @@ def equilibrium_fraction_from_masses(m_final: float, m_initial: float) -> float:
     """Adsorbed fraction measured by weighing the column: (m_final - m_initial)/m_initial."""
     _require_positive(m_initial=m_initial)
     if not _finite(m_final) or m_final < m_initial:
-        raise DomainError(f"final mass {m_final!r} must be >= initial mass {m_initial!r}")
+        raise DomainError(f"final mass {_shown(m_final)} must be >= initial mass "
+                          f"{_shown(m_initial)}")
     return (m_final - m_initial) / m_initial
 
 
@@ -208,7 +223,7 @@ def qe_from_alpha(alpha: float, n: int) -> float:
     """Invert the nondimensional isotherm: q_e = r/(1+r) with r = (alpha/(1-alpha))^(1/n)."""
     _require_fraction(alpha=alpha)
     if n < 1:
-        raise DomainError(f"order n must be >= 1, got {n!r}")
+        raise DomainError(f"order n must be >= 1, got {_shown(n)}")
     r = (alpha / (1.0 - alpha)) ** (1.0 / n)
     return r / (1.0 + r)
 
@@ -220,7 +235,7 @@ def alpha_from_qe(q_e: float, n: int) -> float:
     """
     _require_fraction(q_e=q_e)
     if n < 1:
-        raise DomainError(f"order n must be >= 1, got {n!r}")
+        raise DomainError(f"order n must be >= 1, got {_shown(n)}")
     try:
         # math.pow raises on overflow for numpy scalars too, where ** gives inf
         big_r = math.pow(q_e / (1.0 - q_e), n)
@@ -246,8 +261,8 @@ def nondimensionalize(p: PhysicalParameters, pe: float | None = None) -> Dimensi
         length_scale = p.epsilon * tau * p.u_in * p.c_in / (p.rho_b * p.q_max)
         da = length_scale / (tau * p.u_in)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"the time and length scales overflow at c_in = {p.c_in!r}, m = {m}, "
-                          f"q_max = {p.q_max!r}, n = {n}: {exc}") from exc
+        raise DomainError(f"the time and length scales overflow at c_in = {_shown(p.c_in)}, "
+                          f"m = {m}, q_max = {_shown(p.q_max)}, n = {n}: {exc}") from exc
     alpha = adsorption / rate
     if pe is None:
         if p.diffusion is None:

@@ -50,6 +50,9 @@ PHYSICAL = {
 }
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestReadme:
     def test_python_blocks_run(self, tmp_path, child_env):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -59,6 +62,28 @@ class TestReadme:
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                   env=child_env, cwd=tmp_path)
             assert proc.returncode == 0, proc.stderr
+
+    def test_json_blocks_parse(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"),
+                            flags=re.DOTALL)
+        assert [parse_config(block).mode for block in blocks] == ["wave", "pde"]
+
+    def test_schema_table_is_the_schema(self):
+        # each row: sections, keys, kind (without its article), default
+        table = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.split("|")[1:-1]]
+            if len(cells) != 4 or not cells[0].startswith("`"):
+                continue
+            default = "required" if cells[3] == "required" else json.loads(cells[3].strip("`"))
+            for section in re.findall(r"`(\w+)`", cells[0]):
+                for key in re.findall(r"`(\w+)`", cells[1]):
+                    table[section, key] = (cells[2], default)
+        assert table == {
+            (section, key): (kind.split(" ", 1)[1],
+                             "required" if default is cli._REQUIRED else default)
+            for section, keys in cli._SCHEMA.items() for key, (kind, default) in keys.items()
+        }
 
 
 class TestPublicSurface:
@@ -162,6 +187,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("section,key", [
+        pytest.param(section, key, id=f"{section}.{key}")
+        for section, keys in cli._SCHEMA.items() for key in keys])
+    def test_every_key_is_kind_checked(self, section, key):
+        # a value of another kind names the key; null is refused unless the default is null
+        kind, default = cli._SCHEMA[section][key]
+
+        def document(value):
+            doc = {**json.loads(wave_doc()), "pe": 0.1}
+            if section == "physical":
+                doc = {"mode": "nondim", "physical": dict(PHYSICAL), "pe": 0.1}
+            if section == "config":
+                return json.dumps({**doc, key: value})
+            return json.dumps({**doc, section: {**doc.get(section, {}), key: value}})
+
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be {kind}, got "):
+            parse_config(document(1 if kind == "a string" else "0.5"))
+        if default is None:
+            parse_config(document(None))
+        else:
+            with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be {kind}, got None$"):
+                parse_config(document(None))
+
     def test_integral_values_keep_their_resolved_form(self):
         doc = {"mode": "pde", "dimensionless": {"q_e": 0.7, "da": 0.1, "pe": 0.1, "m": 1, "n": 1},
                "solver": {"n_cells": 64.0, "t_end": 5}}
@@ -227,7 +275,7 @@ class TestParseConfig:
 
     def test_dimensionless_key_set_is_pinned(self):
         # q_e is the one isotherm input: alpha is derived from it, not read
-        assert cli._DIMENSIONLESS_KEYS == {"da", "pe", "q_e", "m", "n", "ell"}
+        assert set(cli._SCHEMA["dimensionless"]) == {"da", "pe", "q_e", "m", "n", "ell"}
 
     def test_unknown_keys_rejected_with_names(self):
         with pytest.raises(ConfigError, match="typo_key"):

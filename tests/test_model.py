@@ -232,6 +232,9 @@ class TestDimensionlessParameters:
                                     orders=ReactionOrders(1, 1))
 
 
+BIG = 10 ** 5000  # 5,001 digits
+
+
 @pytest.mark.parametrize("refused,message", [
     (lambda: RawKinetics(kappa_ad=1.0, kappa_de=-0.1, c_sat=1.0), "kappa_de must be >= 0"),
     (lambda: PhysicalParameters(
@@ -254,9 +257,32 @@ class TestDimensionlessParameters:
     (lambda: equilibrium_fraction_from_masses(10 ** 400, 10.0), "final mass 1000"),
     (lambda: sips_isotherm(10 ** 400, 1.0, 0.3, ReactionOrders(1, 1)),
      "c_in must be positive and finite"),
+    # k_l c_in^m past the largest double: float ** and int * float raise, a float product is inf
+    (lambda: sips_isotherm(1e200, 1.0, 0.3, ReactionOrders(2, 1)),
+     r"^the isotherm overflows at c_in = 1e\+200, m = 2: "),
+    (lambda: sips_isotherm(10 ** 200, 1.0, 0.3, ReactionOrders(2, 1)),
+     r"^the isotherm overflows at c_in = 10{200}, m = 2: "),
+    (lambda: sips_isotherm(1e200, 1e200, 0.3, ReactionOrders(1, 1)),
+     r"^the isotherm overflows at c_in = 1e\+200, m = 1: "),
+    # an int past Python's digit limit for repr (4,300 by default; none before 3.10.7)
+    # is shown by its size
+    (lambda: DimensionlessParameters(da=BIG, pe=0.1, q_e=0.7, orders=ReactionOrders(1, 1)),
+     r"^da must be positive and finite, got (<int of 16610 bits>|10{5000})$"),
+    (lambda: DimensionlessParameters(da=0.1, pe=0.1, q_e=BIG, orders=ReactionOrders(1, 1)),
+     r"^q_e must lie in \(0, 1\), got (<int of 16610 bits>|10{5000})$"),
+    (lambda: DimensionlessParameters(da=0.1, pe=-BIG, q_e=0.7, orders=ReactionOrders(1, 1)),
+     r"^pe must be >= 0, got (<negative int of 16610 bits>|-10{5000})$"),
+    (lambda: ReactionOrders(-BIG, 1),
+     r"^reaction order m must be >= 1, got (<negative int of 16610 bits>|-10{5000})$"),
+    (lambda: qe_from_alpha(0.5, -BIG),
+     r"^order n must be >= 1, got (<negative int of 16610 bits>|-10{5000})$"),
+    (lambda: RawKinetics(kappa_ad=1.0, kappa_de=-BIG, c_sat=1.0),
+     r"^kappa_de must be >= 0, got (<negative int of 16610 bits>|-10{5000})$"),
 ], ids=["kappa_de", "q_max", "epsilon", "convert_raw_rates-epsilon", "alpha", "q_e",
         "qe_from_alpha-n", "alpha_from_qe-n", "nondimensionalize-pe", "kappa_de-int",
-        "final-mass-int", "sips-c_in-int"])
+        "final-mass-int", "sips-c_in-int", "sips-pow-overflow", "sips-int-overflow",
+        "sips-product-overflow", "da-long-int", "q_e-long-int", "pe-long-int", "m-long-int",
+        "qe_from_alpha-n-long-int", "kappa_de-long-int"])
 def test_refusal_names_the_value(refused, message):
     with pytest.raises(DomainError, match=message):
         refused()
